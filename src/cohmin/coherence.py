@@ -15,21 +15,60 @@ bisimulation minimiser is included as the protocol-free baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import algebra
 from .errors import SameState, SignatureMismatch, UnknownState
 from .kernel import Round, Transducer
 
 
-@dataclass(frozen=True)
-class CoherenceRelation:
-    """The greatest coherent simulation for (transducer, protocol)."""
+def _bits(x: int):
+    """Indices of the set bits of ``x``, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
-    pairs: FrozenSet[Tuple[str, str]]
-    transducer: Transducer
-    protocol: Transducer
+
+class CoherenceRelation:
+    """The greatest coherent simulation for (transducer, protocol).
+
+    Held either as a set of ``(s', s'')`` pairs or, as the engine below
+    builds it, as ``(states, rows)``: ``states`` sorted by name and bit
+    ``i`` of ``rows[j]`` set iff ``(states[i], states[j])`` is related.
+    Each form is derived from the other only when first asked for.
+    """
+
+    def __init__(self, pairs, transducer: Transducer, protocol: Transducer):
+        self._pairs = frozenset(pairs)
+        self._rows = None
+        self.transducer = transducer
+        self.protocol = protocol
+
+    @classmethod
+    def from_rows(cls, states, rows, transducer, protocol) -> "CoherenceRelation":
+        rel = cls((), transducer, protocol)
+        rel._pairs, rel._rows = None, (states, rows)
+        return rel
+
+    @property
+    def pairs(self) -> FrozenSet[Tuple[str, str]]:
+        if self._pairs is None:
+            states, rows = self._rows
+            self._pairs = frozenset(
+                (states[i], b) for b, row in zip(states, rows) for i in _bits(row)
+            )
+        return self._pairs
+
+    def rows(self) -> Tuple[List[str], List[int]]:
+        if self._rows is None:
+            states = sorted(self.transducer.states)
+            index = {s: i for i, s in enumerate(states)}
+            rows = [0] * len(states)
+            for a, b in self._pairs:
+                rows[index[b]] |= 1 << index[a]
+            self._rows = (states, rows)
+        return self._rows
 
     def __contains__(self, pair) -> bool:
         return tuple(pair) in self.pairs
@@ -38,20 +77,50 @@ class CoherenceRelation:
         return sorted(self.pairs)
 
 
-@dataclass(frozen=True)
 class EquivalencePairs:
     """Unordered state pairs related in both directions (identity excluded).
 
-    Symmetric by construction but in general *not* transitive.
+    Symmetric by construction but in general *not* transitive.  Built from
+    relation rows, the pairs are produced in sorted order and only as far
+    as a caller reads them.
     """
 
-    pairs: FrozenSet[FrozenSet[str]]
+    def __init__(self, pairs):
+        self._pairs = frozenset(pairs)
+        self._rows = None
+
+    @classmethod
+    def from_rows(cls, states, rows) -> "EquivalencePairs":
+        eq = cls(())
+        eq._pairs, eq._rows = None, (states, rows)
+        return eq
+
+    def _sorted(self):
+        if self._rows is None:
+            yield from sorted(tuple(sorted(p)) for p in self._pairs)
+            return
+        states, rows = self._rows
+        for i, row in enumerate(rows):
+            for j in _bits(row >> (i + 1)):
+                j += i + 1
+                if rows[j] >> i & 1:
+                    yield states[i], states[j]
+
+    @property
+    def pairs(self) -> FrozenSet[FrozenSet[str]]:
+        if self._pairs is None:
+            self._pairs = frozenset(frozenset(p) for p in self._sorted())
+        return self._pairs
 
     def sorted_pairs(self) -> List[Tuple[str, str]]:
-        return sorted(tuple(sorted(p)) for p in self.pairs)
+        return list(self._sorted())
+
+    def least(self) -> Optional[Tuple[str, str]]:
+        """The lexicographically least pair, or None when there is none."""
+        return next(self._sorted(), None)
 
     def __bool__(self) -> bool:
-        return bool(self.pairs)
+        return self.least() is not None
 
 
 def product_reach(T: Transducer, P: Transducer) -> FrozenSet[Tuple[str, str]]:
@@ -81,21 +150,6 @@ def product_reach(T: Transducer, P: Transducer) -> FrozenSet[Tuple[str, str]]:
     return frozenset(seen)
 
 
-def protocol_extendable(T: Transducer, P: Transducer, s: str, v: Round) -> bool:
-    """Can some witness trace of ``s`` be legally extended by round ``v``?
-
-    Exactly the emptiness test on witness-extensions: true iff a protocol
-    state jointly reachable with ``s`` enables ``v``.
-    """
-    if s not in T.states:
-        raise UnknownState(s)
-    v = frozenset(v)
-    for (ts, ps) in product_reach(T, P):
-        if ts == s and v in P.out(ps):
-            return True
-    return False
-
-
 def _extendable_rounds(T: Transducer, P: Transducer) -> Dict[str, FrozenSet[Round]]:
     """For each state of T, the rounds that extend some legal witness."""
     reach: Dict[str, set] = {s: set() for s in T.states}
@@ -107,52 +161,84 @@ def _extendable_rounds(T: Transducer, P: Transducer) -> Dict[str, FrozenSet[Roun
 def coherent_simulation(T: Transducer, P: Transducer) -> CoherenceRelation:
     """Greatest coherent simulation of ``T`` under protocol ``P``.
 
-    Start from all pairs; settle the protocol-escape condition once (it does
-    not depend on the relation), then prune the matching condition to a
-    fixpoint.
+    States are numbered in name order and ``sim[j]`` is the bitset of the
+    states ``i`` with ``(i, j)`` related.  Condition 2 does not depend on
+    the relation: it fixes the starting rows, one OR per group of states
+    with equal enabled rounds.  Condition 1 then prunes to the greatest
+    fixpoint by ``sim[j] &= pre_v(sim[k])`` for every transition
+    ``j -v-> k``, where ``pre_v(B)`` is the set of states with a
+    ``v``-transition into ``B``; a worklist revisits ``j`` only when a
+    successor row shrank, and ``pre_v`` is memoised on its argument
+    because equivalent states share rows.  See the README for the cost.
     """
     if T.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
     states = sorted(T.states)
+    n = len(states)
+    index = {s: i for i, s in enumerate(states)}
+    rid: Dict[Round, int] = {}
+    moves: List[List[Tuple[int, int]]] = []
+    pred: List[List[int]] = []   # per round: bitset of v-predecessors of each state
+    into = [set() for _ in range(n)]
+    enabled = []
+    for j, s in enumerate(states):
+        out = []
+        adj = T.out(s)
+        enabled.append(frozenset(adj))
+        for v, targets in adj.items():
+            r = rid.setdefault(v, len(rid))
+            if r == len(pred):
+                pred.append([0] * n)
+            for t in targets:
+                k = index[t]
+                out.append((r, k))
+                pred[r][k] |= 1 << j
+                into[k].add(j)
+        moves.append(out)
+
     extendable = _extendable_rounds(T, P)
+    groups: Dict[FrozenSet[Round], int] = {}
+    for j, e in enumerate(enabled):
+        groups[e] = groups.get(e, 0) | 1 << j
+    masks: Dict[tuple, int] = {}
+    sim = []
+    for j, s in enumerate(states):
+        key = (enabled[j], extendable[s])
+        if key not in masks:
+            # the groups are disjoint, so their sum is their union
+            masks[key] = sum(members for e, members in groups.items()
+                             if (e - key[0]).isdisjoint(key[1]))
+        sim.append(masks[key])
 
-    pairs = set()
-    for s1 in states:
-        e1 = T.enabled(s1)
-        for s2 in states:
-            extra = e1 - T.enabled(s2)
-            if any(v in extendable[s2] for v in extra):
-                continue
-            pairs.add((s1, s2))
-
-    # transitions grouped per state for the matching loop
-    trans = {s: [(v, t) for v, ts in T.out(s).items() for t in ts] for s in states}
-
-    changed = True
-    while changed:
-        changed = False
-        for (s1, s2) in list(pairs):
-            ok = True
-            for v, t2 in trans[s2]:
-                if not any(
-                    w == v and (t1, t2) in pairs for (w, t1) in trans[s1]
-                ):
-                    ok = False
-                    break
-            if not ok:
-                pairs.discard((s1, s2))
-                changed = True
-    return CoherenceRelation(frozenset(pairs), T, P)
+    memo: Dict[Tuple[int, int], int] = {}
+    pending = list(range(n))
+    queued = [True] * n
+    while pending:
+        j = pending.pop()
+        queued[j] = False
+        row = sim[j]
+        for r, k in moves[j]:
+            pre = memo.get((r, sim[k]))
+            if pre is None:
+                col = pred[r]
+                pre = 0
+                for t in _bits(sim[k]):
+                    pre |= col[t]
+                memo[(r, sim[k])] = pre
+            row &= pre
+        if row != sim[j]:
+            sim[j] = row
+            for p in into[j]:
+                if not queued[p]:
+                    queued[p] = True
+                    pending.append(p)
+    return CoherenceRelation.from_rows(states, sim, T, P)
 
 
 def equivalence_pairs(T: Transducer, P: Transducer, relation=None) -> EquivalencePairs:
     """Symmetrise the greatest coherent simulation, dropping identity pairs."""
     rel = relation if relation is not None else coherent_simulation(T, P)
-    out = set()
-    for (a, b) in rel.pairs:
-        if a != b and (b, a) in rel.pairs:
-            out.add(frozenset((a, b)))
-    return EquivalencePairs(frozenset(out))
+    return EquivalencePairs.from_rows(*rel.rows())
 
 
 def quotient(T: Transducer, s1: str, s2: str) -> Transducer:
@@ -206,12 +292,11 @@ def coherent_minimize(
     current = T
     log: List[Tuple[str, str]] = []
     while True:
-        pairs = equivalence_pairs(current, P)
-        if not pairs:
+        least = equivalence_pairs(current, P).least()
+        if least is None:
             break
-        a, b = pairs.sorted_pairs()[0]
-        current = quotient(current, a, b)
-        log.append((min(a, b), max(a, b)))
+        current = quotient(current, *least)
+        log.append(least)
     if not keep_unreachable:
         current = _drop_unreachable(current)
     return current, log

@@ -65,6 +65,21 @@ def _load_protocol(path: str, subject) -> Transducer:
     return protocol.align_protocol(model, sig)
 
 
+def _count(least: int):
+    """argparse type: an integer of at least ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="cohmin", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -73,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file")
 
     sp = sub.add_parser("traces", help="enumerate traces up to a depth")
-    sp.add_argument("--depth", type=int, required=True)
-    sp.add_argument("--cap", type=int, default=kernel.DEFAULT_TRACE_CAP,
+    sp.add_argument("--depth", type=_count(0), required=True)
+    sp.add_argument("--cap", type=_count(1), default=kernel.DEFAULT_TRACE_CAP,
                     help="abort beyond this many traces (exit 4)")
     sp.add_argument("file")
 
@@ -104,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("equiv", help="bounded protocol-restricted equivalence")
     sp.add_argument("--protocol", required=True)
-    sp.add_argument("--depth", type=int, default=8)
+    sp.add_argument("--depth", type=_count(0), default=8)
     sp.add_argument("left")
     sp.add_argument("right")
 

@@ -2,18 +2,20 @@
 
 The oracles here deliberately avoid the library's own algorithms: the
 relation oracle enumerates every candidate relation and unions the coherent
-ones; the regex oracle decides membership through derivatives.
+ones, over its own joint-reachability search; the regex oracle decides
+membership through derivatives.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 import numpy as np
 
-from cohmin import coherence
-from cohmin.kernel import Signature, Transducer, mkround
+from cohmin.errors import UnknownState
+from cohmin.kernel import Round, Signature, Transducer, mkround
 from cohmin.protocol import Alt, Cat, Lit, Star
 
 
@@ -63,7 +65,65 @@ def linear_protocol_shaped(sig: Signature) -> Transducer:
     )
 
 
+def ring(names) -> Transducer:
+    """A cycle through ``names`` alternating rounds {a} and {b}.
+
+    Under the protocol ``(a b)*`` every {a}-state is coherently equivalent
+    to every other, and likewise every {b}-state, so coherent minimisation
+    folds an even ring to 2 states.
+    """
+    sig = Signature(frozenset({"a"}), frozenset({"b"}))
+    n = len(names)
+    delta = {(names[i], mkround({"ab"[i % 2]}), names[(i + 1) % n])
+             for i in range(n)}
+    return Transducer(sig, frozenset(names), names[0], frozenset(delta))
+
+
 # -- brute-force relation oracle ---------------------------------------------
+
+
+def joint_reach(T: Transducer, P: Transducer):
+    """(state, protocol state) pairs reached together by some common trace.
+
+    A breadth-first search read straight off both transition sets, kept
+    apart from ``coherence.product_reach`` so the oracles below share no
+    code with the engine they check.
+    """
+    t_moves, p_moves = {}, {}
+    for src, v, tgt in T.delta:
+        t_moves.setdefault(src, []).append((v, tgt))
+    for src, v, tgt in P.delta:
+        p_moves.setdefault((src, v), []).append(tgt)
+    start = (T.initial, P.initial)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        s, p = queue.popleft()
+        for v, s2 in t_moves.get(s, ()):
+            for p2 in p_moves.get((p, v), ()):
+                if (s2, p2) not in seen:
+                    seen.add((s2, p2))
+                    queue.append((s2, p2))
+    return seen
+
+
+def extendable_rounds(T: Transducer, P: Transducer):
+    """For each state of T, the rounds enabled at a protocol state
+    jointly reachable with it."""
+    p_enabled = {}
+    for src, v, _ in P.delta:
+        p_enabled.setdefault(src, set()).add(v)
+    ext = {s: set() for s in T.states}
+    for s, p in joint_reach(T, P):
+        ext[s] |= p_enabled.get(p, set())
+    return ext
+
+
+def protocol_extendable(T: Transducer, P: Transducer, s: str, v: Round) -> bool:
+    """Can some witness trace of ``s`` be legally extended by round ``v``?"""
+    if s not in T.states:
+        raise UnknownState(s)
+    return frozenset(v) in extendable_rounds(T, P)[s]
 
 
 def bruteforce_coherent_union(T: Transducer, P: Transducer):
@@ -80,7 +140,7 @@ def bruteforce_coherent_union(T: Transducer, P: Transducer):
     def pid(a, b):
         return idx[a] * n + idx[b]
 
-    ext = coherence._extendable_rounds(T, P)
+    ext = extendable_rounds(T, P)
     m2_bits = []
     for s1 in states:
         for s2 in states:

@@ -12,7 +12,9 @@ from helpers import (
     SIG2,
     SIG3,
     bruteforce_coherent_union,
+    joint_reach,
     linear_protocol_shaped,
+    protocol_extendable,
     random_transducer,
 )
 
@@ -36,19 +38,26 @@ class TestProductReach:
                        ("p1", "X2"), ("p2", "X2"), ("q1", "X2")}
         assert not any(s in ("p3", "q3") for s, _ in got)
 
+    def test_matches_independent_search(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            T = random_transducer(rng, SIG3, 6, 12)
+            P = random_transducer(rng, SIG3, 4, 10, "p")
+            assert coherence.product_reach(T, P) == joint_reach(T, P)
+
 
 class TestProtocolExtendable:
     def test_dead_after_protocol_end(self):
-        assert not coherence.protocol_extendable(FORK, PR, "p2", R({"b"}))
+        assert not protocol_extendable(FORK, PR, "p2", R({"b"}))
 
     def test_live_round(self):
-        assert coherence.protocol_extendable(FORK, PR, "P", R({"a"}))
+        assert protocol_extendable(FORK, PR, "P", R({"a"}))
 
     def test_universal_protocol_everything_live(self):
         P = universal_protocol(FORK.signature)
         for s in FORK.reachable_states():
             for v in [R({"i"}), R({"a"}), R({"b"}), frozenset()]:
-                assert coherence.protocol_extendable(FORK, P, s, v)
+                assert protocol_extendable(FORK, P, s, v)
 
 
 class TestCoherentSimulation:

@@ -216,6 +216,20 @@ class TestCli:
         assert code == 4
         assert "resource limit" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("traces", "--depth", "-1", "two_phase.fst"),
+        ("traces", "--depth", "2", "--cap", "-5", "two_phase.fst"),
+        ("equiv", "--protocol", "linear_protocol.fst", "--depth", "-1",
+         "forked_reader.fst", "forked_reader.fst"),
+    ])
+    def test_negative_count_is_usage_error(self, argv):
+        argv = [str(FIXDIR / a) if a.endswith(".fst") else a for a in argv]
+        code, out, err = run_cli(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage error: argument --")
+        assert err.count("\n") == 1
+
 
 class TestShippedFixtures:
     def test_every_fixture_parses_and_round_trips(self):
