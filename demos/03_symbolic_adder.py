@@ -35,10 +35,12 @@ print("\ny+z>0 vs z+y>0, structural:      ", guard_equiv(a, b, "structural"))
 print("y+z>0 vs y+z>=1, structural:     ", guard_equiv(a, c, "structural"))
 print("y+z>0 vs y+z>=1, bounded-semantic:", guard_equiv(a, c, "bounded-semantic"))
 
-# The expansion interprets registers explicitly over [-2..2]; acceptance
-# must agree with sfst_run for every in-domain trace.
-explicit = expand(machine, -2, 2)
-print(f"\nexplicit expansion over [-2..2]: {len(explicit.states)} states,"
+# The expansion interprets registers explicitly over [-5..5], which holds
+# every value the traces above carry; acceptance must agree with sfst_run
+# for every in-domain trace.  (A value outside the domain has no label in
+# the expanded signature, so accepts() would raise UnknownLabel.)
+explicit = expand(machine, -5, 5)
+print(f"\nexplicit expansion over [-5..5]: {len(explicit.states)} states,"
       f" {len(explicit.delta)} transitions")
 for trace in (good, bad):
     agrees = explicit.accepts(expand_valued_trace(machine, trace)) == \

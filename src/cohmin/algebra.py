@@ -2,38 +2,21 @@
 projection and composition, plus bounded-depth language comparisons.
 
 The product constructions keep only pairs reachable from the initial pair
-by default (``keep_unreachable=True`` preserves the full product; the
-number of pruned pairs is attached to the result as ``pruned_pairs``).
+by default (``keep_unreachable=True`` preserves the full product).
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import FrozenSet
 
 from . import kernel
 from .errors import LabelClash, ResourceLimit, SignatureMismatch
-from .kernel import Round, Signature, Trace, TraceSet, Transducer, round_key
+from .kernel import Signature, TraceSet, Transducer, drop_unreachable, round_key
 
 
 def product_state(left: str, right: str) -> str:
     """Canonical rendering of a product state."""
     return f"({left},{right})"
-
-
-def _restrict_reachable(T: Transducer, keep_unreachable: bool) -> Transducer:
-    if keep_unreachable:
-        object.__setattr__(T, "pruned_pairs", 0)
-        return T
-    reach = T.reachable_states()
-    pruned = len(T.states) - len(reach)
-    out = Transducer(
-        T.signature,
-        reach,
-        T.initial,
-        frozenset((s, v, t) for s, v, t in T.delta if s in reach and t in reach),
-    )
-    object.__setattr__(out, "pruned_pairs", pruned)
-    return out
 
 
 def intersect(T: Transducer, U: Transducer, keep_unreachable: bool = False) -> Transducer:
@@ -50,7 +33,7 @@ def intersect(T: Transducer, U: Transducer, keep_unreachable: bool = False) -> T
     out = Transducer(
         T.signature, states, product_state(T.initial, U.initial), frozenset(delta)
     )
-    return _restrict_reachable(out, keep_unreachable)
+    return out if keep_unreachable else drop_unreachable(out)
 
 
 def _merge_signatures(T: Transducer, U: Transducer) -> Signature:
@@ -93,7 +76,7 @@ def interact(
     out = Transducer(
         sig, states, product_state(T.initial, U.initial), frozenset(delta)
     )
-    return _restrict_reachable(out, keep_unreachable)
+    return out if keep_unreachable else drop_unreachable(out)
 
 
 def project(T: Transducer, keep: Signature) -> Transducer:
@@ -115,9 +98,7 @@ def compose(
     shared = T.signature.universe & U.signature.universe
     joint = interact(T, U, keep_unreachable, strict_polarity)
     keep = joint.signature.restrict(joint.signature.universe - shared)
-    out = project(joint, keep)
-    object.__setattr__(out, "pruned_pairs", getattr(joint, "pruned_pairs", 0))
-    return out
+    return project(joint, keep)
 
 
 # -- trace-set combinators (independent oracles) ---------------------------

@@ -19,7 +19,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import algebra
 from .errors import SameState, SignatureMismatch, UnknownState
-from .kernel import Round, Transducer
+from .kernel import Round, Transducer, drop_unreachable, merge_states
 
 
 def _bits(x: int):
@@ -31,25 +31,16 @@ def _bits(x: int):
 
 
 class CoherenceRelation:
-    """The greatest coherent simulation for (transducer, protocol).
+    """The greatest coherent simulation of a machine under a protocol.
 
-    Held either as a set of ``(s', s'')`` pairs or, as the engine below
-    builds it, as ``(states, rows)``: ``states`` sorted by name and bit
-    ``i`` of ``rows[j]`` set iff ``(states[i], states[j])`` is related.
-    Each form is derived from the other only when first asked for.
+    Held as ``(states, rows)``: ``states`` sorted by name and bit ``i`` of
+    ``rows[j]`` set iff ``(states[i], states[j])`` is related.  The set of
+    pairs is built only when first asked for.
     """
 
-    def __init__(self, pairs, transducer: Transducer, protocol: Transducer):
-        self._pairs = frozenset(pairs)
-        self._rows = None
-        self.transducer = transducer
-        self.protocol = protocol
-
-    @classmethod
-    def from_rows(cls, states, rows, transducer, protocol) -> "CoherenceRelation":
-        rel = cls((), transducer, protocol)
-        rel._pairs, rel._rows = None, (states, rows)
-        return rel
+    def __init__(self, states: List[str], rows: List[int]):
+        self._rows = (states, rows)
+        self._pairs = None
 
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
@@ -61,13 +52,6 @@ class CoherenceRelation:
         return self._pairs
 
     def rows(self) -> Tuple[List[str], List[int]]:
-        if self._rows is None:
-            states = sorted(self.transducer.states)
-            index = {s: i for i, s in enumerate(states)}
-            rows = [0] * len(states)
-            for a, b in self._pairs:
-                rows[index[b]] |= 1 << index[a]
-            self._rows = (states, rows)
         return self._rows
 
     def __contains__(self, pair) -> bool:
@@ -80,25 +64,16 @@ class CoherenceRelation:
 class EquivalencePairs:
     """Unordered state pairs related in both directions (identity excluded).
 
-    Symmetric by construction but in general *not* transitive.  Built from
-    relation rows, the pairs are produced in sorted order and only as far
-    as a caller reads them.
+    Symmetric by construction but in general *not* transitive.  Read off
+    the relation rows, the pairs come in sorted order and only as far as a
+    caller reads them.
     """
 
-    def __init__(self, pairs):
-        self._pairs = frozenset(pairs)
-        self._rows = None
-
-    @classmethod
-    def from_rows(cls, states, rows) -> "EquivalencePairs":
-        eq = cls(())
-        eq._pairs, eq._rows = None, (states, rows)
-        return eq
+    def __init__(self, states: List[str], rows: List[int]):
+        self._rows = (states, rows)
+        self._pairs = None
 
     def _sorted(self):
-        if self._rows is None:
-            yield from sorted(tuple(sorted(p)) for p in self._pairs)
-            return
         states, rows = self._rows
         for i, row in enumerate(rows):
             for j in _bits(row >> (i + 1)):
@@ -158,7 +133,8 @@ def _extendable_rounds(T: Transducer, P: Transducer) -> Dict[str, FrozenSet[Roun
     return {s: frozenset(vs) for s, vs in reach.items()}
 
 
-def coherent_simulation(T: Transducer, P: Transducer) -> CoherenceRelation:
+def coherent_simulation(T: Transducer, P: Transducer,
+                        keyed: Optional[Transducer] = None) -> CoherenceRelation:
     """Greatest coherent simulation of ``T`` under protocol ``P``.
 
     States are numbered in name order and ``sim[j]`` is the bitset of the
@@ -170,6 +146,11 @@ def coherent_simulation(T: Transducer, P: Transducer) -> CoherenceRelation:
     ``v``-transition into ``B``; a worklist revisits ``j`` only when a
     successor row shrank, and ``pre_v`` is memoised on its argument
     because equivalent states share rows.  See the README for the cost.
+
+    ``keyed`` serves symbolic machines: a transducer on the states of ``T``
+    whose rounds are match keys (see ``symbolic.sfst_coherent_simulation``).
+    Condition 1 then matches keys instead of rounds; condition 2 always
+    reads ``T``.
     """
     if T.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
@@ -185,6 +166,8 @@ def coherent_simulation(T: Transducer, P: Transducer) -> CoherenceRelation:
         out = []
         adj = T.out(s)
         enabled.append(frozenset(adj))
+        if keyed is not None:
+            adj = keyed.out(s)
         for v, targets in adj.items():
             r = rid.setdefault(v, len(rid))
             if r == len(pred):
@@ -232,17 +215,19 @@ def coherent_simulation(T: Transducer, P: Transducer) -> CoherenceRelation:
                 if not queued[p]:
                     queued[p] = True
                     pending.append(p)
-    return CoherenceRelation.from_rows(states, sim, T, P)
+    return CoherenceRelation(states, sim)
 
 
-def equivalence_pairs(T: Transducer, P: Transducer, relation=None) -> EquivalencePairs:
+def equivalence_pairs(T: Transducer, P: Transducer, relation=None,
+                      keyed: Optional[Transducer] = None) -> EquivalencePairs:
     """Symmetrise the greatest coherent simulation, dropping identity pairs."""
-    rel = relation if relation is not None else coherent_simulation(T, P)
-    return EquivalencePairs.from_rows(*rel.rows())
+    rel = relation if relation is not None else coherent_simulation(T, P, keyed)
+    return EquivalencePairs(*rel.rows())
 
 
-def quotient(T: Transducer, s1: str, s2: str) -> Transducer:
-    """Merge two states; the lexicographically smaller name survives.
+def quotient(T, s1: str, s2: str):
+    """Merge two states of a plain or symbolic machine; the
+    lexicographically smaller name survives.
 
     Transitions are remapped through the renaming on both endpoints, with
     duplicates collapsing; the language can only grow.
@@ -252,53 +237,35 @@ def quotient(T: Transducer, s1: str, s2: str) -> Transducer:
             raise UnknownState(s)
     if s1 == s2:
         raise SameState(s1)
-    keep, drop = min(s1, s2), max(s1, s2)
-
-    def rename(s: str) -> str:
-        return keep if s == drop else s
-
-    return Transducer(
-        T.signature,
-        frozenset(rename(s) for s in T.states),
-        rename(T.initial),
-        frozenset((rename(a), v, rename(b)) for a, v, b in T.delta),
-    )
-
-
-def _drop_unreachable(T: Transducer) -> Transducer:
-    reach = T.reachable_states()
-    if reach == T.states:
-        return T
-    return Transducer(
-        T.signature,
-        reach,
-        T.initial,
-        frozenset((s, v, t) for s, v, t in T.delta if s in reach and t in reach),
-    )
+    return merge_states(T, [(s1, s2)])
 
 
 def coherent_minimize(
     T: Transducer,
     P: Transducer,
     keep_unreachable: bool = False,
+    keyed: Optional[Transducer] = None,
 ) -> Tuple[Transducer, List[Tuple[str, str]]]:
     """Iteratively quotient coherently equivalent states.
 
     The relation is order-dependent and not transitive, so it is recomputed
     after every merge; the lexicographically least pair goes first, which
     makes the output reproducible.  Returns the reduced transducer and the
-    merge log as (survivor, absorbed) entries.
+    merge log as (survivor, absorbed) entries.  ``keyed`` is as for
+    :func:`coherent_simulation` and is merged along with ``T``.
     """
     current = T
     log: List[Tuple[str, str]] = []
     while True:
-        least = equivalence_pairs(current, P).least()
+        least = equivalence_pairs(current, P, keyed=keyed).least()
         if least is None:
             break
         current = quotient(current, *least)
+        if keyed is not None:
+            keyed = merge_states(keyed, [least])
         log.append(least)
     if not keep_unreachable:
-        current = _drop_unreachable(current)
+        current = drop_unreachable(current)
     return current, log
 
 
@@ -361,21 +328,8 @@ def bisim_partition(T: Transducer, signature=None) -> List[FrozenSet[str]]:
 
 def bisim_minimize(T: Transducer, keep_unreachable: bool = False) -> Transducer:
     """Quotient by the coarsest stable partition, then drop unreachable."""
-    partition = bisim_partition(T)
-    rename = {}
-    for group in partition:
-        survivor = min(group)
-        for s in group:
-            rename[s] = survivor
-    out = Transducer(
-        T.signature,
-        frozenset(rename.values()),
-        rename[T.initial],
-        frozenset((rename[s], v, rename[t]) for s, v, t in T.delta),
-    )
-    if not keep_unreachable:
-        out = _drop_unreachable(out)
-    return out
+    out = merge_states(T, bisim_partition(T))
+    return out if keep_unreachable else drop_unreachable(out)
 
 
 def coherent_equiv_bounded(T: Transducer, U: Transducer, P: Transducer, k: int) -> bool:

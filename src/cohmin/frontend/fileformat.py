@@ -39,7 +39,17 @@ _EXPR_TOKEN = re.compile(
 )
 
 
+# Deepest expression accepted: parentheses may nest, and an expression tree
+# may grow, at most this many levels, so that the parser and the walkers
+# over the tree (``type_of``, ``eval_expr``, ``normal_form``,
+# ``render_expr``) stay far from the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+
 class _ExprParser:
+    """Recursive descent; each ``parse_*`` method returns the expression
+    and the depth of its tree."""
+
     def __init__(self, text: str, registers, inputs, line: int):
         self.text = text
         self.registers = frozenset(registers)
@@ -59,6 +69,7 @@ class _ExprParser:
             self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
             pos = m.end()
         self.i = 0
+        self.parens = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text) + 1)
@@ -72,81 +83,107 @@ class _ExprParser:
         _, _, col = self.peek()
         raise ParseError(self.line, col, message)
 
+    def grow(self, e, depth: int):
+        """``e`` as a node over subtrees at most ``depth`` levels deep."""
+        if depth >= MAX_DEPTH:
+            self.fail(f"expression nested deeper than {MAX_DEPTH} levels")
+        return e, depth + 1
+
     def parse(self):
-        e = self.parse_or()
+        e, _ = self.parse_or()
         if self.peek()[0] is not None:
             self.fail(f"trailing input {self.peek()[1]!r} in expression")
         return e
 
     def parse_or(self):
-        e = self.parse_and()
+        e, d = self.parse_and()
         while self.peek()[1] == "or":
             self.take()
-            e = Bin("or", e, self.parse_and())
-        return e
+            right, rd = self.parse_and()
+            e, d = self.grow(Bin("or", e, right), max(d, rd))
+        return e, d
 
     def parse_and(self):
-        e = self.parse_not()
+        e, d = self.parse_not()
         while self.peek()[1] == "and":
             self.take()
-            e = Bin("and", e, self.parse_not())
-        return e
+            right, rd = self.parse_not()
+            e, d = self.grow(Bin("and", e, right), max(d, rd))
+        return e, d
 
     def parse_not(self):
-        if self.peek()[1] == "not":
+        nots = 0
+        while self.peek()[1] == "not":
             self.take()
-            return Not(self.parse_not())
-        return self.parse_cmp()
+            nots += 1
+        e, d = self.parse_cmp()
+        for _ in range(nots):
+            e, d = self.grow(Not(e), d)
+        return e, d
 
     def parse_cmp(self):
-        e = self.parse_add()
+        e, d = self.parse_add()
         if self.peek()[1] in ("=", "<", "<=", ">", ">="):
             op = self.take()[1]
-            return Bin(op, e, self.parse_add())
-        return e
+            right, rd = self.parse_add()
+            return self.grow(Bin(op, e, right), max(d, rd))
+        return e, d
 
     def parse_add(self):
-        e = self.parse_mul()
+        e, d = self.parse_mul()
         while self.peek()[1] in ("+", "-"):
             op = self.take()[1]
-            e = Bin(op, e, self.parse_mul())
-        return e
+            right, rd = self.parse_mul()
+            e, d = self.grow(Bin(op, e, right), max(d, rd))
+        return e, d
 
     def parse_mul(self):
-        e = self.parse_unary()
+        e, d = self.parse_unary()
         while self.peek()[1] == "*":
             self.take()
-            e = Bin("*", e, self.parse_unary())
-        return e
+            right, rd = self.parse_unary()
+            e, d = self.grow(Bin("*", e, right), max(d, rd))
+        return e, d
 
     def parse_unary(self):
-        kind, value, col = self.peek()
-        if value == "-":
+        negs = 0
+        while self.peek()[1] == "-":
             self.take()
-            return Neg(self.parse_unary())
+            negs += 1
+        kind, value, col = self.peek()
         if kind == "num":
             self.take()
-            return IntLit(int(value))
-        if value == "(":
+            e, d = IntLit(int(value)), 1
+        elif value == "(":
+            if self.parens == MAX_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
+            self.parens += 1
             self.take()
-            e = self.parse_or()
+            e, d = self.parse_or()
             if self.peek()[1] != ")":
                 self.fail("expected ')'")
             self.take()
-            return e
-        if kind == "ident":
+            self.parens -= 1
+        elif kind == "ident":
             self.take()
-            if value == "true":
-                return BoolLit(True)
-            if value == "false":
-                return BoolLit(False)
-            if value in self.registers:
-                return Reg(value)
-            if value in self.inputs:
-                return Port(value)
-            raise ParseError(self.line, col,
-                             f"unknown name {value!r} (not a register or input port)")
-        self.fail("expected an expression")
+            e, d = self.name(value, col), 1
+        else:
+            self.fail("expected an expression")
+        for _ in range(negs):
+            e, d = self.grow(Neg(e), d)
+        return e, d
+
+    def name(self, value: str, col: int):
+        if value == "true":
+            return BoolLit(True)
+        if value == "false":
+            return BoolLit(False)
+        if value in self.registers:
+            return Reg(value)
+        if value in self.inputs:
+            return Port(value)
+        raise ParseError(self.line, col,
+                         f"unknown name {value!r} (not a register or input port)")
 
 
 def parse_expr(text: str, registers, inputs, line: int = 1):
@@ -401,11 +438,6 @@ def parse_valued_trace(text: str):
     return tuple(rounds)
 
 
-def is_valued_trace_text(text: str) -> bool:
-    stripped = re.sub(r"#[^\n]*", "", text)
-    return "=" in stripped
-
-
 # -- regex protocol files ----------------------------------------------------
 
 
@@ -460,8 +492,10 @@ def serialize_sfst(T: SFST) -> str:
     lines.append(f"initial {T.initial};")
 
     def key(t: STransition):
+        updates = sorted(t.updates, key=lambda u: u.target)
         return (t.source, round_key(t.round), t.target, render_expr(t.guard),
-                tuple(sorted(u.target for u in t.updates)))
+                tuple(u.target for u in updates),
+                tuple(render_expr(u.expr) for u in updates))
 
     for t in sorted(T.delta, key=key):
         text = f"trans {t.source} -> {t.target} : {_render_round(t.round)}"

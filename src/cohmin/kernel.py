@@ -11,7 +11,7 @@ All values are immutable; every operation is a pure function of its inputs.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -205,6 +205,41 @@ class Transducer:
         return Transducer(sig, self.states, self.initial, self.delta)
 
 
+def merge_states(M, classes):
+    """``M`` with each class of states folded into its least member.
+
+    ``M`` is a plain :class:`Transducer` or a symbolic machine (whose
+    transitions carry ``source`` and ``target``).  States in no class keep
+    their names; transitions that become equal collapse, since ``delta`` is
+    a set.  This is the one place where states are renamed.
+    """
+    name = {s: min(c) for c in classes for s in c}.get
+    if isinstance(M, Transducer):
+        delta = [(name(s, s), v, name(t, t)) for s, v, t in M.delta]
+    else:
+        delta = [replace(tr, source=name(tr.source, tr.source),
+                         target=name(tr.target, tr.target)) for tr in M.delta]
+    return replace(M, states=frozenset(name(s, s) for s in M.states),
+                   initial=name(M.initial, M.initial), delta=frozenset(delta))
+
+
+def drop_unreachable(M):
+    """``M`` without the states its initial state cannot reach.
+
+    Plain or symbolic, as for :func:`merge_states`; a symbolic machine's
+    reachability is read off its control skeleton.
+    """
+    plain = isinstance(M, Transducer)
+    reach = (M if plain else M.control_skeleton()).reachable_states()
+    if reach == M.states:
+        return M
+    if plain:
+        delta = [tr for tr in M.delta if tr[0] in reach]
+    else:
+        delta = [tr for tr in M.delta if tr.source in reach]
+    return replace(M, states=reach, delta=frozenset(delta))
+
+
 @dataclass(frozen=True)
 class TraceSet:
     """A finite set of traces over a signature (bounded-depth oracles only)."""
@@ -272,18 +307,6 @@ def violations(desc: Mapping) -> list:
     return found
 
 
-def step(T: Transducer, s: str, v: Round) -> FrozenSet[str]:
-    return T.step(s, frozenset(v))
-
-
-def run(T: Transducer, t: Trace) -> FrozenSet[str]:
-    return T.run(t)
-
-
-def accepts(T: Transducer, t: Trace) -> bool:
-    return T.accepts(t)
-
-
 def _enumerate(T: Transducer, k: int, cap: int):
     """Breadth-first trace enumeration; yields (trace, reached-state-set)."""
     if k < 0:
@@ -317,20 +340,6 @@ def _enumerate(T: Transducer, k: int, cap: int):
 def traces_upto(T: Transducer, k: int, cap: int = DEFAULT_TRACE_CAP) -> TraceSet:
     """Exactly the traces of ``T`` of length at most ``k``."""
     out = [trace for trace, _ in _enumerate(T, k, cap)]
-    return TraceSet(T.signature, frozenset(out))
-
-
-def witness_traces_upto(
-    T: Transducer, s: str, k: int, cap: int = DEFAULT_TRACE_CAP
-) -> TraceSet:
-    """Traces of length <= k that reach state ``s`` from the initial state.
-
-    Test-oracle use only; exact reachability questions go through the
-    synchronized product in the coherence module.
-    """
-    if s not in T.states:
-        raise UnknownState(s)
-    out = [trace for trace, states in _enumerate(T, k, cap) if s in states]
     return TraceSet(T.signature, frozenset(out))
 
 

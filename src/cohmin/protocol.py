@@ -45,11 +45,18 @@ ProtocolRegex = object
 
 _TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()+*]))")
 
+# Deepest parenthesis nesting accepted, so that the parser and the walkers
+# over the tree (``_glushkov``, ``regex_labels``) stay far from the
+# interpreter's recursion limit.
+MAX_DEPTH = 100
+
 
 def parse_regex(text: str) -> ProtocolRegex:
     """Parse ``a (b c + d)* e`` style protocol expressions.
 
-    Juxtaposition is concatenation, ``+`` alternation, ``*`` iteration.
+    Juxtaposition is concatenation, ``+`` alternation, ``*`` iteration;
+    repeated stars fold, since ``(x*)* = x*``.  Parentheses nested deeper
+    than :data:`MAX_DEPTH` are a :class:`ParseError`.
     """
     tokens = []
     pos = 0
@@ -72,7 +79,7 @@ def parse_regex(text: str) -> ProtocolRegex:
                        line, m.start(m.lastgroup) - line_start + 1))
         pos = m.end()
 
-    state = {"i": 0}
+    state = {"i": 0, "depth": 0}
 
     def peek():
         return tokens[state["i"]][0] if state["i"] < len(tokens) else None
@@ -106,7 +113,8 @@ def parse_regex(text: str) -> ProtocolRegex:
         node = parse_atom()
         while peek() == "*":
             advance()
-            node = Star(node)
+            if not isinstance(node, Star):
+                node = Star(node)
         return node
 
     def parse_atom():
@@ -115,8 +123,12 @@ def parse_regex(text: str) -> ProtocolRegex:
         if tok is None:
             raise ParseError(ln, col, "unexpected end of expression")
         if tok == "(":
+            if state["depth"] == MAX_DEPTH:
+                raise ParseError(ln, col, f"parentheses nested deeper than {MAX_DEPTH}")
+            state["depth"] += 1
             advance()
             inner = parse_alt()
+            state["depth"] -= 1
             if peek() != ")":
                 ln, col = where()
                 raise ParseError(ln, col, "expected ')'")

@@ -23,13 +23,12 @@ from .errors import (
     NotAProtocol,
     Overflow,
     ResourceLimit,
-    SameState,
     SignatureMismatch,
     TypeMismatch,
     UnboundReference,
     UnknownState,
 )
-from .kernel import Round, Signature, Transducer
+from .kernel import Round, Signature, Transducer, drop_unreachable, merge_states
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -611,7 +610,9 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     are (port, value) events rendered via :func:`expanded_label`.  Runs
     whose register values or carried values leave the domain are cut at the
     frontier, so acceptance agrees with ``sfst_run`` exactly on traces whose
-    values stay within the domain.
+    values stay within the domain.  A valued label outside the domain is
+    outside the expanded signature: ``accepts`` on a trace carrying one
+    raises :class:`UnknownLabel` rather than rejecting it.
     """
     if lo > hi:
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
@@ -727,16 +728,8 @@ def is_symbolic_protocol(T: SFST) -> bool:
     return True
 
 
-def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
-                             domain: Tuple[int, int] = SEMANTIC_DOMAIN) -> CoherenceRelation:
-    """Greatest coherent simulation on control states.
-
-    Transition matching additionally demands guard equivalence and
-    target-wise update equivalence in the chosen mode; the witness
-    reachability behind the protocol-dead escape runs on the control
-    skeleton, which over-approximates witnesses and therefore only ever
-    forbids merges.
-    """
+def _skeletons(T: SFST, P) -> Tuple[Transducer, Transducer]:
+    """Control skeletons of a machine and of a (plain or symbolic) protocol."""
     if isinstance(P, Transducer):
         P = lift_transducer(P)
     if not is_symbolic_protocol(P):
@@ -745,103 +738,98 @@ def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
     skel_p = P.control_skeleton()
     if skel_t.signature != skel_p.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
-    states = sorted(T.states)
-    extendable = coherence._extendable_rounds(skel_t, skel_p)
+    return skel_t, skel_p
 
-    pairs = set()
-    for s1 in states:
-        e1 = skel_t.enabled(s1)
-        for s2 in states:
-            extra = e1 - skel_t.enabled(s2)
-            if any(v in extendable[s2] for v in extra):
-                continue
-            pairs.add((s1, s2))
 
-    def matches(a: STransition, b: STransition) -> bool:
-        return (
-            a.round == b.round
-            and guard_equiv(a.guard, b.guard, mode, domain)
-            and updates_equiv(a.updates, b.updates, mode, domain)
-        )
+def _key_machine(T: SFST, mode: str, domain: Tuple[int, int]) -> Transducer:
+    """The control skeleton of ``T`` with match keys for rounds.
 
-    changed = True
-    while changed:
-        changed = False
-        for (s1, s2) in list(pairs):
-            ok = True
-            for tb in T.out(s2):
-                if not any(
-                    matches(ta, tb) and (ta.target, tb.target) in pairs
-                    for ta in T.out(s1)
-                ):
-                    ok = False
-                    break
-            if not ok:
-                pairs.discard((s1, s2))
-                changed = True
-    return CoherenceRelation(frozenset(pairs), T, P)
+    Two transitions match when their rounds are equal, their guards
+    equivalent and their updates target-wise equivalent in ``mode``; each
+    transition gets the key ``(round, guard class, update class)``, so that
+    matching becomes key equality.  In ``structural`` mode a class is the
+    normal form itself.  In ``bounded-semantic`` mode agreement on every
+    assignment of a finite domain is an equivalence, so one comparison per
+    class representative of the same round places an expression.  Key
+    ``i`` is written as the one-label round ``{k<i>}``.
+    """
+    if mode == "structural":
+        def key(tr):
+            return tr.round, normal_form(tr.guard), normalised_updates(tr.updates)
+    else:
+        reps: Dict[Round, Tuple[list, list]] = {}
+
+        def cls(members, x, same) -> int:
+            for i, y in enumerate(members):
+                if same(x, y):
+                    return i
+            # every expression is evaluated on the whole domain at least
+            # once, so an overflow or an oversized domain is an error
+            # whether or not another transition needs the comparison
+            same(x, x)
+            members.append(x)
+            return len(members) - 1
+
+        def key(tr):
+            guards, updates = reps.setdefault(tr.round, ([], []))
+            return (
+                tr.round,
+                cls(guards, tr.guard, lambda a, b: guard_equiv(a, b, mode, domain)),
+                cls(updates, tr.updates,
+                    lambda a, b: updates_equiv(a, b, mode, domain)),
+            )
+
+    labels: Dict[object, str] = {}
+    delta = frozenset(
+        (tr.source, frozenset({labels.setdefault(key(tr), f"k{len(labels)}")}),
+         tr.target)
+        for tr in T.delta
+    )
+    return Transducer(Signature(frozenset(labels.values()), frozenset()),
+                      T.states, T.initial, delta)
+
+
+def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
+                             domain: Tuple[int, int] = SEMANTIC_DOMAIN) -> CoherenceRelation:
+    """Greatest coherent simulation on control states.
+
+    Transition matching additionally demands guard equivalence and
+    target-wise update equivalence in the chosen mode, through the match
+    keys of :func:`_key_machine`; the witness reachability behind the
+    protocol-dead escape runs on the control skeleton, which
+    over-approximates witnesses and therefore only ever forbids merges.
+    """
+    skel_t, skel_p = _skeletons(T, P)
+    return coherence.coherent_simulation(
+        skel_t, skel_p, keyed=_key_machine(T, mode, domain))
 
 
 def sfst_equivalence_pairs(T: SFST, P: SFST, mode: str = "structural",
                            relation=None) -> EquivalencePairs:
     rel = relation if relation is not None else sfst_coherent_simulation(T, P, mode)
-    out = set()
-    for (a, b) in rel.pairs:
-        if a != b and (b, a) in rel.pairs:
-            out.add(frozenset((a, b)))
-    return EquivalencePairs(frozenset(out))
+    return coherence.equivalence_pairs(T, P, rel)
 
 
 def sfst_quotient(T: SFST, s1: str, s2: str) -> SFST:
     """Merge two control states; registers are untouched.  Transitions
     collapse only when round, guard, updates and endpoints all coincide."""
-    for s in (s1, s2):
-        if s not in T.states:
-            raise UnknownState(s)
-    if s1 == s2:
-        raise SameState(s1)
-    keep, drop = min(s1, s2), max(s1, s2)
-
-    def rename(s):
-        return keep if s == drop else s
-
-    return SFST(
-        T.signature,
-        frozenset(rename(s) for s in T.states),
-        T.registers,
-        rename(T.initial),
-        frozenset(
-            STransition(rename(t.source), t.round, t.guard, t.updates,
-                        rename(t.target))
-            for t in T.delta
-        ),
-    )
+    return coherence.quotient(T, s1, s2)
 
 
 def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
                            keep_unreachable: bool = False):
-    """Iterated quotienting of coherently equivalent control states."""
-    current = T
-    log: List[Tuple[str, str]] = []
-    while True:
-        pairs = sfst_equivalence_pairs(current, P, mode)
-        if not pairs:
-            break
-        a, b = pairs.sorted_pairs()[0]
-        current = sfst_quotient(current, a, b)
-        log.append((min(a, b), max(a, b)))
-    if not keep_unreachable:
-        reach = current.control_skeleton().reachable_states()
-        if reach != current.states:
-            current = SFST(
-                current.signature,
-                reach,
-                current.registers,
-                current.initial,
-                frozenset(t for t in current.delta
-                          if t.source in reach and t.target in reach),
-            )
-    return current, log
+    """Iterated quotienting of coherently equivalent control states.
+
+    The merge loop of ``coherence.coherent_minimize`` runs on the control
+    skeleton and the match keys; ``T`` is then folded once, each merge
+    class into its least name.
+    """
+    skel_t, skel_p = _skeletons(T, P)
+    _, log = coherence.coherent_minimize(
+        skel_t, skel_p, keep_unreachable=True,
+        keyed=_key_machine(T, mode, SEMANTIC_DOMAIN))
+    out = merge_states(T, coherence.merge_classes(log))
+    return (out if keep_unreachable else drop_unreachable(out)), log
 
 
 def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
@@ -861,29 +849,5 @@ def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
 
 
 def sfst_bisim_minimize(T: SFST, keep_unreachable: bool = False) -> SFST:
-    partition = sfst_bisim_partition(T)
-    rename = {}
-    for group in partition:
-        survivor = min(group)
-        for s in group:
-            rename[s] = survivor
-    out = SFST(
-        T.signature,
-        frozenset(rename.values()),
-        T.registers,
-        rename[T.initial],
-        frozenset(
-            STransition(rename[t.source], t.round, t.guard, t.updates,
-                        rename[t.target])
-            for t in T.delta
-        ),
-    )
-    if not keep_unreachable:
-        reach = out.control_skeleton().reachable_states()
-        if reach != out.states:
-            out = SFST(
-                out.signature, reach, out.registers, out.initial,
-                frozenset(t for t in out.delta
-                          if t.source in reach and t.target in reach),
-            )
-    return out
+    out = merge_states(T, sfst_bisim_partition(T))
+    return out if keep_unreachable else drop_unreachable(out)

@@ -15,8 +15,18 @@ from collections import deque
 import numpy as np
 
 from cohmin.errors import UnknownState
-from cohmin.kernel import Round, Signature, Transducer, mkround
+from cohmin.frontend.fileformat import parse_expr
+from cohmin.kernel import (
+    DEFAULT_TRACE_CAP,
+    Round,
+    Signature,
+    TraceSet,
+    Transducer,
+    mkround,
+    traces_upto,
+)
 from cohmin.protocol import Alt, Cat, Lit, Star
+from cohmin.symbolic import SFST, STransition, Update
 
 
 def all_rounds(sig: Signature):
@@ -44,6 +54,92 @@ def random_transducer(rng: random.Random, sig: Signature, max_states: int,
             used.add((src, v))
         delta.add((src, v, rng.choice(states)))
     return Transducer(sig, frozenset(states), states[0], frozenset(delta))
+
+
+# -- random symbolic machines -------------------------------------------------
+
+SFST_SIG = Signature(frozenset({"x"}), frozenset({"r"}))
+SFST_REGISTERS = frozenset({"y", "z"})
+
+# Pools of families: the members of a family are equal, some only
+# semantically (y + z > 0 / y + z >= 1), some structurally (y + z > 0 /
+# z + y > 0); members of different families differ.
+_GUARDS = (("true",), ("y + z > 0", "z + y > 0", "y + z >= 1"),
+           ("y >= 1", "not y < 1", "y > 0"), ("y > 1",), ("y = z", "z = y"),
+           ("y - z > 0", "z < y"))
+_PORT_GUARDS = (("x > 0", "0 < x", "x >= 1"), ("x > 1",))
+_UPDATES = (((), ("y := y",)), (("y := y + z",), ("y := z + y",)),
+            (("y := y + y",), ("y := 2 * y",)),
+            (("z := 0",), ("z := 0 + 0",), ("z := z - z",)),
+            (("y := z", "z := y"),))
+_PORT_UPDATES = ((("y := x",), ("y := x + 0",), ("y := 0 + x",)),
+                 (("z := x", "y := y"), ("z := x",)))
+_OUTPUTS = ((("r := y + z",), ("r := z + y",), ("r := y - -z",)),
+            (("r := y",), ("r := y + 0",)), ((),))
+
+
+def random_sfst(rng: random.Random, max_states: int, max_trans: int,
+                prefix: str = "s") -> SFST:
+    """A seeded SFST over ``SFST_SIG`` with registers y and z.
+
+    Each machine uses two rounds and, per round, two families each of
+    guards, updates and (in rounds with ``r``) output updates; every
+    transition takes a random member of a random family, so equivalent
+    transitions, and hence merges, are common.  Port guards and updates
+    appear only in rounds that carry ``x``.
+    """
+    n = rng.randint(1, max_states)
+    states = [f"{prefix}{i}" for i in range(n)]
+    rounds = rng.sample(all_rounds(SFST_SIG), 2)
+    families = {}
+    for v in rounds:
+        ports = v & SFST_SIG.inputs
+        families[v] = (
+            rng.sample(_GUARDS + (_PORT_GUARDS if ports else ()), 2),
+            rng.sample(_UPDATES + (_PORT_UPDATES if ports else ()), 2),
+            rng.sample(_OUTPUTS, 2) if "r" in v else [((),)],
+        )
+    delta = set()
+    for _ in range(rng.randint(0, max_trans)):
+        v = rng.choice(rounds)
+        guard, updates, outputs = (rng.choice(rng.choice(f)) for f in families[v])
+        ports = v & SFST_SIG.inputs
+        delta.add(STransition(
+            rng.choice(states), v, parse_expr(guard, SFST_REGISTERS, ports),
+            frozenset(_update(text, ports) for text in updates + outputs),
+            rng.choice(states),
+        ))
+    return SFST(SFST_SIG, frozenset(states), SFST_REGISTERS, states[0],
+                frozenset(delta))
+
+
+def _update(text: str, ports) -> Update:
+    target, expr = text.split(":=")
+    return Update(target.strip(), parse_expr(expr, SFST_REGISTERS, ports))
+
+
+# -- free-function views of stepping, used by the kernel tests ----------------
+
+
+def step(T: Transducer, s: str, v: Round):
+    return T.step(s, frozenset(v))
+
+
+def run(T: Transducer, t):
+    return T.run(t)
+
+
+def accepts(T: Transducer, t) -> bool:
+    return T.accepts(t)
+
+
+def witness_traces_upto(T: Transducer, s: str, k: int,
+                        cap: int = DEFAULT_TRACE_CAP) -> TraceSet:
+    """Traces of length <= k that reach state ``s`` from the initial state."""
+    if s not in T.states:
+        raise UnknownState(s)
+    out = [t for t in traces_upto(T, k, cap).traces if s in T.run(t)]
+    return TraceSet(T.signature, frozenset(out))
 
 
 SIG2 = Signature(frozenset({"x"}), frozenset({"y"}))

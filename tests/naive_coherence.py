@@ -4,22 +4,51 @@
 are kept verbatim from the first implementation, together with the joint
 reachability they rest on, so that the bitset engine in
 ``cohmin.coherence`` can be compared against them relation by relation
-and merge log by merge log.  Do not optimise this file: its value is that
+and merge log by merge log.  The pair-set relation classes, ``quotient``
+and ``_drop_unreachable`` are verbatim copies of the first implementation
+too, so the oracle shares no code with the engine it checks beyond the
+``Transducer`` value itself.  Do not optimise this file: its value is that
 it stays the obvious transcription of the definition.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Tuple
 
-from cohmin.coherence import (
-    CoherenceRelation,
-    EquivalencePairs,
-    _drop_unreachable,
-    quotient,
-)
-from cohmin.errors import SignatureMismatch
+from cohmin.errors import SameState, SignatureMismatch, UnknownState
 from cohmin.kernel import Round, Transducer
+
+
+@dataclass(frozen=True)
+class CoherenceRelation:
+    """The greatest coherent simulation for (transducer, protocol)."""
+
+    pairs: FrozenSet[Tuple[str, str]]
+    transducer: Transducer
+    protocol: Transducer
+
+    def __contains__(self, pair) -> bool:
+        return tuple(pair) in self.pairs
+
+    def sorted_pairs(self):
+        return sorted(self.pairs)
+
+
+@dataclass(frozen=True)
+class EquivalencePairs:
+    """Unordered state pairs related in both directions (identity excluded).
+
+    Symmetric by construction but in general *not* transitive.
+    """
+
+    pairs: FrozenSet[FrozenSet[str]]
+
+    def sorted_pairs(self) -> List[Tuple[str, str]]:
+        return sorted(tuple(sorted(p)) for p in self.pairs)
+
+    def __bool__(self) -> bool:
+        return bool(self.pairs)
 
 
 def product_reach(T: Transducer, P: Transducer) -> FrozenSet[Tuple[str, str]]:
@@ -106,6 +135,42 @@ def equivalence_pairs(T: Transducer, P: Transducer, relation=None) -> Equivalenc
         if a != b and (b, a) in rel.pairs:
             out.add(frozenset((a, b)))
     return EquivalencePairs(frozenset(out))
+
+
+def quotient(T: Transducer, s1: str, s2: str) -> Transducer:
+    """Merge two states; the lexicographically smaller name survives.
+
+    Transitions are remapped through the renaming on both endpoints, with
+    duplicates collapsing; the language can only grow.
+    """
+    for s in (s1, s2):
+        if s not in T.states:
+            raise UnknownState(s)
+    if s1 == s2:
+        raise SameState(s1)
+    keep, drop = min(s1, s2), max(s1, s2)
+
+    def rename(s: str) -> str:
+        return keep if s == drop else s
+
+    return Transducer(
+        T.signature,
+        frozenset(rename(s) for s in T.states),
+        rename(T.initial),
+        frozenset((rename(a), v, rename(b)) for a, v, b in T.delta),
+    )
+
+
+def _drop_unreachable(T: Transducer) -> Transducer:
+    reach = T.reachable_states()
+    if reach == T.states:
+        return T
+    return Transducer(
+        T.signature,
+        reach,
+        T.initial,
+        frozenset((s, v, t) for s, v, t in T.delta if s in reach and t in reach),
+    )
 
 
 def coherent_minimize(

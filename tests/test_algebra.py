@@ -52,7 +52,9 @@ class TestIntersect:
         full = algebra.intersect(FORK, PR, keep_unreachable=True)
         assert len(full.states) == len(FORK.states) * len(PR.states)
         pruned = algebra.intersect(FORK, PR)
-        assert pruned.pruned_pairs == len(full.states) - len(pruned.states)
+        assert pruned.states == full.reachable_states()
+        assert pruned.delta == {tr for tr in full.delta if tr[0] in pruned.states}
+        assert len(pruned.states) < len(full.states)
 
 
 def relabel(T, mapping):

@@ -1,9 +1,10 @@
-"""The bitset coherence engine against the frozen naive oracle.
+"""The bitset coherence engine against the frozen naive oracles.
 
-``naive_coherence`` is the original pair-scanning implementation; every
-relation, equivalence list and merge log must come out identical.  The
-ring tests at the end pin the merge-and-recompute loop on sizes the naive
-engine could not reach in a test run.
+``naive_coherence`` and ``naive_symbolic`` are the original pair-scanning
+implementations, plain and symbolic; every relation, equivalence list,
+merge log and minimised machine must come out identical.  The ring tests
+at the end pin the merge-and-recompute loop on sizes the naive engine
+could not reach in a test run.
 """
 
 import random
@@ -11,15 +12,27 @@ from pathlib import Path
 
 import pytest
 
-from cohmin import coherence, protocol
+from cohmin import coherence, protocol, symbolic
 from cohmin.coherence import CoherenceRelation
-from cohmin.frontend import parse_model
+from cohmin.errors import Overflow, ResourceLimit
+from cohmin.fixtures import adder, iterator_map
+from cohmin.frontend import parse_model, serialize_sfst
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Transducer, mkround
 from cohmin.protocol import empty_protocol, universal_protocol
+from cohmin.symbolic import lift_transducer
 
 import naive_coherence as naive
-from helpers import SIG2, SIG3, linear_protocol_shaped, random_transducer, ring
+import naive_symbolic
+from helpers import (
+    SFST_SIG,
+    SIG2,
+    SIG3,
+    linear_protocol_shaped,
+    random_sfst,
+    random_transducer,
+    ring,
+)
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -100,15 +113,125 @@ class TestAgainstNaiveOracle:
             assert_same(broken, ring_protocol(T.signature))
 
     def test_relation_given_as_pairs(self):
-        # symbolic coherence builds its relation from a frozenset of pairs
+        # a relation handed to equivalence_pairs is symmetrised from its rows
         rng = random.Random(1900)
         for _ in range(20):
             T = random_transducer(rng, SIG2, 6, 12)
             P = random_transducer(rng, SIG2, 3, 6, "p")
             old = naive.coherent_simulation(T, P)
-            rel = CoherenceRelation(old.pairs, T, P)
+            states = sorted(T.states)
+            index = {s: i for i, s in enumerate(states)}
+            rows = [0] * len(states)
+            for a, b in old.pairs:
+                rows[index[b]] |= 1 << index[a]
+            rel = CoherenceRelation(states, rows)
+            assert rel.pairs == old.pairs
             assert coherence.equivalence_pairs(T, P, rel).sorted_pairs() == \
                 naive.equivalence_pairs(T, P, old).sorted_pairs()
+
+
+GUARD_MODES = ("structural", "bounded-semantic")
+
+
+def assert_same_sfst(T, P):
+    """Symbolic engine and frozen symbolic oracle agree on (T, P); returns
+    the relation per guard mode."""
+    relations = {}
+    for mode in GUARD_MODES:
+        new = symbolic.sfst_coherent_simulation(T, P, mode)
+        old = naive_symbolic.sfst_coherent_simulation(T, P, mode)
+        assert new.sorted_pairs() == old.sorted_pairs()
+        assert new.pairs == old.pairs
+        new_eq = symbolic.sfst_equivalence_pairs(T, P, mode, new)
+        old_eq = naive_symbolic.sfst_equivalence_pairs(T, P, mode, old)
+        assert new_eq.sorted_pairs() == old_eq.sorted_pairs()
+        assert symbolic.sfst_equivalence_pairs(T, P, mode).sorted_pairs() == \
+            old_eq.sorted_pairs()
+        for keep in (False, True):
+            mini, log = symbolic.sfst_coherent_minimize(T, P, mode, keep)
+            old_mini, old_log = naive_symbolic.sfst_coherent_minimize(
+                T, P, mode, keep)
+            assert log == old_log
+            assert mini == old_mini
+            assert serialize_sfst(mini) == serialize_sfst(old_mini)
+        relations[mode] = new.pairs
+    return relations
+
+
+def assert_same_sfst_folds(T):
+    """Bisimulation minimisation and single quotients agree with the oracle."""
+    for keep in (False, True):
+        assert serialize_sfst(symbolic.sfst_bisim_minimize(T, keep)) == \
+            serialize_sfst(naive_symbolic.sfst_bisim_minimize(T, keep))
+    states = sorted(T.states)
+    for a, b in zip(states, states[1:]):
+        assert serialize_sfst(symbolic.sfst_quotient(T, b, a)) == \
+            serialize_sfst(naive_symbolic.sfst_quotient(T, b, a))
+
+
+def sfst_protocols(rng, sig):
+    yield empty_protocol(sig)
+    yield lift_transducer(universal_protocol(sig))
+    for _ in range(2):
+        yield lift_transducer(random_transducer(rng, sig, 3, 8, "p"))
+
+
+class TestSymbolicAgainstNaiveOracle:
+    def test_iterator_map(self):
+        machine, proto = iterator_map()
+        relations = assert_same_sfst(machine, proto)
+        assert len(relations["structural"]) == 59
+        # 16 labels: too many for the universal protocol
+        assert_same_sfst(machine, empty_protocol(machine.signature))
+        assert_same_sfst(machine, linear_protocol_shaped(machine.signature))
+        assert_same_sfst_folds(machine)
+
+    def test_adder(self):
+        machine = adder()
+        for P in sfst_protocols(random.Random(2000), machine.signature):
+            assert_same_sfst(machine, P)
+        assert_same_sfst_folds(machine)
+        for a in sorted(machine.states):
+            for b in sorted(machine.states):
+                if a != b:
+                    assert symbolic.sfst_quotient(machine, a, b) == \
+                        naive_symbolic.sfst_quotient(machine, a, b)
+
+    @pytest.mark.parametrize("guard, error", [
+        ("y * 4611686018427387904 > 0", Overflow),
+        ("y + z + w + v + u + t + x > 0", ResourceLimit),
+    ])
+    def test_lone_guard_errors(self, guard, error):
+        # bounded-semantic mode evaluates every guard on the whole domain,
+        # even one that no other transition is compared with
+        machine = parse_model(
+            "signature in x, a; out r;\nstates A, B;\n"
+            "registers y, z, w, v, u, t;\ninitial A;\n"
+            f"trans A -> B : {{x}} when {guard};\ntrans B -> A : {{a}};\n")
+        P = universal_protocol(machine.signature)
+        for engine in (symbolic, naive_symbolic):
+            with pytest.raises(error):
+                engine.sfst_coherent_simulation(machine, P, "bounded-semantic")
+            with pytest.raises(error):
+                engine.sfst_coherent_minimize(machine, P, "bounded-semantic")
+        assert_same_sfst_folds(machine)
+        assert symbolic.sfst_coherent_minimize(machine, P) == \
+            naive_symbolic.sfst_coherent_minimize(machine, P)
+
+    def test_random_sfsts(self):
+        rng = random.Random(2100)
+        merges = modes_differ = 0
+        for _ in range(40):
+            T = random_sfst(rng, 5, 10)
+            for P in sfst_protocols(rng, SFST_SIG):
+                relations = assert_same_sfst(T, P)
+                modes_differ += relations["structural"] != \
+                    relations["bounded-semantic"]
+                merges += len(symbolic.sfst_coherent_minimize(T, P)[1])
+            assert_same_sfst_folds(T)
+        # the pools must actually exercise merges and the two guard modes
+        assert merges > 40
+        assert modes_differ > 5
 
 
 def ring_names(n):

@@ -58,6 +58,15 @@ class TestParsing:
         assert len(T.delta) == 3
         assert T == fixtures.adder()
 
+    def test_sfst_serialisation_is_canonical_on_ties(self):
+        # transitions equal up to their update expressions once came out
+        # in set-iteration order, which varied with construction and hashing
+        head = "signature in x; out r;\nstates A;\nregisters y;\ninitial A;\n"
+        lines = [f"trans A -> A : {{r}} do r := y + {i};\n" for i in range(40)]
+        forward = serialize_sfst(parse_sfst(head + "".join(lines)))
+        backward = serialize_sfst(parse_sfst(head + "".join(reversed(lines))))
+        assert forward == backward
+
     def test_model_sniffing(self):
         assert parse_model(TWO_PHASE_SRC).__class__.__name__ == "Transducer"
         assert parse_model((FIXDIR / "adder.sfst").read_text()).__class__.__name__ == "SFST"
@@ -86,6 +95,22 @@ class TestExpressions:
     def test_negative_literal(self):
         e = parse_expr("y - -1", {"y"}, set())
         assert render_expr(e) == "y - -1"
+
+
+    def test_depth_bound_keeps_walkers_safe(self):
+        from cohmin.frontend.fileformat import MAX_DEPTH
+        from cohmin.symbolic import eval_expr, normal_form, type_of
+        deepest = " - ".join(["y"] * MAX_DEPTH)  # a left spine MAX_DEPTH deep
+        e = parse_expr("(" * MAX_DEPTH + deepest + ")" * MAX_DEPTH, {"y"}, set())
+        assert type_of(e) == "int"
+        assert eval_expr(e, {"y": 1}) == 2 - MAX_DEPTH
+        assert normal_form(e) and hash(e) is not None
+        assert parse_expr(render_expr(e), {"y"}, set()) == e
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr(deepest + " - y", {"y"}, set())
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_expr("(" * (MAX_DEPTH + 1) + "y" + ")" * (MAX_DEPTH + 1),
+                       {"y"}, set())
 
 
 class TestDot:
@@ -229,6 +254,34 @@ class TestCli:
         assert out == ""
         assert err.startswith("usage error: argument --")
         assert err.count("\n") == 1
+
+
+    SFST_HEAD = ("signature in x; out r;\nstates A;\nregisters y;\ninitial A;\n"
+                 "trans A -> A : {x} when ")
+
+    @pytest.mark.parametrize("files, argv, code", [
+        ({"p.prot": "alphabet a;\nregex " + "(" * 3000 + "a" + ")" * 3000 + ";\n"},
+         ("monitor", "--protocol", "p.prot", "--trace", "t.trc"), 2),
+        ({"p.prot": "alphabet a;\nregex a" + "*" * 3000 + ";\n"},
+         ("monitor", "--protocol", "p.prot", "--trace", "t.trc"), 0),
+        ({"m.sfst": SFST_HEAD + "(" * 600 + "y > 0" + ")" * 600 + ";\n"},
+         ("validate", "m.sfst"), 2),
+        ({"m.sfst": SFST_HEAD + " + ".join(["y"] * 3000) + " > 0;\n"},
+         ("validate", "m.sfst"), 2),
+    ], ids=["regex-parens", "regex-stars", "guard-parens", "guard-chain"])
+    def test_deep_input(self, tmp_path, files, argv, code):
+        (tmp_path / "t.trc").write_text("{a}\n{a}\n")
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if "." in a else a for a in argv]
+        got, out, err = run_cli(*argv)
+        assert got == code
+        if code == 0:
+            assert out == "OK\n" and err == ""
+        else:
+            assert out == ""
+            assert err.startswith("error: ") and "nested deeper than 100" in err
+            assert err.count("\n") == 1
 
 
 class TestShippedFixtures:

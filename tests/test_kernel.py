@@ -9,7 +9,14 @@ from cohmin.errors import MissingInitial, UnknownLabel, UnknownState
 from cohmin.fixtures import forked_reader, two_phase_cycle
 from cohmin.kernel import EMPTY_TRACE, Signature, mkround
 
-from helpers import SIG2, random_transducer
+from helpers import (
+    SIG2,
+    accepts,
+    random_transducer,
+    run,
+    step,
+    witness_traces_upto,
+)
 
 R = mkround
 T1 = two_phase_cycle()
@@ -55,39 +62,39 @@ class TestValidate:
 
 class TestStep:
     def test_step_on_enabled_round(self):
-        assert kernel.step(T1, "s0", R({"a"})) == {"s1"}
+        assert step(T1, "s0", R({"a"})) == {"s1"}
 
     def test_step_on_missing_round(self):
-        assert kernel.step(T1, "s0", R({"b"})) == frozenset()
+        assert step(T1, "s0", R({"b"})) == frozenset()
 
     def test_step_nondeterministic(self):
-        assert kernel.step(FORK, "r0", R({"i"})) == {"P", "Q"}
+        assert step(FORK, "r0", R({"i"})) == {"P", "Q"}
 
     def test_unknown_state(self):
         with pytest.raises(UnknownState):
-            kernel.step(T1, "zz", R({"a"}))
+            step(T1, "zz", R({"a"}))
 
 
 class TestRun:
     def test_empty_trace_stays_initial(self):
-        assert kernel.run(T1, EMPTY_TRACE) == {"s0"}
+        assert run(T1, EMPTY_TRACE) == {"s0"}
 
     def test_two_steps(self):
-        assert kernel.run(T1, (R({"a"}), R({"b"}))) == {"s0"}
+        assert run(T1, (R({"a"}), R({"b"}))) == {"s0"}
 
     def test_dead_round(self):
-        assert kernel.run(T1, (R({"b"}),)) == frozenset()
+        assert run(T1, (R({"b"}),)) == frozenset()
 
 
 class TestAccepts:
     def test_epsilon_always_accepted(self):
-        assert kernel.accepts(T1, EMPTY_TRACE)
+        assert accepts(T1, EMPTY_TRACE)
 
     def test_single_step(self):
-        assert kernel.accepts(T1, (R({"a"}),))
+        assert accepts(T1, (R({"a"}),))
 
     def test_rejected(self):
-        assert not kernel.accepts(T1, (R({"a"}), R({"a"})))
+        assert not accepts(T1, (R({"a"}), R({"a"})))
 
 
 class TestTracesUpto:
@@ -117,14 +124,14 @@ class TestTracesUpto:
 
 class TestWitnessTraces:
     def test_initial_state_has_epsilon(self):
-        assert kernel.witness_traces_upto(T1, "s0", 0).traces == {EMPTY_TRACE}
+        assert witness_traces_upto(T1, "s0", 0).traces == {EMPTY_TRACE}
 
     def test_cycle_witnesses(self):
-        got = kernel.witness_traces_upto(T1, "s1", 3).traces
+        got = witness_traces_upto(T1, "s1", 3).traces
         assert got == {(R({"a"}),), (R({"a"}), R({"b"}), R({"a"}))}
 
     def test_non_initial_at_depth_zero(self):
-        assert kernel.witness_traces_upto(T1, "s1", 0).traces == frozenset()
+        assert witness_traces_upto(T1, "s1", 0).traces == frozenset()
 
 
 class TestDualize:
@@ -177,7 +184,7 @@ class TestInvariants:
         rng = random.Random(5)
         for _ in range(10):
             T = random_transducer(rng, SIG2, 5, 9)
-            assert kernel.accepts(T, EMPTY_TRACE)
+            assert accepts(T, EMPTY_TRACE)
 
     def test_run_recurrence(self):
         rng = random.Random(7)
@@ -185,10 +192,10 @@ class TestInvariants:
             T = random_transducer(rng, SIG2, 5, 9)
             for t, _ in [(x, None) for x in kernel.traces_upto(T, 3).traces]:
                 for v in [R(set()), R({"x"}), R({"y"}), R({"x", "y"})]:
-                    lhs = kernel.run(T, t + (v,))
+                    lhs = run(T, t + (v,))
                     rhs = frozenset().union(
-                        *(kernel.step(T, s, v) for s in kernel.run(T, t))
-                    ) if kernel.run(T, t) else frozenset()
+                        *(step(T, s, v) for s in run(T, t))
+                    ) if run(T, t) else frozenset()
                     assert lhs == rhs
 
     @given(st.lists(st.sets(st.sampled_from(["a", "b", "c"])), max_size=6))

@@ -31,6 +31,18 @@ class TestParseRegex:
             parse_regex("a + + b")
         assert err.value.line == 1
 
+    def test_repeated_stars_fold(self):
+        assert parse_regex("a***") == parse_regex("((a*)*)*") == parse_regex("a*")
+
+    def test_nesting_bound(self):
+        # the deepest tree the bound admits: three nodes per parenthesis
+        deepest = "(a + b " * protocol.MAX_DEPTH + ")*" * protocol.MAX_DEPTH
+        sig = Signature(frozenset({"a", "b"}), frozenset())
+        assert compile_regex(deepest, sig).is_deterministic()
+        with pytest.raises(ParseError) as err:
+            parse_regex("(" * (protocol.MAX_DEPTH + 1) + "a" + ")" * 200)
+        assert (err.value.line, err.value.column) == (1, protocol.MAX_DEPTH + 1)
+
     def test_unknown_label_on_compile(self):
         sig = Signature(frozenset({"a"}), frozenset())
         with pytest.raises(UnknownLabel):
