@@ -1,8 +1,9 @@
 """Transducer and trace-set combinators: intersection, interaction,
-projection and composition, plus bounded-depth language comparisons.
+projection and composition, plus bounded-depth language equality.
 
-The product constructions keep only pairs reachable from the initial pair
-by default (``keep_unreachable=True`` preserves the full product).
+The products walk the pairs of states reachable from the initial pair and
+build the ``Transducer`` once, in O(reachable pairs + their joint
+transitions); ``keep_unreachable=True`` seeds the walk with every pair.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import FrozenSet
 
 from . import kernel
 from .errors import LabelClash, ResourceLimit, SignatureMismatch
-from .kernel import Signature, TraceSet, Transducer, drop_unreachable, round_key
+from .kernel import Signature, TraceSet, Transducer, round_key
 
 
 def product_state(left: str, right: str) -> str:
@@ -21,19 +22,10 @@ def product_state(left: str, right: str) -> str:
 
 def intersect(T: Transducer, U: Transducer, keep_unreachable: bool = False) -> Transducer:
     """Synchronous product on identical signatures: a joint step needs the
-    same round on both sides."""
+    same round on both sides (:func:`interact` with every label shared)."""
     if T.signature != U.signature:
         raise SignatureMismatch("intersection needs identical signatures")
-    states = frozenset(product_state(a, b) for a in T.states for b in U.states)
-    delta = set()
-    for (s1, v, s2) in T.delta:
-        for (u1, w, u2) in U.delta:
-            if v == w:
-                delta.add((product_state(s1, u1), v, product_state(s2, u2)))
-    out = Transducer(
-        T.signature, states, product_state(T.initial, U.initial), frozenset(delta)
-    )
-    return out if keep_unreachable else drop_unreachable(out)
+    return _product(T, U, T.signature, keep_unreachable)
 
 
 def _merge_signatures(T: Transducer, U: Transducer) -> Signature:
@@ -43,12 +35,8 @@ def _merge_signatures(T: Transducer, U: Transducer) -> Signature:
     return Signature(inputs, outputs)
 
 
-def interact(
-    T: Transducer,
-    U: Transducer,
-    keep_unreachable: bool = False,
-    strict_polarity: bool = False,
-) -> Transducer:
+def interact(T: Transducer, U: Transducer, keep_unreachable: bool = False,
+             strict_polarity: bool = False) -> Transducer:
     """Joint stepping over the union universe.
 
     The shared part is the intersection of the two label universes; a joint
@@ -56,27 +44,61 @@ def interact(
     Candidate rounds come from transition pairs whose shared projections
     agree (never from enumerating the full powerset).  There is no implicit
     idling: a side that should stutter needs its own empty-round transition.
+    Cost: O(reachable pairs + their joint transitions), not
+    O(|Q_T|·|Q_U| + |δ_T|·|δ_U|).
     """
-    ut, uu = T.signature.universe, U.signature.universe
-    shared = ut & uu
     if strict_polarity:
         clash = (T.signature.inputs & U.signature.outputs) | (
             T.signature.outputs & U.signature.inputs
         )
         if clash:
             raise LabelClash(f"conflicting polarity on shared labels: {sorted(clash)}")
-    sig = _merge_signatures(T, U)
-    states = frozenset(product_state(a, b) for a in T.states for b in U.states)
-    delta = set()
-    for (s1, v, s2) in T.delta:
-        vb = v & shared
-        for (u1, w, u2) in U.delta:
-            if w & shared == vb:
-                delta.add((product_state(s1, u1), v | w, product_state(s2, u2)))
-    out = Transducer(
-        sig, states, product_state(T.initial, U.initial), frozenset(delta)
-    )
-    return out if keep_unreachable else drop_unreachable(out)
+    return _product(T, U, _merge_signatures(T, U), keep_unreachable)
+
+
+def _product(T: Transducer, U: Transducer, sig: Signature,
+             keep_unreachable: bool) -> Transducer:
+    """The product over ``sig``, walked from the initial pair (from every
+    pair with ``keep_unreachable``) and built once.  A product state is its
+    name: if two pairs render to the same name (possible only when both
+    sides have names with commas), reaching the name reaches both."""
+    shared = T.signature.universe & U.signature.universe
+    sides = {}   # s -> [(shared part of v, v, targets)] for the rounds v of s
+    joins = {}   # u -> {shared part of w: [(rest of w, targets)]}
+    ambiguous = any("," in s for s in T.states) and any("," in u for u in U.states)
+    todo = ([(s, u) for s in T.states for u in U.states] if keep_unreachable
+            else _pairs_named(product_state(T.initial, U.initial), T, U))
+    seen = {product_state(s, u) for s, u in todo}
+    delta = []
+    while todo:
+        s, u = todo.pop()
+        src = product_state(s, u)
+        side = sides.get(s)
+        if side is None:
+            side = sides[s] = [(v & shared, v, ts) for v, ts in T.out(s).items()]
+        join = joins.get(u)
+        if join is None:
+            join = joins[u] = {}
+            for w, us in U.out(u).items():
+                join.setdefault(w & shared, []).append((w - shared, us))
+        for key, v, ts in side:
+            for rest, us in join.get(key, ()):
+                vw = v | rest if rest else v
+                for t in ts:
+                    for x in us:
+                        tgt = f"({t},{x})"   # product_state, inlined
+                        delta.append((src, vw, tgt))
+                        if tgt not in seen:
+                            seen.add(tgt)
+                            todo += _pairs_named(tgt, T, U) if ambiguous else ((t, x),)
+    # the constructor turns both collections into frozensets
+    return Transducer(sig, seen, product_state(T.initial, U.initial), delta)
+
+
+def _pairs_named(name: str, T: Transducer, U: Transducer) -> list:
+    """Every pair of states of T and U that renders to ``name``."""
+    return [(name[1:i], name[i + 1:-1]) for i, c in enumerate(name)
+            if c == "," and name[1:i] in T.states and name[i + 1:-1] in U.states]
 
 
 def project(T: Transducer, keep: Signature) -> Transducer:
@@ -193,7 +215,7 @@ def traceset_compose(
     return joint.project(keep)
 
 
-# -- bounded-depth language comparisons ------------------------------------
+# -- bounded-depth language equality ---------------------------------------
 
 
 def bounded_language_equal(T: Transducer, U: Transducer, k: int) -> bool:
@@ -214,28 +236,6 @@ def bounded_language_equal(T: Transducer, U: Transducer, k: int) -> bool:
                 return False
             for v in ea:
                 pair = (T.step_set(sa, v), U.step_set(sb, v))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.add(pair)
-        frontier = nxt
-        if not frontier:
-            return True
-    return True
-
-
-def bounded_language_subset(T: Transducer, U: Transducer, k: int) -> bool:
-    """Is every trace of T with length <= k also a trace of U?"""
-    frontier = {(frozenset({T.initial}), frozenset({U.initial}))}
-    seen = set(frontier)
-    for _ in range(k):
-        nxt = set()
-        for sa, sb in frontier:
-            for v in {v for s in sa for v in T.out(s)}:
-                ta = T.step_set(sa, v)
-                tb = U.step_set(sb, v)
-                if ta and not tb:
-                    return False
-                pair = (ta, tb)
                 if pair not in seen:
                     seen.add(pair)
                     nxt.add(pair)

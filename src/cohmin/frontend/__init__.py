@@ -1,4 +1,9 @@
-from .cli import cli_main, main
+"""File formats, DOT output and the command line.
+
+``cli_main`` and ``main`` load the CLI module on first use, so that
+``python -m cohmin.frontend.cli`` runs it exactly once.
+"""
+
 from .dot import to_dot
 from .fileformat import (
     parse_model,
@@ -30,3 +35,11 @@ __all__ = [
     "serialize_transducer",
     "serialize_valued_trace",
 ]
+
+
+def __getattr__(name):
+    if name in ("cli_main", "main"):
+        from . import cli
+
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -39,6 +39,10 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise CohminError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise CohminError(
+            f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from e
 
 
 def _load_model(path: str):

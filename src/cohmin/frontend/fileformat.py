@@ -330,8 +330,18 @@ def _parse_header(statements, line_hint):
 
 
 def looks_like_sfst(text: str) -> bool:
-    stripped = re.sub(r"#[^\n]*", "", text)
-    return bool(re.search(r"\bregisters\b|\bwhen\b|\bdo\b", stripped))
+    """Does the text declare registers, or a transition with a guard or
+    updates?  A state or label named ``do`` or ``when`` does not count."""
+    if not re.search(r"\bregisters\b|\bwhen\b|\bdo\b", text):
+        return False  # the fast answer for most plain files
+    try:
+        for _, stmt in _statements(text):
+            m = _TRANS_RE.match(stmt)
+            if stmt.startswith("registers") or m and (m["guard"] or m["updates"]):
+                return True
+    except ParseError:
+        pass  # either parser reports it, and reports it alike
+    return False
 
 
 def looks_like_regex_protocol(text: str) -> bool:

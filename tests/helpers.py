@@ -142,6 +142,28 @@ def witness_traces_upto(T: Transducer, s: str, k: int,
     return TraceSet(T.signature, frozenset(out))
 
 
+def bounded_language_subset(T: Transducer, U: Transducer, k: int) -> bool:
+    """Is every trace of T with length <= k also a trace of U?"""
+    frontier = {(frozenset({T.initial}), frozenset({U.initial}))}
+    seen = set(frontier)
+    for _ in range(k):
+        nxt = set()
+        for sa, sb in frontier:
+            for v in {v for s in sa for v in T.out(s)}:
+                ta = T.step_set(sa, v)
+                tb = U.step_set(sb, v)
+                if ta and not tb:
+                    return False
+                pair = (ta, tb)
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.add(pair)
+        frontier = nxt
+        if not frontier:
+            return True
+    return True
+
+
 SIG2 = Signature(frozenset({"x"}), frozenset({"y"}))
 SIG3 = Signature(frozenset({"x"}), frozenset({"y", "z"}))
 

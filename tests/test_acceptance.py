@@ -29,6 +29,7 @@ from cohmin.symbolic import ValuedRound, expand, expand_valued_trace, sfst_run
 from helpers import (
     SIG2,
     SIG3,
+    bounded_language_subset,
     bruteforce_coherent_union,
     linear_protocol_shaped,
     random_transducer,
@@ -211,7 +212,7 @@ def test_criterion_8_subset_lemma():
                 continue
             s1, s2 = rng.sample(states, 2)
             q = coherence.quotient(T, s1, s2)
-            assert algebra.bounded_language_subset(T, q, 6)
+            assert bounded_language_subset(T, q, 6)
             done += 1
 
 

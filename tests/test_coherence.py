@@ -11,6 +11,7 @@ from cohmin.protocol import empty_protocol, universal_protocol
 from helpers import (
     SIG2,
     SIG3,
+    bounded_language_subset,
     bruteforce_coherent_union,
     joint_reach,
     linear_protocol_shaped,
@@ -127,7 +128,7 @@ class TestQuotient:
                 continue
             s1, s2 = rng.sample(states, 2)
             q = coherence.quotient(T, s1, s2)
-            assert algebra.bounded_language_subset(T, q, 6)
+            assert bounded_language_subset(T, q, 6)
 
     def test_disjoint_pairs_commute(self):
         rng = random.Random(61)
@@ -222,7 +223,7 @@ class TestProtocolMonotonicity:
             T = random_transducer(rng, SIG2, 5, 9)
             P1 = random_transducer(rng, SIG2, 3, 5, "p")
             P2 = universal_protocol(SIG2)
-            assert algebra.bounded_language_subset(P1, P2, 8)
+            assert bounded_language_subset(P1, P2, 8)
             rel_small = coherence.coherent_simulation(T, P1).pairs
             rel_big = coherence.coherent_simulation(T, P2).pairs
             assert rel_big <= rel_small
@@ -236,7 +237,7 @@ class TestProtocolMonotonicity:
             T = random_transducer(rng, SIG2, 5, 9)
             P1 = random_transducer(rng, SIG2, 3, 6, "p")
             P2 = random_transducer(rng, SIG2, 3, 6, "q")
-            if not algebra.bounded_language_subset(P1, P2, 8):
+            if not bounded_language_subset(P1, P2, 8):
                 continue
             hits += 1
             rel_small = coherence.coherent_simulation(T, P1).pairs

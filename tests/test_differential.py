@@ -1,10 +1,12 @@
-"""The bitset coherence engine against the frozen naive oracles.
+"""The optimised engines against the frozen naive oracles.
 
 ``naive_coherence`` and ``naive_symbolic`` are the original pair-scanning
 implementations, plain and symbolic; every relation, equivalence list,
-merge log and minimised machine must come out identical.  The ring tests
-at the end pin the merge-and-recompute loop on sizes the naive engine
-could not reach in a test run.
+merge log and minimised machine must come out identical.
+``naive_algebra`` is the original full-product ``intersect``/``interact``/
+``compose``; every product must come out identical to the on-the-fly walk.
+The ring tests at the end pin the merge-and-recompute loop on sizes the
+naive engine could not reach in a test run.
 """
 
 import random
@@ -12,22 +14,24 @@ from pathlib import Path
 
 import pytest
 
-from cohmin import coherence, protocol, symbolic
+from cohmin import algebra, coherence, protocol, symbolic
 from cohmin.coherence import CoherenceRelation
-from cohmin.errors import Overflow, ResourceLimit
+from cohmin.errors import LabelClash, Overflow, ResourceLimit, SignatureMismatch
 from cohmin.fixtures import adder, iterator_map
 from cohmin.frontend import parse_model, serialize_sfst
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
-from cohmin.kernel import Transducer, mkround
+from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import empty_protocol, universal_protocol
-from cohmin.symbolic import lift_transducer
+from cohmin.symbolic import expand, lift_transducer
 
+import naive_algebra
 import naive_coherence as naive
 import naive_symbolic
 from helpers import (
     SFST_SIG,
     SIG2,
     SIG3,
+    all_rounds,
     linear_protocol_shaped,
     random_sfst,
     random_transducer,
@@ -232,6 +236,138 @@ class TestSymbolicAgainstNaiveOracle:
         # the pools must actually exercise merges and the two guard modes
         assert merges > 40
         assert modes_differ > 5
+
+
+def assert_same_products(T, U):
+    """intersect, interact and compose agree with the frozen full-product
+    oracle on (T, U), with and without ``keep_unreachable``, errors too."""
+    for keep in (False, True):
+        if T.signature == U.signature:
+            assert algebra.intersect(T, U, keep) == \
+                naive_algebra.intersect(T, U, keep)
+        else:
+            for engine in (algebra, naive_algebra):
+                with pytest.raises(SignatureMismatch):
+                    engine.intersect(T, U, keep)
+        assert algebra.interact(T, U, keep) == naive_algebra.interact(T, U, keep)
+        assert algebra.compose(T, U, keep) == naive_algebra.compose(T, U, keep)
+        for op in ("interact", "compose"):
+            outcomes = []
+            for engine in (algebra, naive_algebra):
+                try:
+                    outcomes.append(getattr(engine, op)(T, U, keep, True))
+                except LabelClash as e:
+                    outcomes.append(str(e))
+            assert outcomes[0] == outcomes[1]
+
+
+def fixture_machines():
+    """Every plain machine the fixtures give: the model files, the regex
+    protocols compiled over their alphabets, the control skeleton of each
+    symbolic file and the adder expanded over [-1..1]."""
+    machines = []
+    for path in sorted(FIXDIR.iterdir()):
+        if path.suffix not in (".fst", ".prot", ".sfst"):
+            continue
+        text = path.read_text()
+        if looks_like_regex_protocol(text):
+            alphabet, regex = parse_regex_protocol(text)
+            sig = Signature(frozenset(alphabet), frozenset())
+            machines.append(protocol.compile_regex(regex, sig))
+        else:
+            model = parse_model(text)
+            machines.append(model if isinstance(model, Transducer)
+                            else model.control_skeleton())
+    machines.append(expand(adder(), -1, 1))
+    return machines
+
+
+# x and y as in SIG2, w fresh: shared labels with equal, with mixed and with
+# no polarity in common, and a signature whose only round is the empty one
+PRODUCT_SIGS = (SIG2, SIG3, Signature(frozenset({"y"}), frozenset({"w"})),
+                Signature(frozenset({"x", "w"}), frozenset()),
+                Signature(frozenset(), frozenset()))
+
+
+class TestProductsAgainstNaiveOracle:
+    def test_every_fixture_pair(self):
+        machines = fixture_machines()
+        assert len(machines) >= 8
+        for T in machines:
+            for U in machines:
+                assert_same_products(T, U)
+            if len(T.signature.universe) > 8:
+                continue  # too many labels for the universal protocol
+            for P in fixture_protocols(T):
+                assert_same_products(T, P)
+                assert_same_products(P, T)
+
+    def test_random_machines(self):
+        rng = random.Random(2200)
+        unreachable = empty_rounds = clashes = 0
+        for _ in range(300):
+            T = random_transducer(rng, rng.choice(PRODUCT_SIGS), 6, 14)
+            U = random_transducer(rng, rng.choice(PRODUCT_SIGS), 6, 14, "u")
+            if rng.random() < 0.3:
+                U = random_transducer(rng, T.signature, 6, 14, "u")
+            assert_same_products(T, U)
+            unreachable += T.reachable_states() != T.states
+            joint = algebra.interact(T, U, keep_unreachable=True)
+            empty_rounds += any(not v for _, v, _ in joint.delta)
+            clashes += bool((T.signature.inputs & U.signature.outputs)
+                            | (T.signature.outputs & U.signature.inputs))
+        assert unreachable > 50 and empty_rounds > 50 and clashes > 30
+
+    def test_colliding_product_names(self):
+        # ("x", "y,z") and ("x,y", "z") both render to "(x,y,z)": reaching
+        # the name reaches both pairs, in the walk as in the full product
+        a, b = mkround({"x"}), mkround({"y"})
+        T = Transducer(SIG2, frozenset({"i", "x", "x,y", "t"}), "i",
+                       frozenset({("i", a, "x"), ("x,y", b, "t")}))
+        U = Transducer(SIG2, frozenset({"j", "y,z", "z", "w"}), "j",
+                       frozenset({("j", a, "y,z"), ("z", b, "w")}))
+        # (i,j) reaches ("x", "y,z"); only ("x,y", "z") steps on to (t,w)
+        assert algebra.intersect(T, U).states == {"(i,j)", "(x,y,z)", "(t,w)"}
+        assert_same_products(T, U)
+        rng = random.Random(2300)
+        pool = ["x", "x,y", "y", "y,z", "z", ",", "x,", ",z"]
+        rounds = all_rounds(SIG2)
+
+        def machine():
+            states = rng.sample(pool, rng.randint(1, 5))
+            delta = {(rng.choice(states), rng.choice(rounds), rng.choice(states))
+                     for _ in range(rng.randint(0, 8))}
+            return Transducer(SIG2, frozenset(states), states[0], frozenset(delta))
+
+        collisions = 0
+        for _ in range(400):
+            T, U = machine(), machine()
+            names = [algebra.product_state(a, b) for a in T.states for b in U.states]
+            collisions += len(set(names)) < len(names)
+            assert_same_products(T, U)
+        assert collisions > 10
+
+    def test_equiv_verdicts(self):
+        rng = random.Random(2400)
+        verdicts = set()
+        for _ in range(60):
+            sig = rng.choice((SIG2, SIG3))
+            T = random_transducer(rng, sig, 6, 14)
+            P = random_transducer(rng, sig, 4, 12, "p")
+            if rng.random() < 0.5:
+                fresh = {s: f"r{s}" for s in T.states}
+                U = Transducer(sig, frozenset(fresh.values()), fresh[T.initial],
+                               frozenset((fresh[a], v, fresh[b]) for a, v, b in T.delta))
+            else:
+                extra = (rng.choice(sorted(T.states)), rng.choice(all_rounds(sig)),
+                         rng.choice(sorted(T.states)))
+                U = Transducer(sig, T.states, T.initial, T.delta | {extra})
+            for k in (2, 5):
+                got = coherence.coherent_equiv_bounded(T, U, P, k)
+                assert got == algebra.bounded_language_equal(
+                    naive_algebra.intersect(T, P), naive_algebra.intersect(U, P), k)
+                verdicts.add(got)
+        assert verdicts == {False, True}
 
 
 def ring_names(n):

@@ -4,8 +4,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohmin import fixtures
+from cohmin import algebra, fixtures
 from cohmin.errors import ParseError
 from cohmin.frontend import (
     cli_main,
@@ -14,12 +16,13 @@ from cohmin.frontend import (
     parse_trace,
     parse_transducer,
     parse_valued_trace,
+    serialize_model,
     serialize_sfst,
     serialize_transducer,
     to_dot,
 )
 from cohmin.frontend.fileformat import parse_expr, render_expr
-from cohmin.kernel import mkround
+from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.symbolic import Bin, IntLit, Not, Reg
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -255,6 +258,42 @@ class TestCli:
         assert err.startswith("usage error: argument --")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("validate", "BAD"),
+        ("traces", "--depth", "1", "BAD"),
+        ("intersect", "BAD", "two_phase.fst"),
+        ("intersect", "two_phase.fst", "BAD"),
+        ("interact", "BAD", "two_phase.fst"),
+        ("interact", "two_phase.fst", "BAD"),
+        ("compose", "BAD", "two_phase.fst"),
+        ("compose", "two_phase.fst", "BAD"),
+        ("project", "--keep", "a", "BAD"),
+        ("minimize", "--policy", "bisim", "BAD"),
+        ("minimize", "--policy", "coherent", "--protocol", "linear_protocol.fst",
+         "BAD"),
+        ("minimize", "--policy", "coherent", "--protocol", "BAD",
+         "forked_reader.fst"),
+        ("relation", "--protocol", "linear_protocol.fst", "BAD"),
+        ("relation", "--protocol", "BAD", "forked_reader.fst"),
+        ("equiv", "--protocol", "linear_protocol.fst", "BAD", "forked_reader.fst"),
+        ("equiv", "--protocol", "linear_protocol.fst", "forked_reader.fst", "BAD"),
+        ("equiv", "--protocol", "BAD", "forked_reader.fst", "forked_reader.fst"),
+        ("quotient", "--pair", "P,Q", "BAD"),
+        ("expand", "--lo", "0", "--hi", "1", "BAD"),
+        ("monitor", "--protocol", "BAD", "--trace", "display_legal.trc"),
+        ("monitor", "--protocol", "display.prot", "--trace", "BAD"),
+        ("dot", "BAD"),
+    ], ids=lambda argv: "-".join(a for a in argv if not a.startswith("-")))
+    def test_non_utf8_file_is_input_error(self, tmp_path, argv):
+        bad = tmp_path / "bad.fst"
+        bad.write_bytes(b"\xff\xfe")
+        argv = [str(bad) if a == "BAD" else str(FIXDIR / a) if "." in a else a
+                for a in argv]
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {bad}: not UTF-8 text")
+        assert err.count("\n") == 1
 
     SFST_HEAD = ("signature in x; out r;\nstates A;\nregisters y;\ninitial A;\n"
                  "trans A -> A : {x} when ")
@@ -282,6 +321,45 @@ class TestCli:
             assert out == ""
             assert err.startswith("error: ") and "nested deeper than 100" in err
             assert err.count("\n") == 1
+
+
+_IDENTS = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True)
+# product names nest: ((a,b),c) is a state of a product of products
+_STATE_NAMES = st.recursive(
+    _IDENTS, lambda inner: st.tuples(inner, inner).map(
+        lambda p: algebra.product_state(*p)), max_leaves=4)
+
+
+@st.composite
+def _plain_machines(draw, sig):
+    states = draw(st.lists(_STATE_NAMES, min_size=1, max_size=4, unique=True))
+    rounds = [frozenset(), *(frozenset({lab}) for lab in sorted(sig.universe)),
+              sig.universe]
+    delta = draw(st.lists(st.tuples(st.sampled_from(states), st.sampled_from(rounds),
+                                     st.sampled_from(states)), max_size=8))
+    return Transducer(sig, frozenset(states), states[0], frozenset(delta))
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_products_round_trip(self, data):
+        left = Signature(frozenset({"a"}), frozenset({"b"}))
+        right = Signature(frozenset({"b"}), frozenset({"c"}))
+        T = data.draw(_plain_machines(left))
+        U = data.draw(_plain_machines(left))
+        V = data.draw(_plain_machines(right))
+        for m in (T, algebra.intersect(T, U), algebra.interact(T, V),
+                  algebra.intersect(T, U, keep_unreachable=True),
+                  algebra.interact(T, V, keep_unreachable=True)):
+            assert parse_model(serialize_model(m)) == m
+
+    @pytest.mark.parametrize("word", ["do", "when", "registers"])
+    def test_keyword_names_stay_plain(self, word):
+        sig = Signature(frozenset({"a"}), frozenset({word}))
+        T = Transducer(sig, frozenset({word, "s"}), word,
+                       frozenset({(word, frozenset({"a", word}), "s")}))
+        assert parse_model(serialize_model(T)) == T
 
 
 class TestShippedFixtures:

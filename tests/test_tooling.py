@@ -1,7 +1,7 @@
-"""Contracts with the files around the library: the demos and the
-benchmark tracer.
+"""Contracts with the files around the library: the demos, the benchmark
+tracer and running the CLI module with ``python -m``.
 
-Both reach into cohmin by name, so a refactor can break them without any
+Each reaches into cohmin by name, so a refactor can break it without any
 library test noticing.
 """
 
@@ -18,6 +18,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 def test_every_demo_is_collected():
     assert len(DEMOS) == 5
 
@@ -25,14 +32,22 @@ def test_every_demo_is_collected():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     # a temporary working directory: demo 04 writes a DOT file into it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout
+
+
+def test_cli_runs_as_module():
+    # cohmin.frontend must not import the CLI module before -m runs it
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohmin.frontend.cli", "validate",
+         str(ROOT / "fixtures" / "two_phase.fst")],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("ok: transducer")
 
 
 def test_tracer_targets_resolve():
