@@ -7,15 +7,15 @@ that behaviour; coherent simulation may ignore it, which buys extra merges.
 
 from cohmin import coherence, kernel
 from cohmin.fixtures import forked_reader, linear_protocol
-from cohmin.frontend import serialize_transducer
+from cohmin.frontend import serialize_model
 
 machine = forked_reader()
 proto = linear_protocol()
 
 print("machine:")
-print(serialize_transducer(machine))
+print(serialize_model(machine))
 print("protocol (one i, then one a, then silence):")
-print(serialize_transducer(proto))
+print(serialize_model(proto))
 
 # Which states can stand in for which?  (s1, s2) in the relation means s1
 # can do everything s2 does, and anything extra s1 enables is dead under

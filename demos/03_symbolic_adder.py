@@ -6,7 +6,7 @@ explicit expansion over a finite value domain is the cross-check oracle.
 """
 
 from cohmin.fixtures import adder
-from cohmin.frontend import serialize_sfst
+from cohmin.frontend import serialize_model
 from cohmin.symbolic import (
     Bin,
     IntLit,
@@ -19,7 +19,7 @@ from cohmin.symbolic import (
 )
 
 machine = adder()
-print(serialize_sfst(machine))
+print(serialize_model(machine))
 
 VR = ValuedRound.of
 good = [VR({"x": 2}), VR({"x": 3}), VR({"r": 5})]

@@ -9,7 +9,7 @@ guard-sensitive bisimulation can only merge the two identical poll states.
 
 from cohmin import coherence, symbolic
 from cohmin.fixtures import iterator_map
-from cohmin.frontend import serialize_sfst, to_dot
+from cohmin.frontend import serialize_model, to_dot
 
 machine, proto = iterator_map()
 print(f"machine: {len(machine.states)} control states,"
@@ -32,7 +32,7 @@ print("bisim classes:",
              if len(c) > 1))
 
 print("\nreduced machine:\n")
-print(serialize_sfst(mini))
+print(serialize_model(mini))
 
 with open("iterator_map_minimized.dot", "w") as fh:
     fh.write(to_dot(mini, "iterator_map_minimized"))

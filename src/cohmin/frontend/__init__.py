@@ -8,14 +8,10 @@ from .dot import to_dot
 from .fileformat import (
     parse_model,
     parse_regex_protocol,
-    parse_sfst,
     parse_trace,
-    parse_transducer,
     parse_valued_trace,
     serialize_model,
-    serialize_sfst,
     serialize_trace,
-    serialize_transducer,
     serialize_valued_trace,
 )
 
@@ -25,14 +21,10 @@ __all__ = [
     "to_dot",
     "parse_model",
     "parse_regex_protocol",
-    "parse_sfst",
     "parse_trace",
-    "parse_transducer",
     "parse_valued_trace",
     "serialize_model",
-    "serialize_sfst",
     "serialize_trace",
-    "serialize_transducer",
     "serialize_valued_trace",
 ]
 

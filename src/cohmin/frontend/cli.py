@@ -13,7 +13,7 @@ import sys
 
 from .. import algebra, coherence, kernel, protocol, symbolic
 from ..errors import CohminError, ResourceLimit
-from ..kernel import Signature, Transducer, render_round, round_key, trace_key
+from ..kernel import Signature, Transducer
 from ..symbolic import SFST, lift_transducer
 from . import dot, fileformat
 
@@ -50,12 +50,15 @@ def _load_model(path: str):
 
 
 def _load_protocol(path: str, subject) -> Transducer:
-    """A protocol file is either a regex protocol or a transducer; the
-    result is rebound to the subject's signature."""
+    """A protocol file is either a regex protocol or a transducer, and a
+    symbolic protocol is read as its control skeleton.  The result is
+    rebound to the subject's signature; with no subject (``None``) it is
+    left as read, and a regex protocol takes every label as an input."""
     text = _read(path)
-    sig = subject.signature
     if fileformat.looks_like_regex_protocol(text):
         alphabet, regex = fileformat.parse_regex_protocol(text)
+        sig = (Signature(frozenset(alphabet), frozenset()) if subject is None
+               else subject.signature)
         if frozenset(alphabet) != sig.universe:
             raise CohminError(
                 "protocol alphabet does not match the subject's labels"
@@ -66,7 +69,7 @@ def _load_protocol(path: str, subject) -> Transducer:
         if not symbolic.is_symbolic_protocol(model):
             raise CohminError("a symbolic protocol needs true guards and identity updates")
         model = model.control_skeleton()
-    return protocol.align_protocol(model, sig)
+    return model if subject is None else protocol.align_protocol(model, subject.signature)
 
 
 def _count(least: int):
@@ -260,13 +263,7 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    text = _read(args.protocol)
-    if fileformat.looks_like_regex_protocol(text):
-        alphabet, regex = fileformat.parse_regex_protocol(text)
-        sig = Signature(frozenset(alphabet), frozenset())
-        P = protocol.compile_regex(regex, sig)
-    else:
-        P = _require_transducer(fileformat.parse_model(text), "monitor")
+    P = _load_protocol(args.protocol, None)
     trace = fileformat.parse_trace(_read(args.trace))
     verdict = protocol.monitor(P, trace)
     print(verdict.render())

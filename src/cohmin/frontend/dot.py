@@ -2,55 +2,22 @@
 
 from __future__ import annotations
 
-from ..kernel import Transducer, round_key
-from ..symbolic import SFST, TRUE
-from .fileformat import render_expr
+from .fileformat import canonical_transitions
 
 
 def _esc(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _round_label(v) -> str:
-    return "{" + ", ".join(sorted(v)) + "}"
-
-
 def to_dot(model, name: str = "transducer") -> str:
     """Graph with state-named nodes; the initial state gets a distinguished
-    (doublecircle) shape, edges carry the round and any guard/updates."""
+    (doublecircle) shape, and the edges follow the serialised file: same
+    order, each labelled with its round and any guard/updates."""
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    if isinstance(model, SFST):
-        states = sorted(model.states)
-        edges = []
-        for t in sorted(
-            model.delta,
-            key=lambda t: (t.source, round_key(t.round), t.target,
-                           render_expr(t.guard)),
-        ):
-            label = _round_label(t.round)
-            if t.guard != TRUE:
-                label += f" when {render_expr(t.guard)}"
-            if t.updates:
-                rendered = ", ".join(
-                    f"{u.target} := {render_expr(u.expr)}"
-                    for u in sorted(t.updates, key=lambda u: u.target)
-                )
-                label += f" do {rendered}"
-            edges.append((t.source, t.target, label))
-        initial = model.initial
-    else:
-        assert isinstance(model, Transducer)
-        states = sorted(model.states)
-        edges = [
-            (s, t, _round_label(v))
-            for s, v, t in sorted(model.delta,
-                                  key=lambda x: (x[0], round_key(x[1]), x[2]))
-        ]
-        initial = model.initial
-    for s in states:
-        shape = "doublecircle" if s == initial else "circle"
+    for s in sorted(model.states):
+        shape = "doublecircle" if s == model.initial else "circle"
         lines.append(f'  "{_esc(s)}" [shape={shape}];')
-    for src, tgt, label in edges:
+    for src, tgt, label in canonical_transitions(model):
         lines.append(f'  "{_esc(src)}" -> "{_esc(tgt)}" [label="{_esc(label)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

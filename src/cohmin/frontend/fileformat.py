@@ -1,8 +1,9 @@
 """Text formats: transducers, symbolic transducers, traces and protocols.
 
-One model per file, line oriented, ``#`` starts a comment.  Serialisation
-is canonical (states sorted, transitions sorted by source/round/target) so
-equal models produce byte-identical output.
+One model per file, line oriented, ``#`` starts a comment.  One parser
+and one serialiser serve plain and symbolic models.  Serialisation is
+canonical (states sorted, transitions in the order of
+``canonical_transitions``) so equal models produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import List, Tuple
 
 from .. import protocol as protocol_mod
 from ..errors import ParseError, UnknownLabel
-from ..kernel import Round, Signature, Trace, Transducer, mkround, round_key
+from ..kernel import Signature, Trace, Transducer, mkround, render_round, round_key
 from ..symbolic import (
     SFST,
     Bin,
@@ -288,39 +289,51 @@ _TRANS_RE = re.compile(
     re.S,
 )
 
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_HEADER_WORDS = ("signature", "states", "registers", "initial")
+
+
+def _keyword(stmt: str) -> Tuple[str, str]:
+    """The statement's leading word and the rest: a keyword counts only as
+    a whole word, so ``statess0`` is not ``states s0``."""
+    m = _WORD.match(stmt)
+    return (m.group(), stmt[m.end():]) if m else ("", stmt)
+
 
 def _parse_header(statements, line_hint):
     """signature / states / initial / registers statements, in any order.
 
     ``signature in a, b; out c;`` spans two ';'-terminated segments, so an
-    ``out`` segment is read as the continuation of the signature.
+    ``out`` segment is read as the continuation of the signature.  A
+    statement that glues a header keyword to more of a name is an error.
     """
-    header = {"registers": []}
+    header = {}
     body = []
     expecting_out = False
     for line, stmt in statements:
+        word, rest = _keyword(stmt)
         if expecting_out:
-            if not stmt.startswith("out"):
+            if word != "out":
                 raise ParseError(line, 1, "expected: out <labels>;")
-            text = stmt[len("out"):].strip()
-            header["outputs"] = _split_names(text, line) if text else []
+            header["outputs"] = _split_names(rest, line)
             expecting_out = False
-        elif stmt.startswith("signature"):
-            m = re.match(r"signature\s+in\b(?P<ins>.*)\Z", stmt, re.S)
+        elif word == "signature":
+            m = re.match(r"\s+in\b(?P<ins>.*)\Z", rest, re.S)
             if not m:
                 raise ParseError(line, 1, "expected: signature in ...; out ...;")
-            ins = m.group("ins").strip()
-            header["inputs"] = _split_names(ins, line) if ins else []
+            header["inputs"] = _split_names(m.group("ins"), line)
             expecting_out = True
-        elif stmt.startswith("states"):
-            header["states"] = _split_state_names(stmt[len("states"):], line)
-        elif stmt.startswith("registers"):
-            header["registers"] = _split_names(stmt[len("registers"):], line)
-        elif stmt.startswith("initial"):
-            names = _split_state_names(stmt[len("initial"):], line)
+        elif word == "states":
+            header["states"] = _split_state_names(rest, line)
+        elif word == "registers":
+            header["registers"] = _split_names(rest, line)
+        elif word == "initial":
+            names = _split_state_names(rest, line)
             if len(names) != 1:
                 raise ParseError(line, 1, "exactly one initial state expected")
             header["initial"] = names[0]
+        elif word.startswith(_HEADER_WORDS):
+            raise ParseError(line, 1, f"bad statement: {stmt!r}")
         else:
             body.append((line, stmt))
     for key in ("inputs", "outputs", "states", "initial"):
@@ -329,84 +342,58 @@ def _parse_header(statements, line_hint):
     return header, body
 
 
-def looks_like_sfst(text: str) -> bool:
-    """Does the text declare registers, or a transition with a guard or
-    updates?  A state or label named ``do`` or ``when`` does not count."""
-    if not re.search(r"\bregisters\b|\bwhen\b|\bdo\b", text):
-        return False  # the fast answer for most plain files
-    try:
-        for _, stmt in _statements(text):
-            m = _TRANS_RE.match(stmt)
-            if stmt.startswith("registers") or m and (m["guard"] or m["updates"]):
-                return True
-    except ParseError:
-        pass  # either parser reports it, and reports it alike
-    return False
-
-
 def looks_like_regex_protocol(text: str) -> bool:
     stripped = re.sub(r"#[^\n]*", "", text).strip()
     return stripped.startswith("alphabet")
 
 
-def parse_transducer(text: str) -> Transducer:
-    header, body = _parse_header(_statements(text), 1)
-    if header["registers"]:
-        raise ParseError(1, 1, "registers are only allowed in symbolic files")
-    sig = Signature(frozenset(header["inputs"]), frozenset(header["outputs"]))
-    delta = set()
-    for line, stmt in body:
-        m = _TRANS_RE.match(stmt)
-        if not m:
-            raise ParseError(line, 1, f"bad statement: {stmt!r}")
-        if m.group("guard") or m.group("updates"):
-            raise ParseError(line, 1, "guards/updates are only allowed in symbolic files")
-        labels = _parse_round_text(m.group("round"), line)
-        for lab in labels:
-            if lab not in sig.universe:
-                raise ParseError(line, 1, f"unknown label {lab!r} in round")
-        delta.add((m.group("src"), mkround(labels), m.group("tgt")))
-    return Transducer(sig, frozenset(header["states"]), header["initial"],
-                      frozenset(delta))
-
-
-def parse_sfst(text: str) -> SFST:
-    header, body = _parse_header(_statements(text), 1)
-    sig = Signature(frozenset(header["inputs"]), frozenset(header["outputs"]))
-    registers = frozenset(header["registers"])
-    delta = set()
-    for line, stmt in body:
-        m = _TRANS_RE.match(stmt)
-        if not m:
-            raise ParseError(line, 1, f"bad statement: {stmt!r}")
-        labels = _parse_round_text(m.group("round"), line)
-        for lab in labels:
-            if lab not in sig.universe:
-                raise ParseError(line, 1, f"unknown label {lab!r} in round")
-        round_inputs = frozenset(labels) & sig.inputs
-        guard = TRUE
-        if m.group("guard"):
-            guard = parse_expr(m.group("guard"), registers, round_inputs, line)
-        updates = set()
-        if m.group("updates"):
-            for part in m.group("updates").split(","):
-                um = re.match(r"\s*(?P<target>[A-Za-z_][A-Za-z0-9_]*)\s*:=\s*(?P<expr>.+)\Z",
-                              part, re.S)
-                if not um:
-                    raise ParseError(line, 1, f"bad update {part.strip()!r}")
-                updates.add(Update(
-                    um.group("target"),
-                    parse_expr(um.group("expr"), registers, round_inputs, line),
-                ))
-        delta.add(STransition(m.group("src"), mkround(labels), guard,
-                              frozenset(updates), m.group("tgt")))
-    return SFST(sig, frozenset(header["states"]), registers,
-                header["initial"], frozenset(delta))
+def _parse_updates(text: str, registers, inputs, line: int):
+    updates = set()
+    for part in text.split(","):
+        um = re.match(r"\s*(?P<target>[A-Za-z_][A-Za-z0-9_]*)\s*:=\s*(?P<expr>.+)\Z",
+                      part, re.S)
+        if not um:
+            raise ParseError(line, 1, f"bad update {part.strip()!r}")
+        updates.add(Update(um.group("target"),
+                           parse_expr(um.group("expr"), registers, inputs, line)))
+    return frozenset(updates)
 
 
 def parse_model(text: str):
-    """Transducer or SFST, decided by the file contents."""
-    return parse_sfst(text) if looks_like_sfst(text) else parse_transducer(text)
+    """A Transducer, or an SFST when the file has a ``registers`` statement
+    or a transition with a guard or updates."""
+    header, body = _parse_header(_statements(text), 1)
+    sig = Signature(frozenset(header["inputs"]), frozenset(header["outputs"]))
+    symbolic = "registers" in header
+    registers = frozenset(header.get("registers", ()))
+    delta = set()
+    for line, stmt in body:
+        m = _TRANS_RE.match(stmt)
+        if not m:
+            raise ParseError(line, 1, f"bad statement: {stmt!r}")
+        labels = _parse_round_text(m.group("round"), line)
+        for lab in labels:
+            if lab not in sig.universe:
+                raise ParseError(line, 1, f"unknown label {lab!r} in round")
+        v = mkround(labels)
+        if not (m.group("guard") or m.group("updates")):
+            delta.add((m.group("src"), v, m.group("tgt")))
+            continue
+        symbolic = True
+        inputs = v & sig.inputs
+        guard = TRUE
+        if m.group("guard"):
+            guard = parse_expr(m.group("guard"), registers, inputs, line)
+        updates = frozenset()
+        if m.group("updates"):
+            updates = _parse_updates(m.group("updates"), registers, inputs, line)
+        delta.add(STransition(m.group("src"), v, guard, updates, m.group("tgt")))
+    states = frozenset(header["states"])
+    if not symbolic:
+        return Transducer(sig, states, header["initial"], frozenset(delta))
+    delta = {STransition(t[0], t[1], TRUE, frozenset(), t[2])
+             if isinstance(t, tuple) else t for t in delta}
+    return SFST(sig, states, registers, header["initial"], frozenset(delta))
 
 
 # -- traces ------------------------------------------------------------------
@@ -456,10 +443,11 @@ def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
     alphabet = None
     regex = None
     for line, stmt in _statements(text):
-        if stmt.startswith("alphabet"):
-            alphabet = _split_names(stmt[len("alphabet"):], line)
-        elif stmt.startswith("regex"):
-            regex = protocol_mod.parse_regex(stmt[len("regex"):])
+        word, rest = _keyword(stmt)
+        if word == "alphabet":
+            alphabet = _split_names(rest, line)
+        elif word == "regex":
+            regex = protocol_mod.parse_regex(rest)
         else:
             raise ParseError(line, 1, f"bad statement: {stmt!r}")
     if alphabet is None:
@@ -475,60 +463,45 @@ def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
 # -- serialisation -----------------------------------------------------------
 
 
-def _render_round(v: Round) -> str:
-    return "{" + ", ".join(sorted(v)) + "}"
-
-
-def serialize_transducer(T: Transducer) -> str:
-    lines = [
-        f"signature in {', '.join(sorted(T.signature.inputs))};"
-        f" out {', '.join(sorted(T.signature.outputs))};",
-        f"states {', '.join(sorted(T.states))};",
-        f"initial {T.initial};",
-    ]
-    for src, v, tgt in sorted(T.delta, key=lambda x: (x[0], round_key(x[1]), x[2])):
-        lines.append(f"trans {src} -> {tgt} : {_render_round(v)};")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_sfst(T: SFST) -> str:
-    lines = [
-        f"signature in {', '.join(sorted(T.signature.inputs))};"
-        f" out {', '.join(sorted(T.signature.outputs))};",
-        f"states {', '.join(sorted(T.states))};",
-    ]
-    if T.registers:
-        lines.append(f"registers {', '.join(sorted(T.registers))};")
-    lines.append(f"initial {T.initial};")
-
-    def key(t: STransition):
-        updates = sorted(t.updates, key=lambda u: u.target)
-        return (t.source, round_key(t.round), t.target, render_expr(t.guard),
-                tuple(u.target for u in updates),
-                tuple(render_expr(u.expr) for u in updates))
-
-    for t in sorted(T.delta, key=key):
-        text = f"trans {t.source} -> {t.target} : {_render_round(t.round)}"
-        if t.guard != TRUE:
-            text += f" when {render_expr(t.guard)}"
-        if t.updates:
-            rendered = [
-                f"{u.target} := {render_expr(u.expr)}"
-                for u in sorted(t.updates, key=lambda u: u.target)
-            ]
-            text += " do " + ", ".join(rendered)
-        lines.append(text + ";")
-    return "\n".join(lines) + "\n"
+def canonical_transitions(model):
+    """Yield ``(source, target, label)`` for every transition of a
+    Transducer or SFST in the canonical order: by source, round
+    (``round_key``), target, then the rendered guard and updates.  The
+    label is the round, then any ``when`` guard and ``do`` updates, as the
+    file writes them; each distinct round is rendered once."""
+    if not isinstance(model, SFST):
+        rounds = {v: (round_key(v), render_round(v))
+                  for v in {v for _, v, _ in model.delta}}
+        for s, v, t in sorted(model.delta, key=lambda x: (x[0], rounds[x[1]], x[2])):
+            yield s, t, rounds[v][1]
+        return
+    rounds = {v: (round_key(v), render_round(v)) for v in {t.round for t in model.delta}}
+    rows = []
+    for tr in model.delta:
+        updates = sorted(tr.updates, key=lambda u: u.target)
+        rows.append((tr.source, rounds[tr.round], tr.target, render_expr(tr.guard),
+                     tuple(u.target for u in updates),
+                     tuple(render_expr(u.expr) for u in updates)))
+    for s, (_, label), t, guard, targets, exprs in sorted(rows):
+        if guard != "true":
+            label += f" when {guard}"
+        if targets:
+            label += " do " + ", ".join(f"{x} := {e}" for x, e in zip(targets, exprs))
+        yield s, t, label
 
 
 def serialize_model(model) -> str:
+    lines = [f"signature {model.signature.render()};",
+             f"states {', '.join(sorted(model.states))};"]
     if isinstance(model, SFST):
-        return serialize_sfst(model)
-    return serialize_transducer(model)
+        lines.append(f"registers {', '.join(sorted(model.registers))};")
+    lines.append(f"initial {model.initial};")
+    lines += [f"trans {s} -> {t} : {label};" for s, t, label in canonical_transitions(model)]
+    return "\n".join(lines) + "\n"
 
 
 def serialize_trace(t: Trace) -> str:
-    return "".join(_render_round(v) + "\n" for v in t)
+    return "".join(render_round(v) + "\n" for v in t)
 
 
 def serialize_valued_trace(rounds) -> str:

@@ -110,10 +110,6 @@ class Signature:
         )
 
 
-def dualize(sig: Signature) -> Signature:
-    return sig.dualize()
-
-
 @dataclass(frozen=True)
 class Transducer:
     """States plus a set of (source, round, target) transitions.

@@ -580,10 +580,6 @@ def sfst_run(T: SFST, trace) -> FrozenSet[Config]:
     return frozenset(configs)
 
 
-def sfst_accepts(T: SFST, trace) -> bool:
-    return bool(sfst_run(T, trace))
-
-
 # -- explicit expansion -----------------------------------------------------
 
 EXPAND_STATE_CAP = 10**5

@@ -18,7 +18,7 @@ from cohmin import algebra, coherence, protocol, symbolic
 from cohmin.coherence import CoherenceRelation
 from cohmin.errors import LabelClash, Overflow, ResourceLimit, SignatureMismatch
 from cohmin.fixtures import adder, iterator_map
-from cohmin.frontend import parse_model, serialize_sfst
+from cohmin.frontend import parse_model, serialize_model
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import empty_protocol, universal_protocol
@@ -157,7 +157,7 @@ def assert_same_sfst(T, P):
                 T, P, mode, keep)
             assert log == old_log
             assert mini == old_mini
-            assert serialize_sfst(mini) == serialize_sfst(old_mini)
+            assert serialize_model(mini) == serialize_model(old_mini)
         relations[mode] = new.pairs
     return relations
 
@@ -165,12 +165,12 @@ def assert_same_sfst(T, P):
 def assert_same_sfst_folds(T):
     """Bisimulation minimisation and single quotients agree with the oracle."""
     for keep in (False, True):
-        assert serialize_sfst(symbolic.sfst_bisim_minimize(T, keep)) == \
-            serialize_sfst(naive_symbolic.sfst_bisim_minimize(T, keep))
+        assert serialize_model(symbolic.sfst_bisim_minimize(T, keep)) == \
+            serialize_model(naive_symbolic.sfst_bisim_minimize(T, keep))
     states = sorted(T.states)
     for a, b in zip(states, states[1:]):
-        assert serialize_sfst(symbolic.sfst_quotient(T, b, a)) == \
-            serialize_sfst(naive_symbolic.sfst_quotient(T, b, a))
+        assert serialize_model(symbolic.sfst_quotient(T, b, a)) == \
+            serialize_model(naive_symbolic.sfst_quotient(T, b, a))
 
 
 def sfst_protocols(rng, sig):

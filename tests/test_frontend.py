@@ -1,4 +1,7 @@
 import io
+import os
+import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,18 +15,16 @@ from cohmin.errors import ParseError
 from cohmin.frontend import (
     cli_main,
     parse_model,
-    parse_sfst,
     parse_trace,
-    parse_transducer,
     parse_valued_trace,
     serialize_model,
-    serialize_sfst,
-    serialize_transducer,
     to_dot,
 )
 from cohmin.frontend.fileformat import parse_expr, render_expr
 from cohmin.kernel import Signature, Transducer, mkround
-from cohmin.symbolic import Bin, IntLit, Not, Reg
+from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg
+
+from helpers import random_sfst
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -39,23 +40,23 @@ trans s1 -> s0 : {};          # empty round is written {}
 
 class TestParsing:
     def test_round_trip_is_parse_stable(self):
-        T = parse_transducer(TWO_PHASE_SRC)
-        assert parse_transducer(serialize_transducer(T)) == T
+        T = parse_model(TWO_PHASE_SRC)
+        assert parse_model(serialize_model(T)) == T
 
     def test_serialise_idempotent_after_normalisation(self):
-        T = parse_transducer(TWO_PHASE_SRC)
-        once = serialize_transducer(T)
-        assert serialize_transducer(parse_transducer(once)) == once
+        T = parse_model(TWO_PHASE_SRC)
+        once = serialize_model(T)
+        assert serialize_model(parse_model(once)) == once
 
     def test_undeclared_label(self):
         src = TWO_PHASE_SRC.replace("{a}", "{zz}")
         with pytest.raises(ParseError) as err:
-            parse_transducer(src)
+            parse_model(src)
         assert "zz" in str(err.value)
 
     def test_adder_source(self):
         src = (FIXDIR / "adder.sfst").read_text()
-        T = parse_sfst(src)
+        T = parse_model(src)
         assert len(T.states) == 3
         assert len(T.registers) == 2
         assert len(T.delta) == 3
@@ -66,8 +67,8 @@ class TestParsing:
         # in set-iteration order, which varied with construction and hashing
         head = "signature in x; out r;\nstates A;\nregisters y;\ninitial A;\n"
         lines = [f"trans A -> A : {{r}} do r := y + {i};\n" for i in range(40)]
-        forward = serialize_sfst(parse_sfst(head + "".join(lines)))
-        backward = serialize_sfst(parse_sfst(head + "".join(reversed(lines))))
+        forward = serialize_model(parse_model(head + "".join(lines)))
+        backward = serialize_model(parse_model(head + "".join(reversed(lines))))
         assert forward == backward
 
     def test_model_sniffing(self):
@@ -128,6 +129,38 @@ class TestDot:
         assert "when y + z > 0" in d
         assert "do r := y + z" in d
 
+    def test_edges_follow_the_serialised_file(self):
+        for model in (fixtures.adder(), fixtures.iterator_map()[0],
+                      fixtures.forked_reader()):
+            edges = [line.split('[label="')[1][:-3]
+                     for line in to_dot(model).splitlines() if " -> " in line]
+            trans = [line.split(" : ", 1)[1][:-1]
+                     for line in serialize_model(model).splitlines()
+                     if line.startswith("trans ")]
+            assert edges == trans
+
+    def test_dot_is_deterministic_on_update_ties(self, tmp_path):
+        # five transitions that differ only in their updates: DOT once
+        # ordered them by set iteration, which varies with the hash seed
+        model = tmp_path / "tie.sfst"
+        model.write_text(
+            "signature in x; out r;\nstates A, B;\nregisters y;\ninitial A;\n"
+            + "".join(f"trans A -> B : {{x}} do y := {e};\n"
+                      for e in ("x", "x + 1", "x + 2", "y + x", "0")))
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            proc = subprocess.run(
+                [sys.executable, "-c", "from cohmin.frontend.cli import main; main()",
+                 "dot", str(model)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0 and proc.stderr == ""
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -168,14 +201,14 @@ class TestCli:
         assert code == 0
         assert "merge Q -> P" in out
         body = out.split("merge", 1)[0]
-        got = parse_transducer(body)
+        got = parse_model(body)
         assert len(got.states) == 4
 
     def test_minimize_bisim(self):
         code, out, _ = run_cli("minimize", "--policy", "bisim",
                                str(FIXDIR / "forked_reader.fst"))
         assert code == 0
-        assert len(parse_transducer(out).states) == 5
+        assert len(parse_model(out).states) == 5
 
     def test_equiv_self_is_zero(self):
         code, out, _ = run_cli(
@@ -200,7 +233,7 @@ class TestCli:
         code, out, _ = run_cli("quotient", "--pair", "P,Q",
                                str(FIXDIR / "forked_reader.fst"))
         assert code == 0
-        assert len(parse_transducer(out).states) == 7
+        assert len(parse_model(out).states) == 7
 
     def test_expand(self):
         code, out, _ = run_cli("expand", "--lo", "-1", "--hi", "1",
@@ -295,6 +328,42 @@ class TestCli:
         assert err.startswith(f"error: cannot read {bad}: not UTF-8 text")
         assert err.count("\n") == 1
 
+    PLAIN = "signature in a; out b;\nstates s0, s1;\ninitial s0;\ntrans s0 -> s1 : {a};\n"
+
+    @pytest.mark.parametrize("name, text, line", [
+        ("m.fst", PLAIN.replace("signature in", "signaturein"), 1),
+        ("m.fst", PLAIN.replace("out b", "outb"), 1),
+        ("m.fst", PLAIN.replace("states s0", "statess0"), 2),
+        ("m.fst", PLAIN.replace("initial s0", "initials0"), 3),
+        ("m.fst", PLAIN.replace("initial s0;", "initial s0;\nregistersy;"), 4),
+        ("p.prot", "alphabeta, b;\nregex (a b)*;\n", 1),
+        ("p.prot", "alphabet a, b;\nregexa b;\n", 2),
+    ], ids=["signature", "out", "states", "initial", "registers", "alphabet", "regex"])
+    def test_keywords_are_whole_words(self, tmp_path, name, text, line):
+        # "statess0, s1;" once parsed as "states s0, s1;"
+        (tmp_path / name).write_text(text)
+        (tmp_path / "t.trc").write_text("{a}\n")
+        argv = (("validate", name) if name.endswith(".fst")
+                else ("monitor", "--protocol", name, "--trace", "t.trc"))
+        code, out, err = run_cli(*[str(tmp_path / a) if "." in a else a for a in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {line}:1: ")
+        assert err.count("\n") == 1
+
+    def test_monitor_reads_a_symbolic_protocol_as_its_skeleton(self, tmp_path):
+        text = (FIXDIR / "display.prot").read_text()
+        symbolic = tmp_path / "display.sfst"
+        symbolic.write_text(text.replace("initial idle;", "registers k;\ninitial idle;")
+                            .replace("{q1};", "{q1} do k := k;"))
+        assert isinstance(parse_model(symbolic.read_text()), SFST)
+        for trace in ("display_legal.trc", "display_attack.trc"):
+            verdicts = [run_cli("monitor", "--protocol", str(p),
+                                "--trace", str(FIXDIR / trace))
+                        for p in (symbolic, FIXDIR / "display.prot")]
+            assert verdicts[0] == verdicts[1]
+            assert verdicts[0][0] in (0, 3) and verdicts[0][2] == ""
+
     SFST_HEAD = ("signature in x; out r;\nstates A;\nregisters y;\ninitial A;\n"
                  "trans A -> A : {x} when ")
 
@@ -362,15 +431,38 @@ class TestRoundTrip:
         assert parse_model(serialize_model(T)) == T
 
 
+    def test_symbolic_round_trip(self):
+        rng = random.Random(11)
+        machines = [random_sfst(rng, 5, 12) for _ in range(300)]
+        machines += [fixtures.adder(), *fixtures.iterator_map()]
+        for m in machines:
+            assert parse_model(serialize_model(m)) == m
+
+    HEAD = ("signature in a, when; out do, registers;\n"
+            "states s, do, when, registers;\ninitial s;\n")
+
+    @pytest.mark.parametrize("body, kind", [
+        ("trans do -> when : {when, do};\ntrans registers -> s : {registers};\n",
+         Transducer),
+        ("registers;\ntrans s -> do : {a};\n", SFST),
+        ("trans s -> when : {a} when a > 0;\n", SFST),
+        ("trans s -> do : {a, do} do do := a;\n", SFST),
+        ("registers y;\ntrans when -> registers : {when} when y > 0 do y := y + 1;\n",
+         SFST),
+    ], ids=["keyword-names", "empty-registers", "guard-only", "updates-only", "both"])
+    def test_classification(self, body, kind):
+        model = parse_model(self.HEAD + body)
+        assert type(model) is kind
+        assert parse_model(serialize_model(model)) == model
+
+
 class TestShippedFixtures:
     def test_every_fixture_parses_and_round_trips(self):
         for path in sorted(FIXDIR.iterdir()):
             text = path.read_text()
             if path.suffix in (".fst", ".sfst"):
                 model = parse_model(text)
-                again = serialize_sfst(model) if hasattr(model, "registers") \
-                    else serialize_transducer(model)
-                assert parse_model(again) == model
+                assert parse_model(serialize_model(model)) == model
             elif path.suffix == ".trc":
                 parse_trace(text)
             elif path.suffix == ".vtrc":

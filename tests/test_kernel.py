@@ -136,16 +136,16 @@ class TestWitnessTraces:
 
 class TestDualize:
     def test_swap(self):
-        assert kernel.dualize(Signature(frozenset({"a"}), frozenset({"b"}))) == \
+        assert Signature(frozenset({"a"}), frozenset({"b"})).dualize() == \
             Signature(frozenset({"b"}), frozenset({"a"}))
 
     def test_empty(self):
         empty = Signature(frozenset(), frozenset())
-        assert kernel.dualize(empty) == empty
+        assert empty.dualize() == empty
 
     def test_involution(self):
         sig = Signature(frozenset({"a", "c"}), frozenset({"b"}))
-        assert kernel.dualize(kernel.dualize(sig)) == sig
+        assert sig.dualize().dualize() == sig
 
 
 class TestProjectTrace:
