@@ -1,5 +1,5 @@
-"""Transducer and trace-set combinators: intersection, interaction,
-projection and composition, plus bounded-depth language equality.
+"""Transducer combinators: intersection, interaction, projection and
+composition, plus bounded-depth language equality and determinisation.
 
 The products walk the pairs of states reachable from the initial pair and
 build the ``Transducer`` once, in O(reachable pairs + their joint
@@ -8,11 +8,8 @@ transitions); ``keep_unreachable=True`` seeds the walk with every pair.
 
 from __future__ import annotations
 
-from typing import FrozenSet
-
-from . import kernel
-from .errors import LabelClash, ResourceLimit, SignatureMismatch
-from .kernel import Signature, TraceSet, Transducer, round_key
+from .errors import LabelClash, SignatureMismatch
+from .kernel import Signature, Transducer, round_key
 
 
 def product_state(left: str, right: str) -> str:
@@ -123,98 +120,6 @@ def compose(
     return project(joint, keep)
 
 
-# -- trace-set combinators (independent oracles) ---------------------------
-
-
-class _TrieNode:
-    __slots__ = ("children", "member")
-
-    def __init__(self):
-        self.children = {}
-        self.member = False
-
-
-def _build_trie(ts: TraceSet) -> _TrieNode:
-    root = _TrieNode()
-    for t in ts.traces:
-        node = root
-        for v in t:
-            node = node.children.setdefault(v, _TrieNode())
-        node.member = True
-    return root
-
-
-def traceset_interact(
-    theta: TraceSet, theta2: TraceSet, cap: int = kernel.DEFAULT_TRACE_CAP
-) -> TraceSet:
-    """All traces over the union universe whose side projections are members.
-
-    Projection preserves length, so the maximum operand length bounds the
-    result exactly; enumeration walks the two prefix tries in lockstep.
-    """
-    shared = theta.signature.universe & theta2.signature.universe
-    outputs = theta.signature.outputs | theta2.signature.outputs
-    sig = Signature(
-        (theta.signature.inputs | theta2.signature.inputs) - outputs, outputs
-    )
-    bound = max(theta.max_length(), theta2.max_length())
-    ra, rb = _build_trie(theta), _build_trie(theta2)
-    found = set()
-    count = 0
-    frontier = [((), ra, rb)]
-    for _ in range(bound + 1):
-        nxt = []
-        for trace, na, nb in frontier:
-            if na.member and nb.member:
-                found.add(trace)
-                count += 1
-                if count > cap:
-                    raise ResourceLimit(f"trace interaction exceeded cap of {cap}")
-            if len(trace) == bound:
-                continue
-            joint = {}
-            for va, ca in na.children.items():
-                for vb, cb in nb.children.items():
-                    if va & shared == vb & shared:
-                        joint.setdefault(va | vb, []).append((ca, cb))
-            for v, pairs in joint.items():
-                for ca, cb in pairs:
-                    nxt.append((trace + (v,), ca, cb))
-        # several (ca, cb) pairs can spell the same joint trace; collapse them
-        merged = {}
-        for trace, ca, cb in nxt:
-            merged.setdefault(trace, []).append((ca, cb))
-        frontier = []
-        for trace, pairs in merged.items():
-            union_a = _merge_nodes([a for a, _ in pairs])
-            union_b = _merge_nodes([b for _, b in pairs])
-            frontier.append((trace, union_a, union_b))
-    return TraceSet(sig, frozenset(found))
-
-
-def _merge_nodes(nodes):
-    if len(nodes) == 1:
-        return nodes[0]
-    out = _TrieNode()
-    out.member = any(n.member for n in nodes)
-    keys = set()
-    for n in nodes:
-        keys.update(n.children.keys())
-    for k in keys:
-        out.children[k] = _merge_nodes([n.children[k] for n in nodes if k in n.children])
-    return out
-
-
-def traceset_compose(
-    theta: TraceSet, theta2: TraceSet, cap: int = kernel.DEFAULT_TRACE_CAP
-) -> TraceSet:
-    """Interaction followed by hiding of the shared labels."""
-    shared = theta.signature.universe & theta2.signature.universe
-    joint = traceset_interact(theta, theta2, cap)
-    keep = joint.signature.restrict(joint.signature.universe - shared)
-    return joint.project(keep)
-
-
 # -- bounded-depth language equality ---------------------------------------
 
 
@@ -246,24 +151,22 @@ def bounded_language_equal(T: Transducer, U: Transducer, k: int) -> bool:
 
 
 def determinize(T: Transducer) -> Transducer:
-    """Subset construction over rounds (labels stay whole rounds)."""
+    """Subset construction over rounds (labels stay whole rounds).
+
+    Subsets are visited breadth first, each one's rounds in ``round_key``
+    order, and named ``P0, P1, ...`` in the order they are found, so the
+    result depends only on ``T`` and its names are valid in a model file.
+    """
     initial = frozenset({T.initial})
-    names = {initial: _subset_name(initial)}
-    frontier = [initial]
-    delta = set()
-    while frontier:
-        cur = frontier.pop()
+    names = {initial: "P0"}
+    order = [initial]
+    delta = []
+    for cur in order:  # grows while it is walked: a breadth-first queue
         rounds = {v for s in cur for v in T.out(s)}
         for v in sorted(rounds, key=round_key):
             succ = T.step_set(cur, v)
             if succ not in names:
-                names[succ] = _subset_name(succ)
-                frontier.append(succ)
-            delta.add((names[cur], v, names[succ]))
-    return Transducer(
-        T.signature, frozenset(names.values()), names[initial], frozenset(delta)
-    )
-
-
-def _subset_name(states: FrozenSet[str]) -> str:
-    return "{" + ",".join(sorted(states)) + "}"
+                names[succ] = f"P{len(names)}"
+                order.append(succ)
+            delta.append((names[cur], v, names[succ]))
+    return Transducer(T.signature, names.values(), "P0", delta)

@@ -366,6 +366,7 @@ def parse_model(text: str):
     sig = Signature(frozenset(header["inputs"]), frozenset(header["outputs"]))
     symbolic = "registers" in header
     registers = frozenset(header.get("registers", ()))
+    states = frozenset(header["states"])
     delta = set()
     for line, stmt in body:
         m = _TRANS_RE.match(stmt)
@@ -375,6 +376,9 @@ def parse_model(text: str):
         for lab in labels:
             if lab not in sig.universe:
                 raise ParseError(line, 1, f"unknown label {lab!r} in round")
+        for name in (m.group("src"), m.group("tgt")):
+            if name not in states:
+                raise ParseError(line, 1, f"unknown state {name!r}")
         v = mkround(labels)
         if not (m.group("guard") or m.group("updates")):
             delta.add((m.group("src"), v, m.group("tgt")))
@@ -388,7 +392,6 @@ def parse_model(text: str):
         if m.group("updates"):
             updates = _parse_updates(m.group("updates"), registers, inputs, line)
         delta.add(STransition(m.group("src"), v, guard, updates, m.group("tgt")))
-    states = frozenset(header["states"])
     if not symbolic:
         return Transducer(sig, states, header["initial"], frozenset(delta))
     delta = {STransition(t[0], t[1], TRUE, frozenset(), t[2])

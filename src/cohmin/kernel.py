@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
-    CohminError,
     MissingInitial,
     ResourceLimit,
     SignatureMismatch,
@@ -238,7 +237,8 @@ def drop_unreachable(M):
 
 @dataclass(frozen=True)
 class TraceSet:
-    """A finite set of traces over a signature (bounded-depth oracles only)."""
+    """A finite set of traces over a signature, as :func:`traces_upto`
+    enumerates them."""
 
     signature: Signature
     traces: FrozenSet[Trace]
@@ -254,53 +254,8 @@ class TraceSet:
     def sorted_traces(self):
         return sorted(self.traces, key=trace_key)
 
-    def max_length(self) -> int:
-        return max((len(t) for t in self.traces), default=0)
 
-    def project(self, keep: Signature) -> "TraceSet":
-        if not keep.is_sub_signature_of(self.signature):
-            raise SignatureMismatch("projection target is not a sub-signature")
-        return TraceSet(
-            keep, frozenset(project_trace(t, keep) for t in self.traces)
-        )
-
-
-# -- free functions mirroring the operation surface -----------------------
-
-
-def validate(desc: Mapping) -> Transducer:
-    """Check a raw transducer description and build the value.
-
-    ``desc`` maps: ``inputs``/``outputs`` (label lists), ``states`` (names),
-    ``initial`` (name) and ``trans`` (list of ``(src, labels, tgt)``).
-    Raises the first violation found; use :func:`violations` to collect all.
-    """
-    sig = Signature(frozenset(desc["inputs"]), frozenset(desc["outputs"]))
-    states = frozenset(desc["states"])
-    delta = frozenset(
-        (src, frozenset(labels), tgt) for src, labels, tgt in desc["trans"]
-    )
-    return Transducer(sig, states, desc["initial"], delta)
-
-
-def violations(desc: Mapping) -> list:
-    """Collect every violation in a raw description (empty list = valid)."""
-    found = []
-    try:
-        sig = Signature(frozenset(desc["inputs"]), frozenset(desc["outputs"]))
-    except CohminError as e:
-        return [e]
-    states = frozenset(desc["states"])
-    if desc["initial"] not in states:
-        found.append(MissingInitial(desc["initial"]))
-    for src, labels, tgt in desc["trans"]:
-        for endpoint in (src, tgt):
-            if endpoint not in states:
-                found.append(UnknownState(endpoint))
-        for lab in labels:
-            if lab not in sig.universe:
-                found.append(UnknownLabel(lab))
-    return found
+# -- bounded trace enumeration ---------------------------------------------
 
 
 def _enumerate(T: Transducer, k: int, cap: int):
@@ -337,14 +292,3 @@ def traces_upto(T: Transducer, k: int, cap: int = DEFAULT_TRACE_CAP) -> TraceSet
     """Exactly the traces of ``T`` of length at most ``k``."""
     out = [trace for trace, _ in _enumerate(T, k, cap)]
     return TraceSet(T.signature, frozenset(out))
-
-
-def project_trace(t: Trace, keep: Signature, within: Signature = None) -> Trace:
-    """Delete from every round the labels outside ``keep``.
-
-    Rounds may become empty; they are not removed, so length is preserved.
-    """
-    if within is not None and not keep.is_sub_signature_of(within):
-        raise SignatureMismatch("projection target is not a sub-signature")
-    u = keep.universe
-    return tuple(frozenset(v) & u for v in t)

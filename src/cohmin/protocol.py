@@ -207,10 +207,13 @@ def _glushkov(r: ProtocolRegex):
 def compile_regex(r, sig: Signature) -> Transducer:
     """Compile a protocol regex (text or AST) to a deterministic transducer.
 
-    Position-automaton construction followed by subset construction; the
-    result is trimmed so that its path language is exactly the prefix
-    closure of the regex's language.  Every literal becomes a singleton
-    round.
+    The position automaton is trimmed to the positions from which an
+    accepting position is reachable, keeping its start as the initial
+    state, and then determinised by :func:`algebra.determinize`.  Every
+    path of the result spells a prefix of a word of the regex, so its
+    language is exactly the prefix closure of the regex's language (just
+    the empty trace when that language is empty).  Every literal becomes a
+    singleton round.
     """
     if isinstance(r, str):
         r = parse_regex(r)
@@ -218,73 +221,22 @@ def compile_regex(r, sig: Signature) -> Transducer:
         if label not in sig.universe:
             raise UnknownLabel(label)
     positions, nullable, first, last, follow = _glushkov(r)
-    accepting = set(last)
-
-    # subset construction over position sets; -1 is the start marker
-    start = frozenset({-1})
-    succ_of = {-1: first}
-    for p in range(len(positions)):
-        succ_of[p] = follow[p]
-
-    def subset_accepting(subset) -> bool:
-        if -1 in subset and nullable:
-            return True
-        return any(p in accepting for p in subset if p >= 0)
-
-    table = {start: {}}
-    frontier = [start]
-    while frontier:
-        cur = frontier.pop()
-        buckets = {}
-        for p in cur:
-            for q in succ_of[p]:
-                buckets.setdefault(positions[q], set()).add(q)
-        for label, targets in buckets.items():
-            tgt = frozenset(targets)
-            table[cur][label] = tgt
-            if tgt not in table:
-                table[tgt] = {}
-                frontier.append(tgt)
-
-    # trim to subsets from which some accepting subset is reachable, so all
-    # paths spell prefixes of accepted words
-    live = {s for s in table if subset_accepting(s)}
-    changed = True
-    while changed:
-        changed = False
-        for s, edges in table.items():
-            if s not in live and any(t in live for t in edges.values()):
-                live.add(s)
-                changed = True
-
-    names = {}
-
-    def name_of(subset) -> str:
-        if subset not in names:
-            names[subset] = f"P{len(names)}"
-        return names[subset]
-
-    delta = set()
-    if start not in live:
-        # empty language: the prefix closure is {epsilon}
-        return Transducer(sig, frozenset({"P0"}), "P0", frozenset())
-    order = [start]
-    seen = {start}
-    idx = 0
-    while idx < len(order):
-        cur = order[idx]
-        idx += 1
-        name_of(cur)
-        for label in sorted(table[cur]):
-            tgt = table[cur][label]
-            if tgt not in live:
-                continue
-            if tgt not in seen:
-                seen.add(tgt)
-                order.append(tgt)
-            delta.add((name_of(cur), frozenset({label}), name_of(tgt)))
-    return Transducer(sig, frozenset(names.values()), names[start],
-                      frozenset(delta))
+    succ = {-1: first, **follow}  # -1 is the start; entering q reads positions[q]
+    pred = {}
+    for p, qs in succ.items():
+        for q in qs:
+            pred.setdefault(q, []).append(p)
+    live = set(last) | ({-1} if nullable else set())
+    todo = list(live)
+    while todo:
+        for p in pred.get(todo.pop(), ()):
+            if p not in live:
+                live.add(p)
+                todo.append(p)
+    delta = [(str(p), frozenset({positions[q]}), str(q))
+             for p in live for q in succ[p] if q in live]
+    return algebra.determinize(
+        Transducer(sig, {str(p) for p in live | {-1}}, "-1", delta))
 
 
 # -- the online monitor ------------------------------------------------------

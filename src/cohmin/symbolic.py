@@ -725,16 +725,16 @@ def is_symbolic_protocol(T: SFST) -> bool:
 
 
 def _skeletons(T: SFST, P) -> Tuple[Transducer, Transducer]:
-    """Control skeletons of a machine and of a (plain or symbolic) protocol."""
-    if isinstance(P, Transducer):
-        P = lift_transducer(P)
-    if not is_symbolic_protocol(P):
-        raise NotAProtocol("guards must be true and updates identities")
+    """Control skeletons of a machine and of a (plain or symbolic) protocol;
+    a plain protocol is its own skeleton."""
+    if not isinstance(P, Transducer):
+        if not is_symbolic_protocol(P):
+            raise NotAProtocol("guards must be true and updates identities")
+        P = P.control_skeleton()
     skel_t = T.control_skeleton()
-    skel_p = P.control_skeleton()
-    if skel_t.signature != skel_p.signature:
+    if skel_t.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
-    return skel_t, skel_p
+    return skel_t, P
 
 
 def _key_machine(T: SFST, mode: str, domain: Tuple[int, int]) -> Transducer:

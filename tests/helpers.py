@@ -391,3 +391,18 @@ def random_regex(rng: random.Random, labels, depth: int = 3):
         random_regex(rng, labels, depth - 1) for _ in range(rng.randint(2, 3))
     )
     return Cat(items) if kind == "cat" else Alt(items)
+
+
+# -- model files with several unknown endpoints -----------------------------
+# The first unknown state in file order is on line 5 of each; a diagnostic
+# must name that one, whatever the hash seed.
+
+UNKNOWN_ENDPOINT_FILES = {
+    "unknown_endpoints.fst": (
+        "signature in a; out b;\nstates s0;\ninitial s0;\n"
+        "trans s0 -> s0 : {a};\ntrans s0 -> x1 : {a};\n"
+        "trans x2 -> s0 : {b};\ntrans x3 -> x4 : {a};\n"),
+    "unknown_endpoints.sfst": (
+        "signature in a; out b;\nstates s0;\nregisters y;\ninitial s0;\n"
+        "trans x2 -> x1 : {a} do y := a;\ntrans x3 -> s0 : {a} when y > 0;\n"),
+}

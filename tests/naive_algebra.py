@@ -6,14 +6,20 @@ implementation that built all |Q_T|·|Q_U| product states, looped over all
 it.  The only edit: pruning uses the frozen ``_drop_unreachable`` of
 ``naive_coherence``, so the oracle shares no code with the on-the-fly walk
 in ``cohmin.algebra`` beyond ``product_state``, ``project`` and the
-``Transducer`` value itself.  Do not optimise this file.
+``Transducer`` value itself.
+
+The trace-set mirrors at the end (``traceset_interact``,
+``traceset_compose``, their prefix trie and ``project_trace``) are the
+trace-level definitions of the same operations on finite trace sets; they
+were moved here verbatim when the library stopped carrying code that only
+the tests called.  Do not optimise this file.
 """
 
 from __future__ import annotations
 
 from cohmin.algebra import _merge_signatures, product_state, project
-from cohmin.errors import LabelClash, SignatureMismatch
-from cohmin.kernel import Transducer
+from cohmin.errors import LabelClash, ResourceLimit, SignatureMismatch
+from cohmin.kernel import DEFAULT_TRACE_CAP, Signature, Trace, TraceSet, Transducer
 
 from naive_coherence import _drop_unreachable as drop_unreachable
 
@@ -82,3 +88,120 @@ def compose(
     joint = interact(T, U, keep_unreachable, strict_polarity)
     keep = joint.signature.restrict(joint.signature.universe - shared)
     return project(joint, keep)
+
+
+# -- trace-set mirrors of the combinators -----------------------------------
+# (``max_length`` and ``traceset_project`` were the ``TraceSet`` methods of
+# the same names)
+
+
+def max_length(ts: TraceSet) -> int:
+    return max((len(t) for t in ts.traces), default=0)
+
+
+def traceset_project(ts: TraceSet, keep: Signature) -> TraceSet:
+    if not keep.is_sub_signature_of(ts.signature):
+        raise SignatureMismatch("projection target is not a sub-signature")
+    return TraceSet(
+        keep, frozenset(project_trace(t, keep) for t in ts.traces)
+    )
+
+
+def project_trace(t: Trace, keep: Signature, within: Signature = None) -> Trace:
+    """Delete from every round the labels outside ``keep``.
+
+    Rounds may become empty; they are not removed, so length is preserved.
+    """
+    if within is not None and not keep.is_sub_signature_of(within):
+        raise SignatureMismatch("projection target is not a sub-signature")
+    u = keep.universe
+    return tuple(frozenset(v) & u for v in t)
+
+
+class _TrieNode:
+    __slots__ = ("children", "member")
+
+    def __init__(self):
+        self.children = {}
+        self.member = False
+
+
+def _build_trie(ts: TraceSet) -> _TrieNode:
+    root = _TrieNode()
+    for t in ts.traces:
+        node = root
+        for v in t:
+            node = node.children.setdefault(v, _TrieNode())
+        node.member = True
+    return root
+
+
+def traceset_interact(
+    theta: TraceSet, theta2: TraceSet, cap: int = DEFAULT_TRACE_CAP
+) -> TraceSet:
+    """All traces over the union universe whose side projections are members.
+
+    Projection preserves length, so the maximum operand length bounds the
+    result exactly; enumeration walks the two prefix tries in lockstep.
+    """
+    shared = theta.signature.universe & theta2.signature.universe
+    outputs = theta.signature.outputs | theta2.signature.outputs
+    sig = Signature(
+        (theta.signature.inputs | theta2.signature.inputs) - outputs, outputs
+    )
+    bound = max(max_length(theta), max_length(theta2))
+    ra, rb = _build_trie(theta), _build_trie(theta2)
+    found = set()
+    count = 0
+    frontier = [((), ra, rb)]
+    for _ in range(bound + 1):
+        nxt = []
+        for trace, na, nb in frontier:
+            if na.member and nb.member:
+                found.add(trace)
+                count += 1
+                if count > cap:
+                    raise ResourceLimit(f"trace interaction exceeded cap of {cap}")
+            if len(trace) == bound:
+                continue
+            joint = {}
+            for va, ca in na.children.items():
+                for vb, cb in nb.children.items():
+                    if va & shared == vb & shared:
+                        joint.setdefault(va | vb, []).append((ca, cb))
+            for v, pairs in joint.items():
+                for ca, cb in pairs:
+                    nxt.append((trace + (v,), ca, cb))
+        # several (ca, cb) pairs can spell the same joint trace; collapse them
+        merged = {}
+        for trace, ca, cb in nxt:
+            merged.setdefault(trace, []).append((ca, cb))
+        frontier = []
+        for trace, pairs in merged.items():
+            union_a = _merge_nodes([a for a, _ in pairs])
+            union_b = _merge_nodes([b for _, b in pairs])
+            frontier.append((trace, union_a, union_b))
+    return TraceSet(sig, frozenset(found))
+
+
+def _merge_nodes(nodes):
+    if len(nodes) == 1:
+        return nodes[0]
+    out = _TrieNode()
+    out.member = any(n.member for n in nodes)
+    keys = set()
+    for n in nodes:
+        keys.update(n.children.keys())
+    for k in keys:
+        out.children[k] = _merge_nodes([n.children[k] for n in nodes if k in n.children])
+    return out
+
+
+def traceset_compose(
+    theta: TraceSet, theta2: TraceSet, cap: int = DEFAULT_TRACE_CAP
+) -> TraceSet:
+    """Interaction followed by hiding of the shared labels."""
+    shared = theta.signature.universe & theta2.signature.universe
+    joint = traceset_interact(theta, theta2, cap)
+    keep = joint.signature.restrict(joint.signature.universe - shared)
+    return traceset_project(joint, keep)

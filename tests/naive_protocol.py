@@ -1,0 +1,98 @@
+"""Frozen differential oracle: the original regex-protocol compiler.
+
+``compile_regex`` is kept verbatim from the implementation that ran its own
+subset construction over Glushkov position sets, trimmed the dead subsets
+afterwards and named the survivors ``P<i>`` breadth first.  It shares the
+parser and the position automaton (``parse_regex``, ``regex_labels``,
+``_glushkov``) with ``cohmin.protocol``, but none of ``algebra.determinize``.
+Do not optimise this file.
+"""
+
+from __future__ import annotations
+
+from cohmin.errors import UnknownLabel
+from cohmin.kernel import Signature, Transducer
+from cohmin.protocol import _glushkov, parse_regex, regex_labels
+
+
+def compile_regex(r, sig: Signature) -> Transducer:
+    """Compile a protocol regex (text or AST) to a deterministic transducer.
+
+    Position-automaton construction followed by subset construction; the
+    result is trimmed so that its path language is exactly the prefix
+    closure of the regex's language.  Every literal becomes a singleton
+    round.
+    """
+    if isinstance(r, str):
+        r = parse_regex(r)
+    for label in regex_labels(r):
+        if label not in sig.universe:
+            raise UnknownLabel(label)
+    positions, nullable, first, last, follow = _glushkov(r)
+    accepting = set(last)
+
+    # subset construction over position sets; -1 is the start marker
+    start = frozenset({-1})
+    succ_of = {-1: first}
+    for p in range(len(positions)):
+        succ_of[p] = follow[p]
+
+    def subset_accepting(subset) -> bool:
+        if -1 in subset and nullable:
+            return True
+        return any(p in accepting for p in subset if p >= 0)
+
+    table = {start: {}}
+    frontier = [start]
+    while frontier:
+        cur = frontier.pop()
+        buckets = {}
+        for p in cur:
+            for q in succ_of[p]:
+                buckets.setdefault(positions[q], set()).add(q)
+        for label, targets in buckets.items():
+            tgt = frozenset(targets)
+            table[cur][label] = tgt
+            if tgt not in table:
+                table[tgt] = {}
+                frontier.append(tgt)
+
+    # trim to subsets from which some accepting subset is reachable, so all
+    # paths spell prefixes of accepted words
+    live = {s for s in table if subset_accepting(s)}
+    changed = True
+    while changed:
+        changed = False
+        for s, edges in table.items():
+            if s not in live and any(t in live for t in edges.values()):
+                live.add(s)
+                changed = True
+
+    names = {}
+
+    def name_of(subset) -> str:
+        if subset not in names:
+            names[subset] = f"P{len(names)}"
+        return names[subset]
+
+    delta = set()
+    if start not in live:
+        # empty language: the prefix closure is {epsilon}
+        return Transducer(sig, frozenset({"P0"}), "P0", frozenset())
+    order = [start]
+    seen = {start}
+    idx = 0
+    while idx < len(order):
+        cur = order[idx]
+        idx += 1
+        name_of(cur)
+        for label in sorted(table[cur]):
+            tgt = table[cur][label]
+            if tgt not in live:
+                continue
+            if tgt not in seen:
+                seen.add(tgt)
+                order.append(tgt)
+            delta.add((name_of(cur), frozenset({label}), name_of(tgt)))
+    return Transducer(sig, frozenset(names.values()), names[start],
+                      frozenset(delta))

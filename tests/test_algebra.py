@@ -7,6 +7,7 @@ from cohmin.errors import SignatureMismatch
 from cohmin.fixtures import forked_reader, linear_protocol, two_phase_cycle
 from cohmin.kernel import Signature, TraceSet, Transducer, mkround
 
+import naive_algebra
 from helpers import SIG3, bounded_language_subset, random_transducer
 
 R = mkround
@@ -88,7 +89,7 @@ class TestInteract:
     def test_oracle_comparison_depth4(self):
         other = relabel(PR, {"i": "b", "a": "c", "b": "d"})
         joint = algebra.interact(T1, other)
-        oracle = algebra.traceset_interact(
+        oracle = naive_algebra.traceset_interact(
             kernel.traces_upto(T1, 4), kernel.traces_upto(other, 4)
         )
         assert {t for t in lang(joint, 4)} == {
@@ -144,7 +145,7 @@ class TestCompose:
         )
         got = algebra.compose(T1, fwd)
         assert got.signature.universe == {"a", "c"}
-        oracle = algebra.traceset_compose(
+        oracle = naive_algebra.traceset_compose(
             kernel.traces_upto(T1, 4), kernel.traces_upto(fwd, 4)).traces
         assert lang(got, 4) == {t for t in oracle if len(t) <= 4}
         # the relabelled acknowledgment is observable after the hidden b
@@ -154,7 +155,7 @@ class TestCompose:
         dead = Transducer(Signature(frozenset({"k"}), frozenset()),
                           frozenset({"d"}), "d", frozenset())
         got = algebra.compose(T1, dead)
-        oracle = algebra.traceset_compose(
+        oracle = naive_algebra.traceset_compose(
             kernel.traces_upto(T1, 3), kernel.traces_upto(dead, 3)
         )
         assert lang(got, 3) == {t for t in oracle.traces if len(t) <= 3}
@@ -170,7 +171,7 @@ class TestCompose:
             B = random_transducer(
                 rng, Signature(frozenset({"b"}), frozenset({"c"})), 3, 6, "b")
             got = lang(algebra.compose(A, B), 4)
-            oracle = algebra.traceset_compose(
+            oracle = naive_algebra.traceset_compose(
                 kernel.traces_upto(A, 4), kernel.traces_upto(B, 4)
             ).traces
             assert got == {t for t in oracle if len(t) <= 4}
@@ -180,14 +181,14 @@ class TestTracesetOps:
     def test_epsilon_only(self):
         sa = TraceSet(Signature(frozenset({"a"}), frozenset()), frozenset({()}))
         sb = TraceSet(Signature(frozenset({"b"}), frozenset()), frozenset({()}))
-        assert algebra.traceset_interact(sa, sb).traces == {()}
+        assert naive_algebra.traceset_interact(sa, sb).traces == {()}
 
     def test_disjoint_singletons_union_rounds(self):
         sa = TraceSet(Signature(frozenset({"a"}), frozenset()),
                       frozenset({(), (R({"a"}),)}))
         sb = TraceSet(Signature(frozenset({"b"}), frozenset()),
                       frozenset({(), (R({"b"}),)}))
-        got = algebra.traceset_interact(sa, sb).traces
+        got = naive_algebra.traceset_interact(sa, sb).traces
         assert got == {(), (R({"a", "b"}),)}
 
     def test_symmetry(self):
@@ -197,8 +198,8 @@ class TestTracesetOps:
         for _ in range(10):
             A = kernel.traces_upto(random_transducer(rng, siga, 3, 6, "a"), 3)
             B = kernel.traces_upto(random_transducer(rng, sigb, 3, 6, "b"), 3)
-            assert algebra.traceset_interact(A, B).traces == \
-                algebra.traceset_interact(B, A).traces
+            assert naive_algebra.traceset_interact(A, B).traces == \
+                naive_algebra.traceset_interact(B, A).traces
 
     def test_compose_with_stutter_closure(self):
         # a partner that only ever stutters keeps exactly the members of
@@ -212,10 +213,10 @@ class TestTracesetOps:
             A = random_transducer(rng, siga, 3, 7, "a")
             theta = kernel.traces_upto(A, 3)
             theta2 = kernel.traces_upto(stutter, 3)
-            got = algebra.traceset_compose(theta, theta2).traces
+            got = naive_algebra.traceset_compose(theta, theta2).traces
             keep = A.signature.restrict({"a"})
             want = {
-                kernel.project_trace(t, keep)
+                naive_algebra.project_trace(t, keep)
                 for t in theta.traces
                 if not any("b" in v for v in t)
             }
@@ -228,8 +229,8 @@ class TestTracesetOps:
         for _ in range(10):
             A = kernel.traces_upto(random_transducer(rng, siga, 3, 6, "a"), 3)
             B = kernel.traces_upto(random_transducer(rng, sigb, 3, 6, "b"), 3)
-            bound = max(A.max_length(), B.max_length())
-            for t in algebra.traceset_compose(A, B).traces:
+            bound = max(naive_algebra.max_length(A), naive_algebra.max_length(B))
+            for t in naive_algebra.traceset_compose(A, B).traces:
                 assert len(t) <= bound
 
 

@@ -5,6 +5,9 @@ implementations, plain and symbolic; every relation, equivalence list,
 merge log and minimised machine must come out identical.
 ``naive_algebra`` is the original full-product ``intersect``/``interact``/
 ``compose``; every product must come out identical to the on-the-fly walk.
+``naive_protocol`` is the original regex compiler with its own subset
+construction; the compiled protocols must have the same traces and drive
+the coherence engine to the same relations and merge logs.
 The ring tests at the end pin the merge-and-recompute loop on sizes the
 naive engine could not reach in a test run.
 """
@@ -14,10 +17,10 @@ from pathlib import Path
 
 import pytest
 
-from cohmin import algebra, coherence, protocol, symbolic
+from cohmin import algebra, coherence, kernel, protocol, symbolic
 from cohmin.coherence import CoherenceRelation
 from cohmin.errors import LabelClash, Overflow, ResourceLimit, SignatureMismatch
-from cohmin.fixtures import adder, iterator_map
+from cohmin.fixtures import ITERATOR_MAP_REGEX, adder, iterator_map
 from cohmin.frontend import parse_model, serialize_model
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, mkround
@@ -26,6 +29,7 @@ from cohmin.symbolic import expand, lift_transducer
 
 import naive_algebra
 import naive_coherence as naive
+import naive_protocol
 import naive_symbolic
 from helpers import (
     SFST_SIG,
@@ -33,6 +37,7 @@ from helpers import (
     SIG3,
     all_rounds,
     linear_protocol_shaped,
+    random_regex,
     random_sfst,
     random_transducer,
     ring,
@@ -368,6 +373,80 @@ class TestProductsAgainstNaiveOracle:
                     naive_algebra.intersect(T, P), naive_algebra.intersect(U, P), k)
                 verdicts.add(got)
         assert verdicts == {False, True}
+
+
+def singleton_machine(rng, sig, max_states, max_trans):
+    """A random machine whose rounds are single labels, as a regex
+    protocol's are, so that the protocol enables most of its moves."""
+    states = [f"s{i}" for i in range(rng.randint(1, max_states))]
+    labels = sorted(sig.universe)
+    delta = {(rng.choice(states), frozenset({rng.choice(labels)}), rng.choice(states))
+             for _ in range(rng.randint(0, max_trans))}
+    return Transducer(sig, frozenset(states), states[0], frozenset(delta))
+
+
+def assert_same_compilation(regex, sig, machines):
+    new = protocol.compile_regex(regex, sig)
+    old = naive_protocol.compile_regex(regex, sig)
+    assert new.is_deterministic()
+    assert kernel.traces_upto(new, 6).traces == kernel.traces_upto(old, 6).traces
+    for T in machines:
+        assert coherence.coherent_simulation(T, new).rows() == \
+            coherence.coherent_simulation(T, old).rows()
+        assert coherence.coherent_minimize(T, new)[1] == \
+            coherence.coherent_minimize(T, old)[1]
+    return new
+
+
+class TestRegexCompilationAgainstNaiveOracle:
+    """``compile_regex`` through ``algebra.determinize`` against the frozen
+    compiler with its own subset construction."""
+
+    SIG = Signature(frozenset({"a"}), frozenset({"b", "c"}))
+
+    def test_fixture_regexes(self):
+        machine, _ = iterator_map()
+        skeleton = machine.control_skeleton()
+        texts = [ITERATOR_MAP_REGEX]
+        for path in sorted(FIXDIR.glob("*.prot")):
+            text = path.read_text()
+            if looks_like_regex_protocol(text):
+                alphabet, regex = parse_regex_protocol(text)
+                assert frozenset(alphabet) == skeleton.signature.universe
+                texts.append(regex)
+        assert len(texts) >= 2
+        rng = random.Random(2500)
+        for regex in texts:
+            machines = [skeleton] + [singleton_machine(rng, skeleton.signature, 6, 16)
+                                     for _ in range(5)]
+            assert len(assert_same_compilation(regex, skeleton.signature,
+                                               machines).states) == 17
+
+    def test_alternating_pair(self):
+        rng = random.Random(2600)
+        sig = ring(ring_names(16)).signature
+        machines = [ring(ring_names(16))] + [singleton_machine(rng, sig, 5, 10)
+                                             for _ in range(5)]
+        assert len(assert_same_compilation("(a b)*", sig, machines).states) == 3
+
+    def test_random_regexes(self):
+        # every fourth regex as drawn, then starred (nullable), followed by
+        # the empty language, and beside a branch with dead positions
+        rng = random.Random(2700)
+        labels = sorted(self.SIG.universe)
+        void = protocol.Alt(())
+        regexes = [void, protocol.Cat(()), protocol.Cat((protocol.Lit("a"), void))]
+        for i in range(240):
+            r = random_regex(rng, labels, rng.randint(1, 4))
+            regexes.append([
+                r, protocol.Star(r), protocol.Cat((r, void)),
+                protocol.Alt((r, protocol.Cat((random_regex(rng, labels, 2), void)))),
+            ][i % 4])
+        sizes = set()
+        for r in regexes:
+            machines = [singleton_machine(rng, self.SIG, 5, 10) for _ in range(2)]
+            sizes.add(len(assert_same_compilation(r, self.SIG, machines).states))
+        assert 1 in sizes and len(sizes) > 3
 
 
 def ring_names(n):

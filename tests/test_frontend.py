@@ -24,7 +24,7 @@ from cohmin.frontend.fileformat import parse_expr, render_expr
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg
 
-from helpers import random_sfst
+from helpers import SIG2, UNKNOWN_ENDPOINT_FILES, random_sfst, random_transducer
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -181,6 +181,28 @@ class TestCli:
         code, _, err = run_cli("validate", str(bad))
         assert code == 2
         assert "s9" in err
+
+    def test_unknown_state_is_reported_at_its_line(self, tmp_path):
+        # several unknown endpoints: the constructors once reported the first
+        # one met in a frozenset, which varied with the hash seed
+        paths = []
+        for name, text in sorted(UNKNOWN_ENDPOINT_FILES.items()):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(text)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        for seed in ("1", "2", "3", "4"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys\nfrom cohmin.frontend import cli_main\n"
+                 "for path in sys.argv[1:]:\n    print(cli_main(['validate', path]))",
+                 *map(str, paths)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert proc.stdout == "2\n2\n"
+            assert proc.stderr == ("error: 5:1: unknown state 'x1'\n"
+                                   "error: 5:1: unknown state 'x2'\n")
 
     def test_usage_error(self):
         code, _, err = run_cli("minimize", "--policy", "coherent",
@@ -437,6 +459,18 @@ class TestRoundTrip:
         machines += [fixtures.adder(), *fixtures.iterator_map()]
         for m in machines:
             assert parse_model(serialize_model(m)) == m
+
+    def test_determinized_round_trip(self):
+        rng = random.Random(17)
+        machines = [parse_model(path.read_text())
+                    for path in sorted(FIXDIR.iterdir()) if path.suffix in (".fst", ".sfst")]
+        machines = [m.control_skeleton() if isinstance(m, SFST) else m for m in machines]
+        machines += [random_transducer(rng, SIG2, 5, 12) for _ in range(100)]
+        for m in machines:
+            d = algebra.determinize(m)
+            assert parse_model(serialize_model(d)) == d
+        compiled = fixtures.iterator_map()[1]
+        assert parse_model(serialize_model(compiled)) == compiled
 
     HEAD = ("signature in a, when; out do, registers;\n"
             "states s, do, when, registers;\ninitial s;\n")

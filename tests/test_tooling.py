@@ -1,5 +1,6 @@
 """Contracts with the files around the library: the demos, the benchmark
-tracer and running the CLI module with ``python -m``.
+tracer, running the CLI module with ``python -m`` and the CLI's
+independence from the hash seed.
 
 Each reaches into cohmin by name, so a refactor can break it without any
 library test noticing.
@@ -7,12 +8,18 @@ library test noticing.
 
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from cohmin.errors import CohminError
+from cohmin.frontend import parse_model
+
+from helpers import UNKNOWN_ENDPOINT_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -63,3 +70,79 @@ def test_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr}"
+
+
+# Runs every command line of a JSON file (a list) through cli_main and
+# writes [code, stdout, stderr] for each as JSON.
+_CLI_BATCH = """\
+import io, json, sys
+from contextlib import redirect_stderr, redirect_stdout
+from cohmin.frontend import cli_main
+results = []
+with open(sys.argv[1]) as fh:
+    matrix = json.load(fh)
+for argv in matrix:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli_main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _fixture_matrix(extra):
+    """Every subcommand on every fixture file (and on ``extra``), then
+    coherent minimize and relation in both guard modes on each model x
+    protocol pair, equiv on each model pair under each protocol, and
+    monitor on each protocol x trace pair."""
+    files = sorted(str(p) for p in (ROOT / "fixtures").iterdir()) + extra
+    models = [f for f in files if f.endswith((".fst", ".sfst"))]
+    protocols = [f for f in files if f.endswith((".fst", ".prot"))]
+    traces = [f for f in files if f.endswith(".trc")]
+    matrix = []
+    for f in files:
+        try:
+            model = parse_model(Path(f).read_text())
+            label, pair = min(model.signature.universe), ",".join(sorted(model.states)[-2:])
+        except CohminError:
+            label, pair = "a", "s0,s1"
+        matrix += [["validate", f], ["dot", f], ["traces", "--depth", "3", f],
+                   ["project", "--keep", label, f], ["quotient", "--pair", pair, f],
+                   ["expand", "--lo", "-1", "--hi", "1", f],
+                   ["minimize", "--policy", "bisim", f]]
+        matrix += [[op, f, f] for op in ("intersect", "interact", "compose")]
+    for m in models:
+        for p in protocols:
+            for mode in ("structural", "bounded-semantic"):
+                matrix += [["minimize", "--policy", "coherent", "--guard-mode", mode,
+                            "--protocol", p, m],
+                           ["relation", "--guard-mode", mode, "--protocol", p, m]]
+            matrix += [["equiv", "--protocol", p, m, m2] for m2 in models]
+    matrix += [["monitor", "--protocol", p, "--trace", t]
+               for p in protocols for t in traces]
+    return matrix
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    extra = []
+    for name, text in sorted(UNKNOWN_ENDPOINT_FILES.items()):
+        (tmp_path / name).write_text(text)
+        extra.append(str(tmp_path / name))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps(_fixture_matrix(extra)))
+    # both seeds at once: two process starts in all
+    procs = [subprocess.Popen([sys.executable, "-c", _CLI_BATCH, str(matrix)],
+                              env=dict(_env(), PYTHONHASHSEED=seed),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for seed in ("1", "7")]
+    try:
+        outputs = [proc.communicate(timeout=300) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    runs = []
+    for proc, (out, err) in zip(procs, outputs):
+        assert proc.returncode == 0 and err == "", err
+        runs.append(json.loads(out))
+    assert runs[0] == runs[1]
+    assert {code for code, _, _ in runs[0]} == {0, 2, 3}
