@@ -12,7 +12,7 @@ import re
 from typing import List, Tuple
 
 from .. import protocol as protocol_mod
-from ..errors import ParseError, UnknownLabel
+from ..errors import CohminError, MissingInitial, ParseError, UnknownLabel
 from ..kernel import Signature, Trace, Transducer, mkround, render_round, round_key
 from ..symbolic import (
     SFST,
@@ -27,6 +27,7 @@ from ..symbolic import (
     TRUE,
     Update,
     ValuedRound,
+    check_transition,
 )
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -332,6 +333,7 @@ def _parse_header(statements, line_hint):
             if len(names) != 1:
                 raise ParseError(line, 1, "exactly one initial state expected")
             header["initial"] = names[0]
+            header["initial_line"] = line
         elif word.startswith(_HEADER_WORDS):
             raise ParseError(line, 1, f"bad statement: {stmt!r}")
         else:
@@ -367,6 +369,8 @@ def parse_model(text: str):
     symbolic = "registers" in header
     registers = frozenset(header.get("registers", ()))
     states = frozenset(header["states"])
+    if states and header["initial"] not in states:
+        raise ParseError(header["initial_line"], 1, str(MissingInitial(header["initial"])))
     delta = set()
     for line, stmt in body:
         m = _TRANS_RE.match(stmt)
@@ -391,7 +395,12 @@ def parse_model(text: str):
         updates = frozenset()
         if m.group("updates"):
             updates = _parse_updates(m.group("updates"), registers, inputs, line)
-        delta.add(STransition(m.group("src"), v, guard, updates, m.group("tgt")))
+        tr = STransition(m.group("src"), v, guard, updates, m.group("tgt"))
+        try:
+            check_transition(tr, sig, states, registers)
+        except CohminError as e:
+            raise ParseError(line, 1, str(e)) from None
+        delta.add(tr)
     if not symbolic:
         return Transducer(sig, states, header["initial"], frozenset(delta))
     delta = {STransition(t[0], t[1], TRUE, frozenset(), t[2])
@@ -403,12 +412,18 @@ def parse_model(text: str):
 
 
 def parse_trace(text: str) -> Trace:
-    rounds = []
+    """One round per line, skipping blank lines and ``#`` comments.  Each
+    distinct line is parsed once and its copies share that round; only
+    rounds are remembered, so a bad line is reported at its first line."""
+    rounds, seen = [], {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        rounds.append(mkround(_parse_round_text(line, lineno)))
+        v = seen.get(raw)
+        if v is None:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            v = seen[raw] = mkround(_parse_round_text(line, lineno))
+        rounds.append(v)
     return tuple(rounds)
 
 

@@ -269,16 +269,19 @@ class Verdict:
 
 def monitor(P: Transducer, t: Trace) -> Verdict:
     """Online membership check: consume rounds left to right and flag the
-    first round the protocol does not enable."""
-    if not P.is_deterministic():
-        P = algebra.determinize(P)
-    state = P.initial
+    first round the protocol does not enable.  The state is the subset of
+    ``P``'s states the prefix reaches, so a nondeterministic ``P`` is not
+    determinised up front: the successor of each (subset, round) pair is
+    built once, the first time the trace visits it."""
+    state, succ = frozenset({P.initial}), {}
     for i, v in enumerate(t):
-        v = frozenset(v)
-        targets = P.step(state, v)
-        if not targets:
-            return Verdict("VIOLATION", i, v, P.enabled(state))
-        (state,) = targets
+        v = frozenset(v)  # the same object when ``v`` already is one
+        nxt = succ.get((state, v))
+        if nxt is None:
+            nxt = succ[state, v] = P.step_set(state, v)
+        if not nxt:
+            return Verdict("VIOLATION", i, v, frozenset(u for s in state for u in P.out(s)))
+        state = nxt
     return Verdict("OK")
 
 

@@ -398,6 +398,33 @@ def updates_equiv(u1: FrozenSet[Update], u2: FrozenSet[Update],
     return all(guard_equiv(a[t], b[t], mode, domain) for t in a)
 
 
+def check_transition(tr: STransition, sig: Signature, states, registers) -> None:
+    """Raise on the first fault of one transition of an SFST with the given
+    signature, states and registers.  Updates are checked in the order of
+    their targets, a doubled target first, so the fault reported does not
+    depend on the iteration order of ``tr.updates``."""
+    if tr.source not in states:
+        raise UnknownState(tr.source)
+    if tr.target not in states:
+        raise UnknownState(tr.target)
+    sig.check_round(tr.round)
+    round_inputs = tr.round & sig.inputs
+    if type_of(tr.guard, registers, round_inputs) != "bool":
+        raise TypeMismatch("guard must be boolean")
+    updates = sorted(tr.updates, key=lambda u: u.target)
+    for u, w in zip(updates, updates[1:]):
+        if u.target == w.target:
+            raise TypeMismatch(f"two updates for target {u.target!r}")
+    for u in updates:
+        if u.target not in registers:
+            if u.target not in sig.outputs:
+                raise UnboundReference(u.target)
+            if u.target not in tr.round:
+                raise TypeMismatch(f"output update for {u.target!r} outside its round")
+        if type_of(u.expr, registers, round_inputs) != "int":
+            raise TypeMismatch(f"update for {u.target!r} must be integer")
+
+
 @dataclass(frozen=True)
 class SFST:
     """Control states plus registers; transitions carry a guard and a set
@@ -425,35 +452,11 @@ class SFST:
         for name in self.registers:
             kernel.check_label(name)
         for tr in self.delta:
-            self._check_transition(tr)
+            check_transition(tr, self.signature, self.states, self.registers)
         adj: Dict[str, List[STransition]] = {}
         for tr in self.delta:
             adj.setdefault(tr.source, []).append(tr)
         object.__setattr__(self, "_adj", adj)
-
-    def _check_transition(self, tr: STransition):
-        if tr.source not in self.states:
-            raise UnknownState(tr.source)
-        if tr.target not in self.states:
-            raise UnknownState(tr.target)
-        self.signature.check_round(tr.round)
-        round_inputs = tr.round & self.signature.inputs
-        if type_of(tr.guard, self.registers, round_inputs) != "bool":
-            raise TypeMismatch("guard must be boolean")
-        seen_targets = set()
-        for u in tr.updates:
-            if u.target in seen_targets:
-                raise TypeMismatch(f"two updates for target {u.target!r}")
-            seen_targets.add(u.target)
-            if u.target not in self.registers:
-                if u.target not in self.signature.outputs:
-                    raise UnboundReference(u.target)
-                if u.target not in tr.round:
-                    raise TypeMismatch(
-                        f"output update for {u.target!r} outside its round"
-                    )
-            if type_of(u.expr, self.registers, round_inputs) != "int":
-                raise TypeMismatch(f"update for {u.target!r} must be integer")
 
     def out(self, s: str) -> List[STransition]:
         if s not in self.states:

@@ -406,3 +406,26 @@ UNKNOWN_ENDPOINT_FILES = {
         "signature in a; out b;\nstates s0;\nregisters y;\ninitial s0;\n"
         "trans x2 -> x1 : {a} do y := a;\ntrans x3 -> s0 : {a} when y > 0;\n"),
 }
+
+
+# -- model files with several faulty transitions or a bad initial state ------
+# Each maps to the one diagnostic ``cohmin validate`` must print for it,
+# whatever the hash seed: the first fault in file order, at its line.
+
+LINE_CHECK_FILES = {
+    "doubled_updates.sfst": (
+        "signature in a; out b;\nstates s0, s1;\nregisters y, z, w;\ninitial s0;\n"
+        "trans s0 -> s1 : {a} do y := 1, y := 2;\n"
+        "trans s1 -> s0 : {a} do z := 1, z := 2;\n"
+        "trans s0 -> s0 : {b} do w := 1, w := 2;\n",
+        "5:1: two updates for target 'y'"),
+    "mixed_faults.sfst": (
+        "signature in a; out b;\nstates s0;\nregisters y;\ninitial s0;\n"
+        "trans s0 -> s0 : {a} do y := 1 < 2, q := 1;\n"
+        "trans s0 -> s0 : {a} when y + 1;\n"
+        "trans s0 -> s0 : {a} do b := 1;\n",
+        "5:1: unbound reference: 'q'"),
+    "bad_initial.fst": (
+        "signature in a; out b;\nstates s0;\ninitial s9;\ntrans s0 -> s0 : {a};\n",
+        "3:1: initial state 's9' is not in the state set"),
+}

@@ -1,18 +1,26 @@
-"""Frozen differential oracle: the original regex-protocol compiler.
+"""Frozen differential oracles: the original regex-protocol compiler and
+the original trace boundary.
 
 ``compile_regex`` is kept verbatim from the implementation that ran its own
 subset construction over Glushkov position sets, trimmed the dead subsets
 afterwards and named the survivors ``P<i>`` breadth first.  It shares the
 parser and the position automaton (``parse_regex``, ``regex_labels``,
 ``_glushkov``) with ``cohmin.protocol``, but none of ``algebra.determinize``.
+
+``parse_trace`` and ``monitor`` are kept verbatim from the implementation
+that parsed every trace line afresh and determinised a nondeterministic
+protocol whole with ``algebra.determinize`` before stepping it one state
+at a time.  They share the round-text parser and ``Verdict``.
 Do not optimise this file.
 """
 
 from __future__ import annotations
 
+from cohmin import algebra
 from cohmin.errors import UnknownLabel
-from cohmin.kernel import Signature, Transducer
-from cohmin.protocol import _glushkov, parse_regex, regex_labels
+from cohmin.frontend.fileformat import _parse_round_text
+from cohmin.kernel import Signature, Trace, Transducer, mkround
+from cohmin.protocol import Verdict, _glushkov, parse_regex, regex_labels
 
 
 def compile_regex(r, sig: Signature) -> Transducer:
@@ -96,3 +104,28 @@ def compile_regex(r, sig: Signature) -> Transducer:
             delta.add((name_of(cur), frozenset({label}), name_of(tgt)))
     return Transducer(sig, frozenset(names.values()), names[start],
                       frozenset(delta))
+
+
+def parse_trace(text: str) -> Trace:
+    rounds = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        rounds.append(mkround(_parse_round_text(line, lineno)))
+    return tuple(rounds)
+
+
+def monitor(P: Transducer, t: Trace) -> Verdict:
+    """Online membership check: consume rounds left to right and flag the
+    first round the protocol does not enable."""
+    if not P.is_deterministic():
+        P = algebra.determinize(P)
+    state = P.initial
+    for i, v in enumerate(t):
+        v = frozenset(v)
+        targets = P.step(state, v)
+        if not targets:
+            return Verdict("VIOLATION", i, v, P.enabled(state))
+        (state,) = targets
+    return Verdict("OK")

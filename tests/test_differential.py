@@ -7,7 +7,9 @@ merge log and minimised machine must come out identical.
 ``compose``; every product must come out identical to the on-the-fly walk.
 ``naive_protocol`` is the original regex compiler with its own subset
 construction; the compiled protocols must have the same traces and drive
-the coherence engine to the same relations and merge logs.
+the coherence engine to the same relations and merge logs.  It also keeps
+the original ``parse_trace`` and ``monitor``; every trace, parse error and
+verdict must come out identical.
 The ring tests at the end pin the merge-and-recompute loop on sizes the
 naive engine could not reach in a test run.
 """
@@ -19,9 +21,17 @@ import pytest
 
 from cohmin import algebra, coherence, kernel, protocol, symbolic
 from cohmin.coherence import CoherenceRelation
-from cohmin.errors import LabelClash, Overflow, ResourceLimit, SignatureMismatch
+from cohmin.errors import (
+    CohminError,
+    LabelClash,
+    Overflow,
+    ParseError,
+    ResourceLimit,
+    SignatureMismatch,
+)
 from cohmin.fixtures import ITERATOR_MAP_REGEX, adder, iterator_map
-from cohmin.frontend import parse_model, serialize_model
+from cohmin.frontend import parse_model, parse_trace, serialize_model, serialize_trace
+from cohmin.frontend.cli import _load_protocol
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import empty_protocol, universal_protocol
@@ -447,6 +457,131 @@ class TestRegexCompilationAgainstNaiveOracle:
             machines = [singleton_machine(rng, self.SIG, 5, 10) for _ in range(2)]
             sizes.add(len(assert_same_compilation(r, self.SIG, machines).states))
         assert 1 in sizes and len(sizes) > 3
+
+
+def assert_same_verdict(P, t):
+    new, old = protocol.monitor(P, t), naive_protocol.monitor(P, t)
+    assert (new.status, new.index, new.offending, new.expected) == \
+        (old.status, old.index, old.offending, old.expected)
+    assert new.render() == old.render()
+    return new
+
+
+def assert_same_parse(text):
+    """The trace both parsers read from ``text``, or ``None`` when both
+    raise the same ``ParseError``."""
+    try:
+        old = naive_protocol.parse_trace(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as info:
+            parse_trace(text)
+        assert (info.value.line, info.value.column, info.value.message) == \
+            (e.line, e.column, e.message)
+        return None
+    new = parse_trace(text)
+    assert new == old
+    return new
+
+
+def random_walk(rng, P, length):
+    """A trace of ``P``: each round taken from a transition of the state
+    reached so far, so nondeterministic protocols are walked along one
+    path; shorter when the walk meets a state with no transitions."""
+    state, trace = P.initial, []
+    for _ in range(length):
+        out = sorted((kernel.round_key(v), t) for v, ts in P.out(state).items() for t in ts)
+        if not out:
+            break
+        (_, labels), state = rng.choice(out)
+        trace.append(frozenset(labels))
+    return trace
+
+
+class TestTraceBoundaryAgainstNaiveOracle:
+    """``parse_trace`` with its line memo and ``monitor`` with its lazy
+    subset walk against the frozen originals."""
+
+    def test_fixture_protocols_and_traces(self):
+        texts = [path.read_text() for path in sorted(FIXDIR.iterdir())
+                 if path.suffix in (".trc", ".vtrc")]
+        traces = [t for t in map(assert_same_parse, texts) if t is not None]
+        protocols = []
+        for path in sorted(FIXDIR.iterdir()):
+            if path.suffix in (".fst", ".sfst", ".prot"):
+                try:
+                    protocols.append(_load_protocol(str(path), None))
+                except CohminError:  # a symbolic machine that is no protocol
+                    continue
+        assert len(traces) >= 2 and len(protocols) >= 5
+        verdicts = {assert_same_verdict(P, t).status for P in protocols for t in traces}
+        assert verdicts == {"OK", "VIOLATION"}
+
+    @pytest.mark.parametrize("deterministic", [True, False],
+                             ids=["deterministic", "nondeterministic"])
+    def test_random_protocols(self, deterministic):
+        rng = random.Random(2800 + deterministic)
+        stray = frozenset({"w"})  # a label outside every protocol's signature
+        seen = set()
+        for i in range(300):
+            sig = (SIG2, SIG3)[i % 2]
+            P = random_transducer(rng, sig, 6, 18, deterministic=deterministic)
+            rounds = all_rounds(sig)
+            walk = random_walk(rng, P, rng.randint(0, 12))
+            traces = [(), (frozenset(),), walk, walk + [stray]]
+            for _ in range(3):
+                if walk:
+                    bad = list(walk)
+                    bad[rng.randrange(len(walk))] = rng.choice(rounds + [stray, stray | {"x"}])
+                    traces.append(bad)
+            for t in traces:
+                text = serialize_trace(t)
+                assert assert_same_parse(text) == tuple(t)
+                verdict = assert_same_verdict(P, parse_trace(text))
+                seen.add((verdict.status, len(verdict.expected or ()) > 1))
+        assert seen == {("OK", False), ("VIOLATION", False), ("VIOLATION", True)}
+
+    def test_text_variants(self):
+        P = parse_model((FIXDIR / "display.prot").read_text())
+        texts = [
+            "", "\n\n", "# only a comment\n", "{q5}", "{q5}\n\n  \n{r2}\n",
+            "{ q5 }\n{r2 , }\n{d2}# done\n", "\t{q5}\t\n{ r4 ,d4 }\n",
+            "{q5}\n{}\n{ }\n{d5}\r\n{q5}\n", "{q5} # {r2}\n{r2}#\n{  d2}\n",
+            "{ a ,b }\n", "{q5}\n{r2}\n{d4}\n", "{q5}\n{r2}\n{q1}\n{n1}\n{q1}\n{n1}\n{d2}\n",
+        ]
+        for text in texts:
+            t = assert_same_parse(text)
+            assert t is not None
+            assert_same_verdict(P, t)
+
+    @pytest.mark.parametrize("text", [
+        "{q5}\n" * 1000 + "{q5\n",
+        "{q5}\n" * 1000 + "q5\n{q5}\n",
+        "{q5}\n{r2}\n{q-1}\n{d2}\n{q-1}\n{q-1}\n",
+        "{q5}\n{1a}\n{q5}\n{ 1a }\n{1a}\n",
+        "{q5}\n{a b}\n{a b}\n{ a b }\n",
+        "{q5}\n{}}\n\n{}}\n",
+    ], ids=["after-1000-good", "bare-after-1000-good", "repeated-bad", "repeated-bad-ident",
+            "repeated-bad-space", "repeated-bad-brace"])
+    def test_bad_lines(self, text):
+        assert assert_same_parse(text) is None
+
+    def test_bad_line_is_reported_at_its_line_in_every_call(self):
+        # a failure remembered from an earlier call would carry that call's line
+        for prefix in range(4):
+            assert assert_same_parse("{a}\n" * prefix + "{a\n") is None
+            assert assert_same_parse("{a}\n" * prefix + "{a}\n") == (frozenset({"a"}),) * (prefix + 1)
+
+    def test_rounds_as_lists_or_sets(self):
+        rng = random.Random(2900)
+        for i in range(100):
+            P = random_transducer(rng, SIG3, 5, 14, deterministic=bool(i % 2))
+            walk = random_walk(rng, P, rng.randint(1, 10))
+            if walk and rng.random() < 0.5:
+                walk[rng.randrange(len(walk))] = rng.choice(all_rounds(SIG3))
+            for t in (walk, [sorted(v) for v in walk], [set(v) for v in walk],
+                      tuple(list(v) if j % 2 else v for j, v in enumerate(walk))):
+                verdict = assert_same_verdict(P, t)
+                assert verdict.offending is None or type(verdict.offending) is frozenset
 
 
 def ring_names(n):

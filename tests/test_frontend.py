@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cohmin import algebra, fixtures
@@ -18,13 +18,21 @@ from cohmin.frontend import (
     parse_trace,
     parse_valued_trace,
     serialize_model,
+    serialize_trace,
     to_dot,
 )
 from cohmin.frontend.fileformat import parse_expr, render_expr
 from cohmin.kernel import Signature, Transducer, mkround
+from cohmin.protocol import Verdict
 from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg
 
-from helpers import SIG2, UNKNOWN_ENDPOINT_FILES, random_sfst, random_transducer
+from helpers import (
+    LINE_CHECK_FILES,
+    SIG2,
+    UNKNOWN_ENDPOINT_FILES,
+    random_sfst,
+    random_transducer,
+)
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -169,6 +177,32 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def write_files(directory, items):
+    """Write each ``(name, text)`` under ``directory``; return the paths."""
+    paths = []
+    for name, text in items:
+        paths.append(directory / name)
+        paths[-1].write_text(text)
+    return paths
+
+
+def validate_under_hash_seeds(paths):
+    """``(stdout, stderr)`` of one process per hash seed 1-4 that prints the
+    exit code of ``cohmin validate`` on each path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys\nfrom cohmin.frontend import cli_main\n"
+             "for path in sys.argv[1:]:\n    print(cli_main(['validate', path]))",
+             *map(str, paths)],
+            env=env, capture_output=True, text=True, timeout=60)
+        yield proc.stdout, proc.stderr
+
+
 class TestCli:
     def test_validate(self):
         code, out, _ = run_cli("validate", str(FIXDIR / "two_phase.fst"))
@@ -185,24 +219,42 @@ class TestCli:
     def test_unknown_state_is_reported_at_its_line(self, tmp_path):
         # several unknown endpoints: the constructors once reported the first
         # one met in a frozenset, which varied with the hash seed
-        paths = []
-        for name, text in sorted(UNKNOWN_ENDPOINT_FILES.items()):
-            paths.append(tmp_path / name)
-            paths[-1].write_text(text)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        for seed in ("1", "2", "3", "4"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join(
-                           [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys\nfrom cohmin.frontend import cli_main\n"
-                 "for path in sys.argv[1:]:\n    print(cli_main(['validate', path]))",
-                 *map(str, paths)],
-                env=env, capture_output=True, text=True, timeout=60)
-            assert proc.stdout == "2\n2\n"
-            assert proc.stderr == ("error: 5:1: unknown state 'x1'\n"
-                                   "error: 5:1: unknown state 'x2'\n")
+        paths = write_files(tmp_path, sorted(UNKNOWN_ENDPOINT_FILES.items()))
+        for out, err in validate_under_hash_seeds(paths):
+            assert out == "2\n2\n"
+            assert err == ("error: 5:1: unknown state 'x1'\n"
+                           "error: 5:1: unknown state 'x2'\n")
+
+    def test_transition_checks_are_reported_at_their_line(self, tmp_path):
+        # several faulty transitions, or faulty updates in one transition: the
+        # constructor once reported the first fault met in a frozenset, which
+        # varied with the hash seed, and a bad initial state had no line
+        files = sorted(LINE_CHECK_FILES.items())
+        paths = write_files(tmp_path, [(name, text) for name, (text, _) in files])
+        for out, err in validate_under_hash_seeds(paths):
+            assert out == "2\n" * len(files)
+            assert err == "".join(f"error: {message}\n" for _, (_, message) in files)
+
+    def test_monitor_long_trace(self, tmp_path):
+        # a 100,000-round walk with one forbidden round past the middle,
+        # parsed and checked in-process
+        protocol_path = FIXDIR / "display.prot"
+        P = parse_model(protocol_path.read_text())
+        rounds = sorted({v for _, v, _ in P.delta}, key=sorted)
+        rng = random.Random(31)
+        state, trace, bad = P.initial, [], 61_803
+        for i in range(100_000):
+            enabled = sorted(P.enabled(state), key=sorted)
+            if i == bad:
+                trace.append(next(v for v in rounds if v not in enabled))
+                verdict = Verdict("VIOLATION", bad, trace[-1], frozenset(enabled))
+            else:
+                trace.append(rng.choice(enabled))
+                (state,) = P.step(state, trace[-1])
+        path = tmp_path / "long.trc"
+        path.write_text(serialize_trace(trace))
+        assert run_cli("monitor", "--protocol", str(protocol_path), "--trace", str(path)) \
+            == (3, verdict.render() + "\n", "")
 
     def test_usage_error(self):
         code, _, err = run_cli("minimize", "--policy", "coherent",
@@ -471,6 +523,25 @@ class TestRoundTrip:
             assert parse_model(serialize_model(d)) == d
         compiled = fixtures.iterator_map()[1]
         assert parse_model(serialize_model(compiled)) == compiled
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.frozensets(st.sampled_from(["a", "b", "q_5", "do", "X"]),
+                                  max_size=3), max_size=12))
+    @example([])
+    @example([frozenset(), frozenset({"a"}), frozenset()])
+    def test_trace_round_trip(self, rounds):
+        t = tuple(rounds)
+        assert parse_trace(serialize_trace(t)) == t
+
+    def test_equal_trace_lines_share_one_round(self):
+        lines = ["{a}", "{b, a}", "{}", "{ c }", "{c,d}"]
+        rng = random.Random(23)
+        for k in range(1, len(lines) + 1):
+            text = "".join(rng.choice(lines[:k]) + "\n" for _ in range(500))
+            text += "".join(line + "\n" for line in lines[:k])
+            t = parse_trace(text)
+            assert len(t) == 500 + k
+            assert len({id(v) for v in t}) == k
 
     HEAD = ("signature in a, when; out do, registers;\n"
             "states s, do, when, registers;\ninitial s;\n")

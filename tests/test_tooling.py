@@ -19,7 +19,7 @@ import pytest
 from cohmin.errors import CohminError
 from cohmin.frontend import parse_model
 
-from helpers import UNKNOWN_ENDPOINT_FILES
+from helpers import LINE_CHECK_FILES, UNKNOWN_ENDPOINT_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -125,7 +125,9 @@ def _fixture_matrix(extra):
 
 def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
     extra = []
-    for name, text in sorted(UNKNOWN_ENDPOINT_FILES.items()):
+    files = dict(UNKNOWN_ENDPOINT_FILES)
+    files.update((name, text) for name, (text, _) in LINE_CHECK_FILES.items())
+    for name, text in sorted(files.items()):
         (tmp_path / name).write_text(text)
         extra.append(str(tmp_path / name))
     matrix = tmp_path / "matrix.json"
