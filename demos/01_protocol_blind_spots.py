@@ -40,8 +40,12 @@ print(f"bisimulation baseline:  {len(machine.states)} -> {len(baseline.states)} 
 print("\nthe protocol-restricted languages agree to depth 8:",
       coherence.coherent_equiv_bounded(machine, mini, proto, 8))
 
-# Sanity: the raw languages do NOT agree -- the merges really did add
-# behaviour, it is just behaviour the protocol rules out.
+# The raw languages agree as well: the merges remove branching, not traces.
+# P and Q both answer {a}, but after it P may reach the dead end p2, while
+# Q's only successor q1 still offers {b}.  Bisimulation must keep P and Q
+# apart for that, so it stops at 5 states; coherent simulation lets q1
+# stand in for p2, since the {b} that only q1 offers can never legally
+# follow (the protocol stops after one a), and it reaches 4.
 from cohmin import algebra
 print("raw languages equal:",
       algebra.bounded_language_equal(machine, mini, 8))

@@ -4,12 +4,16 @@ composition, plus bounded-depth language equality and determinisation.
 The products walk the pairs of states reachable from the initial pair and
 build the ``Transducer`` once, in O(reachable pairs + their joint
 transitions); ``keep_unreachable=True`` seeds the walk with every pair.
+Bounded equality builds no product: it walks the state subsets that one
+trace reaches in each machine, to the given depth.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .errors import LabelClash, SignatureMismatch
-from .kernel import Signature, Transducer, round_key
+from .kernel import Signature, Trace, Transducer, round_key
 
 
 def product_state(left: str, right: str) -> str:
@@ -124,30 +128,67 @@ def compose(
 
 
 def bounded_language_equal(T: Transducer, U: Transducer, k: int) -> bool:
-    """Do T and U accept exactly the same traces of length <= k?
+    """Do T and U accept exactly the same traces of length <= k?"""
+    return distinguishing_trace(T, U, k) is None
 
-    Walks pairs of reachable state subsets; two machines differ at depth
-    d+1 exactly when some jointly reached subset pair enables different
-    round sets.
+
+def distinguishing_trace(T: Transducer, U: Transducer, k: int,
+                         P: Optional[Transducer] = None) -> Optional[Trace]:
+    """A shortest trace of length <= k that exactly one of T∩P and U∩P
+    accepts, or ``None`` if they accept the same traces up to length k
+    (``P=None``: the universal protocol).
+
+    No product is built: a breadth-first walk visits the triples (subset
+    of T, subset of U, subset of P) that one trace reaches.  T∩P enables
+    E(S_T) ∩ E(S_P) there and U∩P enables E(S_U) ∩ E(S_P); the two differ
+    exactly where these sets do.  Rounds are followed, and the differing
+    one chosen, in ``round_key`` order, so the trace does not depend on
+    the hash seed.  Unlike ``intersect``, which lets pairs whose names
+    ``(s,p)`` collide share one state (only possible when both sides have
+    names with commas), the walk never confuses two states.
     """
-    frontier = {(frozenset({T.initial}), frozenset({U.initial}))}
-    seen = set(frontier)
+    if P is not None:
+        for M in (T, U):
+            if M.signature != P.signature:
+                raise SignatureMismatch("intersection needs identical signatures")
+    machines = (T, U) if P is None else (T, U, P)
+    memos = [{} for _ in machines]
+    start = tuple(frozenset({M.initial}) for M in machines)
+    parent = {start: None}   # triple -> (the triple before it, round)
+    frontier = [start]
     for _ in range(k):
-        nxt = set()
-        for sa, sb in frontier:
-            ea = {v for s in sa for v in T.out(s)}
-            eb = {v for s in sb for v in U.out(s)}
-            if ea != eb:
-                return False
-            for v in ea:
-                pair = (T.step_set(sa, v), U.step_set(sb, v))
-                if pair not in seen:
-                    seen.add(pair)
-                    nxt.add(pair)
+        nxt = []
+        for node in frontier:
+            mt, mu, *mp = map(_moves, machines, node, memos)
+            if mp:
+                a, b = mt.keys() & mp[0].keys(), mu.keys() & mp[0].keys()
+            else:
+                a, b = mt.keys(), mu.keys()
+            if a != b:
+                trace = [min(a ^ b, key=round_key)]
+                while parent[node] is not None:
+                    node, v = parent[node]
+                    trace.append(v)
+                return tuple(reversed(trace))
+            for v in sorted(a, key=round_key):
+                child = (mt[v], mu[v], mp[0][v]) if mp else (mt[v], mu[v])
+                if child not in parent:
+                    parent[child] = (node, v)
+                    nxt.append(child)
         frontier = nxt
-        if not frontier:
-            return True
-    return True
+    return None
+
+
+def _moves(M: Transducer, subset, memo: dict) -> dict:
+    """Round -> the states of ``M`` it leads to from ``subset``."""
+    got = memo.get(subset)
+    if got is None:
+        acc = {}
+        for s in subset:
+            for v, ts in M.out(s).items():
+                acc.setdefault(v, set()).update(ts)
+        got = memo[subset] = {v: frozenset(ts) for v, ts in acc.items()}
+    return got
 
 
 def determinize(T: Transducer) -> Transducer:

@@ -336,8 +336,7 @@ def coherent_equiv_bounded(T: Transducer, U: Transducer, P: Transducer, k: int) 
     """Bounded instantiation of protocol-restricted trace equivalence.
 
     True iff the protocol-intersected languages agree on every trace of
-    length <= k; this is the soundness oracle for quotienting.
+    length <= k; this is the soundness oracle for quotienting.  No product
+    is built (:func:`algebra.distinguishing_trace`).
     """
-    return algebra.bounded_language_equal(
-        algebra.intersect(T, P), algebra.intersect(U, P), k
-    )
+    return algebra.distinguishing_trace(T, U, k, P) is None

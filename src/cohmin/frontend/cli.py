@@ -124,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="structural")
     sp.add_argument("file")
 
-    sp = sub.add_parser("equiv", help="bounded protocol-restricted equivalence")
+    about = ("bounded protocol-restricted equivalence: walks reachable subset "
+             "triples to --depth, builds no product")
+    sp = sub.add_parser("equiv", help=about, description=about)
     sp.add_argument("--protocol", required=True)
     sp.add_argument("--depth", type=_count(0), default=8)
     sp.add_argument("left")

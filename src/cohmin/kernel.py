@@ -153,9 +153,6 @@ class Transducer:
     def enabled(self, s: str) -> FrozenSet[Round]:
         return frozenset(self.out(s).keys())
 
-    def step(self, s: str, v: Round) -> FrozenSet[str]:
-        return frozenset(self.out(s).get(frozenset(v), ()))
-
     def step_set(self, states: Iterable[str], v: Round) -> FrozenSet[str]:
         v = frozenset(v)
         acc = set()
@@ -186,9 +183,6 @@ class Transducer:
                         seen.add(t)
                         frontier.append(t)
         return frozenset(seen)
-
-    def is_deterministic(self) -> bool:
-        return all(len(ts) == 1 for s in self.states for ts in self.out(s).values())
 
     def relabel_signature(self, sig: Signature) -> "Transducer":
         """Rebind to a signature with the same label universe."""

@@ -18,6 +18,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from . import coherence, kernel
 from .coherence import CoherenceRelation, EquivalencePairs
 from .errors import (
+    CohminError,
     DomainExceeded,
     MissingInitial,
     NotAProtocol,
@@ -425,6 +426,14 @@ def check_transition(tr: STransition, sig: Signature, states, registers) -> None
             raise TypeMismatch(f"update for {u.target!r} must be integer")
 
 
+def _transition_key(tr: STransition):
+    """Canonical sort key for transitions: source, round, target, guard,
+    then updates by target (expression reprs do not depend on the hash
+    seed)."""
+    return (tr.source, kernel.round_key(tr.round), tr.target, repr(tr.guard),
+            sorted((u.target, repr(u.expr)) for u in tr.updates))
+
+
 @dataclass(frozen=True)
 class SFST:
     """Control states plus registers; transitions carry a guard and a set
@@ -449,10 +458,17 @@ class SFST:
             raise SignatureMismatch(
                 f"register names collide with port labels: {sorted(clash)}"
             )
-        for name in self.registers:
+        for name in sorted(self.registers):
             kernel.check_label(name)
-        for tr in self.delta:
-            check_transition(tr, self.signature, self.states, self.registers)
+        try:
+            for tr in self.delta:
+                check_transition(tr, self.signature, self.states, self.registers)
+        except CohminError:
+            # report the first faulty transition in canonical order, whatever
+            # the hash seed; a machine without faults sorts nothing
+            for tr in sorted(self.delta, key=_transition_key):
+                check_transition(tr, self.signature, self.states, self.registers)
+            raise
         adj: Dict[str, List[STransition]] = {}
         for tr in self.delta:
             adj.setdefault(tr.source, []).append(tr)

@@ -118,11 +118,17 @@ def _update(text: str, ports) -> Update:
     return Update(target.strip(), parse_expr(expr, SFST_REGISTERS, ports))
 
 
-# -- free-function views of stepping, used by the kernel tests ----------------
+# -- free-function views of stepping, used by the tests ------------------------
 
 
 def step(T: Transducer, s: str, v: Round):
-    return T.step(s, frozenset(v))
+    """The states ``s`` moves to on round ``v``."""
+    return frozenset(T.out(s).get(frozenset(v), ()))
+
+
+def is_deterministic(T: Transducer) -> bool:
+    """Does every state have at most one target per round?"""
+    return all(len(ts) == 1 for s in T.states for ts in T.out(s).values())
 
 
 def run(T: Transducer, t):

@@ -8,6 +8,11 @@ it.  The only edit: pruning uses the frozen ``_drop_unreachable`` of
 in ``cohmin.algebra`` beyond ``product_state``, ``project`` and the
 ``Transducer`` value itself.
 
+``bounded_language_equal`` and ``coherent_equiv_bounded`` are the original
+bounded equivalence check, which built both reachable products and walked
+pairs of their state subsets.  The only edit: ``coherent_equiv_bounded``
+calls this file's ``intersect`` instead of ``algebra.intersect``.
+
 The trace-set mirrors at the end (``traceset_interact``,
 ``traceset_compose``, their prefix trie and ``project_trace``) are the
 trace-level definitions of the same operations on finite trace sets; they
@@ -88,6 +93,44 @@ def compose(
     joint = interact(T, U, keep_unreachable, strict_polarity)
     keep = joint.signature.restrict(joint.signature.universe - shared)
     return project(joint, keep)
+
+
+def bounded_language_equal(T: Transducer, U: Transducer, k: int) -> bool:
+    """Do T and U accept exactly the same traces of length <= k?
+
+    Walks pairs of reachable state subsets; two machines differ at depth
+    d+1 exactly when some jointly reached subset pair enables different
+    round sets.
+    """
+    frontier = {(frozenset({T.initial}), frozenset({U.initial}))}
+    seen = set(frontier)
+    for _ in range(k):
+        nxt = set()
+        for sa, sb in frontier:
+            ea = {v for s in sa for v in T.out(s)}
+            eb = {v for s in sb for v in U.out(s)}
+            if ea != eb:
+                return False
+            for v in ea:
+                pair = (T.step_set(sa, v), U.step_set(sb, v))
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.add(pair)
+        frontier = nxt
+        if not frontier:
+            return True
+    return True
+
+
+def coherent_equiv_bounded(T: Transducer, U: Transducer, P: Transducer, k: int) -> bool:
+    """Bounded instantiation of protocol-restricted trace equivalence.
+
+    True iff the protocol-intersected languages agree on every trace of
+    length <= k; this is the soundness oracle for quotienting.
+    """
+    return bounded_language_equal(
+        intersect(T, P), intersect(U, P), k
+    )
 
 
 # -- trace-set mirrors of the combinators -----------------------------------

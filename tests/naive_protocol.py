@@ -10,7 +10,9 @@ parser and the position automaton (``parse_regex``, ``regex_labels``,
 ``parse_trace`` and ``monitor`` are kept verbatim from the implementation
 that parsed every trace line afresh and determinised a nondeterministic
 protocol whole with ``algebra.determinize`` before stepping it one state
-at a time.  They share the round-text parser and ``Verdict``.
+at a time.  They share the round-text parser and ``Verdict``.  The only
+edit: ``monitor`` calls ``step`` and ``is_deterministic`` from ``helpers``,
+since the ``Transducer`` methods of those names moved there.
 Do not optimise this file.
 """
 
@@ -21,6 +23,8 @@ from cohmin.errors import UnknownLabel
 from cohmin.frontend.fileformat import _parse_round_text
 from cohmin.kernel import Signature, Trace, Transducer, mkround
 from cohmin.protocol import Verdict, _glushkov, parse_regex, regex_labels
+
+from helpers import is_deterministic, step
 
 
 def compile_regex(r, sig: Signature) -> Transducer:
@@ -119,12 +123,12 @@ def parse_trace(text: str) -> Trace:
 def monitor(P: Transducer, t: Trace) -> Verdict:
     """Online membership check: consume rounds left to right and flag the
     first round the protocol does not enable."""
-    if not P.is_deterministic():
+    if not is_deterministic(P):
         P = algebra.determinize(P)
     state = P.initial
     for i, v in enumerate(t):
         v = frozenset(v)
-        targets = P.step(state, v)
+        targets = step(P, state, v)
         if not targets:
             return Verdict("VIOLATION", i, v, P.enabled(state))
         (state,) = targets

@@ -34,6 +34,7 @@ from helpers import (
     bruteforce_coherent_union,
     linear_protocol_shaped,
     random_transducer,
+    step,
 )
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -92,7 +93,7 @@ def test_criterion_2_attack_detection():
         # exactly the moves enabled after [q5, r2]
         state = display.initial
         for v in display_attack_trace()[:2]:
-            (state,) = display.step(state, v)
+            (state,) = step(display, state, v)
         assert verdict.expected == display.enabled(state)
         assert verdict.expected == {R({"d2"}), R({"q1"})}
 

@@ -246,6 +246,14 @@ class TestBoundedComparisons:
         assert not algebra.bounded_language_equal(T1, extra, 2)
         assert bounded_language_subset(T1, extra, 6)
         assert not bounded_language_subset(extra, T1, 6)
+        # the shortest witness, from either side
+        assert algebra.distinguishing_trace(T1, extra, 1) is None
+        assert algebra.distinguishing_trace(T1, extra, 2) == (R({"a"}), R({"a"}))
+        assert algebra.distinguishing_trace(extra, T1, 5) == (R({"a"}), R({"a"}))
+        # a protocol that never allows a second round hides the difference
+        once = Transducer(T1.signature, frozenset({"p0", "p1"}), "p0",
+                          frozenset({("p0", R({"a"}), "p1")}))
+        assert algebra.distinguishing_trace(T1, extra, 5, once) is None
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(21)

@@ -200,6 +200,30 @@ class TestCoherentEquivBounded:
         P = universal_protocol(T1.signature)
         assert not coherence.coherent_equiv_bounded(T1, extra, P, 2)
 
+    def test_builds_no_product_and_no_transducer(self, monkeypatch):
+        rng = random.Random(95)
+        cases = []
+        for _ in range(30):
+            T = random_transducer(rng, SIG3, 6, 14)
+            extra = (rng.choice(sorted(T.states)), R({"x"}), T.initial)
+            U = Transducer(SIG3, T.states, T.initial, T.delta | {extra})
+            cases += [(T, T, universal_protocol(SIG3)), (T, U, universal_protocol(SIG3))]
+        builds = []
+        build = Transducer.__post_init__
+
+        def counted(self):
+            builds.append(self)
+            build(self)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("intersect called")
+
+        monkeypatch.setattr(Transducer, "__post_init__", counted)
+        monkeypatch.setattr(algebra, "intersect", refused)
+        verdicts = {coherence.coherent_equiv_bounded(T, U, P, 6) for T, U, P in cases}
+        assert verdicts == {False, True}
+        assert builds == []
+
 
 class TestGreatestFixpointOracle:
     def test_small_census(self):

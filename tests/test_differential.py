@@ -14,7 +14,11 @@ The ring tests at the end pin the merge-and-recompute loop on sizes the
 naive engine could not reach in a test run.
 """
 
+import os
 import random
+import subprocess
+import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -33,7 +37,7 @@ from cohmin.fixtures import ITERATOR_MAP_REGEX, adder, iterator_map
 from cohmin.frontend import parse_model, parse_trace, serialize_model, serialize_trace
 from cohmin.frontend.cli import _load_protocol
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
-from cohmin.kernel import Signature, Transducer, mkround
+from cohmin.kernel import Signature, Transducer, mkround, round_key
 from cohmin.protocol import empty_protocol, universal_protocol
 from cohmin.symbolic import expand, lift_transducer
 
@@ -43,9 +47,11 @@ import naive_protocol
 import naive_symbolic
 from helpers import (
     SFST_SIG,
+    accepts,
     SIG2,
     SIG3,
     all_rounds,
+    is_deterministic,
     linear_protocol_shaped,
     random_regex,
     random_sfst,
@@ -379,10 +385,141 @@ class TestProductsAgainstNaiveOracle:
                 U = Transducer(sig, T.states, T.initial, T.delta | {extra})
             for k in (2, 5):
                 got = coherence.coherent_equiv_bounded(T, U, P, k)
-                assert got == algebra.bounded_language_equal(
-                    naive_algebra.intersect(T, P), naive_algebra.intersect(U, P), k)
+                assert got == naive_algebra.coherent_equiv_bounded(T, U, P, k)
                 verdicts.add(got)
         assert verdicts == {False, True}
+
+
+def renamed(T, prefix):
+    """An isomorphic copy of ``T`` under fresh state names."""
+    fresh = {s: f"{prefix}{i}" for i, s in enumerate(sorted(T.states))}
+    return Transducer(T.signature, frozenset(fresh.values()), fresh[T.initial],
+                      frozenset((fresh[a], v, fresh[b]) for a, v, b in T.delta))
+
+
+def with_extra_transition(rng, T, rounds):
+    """``T`` plus one seeded transition over one of ``rounds``."""
+    states = sorted(T.states)
+    extra = (rng.choice(states), rng.choice(rounds), rng.choice(states))
+    return Transducer(T.signature, T.states, T.initial, T.delta | {extra})
+
+
+def assert_same_equiv(T, U, P, k):
+    """The product-free walk against the frozen product-based check on
+    (T, U) under P (``None``: no protocol) to depth k.  When they are not
+    equivalent, the witness is checked with the independent helpers on the
+    frozen products: it has length <= k, exactly one side accepts it,
+    both accept every proper prefix, and the oracle sees no difference one
+    round shallower, so no shorter witness exists; no round before its
+    last one in ``round_key`` order tells the two apart after the same
+    prefix.  Returns the verdict."""
+    witness = algebra.distinguishing_trace(T, U, k, P)
+    if P is None:
+        A, B = T, U
+        got = algebra.bounded_language_equal(T, U, k)
+        oracle = partial(naive_algebra.bounded_language_equal, T, U)
+    else:
+        A, B = naive_algebra.intersect(T, P), naive_algebra.intersect(U, P)
+        got = coherence.coherent_equiv_bounded(T, U, P, k)
+        oracle = partial(naive_algebra.coherent_equiv_bounded, T, U, P)
+    assert got == oracle(k) == (witness is None)
+    if witness is not None:
+        assert 1 <= len(witness) <= k
+        assert accepts(A, witness) != accepts(B, witness)
+        for j in range(len(witness)):
+            assert accepts(A, witness[:j]) and accepts(B, witness[:j])
+        assert oracle(len(witness) - 1)
+        *prefix, last = witness
+        for v in {v for _, v, _ in A.delta | B.delta}:
+            if round_key(v) < round_key(last):
+                t = (*prefix, v)
+                assert accepts(A, t) == accepts(B, t)
+    return got
+
+
+class TestBoundedEquivAgainstNaiveOracle:
+    """``coherent_equiv_bounded``, ``bounded_language_equal`` and the
+    witness of ``distinguishing_trace`` against the frozen check that
+    built both products; every name is comma-free (see
+    ``distinguishing_trace`` for the one place the two may differ)."""
+
+    def test_every_plain_fixture(self):
+        rng = random.Random(2500)
+        models = [parse_model(p.read_text()) for p in sorted(FIXDIR.glob("*.fst"))]
+        assert len(models) >= 3
+        verdicts = []
+        for T in models:
+            for P in [None, *fixture_protocols(T)]:
+                rounds = sorted({v for M in (T, P) if M is not None for _, v, _ in M.delta},
+                                key=round_key) or [frozenset()]
+                others = [T, renamed(T, "c"), coherence.bisim_minimize(T)]
+                others += [with_extra_transition(rng, T, rounds) for _ in range(4)]
+                if P is not None:
+                    others.append(coherence.coherent_minimize(T, P)[0])
+                for U in others:
+                    for k in range(7):
+                        verdicts.append(assert_same_equiv(T, U, P, k))
+        assert verdicts.count(False) > 50 and verdicts.count(True) > 100
+
+    @pytest.mark.parametrize("deterministic", [False, True])
+    def test_random_machines(self, deterministic):
+        rng = random.Random(2600 + deterministic)
+        verdicts = []
+        for _ in range(80):
+            sig = rng.choice((SIG2, SIG3))
+            T = random_transducer(rng, sig, 6, 14, deterministic=deterministic)
+            for P in (None, universal_protocol(sig), linear_protocol_shaped(sig),
+                      random_transducer(rng, sig, 4, 12, "p")):
+                for U in (renamed(T, "c"),
+                          with_extra_transition(rng, T, all_rounds(sig))):
+                    for k in range(7):
+                        verdicts.append(assert_same_equiv(T, U, P, k))
+        assert verdicts.count(False) > 300 and verdicts.count(True) > 1000
+
+    def test_signature_mismatch_on_either_side(self):
+        rng = random.Random(2700)
+        T = random_transducer(rng, SIG2, 4, 8)
+        other = random_transducer(rng, SIG3, 4, 8, "u")
+        flipped = T.relabel_signature(SIG2.dualize())
+        P = universal_protocol(SIG2)
+        for args in ((T, T, universal_protocol(SIG3)), (T, other, P),
+                     (other, T, P), (T, flipped, P), (flipped, T, P)):
+            messages = set()
+            for check in (coherence.coherent_equiv_bounded,
+                          naive_algebra.coherent_equiv_bounded,
+                          lambda T, U, P, k: algebra.distinguishing_trace(T, U, k, P)):
+                with pytest.raises(SignatureMismatch) as err:
+                    check(*args, 3)
+                messages.add(str(err.value))
+            assert len(messages) == 1
+
+    def test_witness_does_not_depend_on_the_hash_seed(self):
+        script = (
+            "import random\n"
+            "from cohmin import algebra\n"
+            "from cohmin.kernel import render_trace\n"
+            "from helpers import SIG3, random_transducer\n"
+            "rng = random.Random(2800)\n"
+            "for _ in range(300):\n"
+            "    T = random_transducer(rng, SIG3, 6, 30)\n"
+            "    U = random_transducer(rng, SIG3, 6, 30, 'u')\n"
+            "    P = random_transducer(rng, SIG3, 3, 30, 'p')\n"
+            "    w = algebra.distinguishing_trace(T, U, 6, P)\n"
+            "    print('-' if w is None else render_trace(w))\n")
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(tests).parent / "src")
+        outputs = []
+        for seed in ("1", "7"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, tests]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        lines = outputs[0].splitlines()
+        # several differing rounds at once make the round_key choice matter
+        assert len(lines) == 300 and sum(line != "-" for line in lines) > 100
 
 
 def singleton_machine(rng, sig, max_states, max_trans):
@@ -398,7 +535,7 @@ def singleton_machine(rng, sig, max_states, max_trans):
 def assert_same_compilation(regex, sig, machines):
     new = protocol.compile_regex(regex, sig)
     old = naive_protocol.compile_regex(regex, sig)
-    assert new.is_deterministic()
+    assert is_deterministic(new)
     assert kernel.traces_upto(new, 6).traces == kernel.traces_upto(old, 6).traces
     for T in machines:
         assert coherence.coherent_simulation(T, new).rows() == \

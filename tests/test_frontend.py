@@ -21,6 +21,7 @@ from cohmin.frontend import (
     serialize_trace,
     to_dot,
 )
+from cohmin.frontend.cli import _COMMANDS
 from cohmin.frontend.fileformat import parse_expr, render_expr
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import Verdict
@@ -32,6 +33,7 @@ from helpers import (
     UNKNOWN_ENDPOINT_FILES,
     random_sfst,
     random_transducer,
+    step,
 )
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -250,7 +252,7 @@ class TestCli:
                 verdict = Verdict("VIOLATION", bad, trace[-1], frozenset(enabled))
             else:
                 trace.append(rng.choice(enabled))
-                (state,) = P.step(state, trace[-1])
+                (state,) = step(P, state, trace[-1])
         path = tmp_path / "long.trc"
         path.write_text(serialize_trace(trace))
         assert run_cli("monitor", "--protocol", str(protocol_path), "--trace", str(path)) \
@@ -559,6 +561,80 @@ class TestRoundTrip:
         model = parse_model(self.HEAD + body)
         assert type(model) is kind
         assert parse_model(serialize_model(model)) == model
+
+
+_FIXTURE_TEXTS = [p.read_text() for p in sorted(FIXDIR.iterdir())]
+# Each subcommand's usual shape; F is a file, N a small integer, P a
+# policy, W a word.
+_SHAPES = {
+    "validate": "F", "dot": "F", "traces": "--depth N F",
+    "intersect": "F F", "interact": "F F", "compose": "F F",
+    "project": "--keep W F", "minimize": "--policy P --protocol F F",
+    "relation": "--protocol F F", "equiv": "--protocol F --depth N F F",
+    "quotient": "--pair W F", "expand": "--lo N --hi N F",
+    "monitor": "--protocol F --trace F",
+}
+_WORDS = ("structural", "bounded-semantic", "a", "a,b",
+          "P,Q", "s0,s1", "x", "", "--keep-unreachable", "--guard-mode",
+          "--cap", "--help", "--depth")
+
+
+# seeded random machines over the labels of forked_reader.fst
+_RANDOM_MODELS = st.integers(0, 10**6).map(lambda seed: serialize_model(
+    random_transducer(random.Random(seed), fixtures.forked_reader().signature, 4, 8)))
+
+
+@st.composite
+def _file_texts(draw):
+    """A fixture file, whole, cut short or with one line dropped, or a few
+    lines taken from the fixtures and from small fragments."""
+    text = draw(st.sampled_from(_FIXTURE_TEXTS))
+    kind = draw(st.sampled_from(("whole", "cut", "drop", "lines")))
+    if kind == "cut":
+        return text[:draw(st.integers(0, len(text)))]
+    lines = text.splitlines(keepends=True)
+    if kind == "drop":
+        del lines[draw(st.integers(0, len(lines) - 1))]
+        return "".join(lines)
+    if kind == "lines":
+        pool = [line for t in _FIXTURE_TEXTS for line in t.splitlines(keepends=True)]
+        pool += ["states s0;\n", "initial s0;\n", "trans s0 -> s0 : {a};\n",
+                 "signature in a; out b;\n", "{a, a}\n", "regex (a b)*;\n",
+                 "alphabet a, b;\n", "(((\n", "\x00\n"]
+        return "".join(draw(st.lists(st.sampled_from(pool), max_size=6)))
+    return text
+
+
+class TestCliContract:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_subcommand_exits_cleanly(self, tmp_path_factory, data):
+        """On generated argv and small files, every subcommand exits with a
+        documented code, writes at most one line to stderr and raises
+        nothing.  Each argv is a subcommand's usual shape with drawn files,
+        numbers and words, sometimes with one stray token.  The three files
+        are all random machines over one signature, or all drawn from the
+        fixtures."""
+        assert set(_SHAPES) == set(_COMMANDS)
+        directory = tmp_path_factory.mktemp("contract")
+        texts = data.draw(st.sampled_from((_RANDOM_MODELS, _file_texts())))
+        paths = []
+        for i in range(3):
+            path = directory / f"f{i}"
+            path.write_text(data.draw(texts))
+            paths.append(str(path))
+        pick = {"F": st.sampled_from(paths), "N": st.sampled_from(("-1", "0", "1", "3")),
+                "P": st.sampled_from(("coherent", "bisim")), "W": st.sampled_from(_WORDS)}
+        command = data.draw(st.sampled_from(sorted(_SHAPES)))
+        argv = [command] + [data.draw(pick[x]) if x in pick else x
+                            for x in _SHAPES[command].split()]
+        if data.draw(st.integers(0, 3)) == 3:
+            argv.append(data.draw(st.one_of(*pick.values())))
+        if data.draw(st.integers(0, 9)) == 9:   # a file that is not there
+            argv[data.draw(st.integers(1, len(argv) - 1))] = str(directory / "missing")
+        code, _, err = run_cli(*argv)
+        assert code in {0, 1, 2, 3, 4}
+        assert err.count("\n") <= 1 and err[-1:] in ("", "\n"), err
 
 
 class TestShippedFixtures:

@@ -15,7 +15,7 @@ from cohmin.fixtures import (
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import compile_regex, monitor, parse_regex
 
-from helpers import random_regex, regex_prefix_member
+from helpers import is_deterministic, random_regex, regex_prefix_member, step
 
 R = mkround
 DISPLAY = display_protocol()
@@ -38,7 +38,7 @@ class TestParseRegex:
         # the deepest tree the bound admits: three nodes per parenthesis
         deepest = "(a + b " * protocol.MAX_DEPTH + ")*" * protocol.MAX_DEPTH
         sig = Signature(frozenset({"a", "b"}), frozenset())
-        assert compile_regex(deepest, sig).is_deterministic()
+        assert is_deterministic(compile_regex(deepest, sig))
         with pytest.raises(ParseError) as err:
             parse_regex("(" * (protocol.MAX_DEPTH + 1) + "a" + ")" * 200)
         assert (err.value.line, err.value.column) == (1, protocol.MAX_DEPTH + 1)
@@ -54,7 +54,7 @@ class TestCompileRegex:
 
     def test_alternating_pair(self):
         got = compile_regex("(a b)*", self.SIG)
-        assert got.is_deterministic()
+        assert is_deterministic(got)
         assert kernel.traces_upto(got, 4).traces == {
             (), (R({"a"}),), (R({"a"}), R({"b"})),
             (R({"a"}), R({"b"}), R({"a"})),
@@ -130,14 +130,14 @@ class TestMonitor:
                     break
                 v = rng.choice(enabled)
                 trace.append(v)
-                (state,) = proto.step(state, v)
+                (state,) = step(proto, state, v)
             assert monitor(proto, tuple(trace)).ok
             if not trace:
                 continue
             idx = rng.randrange(len(trace))
             prefix_state = proto.initial
             for v in trace[:idx]:
-                (prefix_state,) = proto.step(prefix_state, v)
+                (prefix_state,) = step(proto, prefix_state, v)
             illegal = [v for v in rounds if v not in proto.enabled(prefix_state)]
             if not illegal:
                 continue

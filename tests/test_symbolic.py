@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,6 +214,39 @@ def random_adder_trace(rng, max_len, lo, hi):
         port = rng.choice(["x", "r"])
         trace.append(VR({port: rng.randint(lo, hi)}))
     return trace
+
+
+# Builds two machines, each with several faults, and prints the error each
+# raises: three transitions that each double an update, and three register
+# names that are not labels.
+_THREE_FAULTS = """\
+from cohmin.kernel import Signature
+from cohmin.symbolic import SFST, STransition, TRUE, IntLit, Update
+sig = Signature(frozenset({"a"}), frozenset({"b"}))
+doubled = frozenset(
+    STransition("s0", frozenset({"a"}), TRUE,
+                frozenset({Update(r, IntLit(1)), Update(r, IntLit(2))}), "s0")
+    for r in ("y", "z", "w"))
+for registers, delta in ((("y", "z", "w"), doubled), (("1y", "2z", "3w"), ())):
+    try:
+        SFST(sig, frozenset({"s0"}), frozenset(registers), "s0", frozenset(delta))
+    except Exception as e:
+        print(type(e).__name__, e)
+"""
+
+
+class TestSfstConstruction:
+    def test_first_fault_does_not_depend_on_the_hash_seed(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for seed in ("1", "2", "3", "4", "5"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", _THREE_FAULTS], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outputs.add(proc.stdout)
+        assert outputs == {"TypeMismatch two updates for target 'w'\n"
+                           "UnknownLabel unknown label: '1y'\n"}
 
 
 class TestSymbolicProtocol:
