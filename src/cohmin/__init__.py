@@ -1,22 +1,30 @@
 """Transducer algebra with protocol-aware (coherent) state minimisation,
-symbolic guarded transducers, and an online protocol monitor."""
+symbolic guarded transducers, and an online protocol monitor.
 
-from . import algebra, coherence, fixtures, frontend, kernel, protocol, symbolic
+Submodules load on first use (PEP 562), so a plain-machine command never
+compiles the symbolic layer.
+"""
+
+import importlib
+
 from .kernel import Round, Signature, Trace, TraceSet, Transducer
 
 __version__ = "0.1.0"
 
+_SUBMODULES = ("algebra", "coherence", "fixtures", "frontend", "kernel",
+               "protocol", "symbolic")
+
 __all__ = [
-    "algebra",
-    "coherence",
-    "fixtures",
-    "frontend",
-    "kernel",
-    "protocol",
-    "symbolic",
+    *_SUBMODULES,
     "Round",
     "Signature",
     "Trace",
     "TraceSet",
     "Transducer",
 ]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,7 +15,7 @@ bisimulation minimiser is included as the protocol-free baseline.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from . import algebra
 from .errors import SameState, SignatureMismatch, UnknownState
@@ -90,12 +90,8 @@ class EquivalencePairs:
     def sorted_pairs(self) -> List[Tuple[str, str]]:
         return list(self._sorted())
 
-    def least(self) -> Optional[Tuple[str, str]]:
-        """The lexicographically least pair, or None when there is none."""
-        return next(self._sorted(), None)
-
     def __bool__(self) -> bool:
-        return self.least() is not None
+        return next(self._sorted(), None) is not None
 
 
 def product_reach(T: Transducer, P: Transducer) -> FrozenSet[Tuple[str, str]]:
@@ -148,9 +144,9 @@ def coherent_simulation(T: Transducer, P: Transducer,
     because equivalent states share rows.  See the README for the cost.
 
     ``keyed`` serves symbolic machines: a transducer on the states of ``T``
-    whose rounds are match keys (see ``symbolic.sfst_coherent_simulation``).
-    Condition 1 then matches keys instead of rounds; condition 2 always
-    reads ``T``.
+    whose rounds are match keys (see ``symbolic.sfst_coherent_simulation``);
+    a key determines the round of its transition.  Condition 1 then matches
+    keys instead of rounds; condition 2 always reads ``T``.
     """
     if T.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
@@ -240,30 +236,125 @@ def quotient(T, s1: str, s2: str):
     return merge_states(T, [(s1, s2)])
 
 
+class _Fold:
+    """One fixpoint of ``coherent_minimize`` and the merges folded into it.
+
+    States keep the ids of the fixpoint's machine, in name order, so the
+    least pair of names is the least pair of ids.  ``x ~ y`` when x and y
+    have the same row and the same column; ``cls`` numbers the classes of
+    ``~``, and ``bisim`` says whether ``~`` is a bisimulation of the machine
+    that condition 1 reads.  A merge of ``a ~ b`` under such a ``~`` leaves
+    the relation as ``f(R)`` (README, "Merging without recomputing"), and
+    since ``a`` and ``b`` share their row and column, folding ``b`` into
+    ``a`` is clearing ``b``'s bit in ``alive``.
+    """
+
+    def __init__(self, T: Transducer, P: Transducer, keyed: Optional[Transducer]):
+        states, rows = coherent_simulation(T, P, keyed).rows()
+        n = len(states)
+        self.states, self.rows = states, rows
+        self.alive = (1 << n) - 1
+        self.lo = 0
+        # columns from the distinct rows: one OR per (row value, member bit)
+        groups: Dict[int, int] = {}
+        for j, row in enumerate(rows):
+            groups[row] = groups.get(row, 0) | 1 << j
+        cols = self.cols = [0] * n
+        for row, members in groups.items():
+            for i in _bits(row):
+                cols[i] |= members
+        classes: Dict[Tuple[int, int], int] = {}
+        cls = self.cls = [classes.setdefault(rc, len(classes))
+                          for rc in zip(rows, cols)]
+        index = {s: i for i, s in enumerate(states)}
+        K = T if keyed is None else keyed
+        shape: Dict[int, frozenset] = {}   # class -> (round, target class) set
+        self.bisim = True
+        for s, c in zip(states, cls):
+            sig = frozenset((v, cls[index[t]])
+                            for v, targets in K.out(s).items() for t in targets)
+            if shape.setdefault(c, sig) != sig:
+                self.bisim = False
+                break
+
+    def least(self) -> Optional[Tuple[int, int]]:
+        """Ids of the least pair related both ways, or None.  The search
+        resumes at the last pair's first state: a fold only deletes a
+        state, and no state before it had a partner after it."""
+        alive, i = self.alive, self.lo
+        while True:
+            if alive >> i & 1:
+                mutual = (self.rows[i] & self.cols[i] & alive) >> (i + 1)
+                if mutual:
+                    self.lo = i
+                    return i, i + (mutual & -mutual).bit_length()
+            rest = alive >> (i + 1)
+            if not rest:
+                return None
+            i += (rest & -rest).bit_length()
+
+    def merge(self, a: int, b: int) -> str:
+        """Fold ``b`` into ``a`` and return "skip", or say why the merged
+        machine's relation must be recomputed instead."""
+        if self.cls[a] != self.cls[b]:
+            return "not interchangeable"
+        if not self.bisim:
+            return "not a bisimulation"
+        self.alive &= ~(1 << b)
+        return "skip"
+
+    def pairs(self) -> FrozenSet[Tuple[str, str]]:
+        """The folded relation on the surviving states, as name pairs."""
+        states, alive = self.states, self.alive
+        return frozenset((states[i], states[j]) for j in _bits(alive)
+                         for i in _bits(self.rows[j] & alive))
+
+
 def coherent_minimize(
     T: Transducer,
     P: Transducer,
     keep_unreachable: bool = False,
     keyed: Optional[Transducer] = None,
+    on_merge: Optional[Callable] = None,
 ) -> Tuple[Transducer, List[Tuple[str, str]]]:
     """Iteratively quotient coherently equivalent states.
 
-    The relation is order-dependent and not transitive, so it is recomputed
-    after every merge; the lexicographically least pair goes first, which
-    makes the output reproducible.  Returns the reduced transducer and the
-    merge log as (survivor, absorbed) entries.  ``keyed`` is as for
+    The relation is order-dependent and not transitive; the
+    lexicographically least pair goes first, which makes the output
+    reproducible.  After a merge the relation is folded when the skip rule
+    holds and recomputed on the merged machine otherwise; either way it is
+    the greatest coherent simulation of that machine (README, "Merging
+    without recomputing").  The merged machine is built only for a
+    recomputation and once at the end.  Returns the reduced transducer and
+    the merge log as (survivor, absorbed) entries.  ``keyed`` is as for
     :func:`coherent_simulation` and is merged along with ``T``.
+
+    ``on_merge``, when given, is called after every merge as
+    ``on_merge(log, outcome, folded)``: ``outcome`` is "skip" or why the
+    relation is recomputed (``_Fold.merge``), and ``folded`` is, on a skip,
+    the relation that stands in for the recomputation (``_Fold.pairs``).
     """
     current = T
     log: List[Tuple[str, str]] = []
+    built = 0   # how many merges of the log ``current`` has had
+    fold = _Fold(current, P, keyed)
     while True:
-        least = equivalence_pairs(current, P, keyed=keyed).least()
+        least = fold.least()
         if least is None:
             break
-        current = quotient(current, *least)
-        if keyed is not None:
-            keyed = merge_states(keyed, [least])
-        log.append(least)
+        outcome = fold.merge(*least)
+        log.append((fold.states[least[0]], fold.states[least[1]]))
+        if on_merge is not None:
+            on_merge(log, outcome, fold.pairs() if outcome == "skip" else None)
+        if outcome != "skip":
+            classes = merge_classes(log[built:])
+            current = merge_states(current, classes)
+            if keyed is not None:
+                keyed = merge_states(keyed, classes)
+            built = len(log)
+            fold = _Fold(current, P, keyed)
+    if built < len(log):
+        current = merge_states(current, merge_classes(log[built:]))
     if not keep_unreachable:
         current = drop_unreachable(current)
     return current, log

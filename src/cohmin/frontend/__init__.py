@@ -1,10 +1,10 @@
 """File formats, DOT output and the command line.
 
-``cli_main`` and ``main`` load the CLI module on first use, so that
-``python -m cohmin.frontend.cli`` runs it exactly once.
+``cli_main``, ``main`` and ``to_dot`` load their modules on first use, so
+that ``python -m cohmin.frontend.cli`` runs the CLI exactly once and a
+command that writes no DOT never loads it.
 """
 
-from .dot import to_dot
 from .fileformat import (
     parse_model,
     parse_regex_protocol,
@@ -34,4 +34,8 @@ def __getattr__(name):
         from . import cli
 
         return getattr(cli, name)
+    if name == "to_dot":
+        from .dot import to_dot
+
+        return to_dot
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

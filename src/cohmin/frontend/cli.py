@@ -4,6 +4,9 @@ Exit codes: 0 success (OK / equivalent), 1 usage error, 2 input error,
 3 protocol violation or non-equivalence, 4 resource limit.  Results go to
 stdout, diagnostics to stderr; identical invocations produce byte-identical
 output.
+
+A model that is not a plain ``Transducer`` is symbolic; ``cohmin.symbolic``
+and ``dot`` load only on the commands that need them.
 """
 
 from __future__ import annotations
@@ -11,11 +14,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .. import algebra, coherence, kernel, protocol, symbolic
+from .. import algebra, coherence, kernel, protocol
 from ..errors import CohminError, ResourceLimit
 from ..kernel import Signature, Transducer
-from ..symbolic import SFST, lift_transducer
-from . import dot, fileformat
+from . import fileformat
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -65,7 +67,9 @@ def _load_protocol(path: str, subject) -> Transducer:
             )
         return protocol.compile_regex(regex, sig)
     model = fileformat.parse_model(text)
-    if isinstance(model, SFST):
+    if not isinstance(model, Transducer):
+        from .. import symbolic
+
         if not symbolic.is_symbolic_protocol(model):
             raise CohminError("a symbolic protocol needs true guards and identity updates")
         model = model.control_skeleton()
@@ -155,14 +159,14 @@ def _emit_model(model):
 
 
 def _require_transducer(model, command):
-    if isinstance(model, SFST):
+    if not isinstance(model, Transducer):
         raise CohminError(f"{command} works on plain transducers; expand first")
     return model
 
 
 def _cmd_validate(args) -> int:
     model = _load_model(args.file)
-    kind = "symbolic transducer" if isinstance(model, SFST) else "transducer"
+    kind = "transducer" if isinstance(model, Transducer) else "symbolic transducer"
     n_trans = len(model.delta)
     print(f"ok: {kind}, {len(model.states)} states, {n_trans} transitions")
     return EXIT_OK
@@ -195,24 +199,28 @@ def _cmd_project(args) -> int:
 def _cmd_minimize(args) -> int:
     model = _load_model(args.file)
     if args.policy == "bisim":
-        if isinstance(model, SFST):
-            out = symbolic.sfst_bisim_minimize(
+        if isinstance(model, Transducer):
+            out = coherence.bisim_minimize(
                 model, keep_unreachable=args.keep_unreachable)
         else:
-            out = coherence.bisim_minimize(
+            from .. import symbolic
+
+            out = symbolic.sfst_bisim_minimize(
                 model, keep_unreachable=args.keep_unreachable)
         _emit_model(out)
         return EXIT_OK
     if not args.protocol:
         raise _Usage("--policy coherent needs --protocol")
     P = _load_protocol(args.protocol, model)
-    if isinstance(model, SFST):
+    if isinstance(model, Transducer):
+        out, log = coherence.coherent_minimize(
+            model, P, keep_unreachable=args.keep_unreachable)
+    else:
+        from .. import symbolic
+
         out, log = symbolic.sfst_coherent_minimize(
             model, P, mode=args.guard_mode,
             keep_unreachable=args.keep_unreachable)
-    else:
-        out, log = coherence.coherent_minimize(
-            model, P, keep_unreachable=args.keep_unreachable)
     _emit_model(out)
     for keep, drop in log:
         print(f"merge {drop} -> {keep}")
@@ -222,12 +230,14 @@ def _cmd_minimize(args) -> int:
 def _cmd_relation(args) -> int:
     model = _load_model(args.file)
     P = _load_protocol(args.protocol, model)
-    if isinstance(model, SFST):
-        rel = symbolic.sfst_coherent_simulation(model, P, mode=args.guard_mode)
-        pairs = symbolic.sfst_equivalence_pairs(model, P, args.guard_mode, rel)
-    else:
+    if isinstance(model, Transducer):
         rel = coherence.coherent_simulation(model, P)
         pairs = coherence.equivalence_pairs(model, P, rel)
+    else:
+        from .. import symbolic
+
+        rel = symbolic.sfst_coherent_simulation(model, P, mode=args.guard_mode)
+        pairs = symbolic.sfst_equivalence_pairs(model, P, args.guard_mode, rel)
     for a, b in rel.sorted_pairs():
         print(f"sim {a} {b}")
     for a, b in pairs.sorted_pairs():
@@ -249,17 +259,16 @@ def _cmd_quotient(args) -> int:
     parts = [x.strip() for x in args.pair.split(",")]
     if len(parts) != 2 or not all(parts):
         raise _Usage("--pair wants two comma-separated state names")
-    if isinstance(model, SFST):
-        _emit_model(symbolic.sfst_quotient(model, parts[0], parts[1]))
-    else:
-        _emit_model(coherence.quotient(model, parts[0], parts[1]))
+    _emit_model(coherence.quotient(model, parts[0], parts[1]))
     return EXIT_OK
 
 
 def _cmd_expand(args) -> int:
     model = _load_model(args.file)
-    if not isinstance(model, SFST):
-        model = lift_transducer(model)
+    from .. import symbolic
+
+    if isinstance(model, Transducer):
+        model = symbolic.lift_transducer(model)
     _emit_model(symbolic.expand(model, args.lo, args.hi))
     return EXIT_OK
 
@@ -273,6 +282,8 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_dot(args) -> int:
+    from . import dot
+
     sys.stdout.write(dot.to_dot(_load_model(args.file)))
     return EXIT_OK
 

@@ -14,21 +14,6 @@ from typing import List, Tuple
 from .. import protocol as protocol_mod
 from ..errors import CohminError, MissingInitial, ParseError, UnknownLabel
 from ..kernel import Signature, Trace, Transducer, mkround, render_round, round_key
-from ..symbolic import (
-    SFST,
-    Bin,
-    BoolLit,
-    IntLit,
-    Neg,
-    Not,
-    Port,
-    Reg,
-    STransition,
-    TRUE,
-    Update,
-    ValuedRound,
-    check_transition,
-)
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -72,6 +57,9 @@ class _ExprParser:
             pos = m.end()
         self.i = 0
         self.parens = 0
+        from .. import symbolic  # expressions exist only in symbolic files
+
+        self.ast = symbolic
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text) + 1)
@@ -102,7 +90,7 @@ class _ExprParser:
         while self.peek()[1] == "or":
             self.take()
             right, rd = self.parse_and()
-            e, d = self.grow(Bin("or", e, right), max(d, rd))
+            e, d = self.grow(self.ast.Bin("or", e, right), max(d, rd))
         return e, d
 
     def parse_and(self):
@@ -110,7 +98,7 @@ class _ExprParser:
         while self.peek()[1] == "and":
             self.take()
             right, rd = self.parse_not()
-            e, d = self.grow(Bin("and", e, right), max(d, rd))
+            e, d = self.grow(self.ast.Bin("and", e, right), max(d, rd))
         return e, d
 
     def parse_not(self):
@@ -120,7 +108,7 @@ class _ExprParser:
             nots += 1
         e, d = self.parse_cmp()
         for _ in range(nots):
-            e, d = self.grow(Not(e), d)
+            e, d = self.grow(self.ast.Not(e), d)
         return e, d
 
     def parse_cmp(self):
@@ -128,7 +116,7 @@ class _ExprParser:
         if self.peek()[1] in ("=", "<", "<=", ">", ">="):
             op = self.take()[1]
             right, rd = self.parse_add()
-            return self.grow(Bin(op, e, right), max(d, rd))
+            return self.grow(self.ast.Bin(op, e, right), max(d, rd))
         return e, d
 
     def parse_add(self):
@@ -136,7 +124,7 @@ class _ExprParser:
         while self.peek()[1] in ("+", "-"):
             op = self.take()[1]
             right, rd = self.parse_mul()
-            e, d = self.grow(Bin(op, e, right), max(d, rd))
+            e, d = self.grow(self.ast.Bin(op, e, right), max(d, rd))
         return e, d
 
     def parse_mul(self):
@@ -144,7 +132,7 @@ class _ExprParser:
         while self.peek()[1] == "*":
             self.take()
             right, rd = self.parse_unary()
-            e, d = self.grow(Bin("*", e, right), max(d, rd))
+            e, d = self.grow(self.ast.Bin("*", e, right), max(d, rd))
         return e, d
 
     def parse_unary(self):
@@ -155,7 +143,7 @@ class _ExprParser:
         kind, value, col = self.peek()
         if kind == "num":
             self.take()
-            e, d = IntLit(int(value)), 1
+            e, d = self.ast.IntLit(int(value)), 1
         elif value == "(":
             if self.parens == MAX_DEPTH:
                 self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
@@ -172,18 +160,18 @@ class _ExprParser:
         else:
             self.fail("expected an expression")
         for _ in range(negs):
-            e, d = self.grow(Neg(e), d)
+            e, d = self.grow(self.ast.Neg(e), d)
         return e, d
 
     def name(self, value: str, col: int):
         if value == "true":
-            return BoolLit(True)
+            return self.ast.BoolLit(True)
         if value == "false":
-            return BoolLit(False)
+            return self.ast.BoolLit(False)
         if value in self.registers:
-            return Reg(value)
+            return self.ast.Reg(value)
         if value in self.inputs:
-            return Port(value)
+            return self.ast.Port(value)
         raise ParseError(self.line, col,
                          f"unknown name {value!r} (not a register or input port)")
 
@@ -197,6 +185,8 @@ _LEVEL = {"or": 1, "and": 2, "=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
 
 
 def render_expr(e, parent_level: int = 0) -> str:
+    from ..symbolic import Bin, BoolLit, IntLit, Neg, Not, Port, Reg
+
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, BoolLit):
@@ -256,7 +246,10 @@ def _split_names(text: str, line: int) -> List[str]:
 
 
 def _split_state_names(text: str, line: int) -> List[str]:
-    """States split on top-level commas; product names like (a,b) survive."""
+    """States split on top-level commas; product names like (a,b) survive.
+
+    Every name must have balanced parentheses that never close more than
+    they opened, so that a product's name splits back into its parts."""
     names, buf, depth = [], [], 0
     for ch in text + ",":
         if ch == "," and depth == 0:
@@ -267,6 +260,8 @@ def _split_state_names(text: str, line: int) -> List[str]:
             continue
         depth += ch == "("
         depth -= ch == ")"
+        if depth < 0:
+            break
         buf.append(ch)
     if depth != 0:
         raise ParseError(line, 1, "unbalanced parentheses in state list")
@@ -350,6 +345,8 @@ def looks_like_regex_protocol(text: str) -> bool:
 
 
 def _parse_updates(text: str, registers, inputs, line: int):
+    from ..symbolic import Update
+
     updates = set()
     for part in text.split(","):
         um = re.match(r"\s*(?P<target>[A-Za-z_][A-Za-z0-9_]*)\s*:=\s*(?P<expr>.+)\Z",
@@ -388,6 +385,8 @@ def parse_model(text: str):
             delta.add((m.group("src"), v, m.group("tgt")))
             continue
         symbolic = True
+        from ..symbolic import STransition, TRUE, check_transition
+
         inputs = v & sig.inputs
         guard = TRUE
         if m.group("guard"):
@@ -403,6 +402,8 @@ def parse_model(text: str):
         delta.add(tr)
     if not symbolic:
         return Transducer(sig, states, header["initial"], frozenset(delta))
+    from ..symbolic import SFST, STransition, TRUE
+
     delta = {STransition(t[0], t[1], TRUE, frozenset(), t[2])
              if isinstance(t, tuple) else t for t in delta}
     return SFST(sig, states, registers, header["initial"], frozenset(delta))
@@ -433,6 +434,8 @@ _VALUED_EVENT = re.compile(
 
 
 def parse_valued_trace(text: str):
+    from ..symbolic import ValuedRound
+
     rounds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -487,7 +490,7 @@ def canonical_transitions(model):
     (``round_key``), target, then the rendered guard and updates.  The
     label is the round, then any ``when`` guard and ``do`` updates, as the
     file writes them; each distinct round is rendered once."""
-    if not isinstance(model, SFST):
+    if isinstance(model, Transducer):
         rounds = {v: (round_key(v), render_round(v))
                   for v in {v for _, v, _ in model.delta}}
         for s, v, t in sorted(model.delta, key=lambda x: (x[0], rounds[x[1]], x[2])):
@@ -511,7 +514,7 @@ def canonical_transitions(model):
 def serialize_model(model) -> str:
     lines = [f"signature {model.signature.render()};",
              f"states {', '.join(sorted(model.states))};"]
-    if isinstance(model, SFST):
+    if not isinstance(model, Transducer):
         lines.append(f"registers {', '.join(sorted(model.registers))};")
     lines.append(f"initial {model.initial};")
     lines += [f"trans {s} -> {t} : {label};" for s, t, label in canonical_transitions(model)]

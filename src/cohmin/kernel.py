@@ -202,7 +202,7 @@ def merge_states(M, classes):
     their names; transitions that become equal collapse, since ``delta`` is
     a set.  This is the one place where states are renamed.
     """
-    name = {s: min(c) for c in classes for s in c}.get
+    name = {s: least for c in classes for least in (min(c),) for s in c}.get
     if isinstance(M, Transducer):
         delta = [(name(s, s), v, name(t, t)) for s, v, t in M.delta]
     else:

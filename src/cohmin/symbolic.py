@@ -832,17 +832,17 @@ def sfst_quotient(T: SFST, s1: str, s2: str) -> SFST:
 
 
 def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
-                           keep_unreachable: bool = False):
+                           keep_unreachable: bool = False, on_merge=None):
     """Iterated quotienting of coherently equivalent control states.
 
     The merge loop of ``coherence.coherent_minimize`` runs on the control
-    skeleton and the match keys; ``T`` is then folded once, each merge
-    class into its least name.
+    skeleton and the match keys, and reports to ``on_merge`` as there;
+    ``T`` is then folded once, each merge class into its least name.
     """
     skel_t, skel_p = _skeletons(T, P)
     _, log = coherence.coherent_minimize(
         skel_t, skel_p, keep_unreachable=True,
-        keyed=_key_machine(T, mode, SEMANTIC_DOMAIN))
+        keyed=_key_machine(T, mode, SEMANTIC_DOMAIN), on_merge=on_merge)
     out = merge_states(T, coherence.merge_classes(log))
     return (out if keep_unreachable else drop_unreachable(out)), log
 

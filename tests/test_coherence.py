@@ -1,12 +1,16 @@
 import random
+from collections import Counter
 
 import pytest
 
 from cohmin import algebra, coherence, kernel
 from cohmin.errors import SameState, UnknownState
 from cohmin.fixtures import forked_reader, linear_protocol, two_phase_cycle
-from cohmin.kernel import Transducer, mkround
+from cohmin.frontend import parse_model
+from cohmin.kernel import Transducer, merge_states, mkround
 from cohmin.protocol import empty_protocol, universal_protocol
+
+import naive_coherence
 
 from helpers import (
     SIG2,
@@ -17,6 +21,7 @@ from helpers import (
     linear_protocol_shaped,
     protocol_extendable,
     random_transducer,
+    ring,
 )
 
 R = mkround
@@ -165,6 +170,114 @@ class TestCoherentMinimize:
         a = coherence.coherent_minimize(FORK, PR)
         b = coherence.coherent_minimize(FORK, PR)
         assert a == b
+
+
+# The machine that refutes the skip rule once proposed for the merge loop
+# ("a and b have the same row and column, and the joint reach does not
+# grow"): both hold at the first merge, (a, b), yet the merged machine's
+# relation is not f(R).  a enters the ~-class {g, h, l} on {w} and b on
+# {v}, so ~ is no bisimulation and the loop recomputes.
+LEMMA_COUNTEREXAMPLE = parse_model("""\
+signature in u, q, v, w; out z, zz;
+states a, b, c, d, e, f, g, h, j, k, l;
+initial c;
+trans c -> a : {u}; trans c -> b : {u}; trans c -> d : {q};
+trans a -> e : {v}; trans a -> h : {w}; trans a -> f : {w};
+trans b -> e : {v}; trans b -> g : {v}; trans b -> f : {w};
+trans d -> j : {v}; trans d -> k : {w}; trans d -> e : {v}; trans d -> f : {w};
+trans e -> l : {z}; trans f -> l : {zz};
+""")
+LEMMA_PROTOCOL = parse_model("""\
+signature in u, q, v, w; out z, zz;
+states P0, P1, P2, P3, P4, P5, P6, P7;
+initial P0;
+trans P0 -> P1 : {u}; trans P0 -> P2 : {q}; trans P1 -> P4 : {v};
+trans P1 -> P6 : {w}; trans P2 -> P3 : {v}; trans P2 -> P5 : {w};
+trans P3 -> P7 : {z}; trans P5 -> P7 : {zz};
+""")
+
+# Merging s1 (reached) with s3 (not reached) makes s4 reachable, so the
+# joint reach grows; s1, s3 and s4 form one class of a ~ that is a
+# bisimulation, so the merge is still skipped, and the folded relation is
+# the merged machine's (README, "Merging without recomputing").
+REACH_GROWTH = parse_model("""\
+signature in x; out y;
+states s0, s1, s2, s3, s4;
+initial s0;
+trans s0 -> s1 : {x, y};
+trans s1 -> s1 : {x};
+trans s2 -> s4 : {y};
+trans s3 -> s4 : {x};
+trans s4 -> s1 : {x};
+""")
+
+
+def minimize_with_outcomes(T, P):
+    """``coherent_minimize(T, P)`` and each merge's outcome; every skipped
+    merge's folded relation is checked against a fresh fixpoint."""
+    outcomes = []
+
+    def hook(log, outcome, folded):
+        outcomes.append(outcome)
+        if folded is not None:
+            merged = merge_states(T, coherence.merge_classes(log))
+            assert folded == coherence.coherent_simulation(merged, P).pairs
+
+    return coherence.coherent_minimize(T, P, on_merge=hook), outcomes
+
+
+def fold(f, pairs):
+    return {(f.get(x, x), f.get(y, y)) for x, y in pairs}
+
+
+class TestSkipRule:
+    def test_lemma_counterexample_recomputes(self):
+        T, P = LEMMA_COUNTEREXAMPLE, LEMMA_PROTOCOL
+        (_, log), outcomes = minimize_with_outcomes(T, P)
+        assert log == [("a", "b"), ("a", "d"), ("g", "h"), ("g", "j"),
+                       ("g", "k"), ("g", "l")]
+        assert log == naive_coherence.coherent_minimize(T, P)[1]
+        assert outcomes[0] == "not a bisimulation"
+        assert "skip" not in outcomes
+        # both conditions of the refuted rule hold at the first merge ...
+        R = coherence.coherent_simulation(T, P).pairs
+        for x in T.states:
+            assert ((x, "a") in R) == ((x, "b") in R)
+            assert (("a", x) in R) == (("b", x) in R)
+        f = {"b": "a"}
+        merged = merge_states(T, [{"a", "b"}])
+        assert coherence.product_reach(merged, P) == \
+            fold(f, coherence.product_reach(T, P))
+        # ... yet f(R) misses the pair that the loop merges next
+        fresh = coherence.coherent_simulation(merged, P).pairs
+        assert fresh - fold(f, R) == {("a", "d")}
+        assert ("d", "a") in fresh
+
+    def test_reach_growth_is_skipped(self):
+        T, P = REACH_GROWTH, universal_protocol(REACH_GROWTH.signature)
+        (mini, log), outcomes = minimize_with_outcomes(T, P)
+        assert log == [("s1", "s3"), ("s1", "s4")]
+        assert outcomes == ["skip", "skip"]
+        assert (mini, log) == naive_coherence.coherent_minimize(T, P)
+        merged = merge_states(T, [{"s1", "s3"}])
+        before = fold({"s3": "s1"}, coherence.product_reach(T, P))
+        after = coherence.product_reach(merged, P)
+        assert before < after and ("s4", "u") in after - before
+
+    def test_ring_runs_one_fixpoint(self, monkeypatch):
+        names = [f"q{i * 7 % 257:03d}" for i in range(256)]
+        T = ring(names)
+        P = parse_model("signature in a; out b;\nstates p, q;\ninitial p;\n"
+                        "trans p -> q : {a};\ntrans q -> p : {b};\n")
+        calls, outcomes = [], Counter()
+        simulation = coherence.coherent_simulation
+        monkeypatch.setattr(coherence, "coherent_simulation",
+                            lambda *args: calls.append(1) or simulation(*args))
+        mini, log = coherence.coherent_minimize(
+            T, P, on_merge=lambda log, outcome, folded: outcomes.update([outcome]))
+        assert len(mini.states) == 2 and len(log) == 254
+        assert len(calls) == 1
+        assert outcomes == {"skip": 254}
 
 
 class TestBisimMinimize:

@@ -10,14 +10,17 @@ construction; the compiled protocols must have the same traces and drive
 the coherence engine to the same relations and merge logs.  It also keeps
 the original ``parse_trace`` and ``monitor``; every trace, parse error and
 verdict must come out identical.
-The ring tests at the end pin the merge-and-recompute loop on sizes the
-naive engine could not reach in a test run.
+Every merge that ``coherent_minimize`` folds instead of recomputing is
+checked against a fresh fixpoint of the merged machine.  The ring tests at
+the end pin the merge loop on sizes the naive engine could not reach in a
+test run.
 """
 
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import partial
 from pathlib import Path
 
@@ -37,7 +40,7 @@ from cohmin.fixtures import ITERATOR_MAP_REGEX, adder, iterator_map
 from cohmin.frontend import parse_model, parse_trace, serialize_model, serialize_trace
 from cohmin.frontend.cli import _load_protocol
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
-from cohmin.kernel import Signature, Transducer, mkround, round_key
+from cohmin.kernel import Signature, Transducer, merge_states, mkround, round_key
 from cohmin.protocol import empty_protocol, universal_protocol
 from cohmin.symbolic import expand, lift_transducer
 
@@ -67,7 +70,21 @@ def ring_protocol(sig):
     return protocol.compile_regex(regex, sig)
 
 
-def assert_same(T, P):
+def skips_checked(fresh, outcomes):
+    """An ``on_merge`` for ``coherent_minimize`` that checks every skipped
+    merge: its folded relation must equal ``fresh(classes)``, a new fixpoint
+    of the machine merged along the log so far.  Each merge's outcome goes
+    into ``outcomes``."""
+
+    def on_merge(log, outcome, folded):
+        outcomes[outcome] += 1
+        if folded is not None:
+            assert folded == fresh(coherence.merge_classes(log))
+
+    return on_merge
+
+
+def assert_same(T, P, outcomes=None):
     new = coherence.coherent_simulation(T, P)
     old = naive.coherent_simulation(T, P)
     assert new.sorted_pairs() == old.sorted_pairs()
@@ -77,8 +94,13 @@ def assert_same(T, P):
     assert new_eq.sorted_pairs() == old_eq.sorted_pairs()
     assert new_eq.pairs == old_eq.pairs
     assert bool(new_eq) == bool(old_eq)
+
+    def fresh(classes):
+        return coherence.coherent_simulation(merge_states(T, classes), P).pairs
+
+    on_merge = skips_checked(fresh, Counter() if outcomes is None else outcomes)
     for keep in (False, True):
-        assert coherence.coherent_minimize(T, P, keep) == \
+        assert coherence.coherent_minimize(T, P, keep, on_merge=on_merge) == \
             naive.coherent_minimize(T, P, keep)
 
 
@@ -123,6 +145,27 @@ class TestAgainstNaiveOracle:
                       random_transducer(rng, sig, 4, 10, "p")):
                 assert_same(T, P)
 
+    def test_merge_loop_on_many_machines(self):
+        # only the merge loop, on enough machines that both ways out of
+        # the skip test occur
+        rng = random.Random(2500)
+        outcomes = Counter()
+        for i in range(400):
+            sig = rng.choice((SIG2, SIG3))
+            T = random_transducer(rng, sig, 7, 14, deterministic=i % 2 == 0)
+            for P in (universal_protocol(sig), linear_protocol_shaped(sig),
+                      random_transducer(rng, sig, 4, 10, "p")):
+                def fresh(classes):
+                    return coherence.coherent_simulation(
+                        merge_states(T, classes), P).pairs
+
+                on_merge = skips_checked(fresh, outcomes)
+                assert coherence.coherent_minimize(T, P, on_merge=on_merge) == \
+                    naive.coherent_minimize(T, P)
+        assert outcomes["skip"] > 500
+        assert outcomes["not interchangeable"] > 200
+        assert outcomes["not a bisimulation"] > 0
+
     def test_rings_with_shuffled_names(self):
         rng = random.Random(1800)
         for n in (2, 4, 6, 10, 16, 20):
@@ -158,10 +201,11 @@ class TestAgainstNaiveOracle:
 GUARD_MODES = ("structural", "bounded-semantic")
 
 
-def assert_same_sfst(T, P):
+def assert_same_sfst(T, P, outcomes=None):
     """Symbolic engine and frozen symbolic oracle agree on (T, P); returns
     the relation per guard mode."""
     relations = {}
+    outcomes = Counter() if outcomes is None else outcomes
     for mode in GUARD_MODES:
         new = symbolic.sfst_coherent_simulation(T, P, mode)
         old = naive_symbolic.sfst_coherent_simulation(T, P, mode)
@@ -172,8 +216,14 @@ def assert_same_sfst(T, P):
         assert new_eq.sorted_pairs() == old_eq.sorted_pairs()
         assert symbolic.sfst_equivalence_pairs(T, P, mode).sorted_pairs() == \
             old_eq.sorted_pairs()
+
+        def fresh(classes):
+            return symbolic.sfst_coherent_simulation(
+                merge_states(T, classes), P, mode).pairs
+
+        on_merge = skips_checked(fresh, outcomes)
         for keep in (False, True):
-            mini, log = symbolic.sfst_coherent_minimize(T, P, mode, keep)
+            mini, log = symbolic.sfst_coherent_minimize(T, P, mode, keep, on_merge)
             old_mini, old_log = naive_symbolic.sfst_coherent_minimize(
                 T, P, mode, keep)
             assert log == old_log
@@ -204,8 +254,12 @@ def sfst_protocols(rng, sig):
 class TestSymbolicAgainstNaiveOracle:
     def test_iterator_map(self):
         machine, proto = iterator_map()
-        relations = assert_same_sfst(machine, proto)
+        outcomes = Counter()
+        relations = assert_same_sfst(machine, proto, outcomes)
         assert len(relations["structural"]) == 59
+        # six merges in each guard mode, with and without unreachable
+        # states, and every one recomputes
+        assert outcomes == {"not a bisimulation": 24}
         # 16 labels: too many for the universal protocol
         assert_same_sfst(machine, empty_protocol(machine.signature))
         assert_same_sfst(machine, linear_protocol_shaped(machine.signature))
@@ -246,10 +300,11 @@ class TestSymbolicAgainstNaiveOracle:
     def test_random_sfsts(self):
         rng = random.Random(2100)
         merges = modes_differ = 0
+        outcomes = Counter()
         for _ in range(40):
             T = random_sfst(rng, 5, 10)
             for P in sfst_protocols(rng, SFST_SIG):
-                relations = assert_same_sfst(T, P)
+                relations = assert_same_sfst(T, P, outcomes)
                 modes_differ += relations["structural"] != \
                     relations["bounded-semantic"]
                 merges += len(symbolic.sfst_coherent_minimize(T, P)[1])
@@ -257,6 +312,7 @@ class TestSymbolicAgainstNaiveOracle:
         # the pools must actually exercise merges and the two guard modes
         assert merges > 40
         assert modes_differ > 5
+        assert outcomes["skip"] > 50 and outcomes["not interchangeable"] > 50
 
 
 def assert_same_products(T, U):

@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import random
 import subprocess
@@ -258,6 +259,38 @@ class TestCli:
         assert run_cli("monitor", "--protocol", str(protocol_path), "--trace", str(path)) \
             == (3, verdict.render() + "\n", "")
 
+    def test_plain_commands_leave_the_symbolic_layer_unloaded(self, tmp_path):
+        ring, prot = tmp_path / "ring.fst", tmp_path / "ring.prot"
+        ring.write_text("signature in a; out b;\nstates s0, s1, s2, s3;\n"
+                        "initial s0;\ntrans s0 -> s1 : {a};\ntrans s1 -> s2 : {b};\n"
+                        "trans s2 -> s3 : {a};\ntrans s3 -> s0 : {b};\n")
+        prot.write_text("alphabet a, b;\nregex (a b)*;\n")
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from cohmin.frontend import cli_main\n"
+            "ring, prot, sfst = sys.argv[1:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli_main(['minimize', '--policy', 'coherent',\n"
+            "                       '--protocol', prot, ring]),\n"
+            "             cli_main(['validate', ring])]\n"
+            "    plain = sorted(m for m in sys.modules if m.startswith('cohmin.'))\n"
+            "    codes.append(cli_main(['minimize', '--policy', 'bisim', sfst]))\n"
+            "print(json.dumps([codes, plain, 'cohmin.symbolic' in sys.modules]))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(ring), str(prot),
+             str(FIXDIR / "adder.sfst")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.stderr == ""
+        codes, plain, symbolic_loaded = json.loads(proc.stdout)
+        assert codes == [0, 0, 0]
+        assert "cohmin.coherence" in plain
+        for module in ("cohmin.symbolic", "cohmin.fixtures", "cohmin.frontend.dot"):
+            assert module not in plain
+        assert symbolic_loaded  # and a symbolic file still loads it
+
     def test_usage_error(self):
         code, _, err = run_cli("minimize", "--policy", "coherent",
                                str(FIXDIR / "forked_reader.fst"))
@@ -498,6 +531,30 @@ class TestRoundTrip:
                   algebra.intersect(T, U, keep_unreachable=True),
                   algebra.interact(T, V, keep_unreachable=True)):
             assert parse_model(serialize_model(m)) == m
+
+    @pytest.mark.parametrize("name, accepted", [
+        ("(a,b)", True), ("((a),b)", True), ("a(b)c", True), ("(,)", True),
+        ("a),(b", False), ("a)(b", False), (")a(", False), ("a)", False),
+        ("(a", False),
+    ])
+    def test_intersect_of_every_accepted_file_parses_back(self, tmp_path,
+                                                          name, accepted):
+        # a name whose parentheses close more than they opened, such as
+        # a),(b, was once accepted, and its product's name did not split
+        # back into one state
+        path = tmp_path / "m.fst"
+        path.write_text("signature in a; out b;\n"
+                        f"states {name}, s;\ninitial s;\ntrans s -> {name} : {{a}};\n")
+        code, out, err = run_cli("intersect", str(path), str(path))
+        if not accepted:
+            assert (code, out) == (2, "")
+            assert err == "error: 2:1: unbalanced parentheses in state list\n"
+            return
+        T = parse_model(path.read_text())
+        assert (code, err) == (0, "")
+        assert parse_model(out) == algebra.intersect(T, T)
+        path.write_text(out)
+        assert run_cli("validate", str(path))[0] == 0
 
     @pytest.mark.parametrize("word", ["do", "when", "registers"])
     def test_keyword_names_stay_plain(self, word):
