@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from . import algebra
 from .errors import SameState, SignatureMismatch, UnknownState
 from .kernel import Round, Transducer, drop_unreachable, merge_states
 
@@ -430,4 +429,6 @@ def coherent_equiv_bounded(T: Transducer, U: Transducer, P: Transducer, k: int) 
     length <= k; this is the soundness oracle for quotienting.  No product
     is built (:func:`algebra.distinguishing_trace`).
     """
+    from . import algebra  # only equiv needs it
+
     return algebra.distinguishing_trace(T, U, k, P) is None

@@ -5,8 +5,10 @@ Exit codes: 0 success (OK / equivalent), 1 usage error, 2 input error,
 stdout, diagnostics to stderr; identical invocations produce byte-identical
 output.
 
-A model that is not a plain ``Transducer`` is symbolic; ``cohmin.symbolic``
-and ``dot`` load only on the commands that need them.
+A model that is not a plain ``Transducer`` is symbolic.  Only ``kernel``
+and the file formats load with this module; ``algebra``, ``coherence``,
+``protocol``, ``symbolic`` and ``dot`` load in the commands that call
+them, so that no process pays to compile a layer it does not run.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .. import algebra, coherence, kernel, protocol
+from .. import kernel
 from ..errors import CohminError, ResourceLimit
 from ..kernel import Signature, Transducer
 from . import fileformat
@@ -56,6 +58,8 @@ def _load_protocol(path: str, subject) -> Transducer:
     symbolic protocol is read as its control skeleton.  The result is
     rebound to the subject's signature; with no subject (``None``) it is
     left as read, and a regex protocol takes every label as an input."""
+    from .. import protocol
+
     text = _read(path)
     if fileformat.looks_like_regex_protocol(text):
         alphabet, regex = fileformat.parse_regex_protocol(text)
@@ -101,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("traces", help="enumerate traces up to a depth")
     sp.add_argument("--depth", type=_count(0), required=True)
     sp.add_argument("--cap", type=_count(1), default=kernel.DEFAULT_TRACE_CAP,
-                    help="abort beyond this many traces (exit 4)")
+                    help="abort beyond this many traces (exit 4); the traces "
+                    f"may also hold at most {kernel.TRACE_ROUNDS_CAP:,} rounds in all")
     sp.add_argument("file")
 
     for name in ("intersect", "interact", "compose"):
@@ -183,6 +188,8 @@ def _cmd_traces(args) -> int:
 def _cmd_binary(args) -> int:
     left = _require_transducer(_load_model(args.left), args.command)
     right = _require_transducer(_load_model(args.right), args.command)
+    from .. import algebra
+
     op = {"intersect": algebra.intersect, "interact": algebra.interact,
           "compose": algebra.compose}[args.command]
     _emit_model(op(left, right, keep_unreachable=args.keep_unreachable))
@@ -192,12 +199,16 @@ def _cmd_binary(args) -> int:
 def _cmd_project(args) -> int:
     model = _require_transducer(_load_model(args.file), "project")
     labels = [x.strip() for x in args.keep.split(",") if x.strip()]
+    from .. import algebra
+
     _emit_model(algebra.project(model, model.signature.restrict(labels)))
     return EXIT_OK
 
 
 def _cmd_minimize(args) -> int:
     model = _load_model(args.file)
+    from .. import coherence
+
     if args.policy == "bisim":
         if isinstance(model, Transducer):
             out = coherence.bisim_minimize(
@@ -230,6 +241,8 @@ def _cmd_minimize(args) -> int:
 def _cmd_relation(args) -> int:
     model = _load_model(args.file)
     P = _load_protocol(args.protocol, model)
+    from .. import coherence
+
     if isinstance(model, Transducer):
         rel = coherence.coherent_simulation(model, P)
         pairs = coherence.equivalence_pairs(model, P, rel)
@@ -249,6 +262,8 @@ def _cmd_equiv(args) -> int:
     left = _require_transducer(_load_model(args.left), "equiv")
     right = _require_transducer(_load_model(args.right), "equiv")
     P = _load_protocol(args.protocol, left)
+    from .. import coherence
+
     same = coherence.coherent_equiv_bounded(left, right, P, args.depth)
     print("equivalent" if same else "not equivalent")
     return EXIT_OK if same else EXIT_VERDICT
@@ -259,6 +274,8 @@ def _cmd_quotient(args) -> int:
     parts = [x.strip() for x in args.pair.split(",")]
     if len(parts) != 2 or not all(parts):
         raise _Usage("--pair wants two comma-separated state names")
+    from .. import coherence
+
     _emit_model(coherence.quotient(model, parts[0], parts[1]))
     return EXIT_OK
 
@@ -276,6 +293,8 @@ def _cmd_expand(args) -> int:
 def _cmd_monitor(args) -> int:
     P = _load_protocol(args.protocol, None)
     trace = fileformat.parse_trace(_read(args.trace))
+    from .. import protocol
+
     verdict = protocol.monitor(P, trace)
     print(verdict.render())
     return EXIT_OK if verdict.ok else EXIT_VERDICT
@@ -321,6 +340,9 @@ def cli_main(argv=None) -> int:
         return EXIT_USAGE
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except CohminError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from typing import List, Tuple
 
-from .. import protocol as protocol_mod
 from ..errors import CohminError, MissingInitial, ParseError, UnknownLabel
 from ..kernel import Signature, Trace, Transducer, mkround, render_round, round_key
 
@@ -461,6 +460,8 @@ def parse_valued_trace(text: str):
 
 def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
     """``alphabet a, b; regex (a b)*;`` -> (labels, regex AST)."""
+    from .. import protocol as protocol_mod  # only protocol files need it
+
     alphabet = None
     regex = None
     for line, stmt in _statements(text):

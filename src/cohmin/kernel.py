@@ -6,12 +6,16 @@ traces that can be driven from the initial state; there are no accepting
 states, so every language is prefix-closed by construction.
 
 All values are immutable; every operation is a pure function of its inputs.
+Every value type of the package (here, in ``protocol`` and in ``symbolic``)
+is a :class:`Record`: a slotted class with dataclass-like equality, hash,
+``repr`` and construction, built without importing :mod:`dataclasses`,
+which would cost each ``cohmin`` process several milliseconds of start-up.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
@@ -30,6 +34,9 @@ EMPTY_TRACE: Trace = ()
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 DEFAULT_TRACE_CAP = 10**6
+# Rounds the enumerated traces may hold between them (a trace of length n
+# holds n): long traces exhaust memory well below the trace-count cap.
+TRACE_ROUNDS_CAP = 2 * 10**6
 
 
 def check_label(name: str) -> str:
@@ -60,27 +67,114 @@ def render_trace(t: Trace) -> str:
     return "[" + " ".join(render_round(v) for v in t) + "]"
 
 
-@dataclass(frozen=True)
-class Signature:
-    """Named input and output port labels; the two sets are disjoint."""
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass names its fields, in order, in ``_fields``, and declares
+    them in ``__slots__`` together with any attribute its
+    ``__post_init__`` derives from them; ``_defaults`` maps trailing
+    fields to their default values.  The constructor takes the fields
+    positionally or by keyword, stores them, then calls
+    ``__post_init__``, which may normalise fields (through
+    ``object.__setattr__``) and validates them.  As with a frozen
+    dataclass, ``==`` holds only between instances of one class with
+    equal fields, ``hash`` and ``repr`` are taken over the fields, no
+    attribute can be set or deleted afterwards, and ``copy`` and
+    ``pickle`` work.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # the fields as a tuple, so that a one-field record hashes as
+        # ``hash((value,))``, as a dataclass does
+        cls._values = staticmethod(
+            get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"arguments but {len(args)} were given")
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                _set(self, field, kwargs.pop(field))
+            elif field in self._defaults:
+                _set(self, field, self._defaults[field])
+            else:
+                raise TypeError(f"{type(self).__name__}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{type(self).__name__}() got an unexpected or "
+                            f"repeated argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _replace(self, **changes):
+        """A new instance with ``changes`` applied to the fields, built
+        (and so validated) by the constructor."""
+        return type(self)(*[changes.pop(f) if f in changes else getattr(self, f)
+                            for f in self._fields], **changes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self._fields) + ")"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which alone
+        # may set the fields
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Signature(Record):
+    """Named input and output port labels; the two sets are disjoint.
+
+    ``universe``, the union of the two, is computed once here; it is not a
+    field, so it takes no part in ``==``, ``hash`` or ``repr``.
+    """
+
+    _fields = ("inputs", "outputs")
+    __slots__ = _fields + ("universe",)
 
     inputs: FrozenSet[str]
     outputs: FrozenSet[str]
+    universe: FrozenSet[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", frozenset(self.inputs))
-        object.__setattr__(self, "outputs", frozenset(self.outputs))
-        for name in self.inputs | self.outputs:
+        _set(self, "inputs", frozenset(self.inputs))
+        _set(self, "outputs", frozenset(self.outputs))
+        _set(self, "universe", self.inputs | self.outputs)
+        for name in self.universe:
             check_label(name)
         overlap = self.inputs & self.outputs
         if overlap:
             raise SignatureMismatch(
                 f"labels on both sides of the signature: {sorted(overlap)}"
             )
-
-    @property
-    def universe(self) -> FrozenSet[str]:
-        return self.inputs | self.outputs
 
     def dualize(self) -> "Signature":
         """Swap input and output polarity (an involution)."""
@@ -109,13 +203,15 @@ class Signature:
         )
 
 
-@dataclass(frozen=True)
-class Transducer:
+class Transducer(Record):
     """States plus a set of (source, round, target) transitions.
 
     ``delta`` is a set, so duplicate transitions collapse silently.
     Unreachable states are retained; only minimisation decides their fate.
     """
+
+    _fields = ("signature", "states", "initial", "delta")
+    __slots__ = _fields + ("_adj",)
 
     signature: Signature
     states: FrozenSet[str]
@@ -123,10 +219,8 @@ class Transducer:
     delta: FrozenSet[Tuple[str, Round, str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozenset(self.states))
-        object.__setattr__(
-            self, "delta", frozenset((s, frozenset(v), t) for s, v, t in self.delta)
-        )
+        _set(self, "states", frozenset(self.states))
+        _set(self, "delta", frozenset((s, frozenset(v), t) for s, v, t in self.delta))
         if not self.states:
             raise UnknownState("<empty state set>")
         if self.initial not in self.states:
@@ -140,7 +234,7 @@ class Transducer:
         adj = {}
         for src, v, tgt in self.delta:
             adj.setdefault(src, {}).setdefault(v, set()).add(tgt)
-        object.__setattr__(self, "_adj", adj)
+        _set(self, "_adj", adj)
 
     # -- stepping ---------------------------------------------------------
 
@@ -206,10 +300,10 @@ def merge_states(M, classes):
     if isinstance(M, Transducer):
         delta = [(name(s, s), v, name(t, t)) for s, v, t in M.delta]
     else:
-        delta = [replace(tr, source=name(tr.source, tr.source),
-                         target=name(tr.target, tr.target)) for tr in M.delta]
-    return replace(M, states=frozenset(name(s, s) for s in M.states),
-                   initial=name(M.initial, M.initial), delta=frozenset(delta))
+        delta = [tr._replace(source=name(tr.source, tr.source),
+                             target=name(tr.target, tr.target)) for tr in M.delta]
+    return M._replace(states=frozenset(name(s, s) for s in M.states),
+                      initial=name(M.initial, M.initial), delta=frozenset(delta))
 
 
 def drop_unreachable(M):
@@ -226,21 +320,21 @@ def drop_unreachable(M):
         delta = [tr for tr in M.delta if tr[0] in reach]
     else:
         delta = [tr for tr in M.delta if tr.source in reach]
-    return replace(M, states=reach, delta=frozenset(delta))
+    return M._replace(states=reach, delta=frozenset(delta))
 
 
-@dataclass(frozen=True)
-class TraceSet:
+class TraceSet(Record):
     """A finite set of traces over a signature, as :func:`traces_upto`
     enumerates them."""
+
+    __slots__ = _fields = ("signature", "traces")
 
     signature: Signature
     traces: FrozenSet[Trace]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "traces", frozenset(tuple(frozenset(v) for v in t) for t in self.traces)
-        )
+        _set(self, "traces",
+             frozenset(tuple(frozenset(v) for v in t) for t in self.traces))
         for t in self.traces:
             for v in t:
                 self.signature.check_round(v)
@@ -253,10 +347,14 @@ class TraceSet:
 
 
 def _enumerate(T: Transducer, k: int, cap: int):
-    """Breadth-first trace enumeration; yields (trace, reached-state-set)."""
+    """Breadth-first trace enumeration; yields (trace, reached-state-set).
+
+    Stops with :class:`ResourceLimit` beyond ``cap`` traces or beyond
+    :data:`TRACE_ROUNDS_CAP` rounds held by the traces together.
+    """
     if k < 0:
         raise ValueError("depth must be >= 0")
-    count = 1
+    count, held = 1, 0
     yield EMPTY_TRACE, frozenset({T.initial})
     frontier = [(EMPTY_TRACE, frozenset({T.initial}))]
     for _ in range(k):
@@ -270,9 +368,14 @@ def _enumerate(T: Transducer, k: int, cap: int):
                 if not succ:
                     continue
                 count += 1
+                held += len(trace) + 1
                 if count > cap:
                     raise ResourceLimit(
                         f"trace enumeration exceeded cap of {cap} traces"
+                    )
+                if held > TRACE_ROUNDS_CAP:
+                    raise ResourceLimit(
+                        f"traces would hold more than {TRACE_ROUNDS_CAP} rounds"
                     )
                 item = (trace + (v,), succ)
                 yield item

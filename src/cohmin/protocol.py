@@ -10,34 +10,36 @@ anywhere in this library, matching the game-style reading of plays).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import FrozenSet, List, Optional, Tuple
 
-from . import algebra
 from .errors import ParseError, ResourceLimit, SignatureMismatch, UnknownLabel
-from .kernel import Round, Signature, Trace, Transducer, render_round, round_key
+from .kernel import Record, Round, Signature, Trace, Transducer, render_round, round_key
 
 
 # -- protocol regular expressions -------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
+    __slots__ = _fields = ("label",)
+
     label: str
 
 
-@dataclass(frozen=True)
-class Cat:
+class Cat(Record):
+    __slots__ = _fields = ("items",)
+
     items: Tuple
 
 
-@dataclass(frozen=True)
-class Alt:
+class Alt(Record):
+    __slots__ = _fields = ("items",)
+
     items: Tuple
 
 
-@dataclass(frozen=True)
-class Star:
+class Star(Record):
+    __slots__ = _fields = ("item",)
+
     item: object
 
 
@@ -235,6 +237,8 @@ def compile_regex(r, sig: Signature) -> Transducer:
                 todo.append(p)
     delta = [(str(p), frozenset({positions[q]}), str(q))
              for p in live for q in succ[p] if q in live]
+    from . import algebra  # the monitor alone does not need it
+
     return algebra.determinize(
         Transducer(sig, {str(p) for p in live | {-1}}, "-1", delta))
 
@@ -242,14 +246,16 @@ def compile_regex(r, sig: Signature) -> Transducer:
 # -- the online monitor ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Monitor outcome: acceptance, or the first offending round."""
 
+    __slots__ = _fields = ("status", "index", "offending", "expected")
+    _defaults = {"index": None, "offending": None, "expected": None}
+
     status: str  # "OK" | "VIOLATION"
-    index: Optional[int] = None
-    offending: Optional[Round] = None
-    expected: Optional[FrozenSet[Round]] = None
+    index: Optional[int]
+    offending: Optional[Round]
+    expected: Optional[FrozenSet[Round]]
 
     @property
     def ok(self) -> bool:

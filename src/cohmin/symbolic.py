@@ -12,7 +12,6 @@ computed on the control skeleton (guards ignored), again conservative.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from . import coherence, kernel
@@ -29,7 +28,7 @@ from .errors import (
     UnboundReference,
     UnknownState,
 )
-from .kernel import Round, Signature, Transducer, drop_unreachable, merge_states
+from .kernel import Record, Round, Signature, Transducer, drop_unreachable, merge_states
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -41,40 +40,47 @@ SEMANTIC_CAP = 10**6        # assignment cap for bounded-semantic checks
 # -- expression syntax ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record):
+    __slots__ = _fields = ("value",)
+
     value: int
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Record):
+    __slots__ = _fields = ("value",)
+
     value: bool
 
 
-@dataclass(frozen=True)
-class Reg:
+class Reg(Record):
+    __slots__ = _fields = ("name",)
+
     name: str
 
 
-@dataclass(frozen=True)
-class Port:
+class Port(Record):
     """The value carried on an input port present in the current round."""
 
+    __slots__ = _fields = ("name",)
+
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
+    __slots__ = _fields = ("arg",)
+
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
+    __slots__ = _fields = ("arg",)
+
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Bin:
+class Bin(Record):
+    __slots__ = _fields = ("op", "left", "right")
+
     op: str  # + - * = < <= > >= and or
     left: "Expr"
     right: "Expr"
@@ -356,16 +362,18 @@ def guard_equiv(g1: Expr, g2: Expr, mode: str = "structural",
 # -- updates and transitions ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(Record):
     """Assignment of an integer expression to a register or an output port."""
+
+    __slots__ = _fields = ("target", "expr")
 
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class STransition:
+class STransition(Record):
+    __slots__ = _fields = ("source", "round", "guard", "updates", "target")
+
     source: str
     round: Round
     guard: Expr
@@ -434,10 +442,12 @@ def _transition_key(tr: STransition):
             sorted((u.target, repr(u.expr)) for u in tr.updates))
 
 
-@dataclass(frozen=True)
-class SFST:
+class SFST(Record):
     """Control states plus registers; transitions carry a guard and a set
     of simultaneous updates.  Registers start at 0."""
+
+    _fields = ("signature", "states", "registers", "initial", "delta")
+    __slots__ = _fields + ("_adj",)
 
     signature: Signature
     states: FrozenSet[str]
@@ -519,13 +529,14 @@ def lift_transducer(T: Transducer) -> SFST:
 # -- concrete runs ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValuedRound:
+class ValuedRound(Record):
     """One synchronous step with concrete port values.
 
     ``events`` maps each fired port to an integer, or to None for a
     control-only (unit-valued) firing.
     """
+
+    __slots__ = _fields = ("events",)
 
     events: FrozenSet[Tuple[str, Optional[int]]]
 
@@ -602,6 +613,9 @@ def sfst_run(T: SFST, trace) -> FrozenSet[Config]:
 # -- explicit expansion -----------------------------------------------------
 
 EXPAND_STATE_CAP = 10**5
+# Labels an expanded signature may have; each data port takes one label per
+# domain value, so a wide domain would exhaust memory building them.
+EXPAND_LABEL_CAP = 10**5
 
 
 def expanded_label(port: str, value: Optional[int]) -> str:
@@ -627,7 +641,9 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     frontier, so acceptance agrees with ``sfst_run`` exactly on traces whose
     values stay within the domain.  A valued label outside the domain is
     outside the expanded signature: ``accepts`` on a trace carrying one
-    raises :class:`UnknownLabel` rather than rejecting it.
+    raises :class:`UnknownLabel` rather than rejecting it.  An expansion
+    that needs more than :data:`EXPAND_LABEL_CAP` labels or ``state_cap``
+    states is a :class:`ResourceLimit`.
     """
     if lo > hi:
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
@@ -642,6 +658,12 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
                 )
     data = frozenset(T.data_ports() if data_ports is None else data_ports)
     domain = range(lo, hi + 1)
+    width = hi - lo + 1  # len(domain) overflows on a wide domain
+    n_labels = sum(width if p in data else 1 for p in T.signature.universe)
+    if n_labels > EXPAND_LABEL_CAP:
+        raise ResourceLimit(
+            f"expansion needs {n_labels} labels, more than {EXPAND_LABEL_CAP}"
+        )
 
     def port_labels(port):
         if port in data:

@@ -9,8 +9,13 @@ membership through derivatives.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -27,6 +32,30 @@ from cohmin.kernel import (
 )
 from cohmin.protocol import Alt, Cat, Lit, Star
 from cohmin.symbolic import SFST, STransition, Update
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Address space a capped ``cohmin`` child may use: well above what any
+# shipped command needs, well below what a runaway one would take.
+MEMORY_CAP_BYTES = 1 << 30
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
+
+
+def run_cohmin_capped(*argv, timeout=60) -> subprocess.CompletedProcess:
+    """``cohmin *argv`` in a child process whose address space is capped at
+    :data:`MEMORY_CAP_BYTES` (set in the child alone, before it starts) and
+    whose run time is capped at ``timeout`` seconds, so that a command that
+    would exhaust memory fails its test instead of the machine running it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, "-c", "from cohmin.frontend.cli import main; main()", *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
+        preexec_fn=_cap_memory)
 
 
 def all_rounds(sig: Signature):

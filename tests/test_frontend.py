@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohmin import algebra, fixtures
+from cohmin import algebra, fixtures, kernel
 from cohmin.errors import ParseError
 from cohmin.frontend import (
     cli_main,
@@ -34,6 +34,7 @@ from helpers import (
     UNKNOWN_ENDPOINT_FILES,
     random_sfst,
     random_transducer,
+    run_cohmin_capped,
     step,
 )
 
@@ -260,36 +261,60 @@ class TestCli:
             == (3, verdict.render() + "\n", "")
 
     def test_plain_commands_leave_the_symbolic_layer_unloaded(self, tmp_path):
+        """One process per benchmark op kind (and ``validate``): which
+        modules each command loads.  No command loads ``dataclasses`` or
+        ``inspect``, whose import alone costs a process several ms."""
         ring, prot = tmp_path / "ring.fst", tmp_path / "ring.prot"
         ring.write_text("signature in a; out b;\nstates s0, s1, s2, s3;\n"
                         "initial s0;\ntrans s0 -> s1 : {a};\ntrans s1 -> s2 : {b};\n"
                         "trans s2 -> s3 : {a};\ntrans s3 -> s0 : {b};\n")
         prot.write_text("alphabet a, b;\nregex (a b)*;\n")
+        ring, prot = str(ring), str(prot)
+
+        def fix(name):
+            return str(FIXDIR / name)
+
+        plain = {"cohmin.symbolic", "cohmin.fixtures", "cohmin.frontend.dot"}
+        # (argv, exit code, modules it loads, modules it leaves unloaded)
+        ops = [
+            (["minimize", "--policy", "coherent", "--protocol", prot, ring], 0,
+             {"cohmin.coherence", "cohmin.protocol"}, plain),
+            (["validate", ring], 0, set(),
+             plain | {"cohmin.algebra", "cohmin.coherence", "cohmin.protocol"}),
+            (["intersect", ring, ring], 0, {"cohmin.algebra"},
+             plain | {"cohmin.coherence", "cohmin.protocol"}),
+            (["relation", "--protocol", ring, ring], 0,
+             {"cohmin.coherence", "cohmin.protocol"}, plain),
+            (["equiv", "--protocol", ring, ring, ring], 0,
+             {"cohmin.algebra", "cohmin.coherence", "cohmin.protocol"}, plain),
+            (["minimize", "--policy", "bisim", ring], 0, {"cohmin.coherence"},
+             plain | {"cohmin.protocol"}),
+            (["monitor", "--protocol", fix("display.prot"), "--trace",
+              fix("display_legal.trc")], 0, {"cohmin.protocol"},
+             plain | {"cohmin.coherence"}),
+            (["minimize", "--policy", "coherent", "--protocol",
+              fix("iterator_map.prot"), fix("iterator_map.sfst")], 0,
+             {"cohmin.symbolic"}, set()),
+            (["expand", "--lo", "-1", "--hi", "1", fix("adder.sfst")], 0,
+             {"cohmin.symbolic"}, set()),
+        ]
         script = (
             "import contextlib, io, json, sys\n"
             "from cohmin.frontend import cli_main\n"
-            "ring, prot, sfst = sys.argv[1:]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [cli_main(['minimize', '--policy', 'coherent',\n"
-            "                       '--protocol', prot, ring]),\n"
-            "             cli_main(['validate', ring])]\n"
-            "    plain = sorted(m for m in sys.modules if m.startswith('cohmin.'))\n"
-            "    codes.append(cli_main(['minimize', '--policy', 'bisim', sfst]))\n"
-            "print(json.dumps([codes, plain, 'cohmin.symbolic' in sys.modules]))\n")
+            "    code = cli_main(sys.argv[1:])\n"
+            "print(json.dumps([code, sorted(sys.modules)]))\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(ring), str(prot),
-             str(FIXDIR / "adder.sfst")],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.stderr == ""
-        codes, plain, symbolic_loaded = json.loads(proc.stdout)
-        assert codes == [0, 0, 0]
-        assert "cohmin.coherence" in plain
-        for module in ("cohmin.symbolic", "cohmin.fixtures", "cohmin.frontend.dot"):
-            assert module not in plain
-        assert symbolic_loaded  # and a symbolic file still loads it
+        for argv, code, loads, unloaded in ops:
+            proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.stderr == "", argv
+            got_code, modules = json.loads(proc.stdout)
+            assert got_code == code, argv
+            assert loads <= set(modules), (argv, loads - set(modules))
+            assert not (unloaded | {"dataclasses", "inspect"}) & set(modules), argv
 
     def test_usage_error(self):
         code, _, err = run_cli("minimize", "--policy", "coherent",
@@ -385,6 +410,28 @@ class TestCli:
                                str(FIXDIR / "forked_reader.fst"))
         assert code == 4
         assert "resource limit" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("expand", "--lo", "-100000000000000000000", "--hi",
+          "100000000000000000000", "adder.sfst"),
+         "expansion needs 400000000000000000002 labels, more than 100000"),
+        # one cycle: about 10^5 traces, holding about 5 * 10^9 rounds
+        (("traces", "--depth", "100000", "two_phase.fst"),
+         "traces would hold more than 2000000 rounds"),
+    ])
+    def test_memory_bounds_stop_before_memory_runs_out(self, argv, message):
+        *opts, name = argv
+        proc = run_cohmin_capped(*opts, str(FIXDIR / name))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", f"resource limit: {message}\n")
+
+    def test_out_of_memory_is_a_resource_limit(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(kernel, "traces_upto", exhausted)
+        assert run_cli("traces", "--depth", "2", str(FIXDIR / "two_phase.fst")) \
+            == (4, "", "resource limit: out of memory\n")
 
     @pytest.mark.parametrize("argv", [
         ("traces", "--depth", "-1", "two_phase.fst"),

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,29 @@ from hypothesis import strategies as st
 from cohmin import kernel
 from cohmin.errors import MissingInitial, UnknownLabel, UnknownState
 from cohmin.fixtures import forked_reader, two_phase_cycle
-from cohmin.kernel import EMPTY_TRACE, Signature, Transducer, mkround
+from cohmin.kernel import (
+    EMPTY_TRACE,
+    Signature,
+    TraceSet,
+    Transducer,
+    merge_states,
+    mkround,
+)
+from cohmin.protocol import Alt, Cat, Lit, Star, Verdict
+from cohmin.symbolic import (
+    SFST,
+    TRUE,
+    Bin,
+    BoolLit,
+    IntLit,
+    Neg,
+    Not,
+    Port,
+    Reg,
+    STransition,
+    Update,
+    ValuedRound,
+)
 
 import naive_algebra
 from helpers import (
@@ -45,6 +69,111 @@ class TestValidate:
         with pytest.raises(UnknownState) as err:
             Transducer(self.SIG, {"s0"}, "s0", [("s0", {"a"}, "nowhere")])
         assert err.value.state == "nowhere"
+
+
+class TestRecord:
+    """The value types (``kernel.Record``) keep a frozen dataclass's
+    behaviour; the ``repr`` strings are those the dataclasses printed."""
+
+    SIG = Signature(frozenset({"a"}), frozenset())
+    T = Transducer(SIG, {"s0"}, "s0", [("s0", {"a"}, "s0")])
+    TR = STransition("s0", {"a"}, TRUE, {Update("x", IntLit(1))}, "s0")
+
+    def test_equality_is_per_class(self):
+        items = (Lit("a"), Lit("b"))
+        assert Cat(items) == Cat(items) and Alt(items) == Alt(items)
+        assert Cat(items) != Alt(items)
+        assert Neg(Reg("x")) != Not(Reg("x"))
+        assert IntLit(1) != BoolLit(True)
+        assert IntLit(1) != (1,) and Lit("a") != "a"
+        assert Signature({"a"}, set()) == self.SIG
+
+    def test_hash_is_over_the_fields(self):
+        assert hash(IntLit(3)) == hash((3,))
+        assert hash(Bin("+", Reg("x"), IntLit(1))) == hash(("+", Reg("x"), IntLit(1)))
+        assert hash(self.T) == hash((self.SIG, self.T.states, "s0", self.T.delta))
+        assert len({Neg(Reg("x")), Neg(Reg("x")), Not(Reg("x"))}) == 2
+
+    def test_repr(self):
+        sig = "Signature(inputs=frozenset({'a'}), outputs=frozenset())"
+        tr = ("STransition(source='s0', round=frozenset({'a'}), "
+              "guard=BoolLit(value=True), "
+              "updates=frozenset({Update(target='x', expr=IntLit(value=1))}), "
+              "target='s0')")
+        assert repr(self.SIG) == sig
+        assert repr(self.T) == (
+            f"Transducer(signature={sig}, states=frozenset({{'s0'}}), "
+            "initial='s0', delta=frozenset({('s0', frozenset({'a'}), 's0')}))")
+        assert repr(TraceSet(self.SIG, {()})) == (
+            f"TraceSet(signature={sig}, traces=frozenset({{()}}))")
+        assert repr(Cat((Lit("a"), Star(Alt((Lit("b"), Lit("a"))))))) == (
+            "Cat(items=(Lit(label='a'), "
+            "Star(item=Alt(items=(Lit(label='b'), Lit(label='a'))))))")
+        assert repr(Verdict("OK")) == (
+            "Verdict(status='OK', index=None, offending=None, expected=None)")
+        assert repr(Bin("+", Neg(Reg("x")), Not(BoolLit(True)))) == (
+            "Bin(op='+', left=Neg(arg=Reg(name='x')), "
+            "right=Not(arg=BoolLit(value=True)))")
+        assert repr(Port("p")) == "Port(name='p')"
+        assert repr(self.TR) == tr
+        assert repr(SFST(self.SIG, {"s0"}, {"x"}, "s0", {self.TR})) == (
+            f"SFST(signature={sig}, states=frozenset({{'s0'}}), "
+            f"registers=frozenset({{'x'}}), initial='s0', delta=frozenset({{{tr}}}))")
+        assert repr(ValuedRound(frozenset({("a", 3)}))) == (
+            "ValuedRound(events=frozenset({('a', 3)}))")
+
+    @pytest.mark.parametrize("name", ["inputs", "universe", "delta", "_adj", "other"])
+    def test_immutable(self, name):
+        value = self.SIG if name in ("inputs", "universe") else self.T
+        with pytest.raises(AttributeError):
+            setattr(value, name, frozenset())
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert not hasattr(value, "__dict__")
+
+    def test_keyword_construction_and_defaults(self):
+        assert Transducer(signature=self.SIG, states={"s0"}, initial="s0",
+                          delta=[("s0", {"a"}, "s0")]) == self.T
+        assert Transducer(self.SIG, {"s0"}, delta=self.T.delta, initial="s0") == self.T
+        ok = Verdict("OK")
+        assert (ok.index, ok.offending, ok.expected) == (None, None, None)
+        assert Verdict(status="VIOLATION", index=2).index == 2
+        for args, kwargs in [((), {}), ((1, 2), {}), ((1,), {"value": 2}),
+                             ((1,), {"other": 2})]:
+            with pytest.raises(TypeError):
+                IntLit(*args, **kwargs)
+
+    def test_copy_and_pickle(self):
+        sfst = SFST(self.SIG, {"s0"}, {"x"}, "s0", {self.TR})
+        for value in (self.T, sfst, Verdict("OK"), Bin("+", Reg("x"), IntLit(1))):
+            for twin in (copy.copy(value), copy.deepcopy(value),
+                         pickle.loads(pickle.dumps(value))):
+                assert twin == value and repr(twin) == repr(value)
+        assert pickle.loads(pickle.dumps(self.T)).out("s0") == self.T.out("s0")
+
+    def test_universe_is_derived_not_a_field(self):
+        sig = Signature({"a"}, {"b"})
+        assert sig.universe == {"a", "b"}
+        assert sig == Signature(frozenset({"a"}), frozenset({"b"}))
+        assert "universe" not in repr(sig)
+
+    def test_replace_rebuilds_and_validates(self):
+        renamed = self.T._replace(states={"s0", "s1"})
+        assert renamed.states == {"s0", "s1"} and renamed.out("s1") == {}
+        with pytest.raises(MissingInitial):
+            self.T._replace(initial="s9")
+        with pytest.raises(TypeError):
+            self.T._replace(other=1)
+
+    def test_merge_states_on_an_sfst(self):
+        def tr(source, target):
+            return STransition(source, {"a"}, TRUE, {Update("x", IntLit(1))}, target)
+
+        sig = Signature({"a"}, set())
+        M = SFST(sig, {"p", "q", "r"}, {"x"}, "q", {tr("q", "r"), tr("r", "q"), tr("p", "r")})
+        got = merge_states(M, [{"q", "p"}])
+        assert got == SFST(sig, {"p", "r"}, {"x"}, "p", {tr("p", "r"), tr("r", "p")})
+        assert got.out("r") == [tr("r", "p")]
 
 
 class TestStep:
