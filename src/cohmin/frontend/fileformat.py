@@ -492,10 +492,15 @@ def canonical_transitions(model):
     label is the round, then any ``when`` guard and ``do`` updates, as the
     file writes them; each distinct round is rendered once."""
     if isinstance(model, Transducer):
+        # walking the index in this order sorts by (source, round_key,
+        # target), as sorting the whole set would, without a key per entry
         rounds = {v: (round_key(v), render_round(v))
                   for v in {v for _, v, _ in model.delta}}
-        for s, v, t in sorted(model.delta, key=lambda x: (x[0], rounds[x[1]], x[2])):
-            yield s, t, rounds[v][1]
+        for s in sorted(model.states):
+            out = model.out(s)
+            for v in sorted(out, key=rounds.__getitem__):
+                for t in sorted(out[v]):
+                    yield s, t, rounds[v][1]
         return
     rounds = {v: (round_key(v), render_round(v)) for v in {t.round for t in model.delta}}
     rows = []

@@ -220,19 +220,22 @@ class Transducer(Record):
 
     def __post_init__(self):
         _set(self, "states", frozenset(self.states))
-        _set(self, "delta", frozenset((s, frozenset(v), t) for s, v, t in self.delta))
-        if not self.states:
+        if self.delta.__class__ is not frozenset or any(
+                v.__class__ is not frozenset for _, v, _ in self.delta):
+            _set(self, "delta", frozenset((s, frozenset(v), t) for s, v, t in self.delta))
+        states, delta = self.states, self.delta
+        if not states:
             raise UnknownState("<empty state set>")
-        if self.initial not in self.states:
+        if self.initial not in states:
             raise MissingInitial(self.initial)
-        for src, v, tgt in self.delta:
-            if src not in self.states:
-                raise UnknownState(src)
-            if tgt not in self.states:
-                raise UnknownState(tgt)
-            self.signature.check_round(v)
-        adj = {}
-        for src, v, tgt in self.delta:
+        # one pass validates and indexes; each distinct round is checked once
+        adj, checked = {}, set()
+        for src, v, tgt in delta:
+            if src not in states or tgt not in states:
+                raise UnknownState(tgt if src in states else src)
+            if v not in checked:
+                self.signature.check_round(v)
+                checked.add(v)
             adj.setdefault(src, {}).setdefault(v, set()).add(tgt)
         _set(self, "_adj", adj)
 

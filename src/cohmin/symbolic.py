@@ -12,6 +12,7 @@ computed on the control skeleton (guards ignored), again conservative.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from . import coherence, kernel
@@ -139,54 +140,63 @@ def _check64(v: int) -> int:
     return v
 
 
+_BIN_FNS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "=": operator.eq,
+            "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _raise(error: Exception):
+    raise error
+
+
+def compile_expr(e: Expr):
+    """``e`` as a closure ``f(regs, ports)`` that evaluates it strictly:
+    64-bit checked arithmetic (overflow is an error), both operands of
+    every operator, left first.  Faults are raised by ``f``, not here."""
+    if isinstance(e, (IntLit, BoolLit)):
+        value = e.value
+        return lambda regs, ports: value
+    if isinstance(e, Reg):
+        name = e.name
+        return lambda regs, ports: (
+            regs[name] if name in regs else _raise(UnboundReference(name)))
+    if isinstance(e, Port):
+        name = e.name
+        return lambda regs, ports: (
+            ports[name] if ports.get(name) is not None else _raise(UnboundReference(name)))
+    if isinstance(e, Neg):
+        arg = compile_expr(e.arg)
+        return lambda regs, ports: _check64(-arg(regs, ports))
+    if isinstance(e, Not):
+        arg = compile_expr(e.arg)
+
+        def not_(regs, ports):
+            v = arg(regs, ports)
+            if v.__class__ is not bool:
+                raise TypeMismatch("'not' applied to an integer")
+            return not v
+        return not_
+    if not isinstance(e, Bin):
+        return lambda regs, ports: _raise(TypeMismatch(f"not an expression: {e!r}"))
+    op, fn = e.op, _BIN_FNS.get(e.op)
+    left, right = compile_expr(e.left), compile_expr(e.right)
+    # a comparison's result needs no bound check; bool() leaves it as is
+    check = _check64 if op in _INT_OPS else bool
+
+    def binary(regs, ports):
+        a, b = left(regs, ports), right(regs, ports)
+        if fn is None:  # a boolean operator
+            if a.__class__ is not bool or b.__class__ is not bool:
+                raise TypeMismatch(f"operator {op!r} applied to an integer")
+            return (a and b) if op == "and" else (a or b)
+        if a.__class__ is bool or b.__class__ is bool:
+            raise TypeMismatch(f"operator {op!r} applied to a boolean")
+        return check(fn(a, b))
+    return binary
+
+
 def eval_expr(e: Expr, regs: Mapping[str, int], ports: Mapping[str, int] = None):
     """Strict evaluation; 64-bit checked arithmetic, overflow is an error."""
-    ports = ports or {}
-    if isinstance(e, IntLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, Reg):
-        if e.name not in regs:
-            raise UnboundReference(e.name)
-        return regs[e.name]
-    if isinstance(e, Port):
-        if e.name not in ports or ports[e.name] is None:
-            raise UnboundReference(e.name)
-        return ports[e.name]
-    if isinstance(e, Neg):
-        return _check64(-eval_expr(e.arg, regs, ports))
-    if isinstance(e, Not):
-        v = eval_expr(e.arg, regs, ports)
-        if not isinstance(v, bool):
-            raise TypeMismatch("'not' applied to an integer")
-        return not v
-    if isinstance(e, Bin):
-        a = eval_expr(e.left, regs, ports)
-        b = eval_expr(e.right, regs, ports)
-        if e.op in _INT_OPS or e.op in _CMP_OPS:
-            if isinstance(a, bool) or isinstance(b, bool):
-                raise TypeMismatch(f"operator {e.op!r} applied to a boolean")
-        if e.op == "+":
-            return _check64(a + b)
-        if e.op == "-":
-            return _check64(a - b)
-        if e.op == "*":
-            return _check64(a * b)
-        if e.op == "=":
-            return a == b
-        if e.op == "<":
-            return a < b
-        if e.op == "<=":
-            return a <= b
-        if e.op == ">":
-            return a > b
-        if e.op == ">=":
-            return a >= b
-        if not isinstance(a, bool) or not isinstance(b, bool):
-            raise TypeMismatch(f"operator {e.op!r} applied to an integer")
-        return (a and b) if e.op == "and" else (a or b)
-    raise TypeMismatch(f"not an expression: {e!r}")
+    return compile_expr(e)(regs, ports or {})
 
 
 def free_refs(e: Expr):
@@ -351,10 +361,11 @@ def guard_equiv(g1: Expr, g2: Expr, mode: str = "structural",
     width = hi - lo + 1
     if width ** (len(regs) + len(ports)) > SEMANTIC_CAP:
         raise ResourceLimit("bounded-semantic domain too large")
+    f1, f2 = compile_expr(g1), compile_expr(g2)
     for values in itertools.product(range(lo, hi + 1), repeat=len(regs) + len(ports)):
         renv = dict(zip(regs, values[: len(regs)]))
         penv = dict(zip(ports, values[len(regs):]))
-        if eval_expr(g1, renv, penv) != eval_expr(g2, renv, penv):
+        if f1(renv, penv) != f2(renv, penv):
             return False
     return True
 
@@ -616,6 +627,10 @@ EXPAND_STATE_CAP = 10**5
 # Labels an expanded signature may have; each data port takes one label per
 # domain value, so a wide domain would exhaust memory building them.
 EXPAND_LABEL_CAP = 10**5
+# Transitions an expansion may keep (iterator_map over [-8..8] keeps 2.3
+# million in about 0.9 GB), and assignments (data-input and free-output
+# values) one symbolic transition may enumerate from one state.
+EXPAND_TRANSITION_CAP = 3 * 10**6
 
 
 def expanded_label(port: str, value: Optional[int]) -> str:
@@ -631,6 +646,59 @@ def _config_name(state: str, regs) -> str:
     return state + "[" + ",".join(f"{r}={v}" for r, v in regs) + "]"
 
 
+class _Plan:
+    """One symbolic transition as :func:`expand` runs it, built once: its
+    data inputs, compiled guard and updates (each with its register's
+    position, or None for an output), output update targets, free data
+    outputs and plain labels; ``rounds`` interns its expanded rounds."""
+
+    __slots__ = ("inputs", "guard", "updates", "outputs", "free", "plain",
+                 "target", "rounds")
+
+    def __init__(self, T: SFST, tr: STransition, data, position, width):
+        self.inputs = sorted(tr.round & T.signature.inputs & data)
+        self.guard = compile_expr(tr.guard)
+        self.updates = [(position.get(u.target), compile_expr(u.expr)) for u in tr.updates]
+        self.outputs = [u.target for u in tr.updates if u.target not in position]
+        self.free = sorted((tr.round & T.signature.outputs & data) - set(self.outputs))
+        self.plain, self.target, self.rounds = tr.round - data, tr.target, {}
+        n = width ** (len(self.inputs) + len(self.free))
+        if n > EXPAND_TRANSITION_CAP:
+            raise ResourceLimit(f"expansion needs {n} assignments of one "
+                                f"transition, more than {EXPAND_TRANSITION_CAP}")
+
+    def fire(self, regs, regs_d, ports, lo, hi):
+        """(register values, output update values) after firing, or None
+        if the guard declines or a value overflows or leaves the domain."""
+        try:
+            if self.guard(regs_d, ports) is not True:
+                return None
+            new_regs, carried = list(regs), []
+            for i, f in self.updates:
+                v = f(regs_d, ports)
+                if not lo <= v <= hi:
+                    return None
+                if i is None:
+                    carried.append(v)
+                else:
+                    new_regs[i] = v
+        except Overflow:
+            return None
+        return tuple(new_regs), tuple(carried)
+
+    def expanded_rounds(self, values, carried, data, domain):
+        """The rounds of one firing, one per value of the free outputs."""
+        rounds = self.rounds.get((values, carried))
+        if rounds is None:
+            fixed = set(self.plain).union(map(expanded_label, self.inputs, values))
+            fixed.update(expanded_label(p, v) for p, v in zip(self.outputs, carried)
+                         if p in data)
+            rounds = self.rounds[values, carried] = [
+                frozenset(fixed.union(map(expanded_label, self.free, extra)))
+                for extra in itertools.product(domain, repeat=len(self.free))]
+        return rounds
+
+
 def expand(T: SFST, lo: int, hi: int, data_ports=None,
            state_cap: int = EXPAND_STATE_CAP) -> Transducer:
     """Map register values into explicit states over a finite value domain.
@@ -642,8 +710,10 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     values stay within the domain.  A valued label outside the domain is
     outside the expanded signature: ``accepts`` on a trace carrying one
     raises :class:`UnknownLabel` rather than rejecting it.  An expansion
-    that needs more than :data:`EXPAND_LABEL_CAP` labels or ``state_cap``
-    states is a :class:`ResourceLimit`.
+    that needs more than :data:`EXPAND_LABEL_CAP` labels, ``state_cap``
+    states, or :data:`EXPAND_TRANSITION_CAP` transitions or assignments of
+    one transition, is a :class:`ResourceLimit`.  Each transition is
+    planned once (:class:`_Plan`), when its source is first reached.
     """
     if lo > hi:
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
@@ -665,79 +735,40 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
             f"expansion needs {n_labels} labels, more than {EXPAND_LABEL_CAP}"
         )
 
-    def port_labels(port):
-        if port in data:
-            return [expanded_label(port, v) for v in domain]
-        return [port]
+    def port_labels(ports):
+        return frozenset(lab for p in ports for lab in (
+            [expanded_label(p, v) for v in domain] if p in data else [p]))
 
-    inputs = frozenset(
-        lab for p in T.signature.inputs for lab in port_labels(p)
-    )
-    outputs = frozenset(
-        lab for p in T.signature.outputs for lab in port_labels(p)
-    )
-    sig = Signature(inputs, outputs)
-
-    init = (T.initial, T.initial_registers())
-    names = {init: _config_name(*init)}
+    sig = Signature(port_labels(T.signature.inputs), port_labels(T.signature.outputs))
+    registers = sorted(T.registers)
+    position = {r: i for i, r in enumerate(registers)}
+    plans: Dict[str, List[_Plan]] = {}
+    init = (T.initial, (0,) * len(registers))
+    names = {init: _config_name(T.initial, T.initial_registers())}
     frontier = [init]
     delta = set()
     while frontier:
-        state, regs = frontier.pop()
-        regs_d = dict(regs)
-        for tr in T.out(state):
-            in_data = sorted(tr.round & T.signature.inputs & data)
-            for values in itertools.product(domain, repeat=len(in_data)):
-                ports = dict(zip(in_data, values))
-                try:
-                    guard_ok = eval_expr(tr.guard, regs_d, ports) is True
-                except Overflow:
+        state, regs = cfg = frontier.pop()
+        source, regs_d = names[cfg], dict(zip(registers, regs))
+        if state not in plans:
+            plans[state] = [_Plan(T, tr, data, position, width) for tr in T.out(state)]
+        for plan in plans[state]:
+            for values in itertools.product(domain, repeat=len(plan.inputs)):
+                fired = plan.fire(regs, regs_d, dict(zip(plan.inputs, values)), lo, hi)
+                if fired is None:
                     continue
-                if not guard_ok:
-                    continue
-                new_regs = dict(regs_d)
-                out_vals = {}
-                ok = True
-                for u in tr.updates:
-                    try:
-                        v = eval_expr(u.expr, regs_d, ports)
-                    except Overflow:
-                        ok = False
-                        break
-                    if not lo <= v <= hi:
-                        ok = False
-                        break
-                    if u.target in T.registers:
-                        new_regs[u.target] = v
-                    else:
-                        out_vals[u.target] = v
-                if not ok:
-                    continue
-                free_outs = sorted(
-                    (tr.round & T.signature.outputs & data) - out_vals.keys()
-                )
-                for extra in itertools.product(domain, repeat=len(free_outs)):
-                    carried = dict(out_vals)
-                    carried.update(zip(free_outs, extra))
-                    label_set = set()
-                    for p in sorted(tr.round):
-                        if p in data:
-                            val = ports.get(p, carried.get(p))
-                            label_set.add(expanded_label(p, val))
-                        else:
-                            label_set.add(p)
-                    cfg = (tr.target, tuple(sorted(new_regs.items())))
-                    if cfg not in names:
-                        if len(names) >= state_cap:
-                            raise ResourceLimit(
-                                f"expansion exceeded {state_cap} states"
-                            )
-                        names[cfg] = _config_name(*cfg)
-                        frontier.append(cfg)
-                    delta.add((names[(state, regs)], frozenset(label_set),
-                               names[cfg]))
-    return Transducer(sig, frozenset(names.values()), names[init],
-                      frozenset(delta))
+                cfg = (plan.target, fired[0])
+                target = names.get(cfg)
+                if target is None:
+                    if len(names) >= state_cap:
+                        raise ResourceLimit(f"expansion exceeded {state_cap} states")
+                    target = names[cfg] = _config_name(plan.target, tuple(zip(registers, fired[0])))
+                    frontier.append(cfg)
+                for r in plan.expanded_rounds(values, fired[1], data, domain):
+                    delta.add((source, r, target))
+                if len(delta) > EXPAND_TRANSITION_CAP:
+                    raise ResourceLimit(f"expansion exceeded {EXPAND_TRANSITION_CAP} transitions")
+    return Transducer(sig, frozenset(names.values()), names[init], frozenset(delta))
 
 
 def expand_valued_trace(T: SFST, trace, data_ports=None):

@@ -5,26 +5,57 @@
 are kept verbatim from the pair-scanning implementation that called
 ``guard_equiv`` inside the fixpoint loop and rebuilt the whole SFST at
 every merge.  The only edit: joint reachability and the pair-set relation
-classes come from the frozen plain oracle in ``naive_coherence``.  Do not
-optimise this file.
+classes come from the frozen plain oracle in ``naive_coherence``.
+``eval_expr`` and ``expand`` are kept verbatim from the tree-walking
+evaluator and the expansion loop that evaluated, sorted and rendered every
+emitted transition afresh, before transitions were planned and guards
+compiled.  Do not optimise this file.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import itertools
+from typing import List, Mapping, Tuple
 
-from cohmin.errors import NotAProtocol, SameState, SignatureMismatch, UnknownState
-from cohmin.kernel import Transducer
+from cohmin.errors import (
+    DomainExceeded,
+    NotAProtocol,
+    Overflow,
+    ResourceLimit,
+    SameState,
+    SignatureMismatch,
+    TypeMismatch,
+    UnboundReference,
+    UnknownState,
+)
+from cohmin.kernel import Signature, Transducer
 from cohmin.symbolic import (
+    _CMP_OPS,
+    _INT_OPS,
+    EXPAND_LABEL_CAP,
+    EXPAND_STATE_CAP,
     SEMANTIC_DOMAIN,
     SFST,
+    BoolLit,
+    Bin,
+    IntLit,
+    Neg,
+    Not,
+    Port,
+    Reg,
     STransition,
+    _check64,
+    _config_name,
+    expanded_label,
     guard_equiv,
+    int_literals,
     is_symbolic_protocol,
     lift_transducer,
     sfst_bisim_partition,
     updates_equiv,
 )
+
+Expr = object
 
 from naive_coherence import CoherenceRelation, EquivalencePairs, _extendable_rounds
 
@@ -173,3 +204,162 @@ def sfst_bisim_minimize(T: SFST, keep_unreachable: bool = False) -> SFST:
                           if t.source in reach and t.target in reach),
             )
     return out
+
+
+def eval_expr(e: Expr, regs: Mapping[str, int], ports: Mapping[str, int] = None):
+    """Strict evaluation; 64-bit checked arithmetic, overflow is an error."""
+    ports = ports or {}
+    if isinstance(e, IntLit):
+        return e.value
+    if isinstance(e, BoolLit):
+        return e.value
+    if isinstance(e, Reg):
+        if e.name not in regs:
+            raise UnboundReference(e.name)
+        return regs[e.name]
+    if isinstance(e, Port):
+        if e.name not in ports or ports[e.name] is None:
+            raise UnboundReference(e.name)
+        return ports[e.name]
+    if isinstance(e, Neg):
+        return _check64(-eval_expr(e.arg, regs, ports))
+    if isinstance(e, Not):
+        v = eval_expr(e.arg, regs, ports)
+        if not isinstance(v, bool):
+            raise TypeMismatch("'not' applied to an integer")
+        return not v
+    if isinstance(e, Bin):
+        a = eval_expr(e.left, regs, ports)
+        b = eval_expr(e.right, regs, ports)
+        if e.op in _INT_OPS or e.op in _CMP_OPS:
+            if isinstance(a, bool) or isinstance(b, bool):
+                raise TypeMismatch(f"operator {e.op!r} applied to a boolean")
+        if e.op == "+":
+            return _check64(a + b)
+        if e.op == "-":
+            return _check64(a - b)
+        if e.op == "*":
+            return _check64(a * b)
+        if e.op == "=":
+            return a == b
+        if e.op == "<":
+            return a < b
+        if e.op == "<=":
+            return a <= b
+        if e.op == ">":
+            return a > b
+        if e.op == ">=":
+            return a >= b
+        if not isinstance(a, bool) or not isinstance(b, bool):
+            raise TypeMismatch(f"operator {e.op!r} applied to an integer")
+        return (a and b) if e.op == "and" else (a or b)
+    raise TypeMismatch(f"not an expression: {e!r}")
+
+
+def expand(T: SFST, lo: int, hi: int, data_ports=None,
+           state_cap: int = EXPAND_STATE_CAP) -> Transducer:
+    """Map register values into explicit states over a finite value domain.
+
+    States are reachable (control state, register valuation) pairs; labels
+    are (port, value) events rendered via :func:`expanded_label`.  Runs
+    whose register values or carried values leave the domain are cut at the
+    frontier, so acceptance agrees with ``sfst_run`` exactly on traces whose
+    values stay within the domain.  A valued label outside the domain is
+    outside the expanded signature: ``accepts`` on a trace carrying one
+    raises :class:`UnknownLabel` rather than rejecting it.  An expansion
+    that needs more than :data:`EXPAND_LABEL_CAP` labels or ``state_cap``
+    states is a :class:`ResourceLimit`.
+    """
+    if lo > hi:
+        raise DomainExceeded(f"empty domain [{lo}..{hi}]")
+    if not (lo <= 0 <= hi):
+        raise DomainExceeded("domain must contain 0 (the initial register value)")
+    for tr in T.delta:
+        for e in [tr.guard] + [u.expr for u in tr.updates]:
+            outside = {v for v in int_literals(e) if not lo <= v <= hi}
+            if outside:
+                raise DomainExceeded(
+                    f"literal {sorted(outside)[0]} outside [{lo}..{hi}]"
+                )
+    data = frozenset(T.data_ports() if data_ports is None else data_ports)
+    domain = range(lo, hi + 1)
+    width = hi - lo + 1  # len(domain) overflows on a wide domain
+    n_labels = sum(width if p in data else 1 for p in T.signature.universe)
+    if n_labels > EXPAND_LABEL_CAP:
+        raise ResourceLimit(
+            f"expansion needs {n_labels} labels, more than {EXPAND_LABEL_CAP}"
+        )
+
+    def port_labels(port):
+        if port in data:
+            return [expanded_label(port, v) for v in domain]
+        return [port]
+
+    inputs = frozenset(
+        lab for p in T.signature.inputs for lab in port_labels(p)
+    )
+    outputs = frozenset(
+        lab for p in T.signature.outputs for lab in port_labels(p)
+    )
+    sig = Signature(inputs, outputs)
+
+    init = (T.initial, T.initial_registers())
+    names = {init: _config_name(*init)}
+    frontier = [init]
+    delta = set()
+    while frontier:
+        state, regs = frontier.pop()
+        regs_d = dict(regs)
+        for tr in T.out(state):
+            in_data = sorted(tr.round & T.signature.inputs & data)
+            for values in itertools.product(domain, repeat=len(in_data)):
+                ports = dict(zip(in_data, values))
+                try:
+                    guard_ok = eval_expr(tr.guard, regs_d, ports) is True
+                except Overflow:
+                    continue
+                if not guard_ok:
+                    continue
+                new_regs = dict(regs_d)
+                out_vals = {}
+                ok = True
+                for u in tr.updates:
+                    try:
+                        v = eval_expr(u.expr, regs_d, ports)
+                    except Overflow:
+                        ok = False
+                        break
+                    if not lo <= v <= hi:
+                        ok = False
+                        break
+                    if u.target in T.registers:
+                        new_regs[u.target] = v
+                    else:
+                        out_vals[u.target] = v
+                if not ok:
+                    continue
+                free_outs = sorted(
+                    (tr.round & T.signature.outputs & data) - out_vals.keys()
+                )
+                for extra in itertools.product(domain, repeat=len(free_outs)):
+                    carried = dict(out_vals)
+                    carried.update(zip(free_outs, extra))
+                    label_set = set()
+                    for p in sorted(tr.round):
+                        if p in data:
+                            val = ports.get(p, carried.get(p))
+                            label_set.add(expanded_label(p, val))
+                        else:
+                            label_set.add(p)
+                    cfg = (tr.target, tuple(sorted(new_regs.items())))
+                    if cfg not in names:
+                        if len(names) >= state_cap:
+                            raise ResourceLimit(
+                                f"expansion exceeded {state_cap} states"
+                            )
+                        names[cfg] = _config_name(*cfg)
+                        frontier.append(cfg)
+                    delta.add((names[(state, regs)], frozenset(label_set),
+                               names[cfg]))
+    return Transducer(sig, frozenset(names.values()), names[init],
+                      frozenset(delta))

@@ -48,6 +48,7 @@ import naive_algebra
 import naive_coherence as naive
 import naive_protocol
 import naive_symbolic
+import naive_writer
 from helpers import (
     SFST_SIG,
     accepts,
@@ -808,3 +809,177 @@ class TestRingSmoke:
             assert any(keep in c and drop in c for c in classes)
             assert keep < drop
         assert len({drop for _, drop in log}) == 254
+
+
+# -- expansion against the frozen expander ------------------------------------
+
+INT64_MIN, INT64_MAX = symbolic.INT64_MIN, symbolic.INT64_MAX
+_EXPAND_SIG = Signature(frozenset({"x", "a"}), frozenset({"r", "o"}))
+
+
+def expand_outcome(engine, writer, *args, **kwargs):
+    """The expansion and its file, or the error's type and message."""
+    try:
+        T = engine.expand(*args, **kwargs)
+    except CohminError as e:
+        return type(e), str(e)
+    return T, writer(T)
+
+
+def assert_same_expansion(machine, lo, hi, **kwargs):
+    new = expand_outcome(symbolic, serialize_model, machine, lo, hi, **kwargs)
+    old = expand_outcome(naive_symbolic, naive_writer.serialize_model,
+                         machine, lo, hi, **kwargs)
+    assert new == old
+    return new
+
+
+def _int_expr(rng, regs, ports, lits, depth):
+    kind = rng.randrange(6 if depth else 3)
+    if kind == 0 or (kind == 1 and not regs) or (kind == 2 and not ports):
+        return symbolic.IntLit(rng.choice(lits))
+    if kind == 1:
+        return symbolic.Reg(rng.choice(regs))
+    if kind == 2:
+        return symbolic.Port(rng.choice(ports))
+    if kind == 3:
+        return symbolic.Neg(_int_expr(rng, regs, ports, lits, depth - 1))
+    return symbolic.Bin(rng.choice("+-*"), _int_expr(rng, regs, ports, lits, depth - 1),
+                        _int_expr(rng, regs, ports, lits, depth - 1))
+
+
+def _bool_expr(rng, regs, ports, lits, depth):
+    kind = rng.randrange(4 if depth else 2)
+    if kind == 0:
+        return symbolic.BoolLit(rng.random() < 0.8)
+    if kind == 1:
+        return symbolic.Bin(rng.choice(["=", "<", "<=", ">", ">="]),
+                            _int_expr(rng, regs, ports, lits, depth),
+                            _int_expr(rng, regs, ports, lits, depth))
+    if kind == 2:
+        return symbolic.Not(_bool_expr(rng, regs, ports, lits, depth - 1))
+    return symbolic.Bin(rng.choice(["and", "or"]),
+                        _bool_expr(rng, regs, ports, lits, depth - 1),
+                        _bool_expr(rng, regs, ports, lits, depth - 1))
+
+
+def random_expand_case(rng):
+    """A seeded SFST over inputs x, a and outputs r, o, with a domain and
+    the options to expand it with.  Guards use every operator; updates
+    write registers and outputs, and outputs left without one are free.
+    One case in three has a domain reaching an int64 bound, where
+    arithmetic overflows; such a case usually has no data ports, so that
+    the domain's width needs no labels, and then reads no port."""
+    kwargs = {}
+    wide = rng.random() < 0.35
+    if wide:
+        lo, hi = rng.choice([(INT64_MIN, rng.randint(0, 2)), (-rng.randint(0, 2), INT64_MAX)])
+        lits = [v for v in (lo, hi, lo + 1, hi - 1, 0, 1, -1, 2) if lo <= v <= hi]
+        if rng.random() < 0.9:
+            kwargs["data_ports"] = frozenset()
+    else:
+        lo, hi = rng.choice([(-1, 1)] * 3 + [(-2, 2)] * 2 + [(0, 2), (1, 2), (2, 1)])
+        lits = list(range(max(lo, -2), hi + 1)) or [0]
+        if rng.random() < 0.05:
+            lits.append(hi + 1)
+        if rng.random() < 0.2:
+            kwargs["data_ports"] = frozenset(rng.sample(sorted(_EXPAND_SIG.universe), 2))
+    if rng.random() < 0.3:
+        kwargs["state_cap"] = rng.randint(1, 12)
+    regs = sorted(rng.sample(["y", "z"], rng.randint(0, 2)))
+    states = [f"s{i}" for i in range(rng.randint(1, 4))]
+    rounds = [v for v in all_rounds(_EXPAND_SIG) if len(v) <= 3]
+    delta = set()
+    for _ in range(rng.randint(0, 8)):
+        v = rng.choice(rounds)
+        ports = [] if kwargs.get("data_ports") == frozenset() else sorted(v & _EXPAND_SIG.inputs)
+        guard = (symbolic.TRUE if rng.random() < 0.3
+                 else _bool_expr(rng, regs, ports, lits, 2))
+        targets = [t for t in regs + sorted(v & _EXPAND_SIG.outputs) if rng.random() < 0.6]
+        updates = frozenset(symbolic.Update(t, _int_expr(rng, regs, ports, lits, 2))
+                            for t in targets)
+        delta.add(symbolic.STransition(rng.choice(states), v, guard, updates,
+                                       rng.choice(states)))
+    machine = symbolic.SFST(_EXPAND_SIG, frozenset(states), frozenset(regs), states[0],
+                            frozenset(delta))
+    return machine, lo, hi, kwargs
+
+
+class TestExpandAgainstNaiveOracle:
+    """``symbolic.expand`` against the frozen per-transition expander, and
+    its file against the frozen writer: the same machine and the same bytes,
+    or the same error with the same message."""
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 1), (-2, 2)])
+    def test_fixtures(self, lo, hi):
+        for path in sorted(FIXDIR.iterdir()):
+            if path.suffix not in (".fst", ".sfst"):
+                continue
+            machine = parse_model(path.read_text())
+            if isinstance(machine, Transducer):
+                machine = lift_transducer(machine)
+            assert isinstance(assert_same_expansion(machine, lo, hi)[0], Transducer)
+
+    def test_iterator_map_over_three(self):
+        machine = parse_model((FIXDIR / "iterator_map.sfst").read_text())
+        T, _ = assert_same_expansion(machine, -3, 3)
+        assert (len(T.states), len(T.delta)) == (4459, 78204)
+
+    def test_random_machines(self, monkeypatch):
+        overflows = Counter()
+
+        def check64(v):
+            try:
+                return check(v)
+            except Overflow:
+                overflows[0] += 1
+                raise
+
+        check = symbolic._check64
+        monkeypatch.setattr(symbolic, "_check64", check64)
+        rng = random.Random(1100)
+        kinds = Counter()
+        for _ in range(250):
+            machine, lo, hi, kwargs = random_expand_case(rng)
+            new = assert_same_expansion(machine, lo, hi, **kwargs)
+            kinds[new[0].__name__ if isinstance(new[0], type) else "ok"] += 1
+        # every outcome the expander has is met, and arithmetic overflows
+        assert set(kinds) == {"ok", "DomainExceeded", "ResourceLimit", "UnboundReference"}
+        assert kinds["ok"] >= 150 and overflows[0] >= 20
+
+    def test_random_expressions_evaluate_alike(self):
+        """``eval_expr`` on typed and ill-typed trees, against the frozen
+        tree walker: the same value, or the same error and message."""
+        rng = random.Random(1101)
+        lits = [INT64_MIN, INT64_MAX, -2, -1, 0, 1, 2, 3]
+        pool = [symbolic.IntLit(v) for v in lits] + [
+            symbolic.BoolLit(True), symbolic.BoolLit(False), symbolic.Reg("y"),
+            symbolic.Reg("q"), symbolic.Port("x"), symbolic.Port("p"), "junk"]
+        ops = ["+", "-", "*", "=", "<", "<=", ">", ">=", "and", "or", "xor"]
+
+        def tree(depth):
+            kind = rng.randrange(4 if depth else 1)
+            if kind == 0:
+                return rng.choice(pool)
+            if kind == 1:
+                return symbolic.Neg(tree(depth - 1))
+            if kind == 2:
+                return symbolic.Not(tree(depth - 1))
+            return symbolic.Bin(rng.choice(ops), tree(depth - 1), tree(depth - 1))
+
+        def outcome(engine, e, regs, ports):
+            try:
+                return "ok", engine.eval_expr(e, regs, ports)
+            except CohminError as err:
+                return type(err), str(err)
+
+        kinds = Counter()
+        for _ in range(3000):
+            e = tree(3)
+            regs = {"y": rng.choice(lits)}
+            ports = rng.choice([None, {}, {"x": rng.choice(lits)}, {"x": None}])
+            new = outcome(symbolic, e, regs, ports)
+            old = outcome(naive_symbolic, e, regs, ports)
+            assert new == old and type(new[1]) is type(old[1]), e
+            kinds[new[0] if new[0] == "ok" else new[0].__name__] += 1
+        assert set(kinds) == {"ok", "Overflow", "TypeMismatch", "UnboundReference"}

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohmin import algebra, fixtures, kernel
+from cohmin import algebra, fixtures, kernel, symbolic
 from cohmin.errors import ParseError
 from cohmin.frontend import (
     cli_main,
+    dot,
     parse_model,
     parse_trace,
     parse_valued_trace,
@@ -26,7 +27,7 @@ from cohmin.frontend.cli import _COMMANDS
 from cohmin.frontend.fileformat import parse_expr, render_expr
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import Verdict
-from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg
+from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg, STransition, Update
 
 from helpers import (
     LINE_CHECK_FILES,
@@ -37,6 +38,7 @@ from helpers import (
     run_cohmin_capped,
     step,
 )
+import naive_writer
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
 
@@ -130,6 +132,19 @@ class TestExpressions:
 
 
 class TestDot:
+    def test_fixture_graphs_are_unchanged(self, monkeypatch):
+        # the edges come from the adjacency walk; the frozen writer's
+        # transition order must give the same graph, byte for byte
+        models = []
+        for path in sorted(FIXDIR.iterdir()):
+            if path.suffix in (".fst", ".sfst"):
+                model = parse_model(path.read_text())
+                lifted = model if isinstance(model, SFST) else symbolic.lift_transducer(model)
+                models += [model, symbolic.expand(lifted, -1, 1)]
+        graphs = [to_dot(m) for m in models]
+        monkeypatch.setattr(dot, "canonical_transitions", naive_writer.canonical_transitions)
+        assert graphs == [to_dot(m) for m in models]
+
     def test_two_phase_graph(self):
         d = to_dot(fixtures.two_phase_cycle())
         assert d.count("shape=") == 2
@@ -425,6 +440,18 @@ class TestCli:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             4, "", f"resource limit: {message}\n")
 
+    def test_expand_transition_bound(self, tmp_path):
+        # 20001^2 guard assignments of one transition, about half of them
+        # kept: below the label and state caps, it ran for more than 100 s
+        path = tmp_path / "sum.sfst"
+        path.write_text("signature in x, y; out r;\nstates A;\nregisters ;\n"
+                        "initial A;\ntrans A -> A : {x, y} when x + y > 0;\n")
+        proc = run_cohmin_capped("expand", "--lo", "-10000", "--hi", "10000", str(path),
+                                 timeout=10)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "resource limit: expansion needs 400040001 assignments of one "
+            "transition, more than 3000000\n")
+
     def test_out_of_memory_is_a_resource_limit(self, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -565,7 +592,53 @@ def _plain_machines(draw, sig):
     return Transducer(sig, frozenset(states), states[0], frozenset(delta))
 
 
+_SYM_SIG = Signature(frozenset({"x", "a"}), frozenset({"r"}))
+_SYM_ROUNDS = [frozenset(), frozenset({"x"}), frozenset({"a"}), frozenset({"x", "r"}),
+               frozenset({"a", "r"}), frozenset({"x", "a", "r"})]
+_GUARD_TEXTS = ["true", "false", "y + z > 0", "not y < 1", "y = z and z >= -1",
+                "y * 2 > z - 1 or y = 0", "-y < z"]
+_PORT_GUARD_TEXTS = ["x > 0", "x + y = 1", "not x = z"]
+_EXPR_TEXTS = ["0", "y", "y + z", "z - -1", "2 * y", "-z"]
+_PORT_EXPR_TEXTS = ["x", "x + y", "x * x"]
+
+
+@st.composite
+def _symbolic_machines(draw):
+    """SFSTs over inputs x, a and output r with registers y and z: guards
+    and updates from small pools, port expressions only in rounds with x,
+    output updates only in rounds with r."""
+    states = draw(st.lists(_STATE_NAMES, min_size=1, max_size=4, unique=True))
+    registers = frozenset({"y", "z"})
+    delta = []
+    for _ in range(draw(st.integers(0, 8))):
+        v = draw(st.sampled_from(_SYM_ROUNDS))
+        ports = v & _SYM_SIG.inputs
+        port_texts = "x" in v
+        guard = draw(st.sampled_from(_GUARD_TEXTS + _PORT_GUARD_TEXTS * port_texts))
+        targets = draw(st.lists(st.sampled_from(["y", "z", *sorted(v & {"r"})]),
+                                unique=True, max_size=3))
+        updates = frozenset(
+            Update(t, parse_expr(draw(st.sampled_from(_EXPR_TEXTS + _PORT_EXPR_TEXTS
+                                                       * port_texts)), registers, ports))
+            for t in targets)
+        delta.append(STransition(draw(st.sampled_from(states)), v,
+                                 parse_expr(guard, registers, ports), updates,
+                                 draw(st.sampled_from(states))))
+    return SFST(_SYM_SIG, frozenset(states), registers, states[0], frozenset(delta))
+
+
 class TestRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_plain_machines(SIG2), _symbolic_machines()), _symbolic_machines())
+    def test_writer_matches_the_frozen_writer_and_round_trips(self, model, sfst):
+        text = serialize_model(model)
+        assert text == naive_writer.serialize_model(model)
+        assert parse_model(text) == model
+        # an expansion's state names hold commas (A[y=0,z=0]), which a
+        # state list cannot, so only its bytes are compared
+        expanded = symbolic.expand(sfst, -2, 2)
+        assert serialize_model(expanded) == naive_writer.serialize_model(expanded)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_products_round_trip(self, data):

@@ -71,6 +71,54 @@ class TestValidate:
         assert err.value.state == "nowhere"
 
 
+class TestConstructorContract:
+    """One fault each: the constructor reports it with the exception and
+    message it always has; valid input in any iterable shape normalises
+    to the same value and hash as the frozen form."""
+
+    SIG = Signature(frozenset({"a"}), frozenset({"b"}))
+    GOOD = [("s0", {"a"}, "s1"), ("s1", {"b"}, "s0"), ("s1", set(), "s1")]
+
+    @pytest.mark.parametrize("states, initial, delta, error, message", [
+        ({"s0", "s1"}, "s0", GOOD + [("s7", {"a"}, "s0")], UnknownState,
+         "unknown state: 's7'"),
+        ({"s0", "s1"}, "s0", GOOD + [("s0", {"b"}, "s7")], UnknownState,
+         "unknown state: 's7'"),
+        ({"s0", "s1"}, "s0", GOOD + [("s0", {"a", "c", "d"}, "s1")], UnknownLabel,
+         "unknown label: 'c'"),
+        ({"s0", "s1"}, "s9", GOOD, MissingInitial,
+         "initial state 's9' is not in the state set"),
+        (set(), "s0", [], UnknownState, "unknown state: '<empty state set>'"),
+    ])
+    def test_one_fault(self, states, initial, delta, error, message):
+        for shape in (list, frozenset):
+            rounds = [(s, frozenset(v), t) for s, v, t in delta]
+            with pytest.raises(error) as err:
+                Transducer(self.SIG, states, initial, shape(rounds))
+            assert str(err.value) == message
+
+    def test_any_iterable_shape_normalises(self):
+        frozen = frozenset((s, frozenset(v), t) for s, v, t in self.GOOD)
+        want = Transducer(self.SIG, frozenset({"s0", "s1"}), "s0", frozenset(frozen))
+        shapes = [
+            self.GOOD + self.GOOD[:2],                              # sets, doubled
+            [(s, sorted(v), t) for s, v, t in self.GOOD * 2],       # lists
+            [[s, tuple(v), t] for s, v, t in reversed(self.GOOD)],  # tuples
+            frozenset((s, tuple(sorted(v)), t) for s, v, t in self.GOOD),
+            iter(frozen),
+        ]
+        for delta in shapes:
+            T = Transducer(self.SIG, ["s1", "s0", "s1"], "s0", delta)
+            assert T == want and hash(T) == hash(want)
+            assert T.delta == frozen and type(T.delta) is frozenset
+            assert all(type(v) is frozenset for _, v, _ in T.delta)
+            assert {s: dict(T.out(s)) for s in T.states} == \
+                {"s0": {frozenset({"a"}): {"s1"}},
+                 "s1": {frozenset({"b"}): {"s0"}, frozenset(): {"s1"}}}
+        # a delta already in the frozen form is kept, not copied
+        assert want.delta is frozen
+
+
 class TestRecord:
     """The value types (``kernel.Record``) keep a frozen dataclass's
     behaviour; the ``repr`` strings are those the dataclasses printed."""

@@ -16,6 +16,7 @@ from cohmin.errors import (
     UnboundReference,
 )
 from cohmin.fixtures import adder, iterator_map
+from cohmin.frontend import parse_model
 from cohmin.kernel import Signature, mkround
 from cohmin.symbolic import (
     SFST,
@@ -41,6 +42,7 @@ from cohmin.symbolic import (
 )
 
 ADDER = adder()
+FIXDIR = Path(__file__).parent.parent / "fixtures"
 VR = ValuedRound.of
 
 
@@ -191,6 +193,41 @@ class TestExpand:
         from cohmin.errors import ResourceLimit
         with pytest.raises(ResourceLimit):
             expand(ADDER, -2, 2, state_cap=3)
+
+    def test_transition_cap(self, monkeypatch):
+        # adder over [-2..2] keeps 147 transitions, and each of its
+        # transitions enumerates 5 assignments (one data input) or 1
+        from cohmin.errors import ResourceLimit
+        assert len(expand(ADDER, -2, 2).delta) == 147
+        monkeypatch.setattr(symbolic, "EXPAND_TRANSITION_CAP", 146)
+        with pytest.raises(ResourceLimit, match=r"^expansion exceeded 146 transitions$"):
+            expand(ADDER, -2, 2)
+        monkeypatch.setattr(symbolic, "EXPAND_TRANSITION_CAP", 4)
+        with pytest.raises(ResourceLimit, match=r"^expansion needs 5 assignments of one "
+                                                r"transition, more than 4$"):
+            expand(ADDER, -2, 2)
+
+    def test_fixtures_fit_the_caps(self):
+        for path in sorted(FIXDIR.iterdir()):
+            if path.suffix in (".fst", ".sfst"):
+                model = parse_model(path.read_text())
+                lifted = model if isinstance(model, SFST) else lift_transducer(model)
+                exp = expand(lifted, -4, 4)
+                if path.name == "iterator_map.sfst":
+                    assert (len(exp.states), len(exp.delta)) == (9477, 202662)
+        # the widest domain the caps are set for: over [-8..8] the expansion
+        # keeps 2,348,414 transitions (too slow to run here); its labels and
+        # each transition's assignments are counted as expand counts them
+        machine, _ = iterator_map()
+        data = machine.data_ports()
+        width = 17
+        assert sum(width if p in data else 1 for p in machine.signature.universe) \
+            <= symbolic.EXPAND_LABEL_CAP
+        for tr in machine.delta:
+            free = (tr.round & machine.signature.outputs & data) - {u.target for u in tr.updates}
+            k = len(tr.round & machine.signature.inputs & data) + len(free)
+            assert width ** k <= symbolic.EXPAND_TRANSITION_CAP
+        assert 2_348_414 < symbolic.EXPAND_TRANSITION_CAP
 
     def test_iterator_map_expansion_adequacy(self):
         machine, _ = iterator_map()
