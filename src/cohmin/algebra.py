@@ -62,18 +62,19 @@ def _product(T: Transducer, U: Transducer, sig: Signature,
     """The product over ``sig``, walked from the initial pair (from every
     pair with ``keep_unreachable``) and built once.  A product state is its
     name: if two pairs render to the same name (possible only when both
-    sides have names with commas), reaching the name reaches both."""
+    sides have names with commas), reaching the name reaches both.  The
+    walk builds the index, with one object per name, and hands it over."""
     shared = T.signature.universe & U.signature.universe
     sides = {}   # s -> [(shared part of v, v, targets)] for the rounds v of s
     joins = {}   # u -> {shared part of w: [(rest of w, targets)]}
     ambiguous = any("," in s for s in T.states) and any("," in u for u in U.states)
     todo = ([(s, u) for s in T.states for u in U.states] if keep_unreachable
             else _pairs_named(product_state(T.initial, U.initial), T, U))
-    seen = {product_state(s, u) for s, u in todo}
-    delta = []
+    seen = {name: name for name in (product_state(s, u) for s, u in todo)}
+    adj = {}
     while todo:
         s, u = todo.pop()
-        src = product_state(s, u)
+        src = seen[product_state(s, u)]
         side = sides.get(s)
         if side is None:
             side = sides[s] = [(v & shared, v, ts) for v, ts in T.out(s).items()]
@@ -82,18 +83,27 @@ def _product(T: Transducer, U: Transducer, sig: Signature,
             join = joins[u] = {}
             for w, us in U.out(u).items():
                 join.setdefault(w & shared, []).append((w - shared, us))
+        row = adj.get(src) or {}
         for key, v, ts in side:
             for rest, us in join.get(key, ()):
-                vw = v | rest if rest else v
+                targets = row.setdefault(v | rest if rest else v, [])
                 for t in ts:
                     for x in us:
                         tgt = f"({t},{x})"   # product_state, inlined
-                        delta.append((src, vw, tgt))
-                        if tgt not in seen:
-                            seen.add(tgt)
+                        name = seen.get(tgt)
+                        if name is None:
+                            seen[tgt] = name = tgt
                             todo += _pairs_named(tgt, T, U) if ambiguous else ((t, x),)
-    # the constructor turns both collections into frozensets
-    return Transducer(sig, seen, product_state(T.initial, U.initial), delta)
+                        targets.append(name)
+        if row:
+            adj[src] = row
+    for row in adj.values():   # a target repeats only where two pairs share a name
+        for vw, targets in row.items():
+            row[vw] = tuple(dict.fromkeys(targets) if ambiguous else targets)
+    delta = frozenset((s, vw, t) for s, row in adj.items()
+                      for vw, targets in row.items() for t in targets)
+    return Transducer._trusted(sig, frozenset(seen.values()),
+                               seen[product_state(T.initial, U.initial)], delta, adj)
 
 
 def _pairs_named(name: str, T: Transducer, U: Transducer) -> list:

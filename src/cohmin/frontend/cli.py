@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_model(model):
-    sys.stdout.write(fileformat.serialize_model(model))
+    fileformat.write_model(model, sys.stdout.write)
 
 
 def _require_transducer(model, command):
@@ -341,7 +341,7 @@ def cli_main(argv=None) -> int:
     except ResourceLimit as e:
         print(f"resource limit: {e}", file=sys.stderr)
         return EXIT_RESOURCE
-    except MemoryError:
+    except MemoryError:   # what a model writer had sent stays on stdout
         print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except CohminError as e:

@@ -9,6 +9,8 @@ canonical (states sorted, transitions in the order of
 from __future__ import annotations
 
 import re
+from itertools import groupby
+from operator import itemgetter
 from typing import List, Tuple
 
 from ..errors import CohminError, MissingInitial, ParseError, UnknownLabel
@@ -245,25 +247,26 @@ def _split_names(text: str, line: int) -> List[str]:
 
 
 def _split_state_names(text: str, line: int) -> List[str]:
-    """States split on top-level commas; product names like (a,b) survive.
-
-    Every name must have balanced parentheses that never close more than
-    they opened, so that a product's name splits back into its parts."""
-    names, buf, depth = [], [], 0
+    """States split on top-level commas; names like (a,b) and A[y=0,z=0]
+    survive.  A name's parentheses, and its brackets, must balance and
+    never close more than they opened, so that a product's name splits
+    back into its parts."""
+    names, buf, parens, brackets = [], [], 0, 0
     for ch in text + ",":
-        if ch == "," and depth == 0:
+        if ch == "," and parens == brackets == 0:
             name = "".join(buf).strip()
             if name:
                 names.append(name)
             buf = []
             continue
-        depth += ch == "("
-        depth -= ch == ")"
-        if depth < 0:
+        parens += (ch == "(") - (ch == ")")
+        brackets += (ch == "[") - (ch == "]")
+        if parens < 0 or brackets < 0:
             break
         buf.append(ch)
-    if depth != 0:
-        raise ParseError(line, 1, "unbalanced parentheses in state list")
+    if parens or brackets:
+        kind = "parentheses" if parens else "brackets"
+        raise ParseError(line, 1, f"unbalanced {kind} in state list")
     for n in names:
         if any(c.isspace() for c in n) or any(c in ";{}" for c in n):
             raise ParseError(line, 1, f"bad state name {n!r}")
@@ -493,13 +496,15 @@ def canonical_transitions(model):
     file writes them; each distinct round is rendered once."""
     if isinstance(model, Transducer):
         # walking the index in this order sorts by (source, round_key,
-        # target), as sorting the whole set would, without a key per entry
+        # target), as sorting the whole set would; only rows of more than
+        # one round or target are sorted
         rounds = {v: (round_key(v), render_round(v))
                   for v in {v for _, v, _ in model.delta}}
         for s in sorted(model.states):
             out = model.out(s)
-            for v in sorted(out, key=rounds.__getitem__):
-                for t in sorted(out[v]):
+            for v in sorted(out, key=rounds.__getitem__) if len(out) > 1 else out:
+                ts = out[v]
+                for t in sorted(ts) if len(ts) > 1 else ts:
                     yield s, t, rounds[v][1]
         return
     rounds = {v: (round_key(v), render_round(v)) for v in {t.round for t in model.delta}}
@@ -517,14 +522,24 @@ def canonical_transitions(model):
         yield s, t, label
 
 
-def serialize_model(model) -> str:
-    lines = [f"signature {model.signature.render()};",
-             f"states {', '.join(sorted(model.states))};"]
+def write_model(model, write) -> None:
+    """Pass the model's text to ``write``: the header, then one piece per
+    source state's transitions, so the whole text is never held at once."""
+    header = [f"signature {model.signature.render()};",
+              f"states {', '.join(sorted(model.states))};"]
     if not isinstance(model, Transducer):
-        lines.append(f"registers {', '.join(sorted(model.registers))};")
-    lines.append(f"initial {model.initial};")
-    lines += [f"trans {s} -> {t} : {label};" for s, t, label in canonical_transitions(model)]
-    return "\n".join(lines) + "\n"
+        header.append(f"registers {', '.join(sorted(model.registers))};")
+    header.append(f"initial {model.initial};")
+    write("\n".join(header) + "\n")
+    for s, group in groupby(canonical_transitions(model), itemgetter(0)):
+        write("".join([f"trans {s} -> {t} : {label};\n" for _, t, label in group]))
+
+
+def serialize_model(model) -> str:
+    """The model's text: :func:`write_model` gathered into one string."""
+    parts = []
+    write_model(model, parts.append)
+    return "".join(parts)
 
 
 def serialize_trace(t: Trace) -> str:

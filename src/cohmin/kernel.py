@@ -208,6 +208,7 @@ class Transducer(Record):
 
     ``delta`` is a set, so duplicate transitions collapse silently.
     Unreachable states are retained; only minimisation decides their fate.
+    ``_adj`` maps a source to its rounds, each to a tuple of distinct targets.
     """
 
     _fields = ("signature", "states", "initial", "delta")
@@ -236,13 +237,27 @@ class Transducer(Record):
             if v not in checked:
                 self.signature.check_round(v)
                 checked.add(v)
-            adj.setdefault(src, {}).setdefault(v, set()).add(tgt)
+            adj.setdefault(src, {}).setdefault(v, []).append(tgt)
+        for row in adj.values():   # distinct targets, as ``delta`` is a set
+            for v, targets in row.items():
+                row[v] = tuple(targets)
         _set(self, "_adj", adj)
+
+    @classmethod
+    def _trusted(cls, signature, states, initial, delta, adj) -> "Transducer":
+        """A machine from parts built in normal form from valid machines
+        (frozensets, and the index the constructor would build), taken as
+        they are: nothing is validated or indexed again."""
+        T = object.__new__(cls)
+        for field, value in zip(cls.__slots__, (signature, states, initial, delta, adj)):
+            _set(T, field, value)
+        return T
 
     # -- stepping ---------------------------------------------------------
 
-    def out(self, s: str) -> Mapping[Round, set]:
-        """Outgoing transitions of ``s`` grouped by round."""
+    def out(self, s: str) -> Mapping[Round, tuple]:
+        """Outgoing transitions of ``s`` grouped by round: each round maps
+        to a tuple of its distinct targets, in no fixed order."""
         if s not in self.states:
             raise UnknownState(s)
         return self._adj.get(s, {})
@@ -254,7 +269,7 @@ class Transducer(Record):
         v = frozenset(v)
         acc = set()
         for s in states:
-            acc |= self.out(s).get(v, set())
+            acc.update(self.out(s).get(v, ()))
         return frozenset(acc)
 
     def run(self, t: Trace) -> FrozenSet[str]:

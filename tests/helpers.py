@@ -20,7 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from cohmin.errors import UnknownState
-from cohmin.frontend.fileformat import parse_expr
+from cohmin.fixtures import adder
+from cohmin.frontend.fileformat import (
+    looks_like_regex_protocol,
+    parse_expr,
+    parse_model,
+    parse_regex_protocol,
+)
 from cohmin.kernel import (
     DEFAULT_TRACE_CAP,
     Round,
@@ -30,8 +36,8 @@ from cohmin.kernel import (
     mkround,
     traces_upto,
 )
-from cohmin.protocol import Alt, Cat, Lit, Star
-from cohmin.symbolic import SFST, STransition, Update
+from cohmin.protocol import Alt, Cat, Lit, Star, compile_regex
+from cohmin.symbolic import SFST, STransition, Update, expand
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -464,3 +470,24 @@ LINE_CHECK_FILES = {
         "signature in a; out b;\nstates s0;\ninitial s9;\ntrans s0 -> s0 : {a};\n",
         "3:1: initial state 's9' is not in the state set"),
 }
+
+
+def fixture_machines():
+    """Every plain machine the fixtures give: the model files, the regex
+    protocols compiled over their alphabets, the control skeleton of each
+    symbolic file and the adder expanded over [-1..1]."""
+    machines = []
+    for path in sorted((SRC.parent / "fixtures").iterdir()):
+        if path.suffix not in (".fst", ".prot", ".sfst"):
+            continue
+        text = path.read_text()
+        if looks_like_regex_protocol(text):
+            alphabet, regex = parse_regex_protocol(text)
+            sig = Signature(frozenset(alphabet), frozenset())
+            machines.append(compile_regex(regex, sig))
+        else:
+            model = parse_model(text)
+            machines.append(model if isinstance(model, Transducer)
+                            else model.control_skeleton())
+    machines.append(expand(adder(), -1, 1))
+    return machines

@@ -42,7 +42,7 @@ from cohmin.frontend.cli import _load_protocol
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, merge_states, mkround, round_key
 from cohmin.protocol import empty_protocol, universal_protocol
-from cohmin.symbolic import expand, lift_transducer
+from cohmin.symbolic import lift_transducer
 
 import naive_algebra
 import naive_coherence as naive
@@ -55,6 +55,7 @@ from helpers import (
     SIG2,
     SIG3,
     all_rounds,
+    fixture_machines,
     is_deterministic,
     linear_protocol_shaped,
     random_regex,
@@ -337,27 +338,6 @@ def assert_same_products(T, U):
                 except LabelClash as e:
                     outcomes.append(str(e))
             assert outcomes[0] == outcomes[1]
-
-
-def fixture_machines():
-    """Every plain machine the fixtures give: the model files, the regex
-    protocols compiled over their alphabets, the control skeleton of each
-    symbolic file and the adder expanded over [-1..1]."""
-    machines = []
-    for path in sorted(FIXDIR.iterdir()):
-        if path.suffix not in (".fst", ".prot", ".sfst"):
-            continue
-        text = path.read_text()
-        if looks_like_regex_protocol(text):
-            alphabet, regex = parse_regex_protocol(text)
-            sig = Signature(frozenset(alphabet), frozenset())
-            machines.append(protocol.compile_regex(regex, sig))
-        else:
-            model = parse_model(text)
-            machines.append(model if isinstance(model, Transducer)
-                            else model.control_skeleton())
-    machines.append(expand(adder(), -1, 1))
-    return machines
 
 
 # x and y as in SIG2, w fresh: shared labels with equal, with mixed and with

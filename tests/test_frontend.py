@@ -24,7 +24,7 @@ from cohmin.frontend import (
     to_dot,
 )
 from cohmin.frontend.cli import _COMMANDS
-from cohmin.frontend.fileformat import parse_expr, render_expr
+from cohmin.frontend.fileformat import parse_expr, render_expr, write_model
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import Verdict
 from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg, STransition, Update
@@ -33,6 +33,7 @@ from helpers import (
     LINE_CHECK_FILES,
     SIG2,
     UNKNOWN_ENDPOINT_FILES,
+    fixture_machines,
     random_sfst,
     random_transducer,
     run_cohmin_capped,
@@ -131,11 +132,24 @@ class TestExpressions:
                        {"y"}, set())
 
 
+def _product_machines():
+    """intersect, interact and compose of every pair of the fixtures' plain
+    machines, with and without ``keep_unreachable``."""
+    machines = fixture_machines()
+    for T in machines:
+        for U in machines:
+            for keep in (False, True):
+                if T.signature == U.signature:
+                    yield algebra.intersect(T, U, keep)
+                yield algebra.interact(T, U, keep)
+                yield algebra.compose(T, U, keep)
+
+
 class TestDot:
     def test_fixture_graphs_are_unchanged(self, monkeypatch):
         # the edges come from the adjacency walk; the frozen writer's
         # transition order must give the same graph, byte for byte
-        models = []
+        models = list(_product_machines())
         for path in sorted(FIXDIR.iterdir()):
             if path.suffix in (".fst", ".sfst"):
                 model = parse_model(path.read_text())
@@ -634,10 +648,12 @@ class TestRoundTrip:
         text = serialize_model(model)
         assert text == naive_writer.serialize_model(model)
         assert parse_model(text) == model
-        # an expansion's state names hold commas (A[y=0,z=0]), which a
-        # state list cannot, so only its bytes are compared
+        # an expansion's state names hold commas (A[y=0,z=0]) inside
+        # brackets, which a state list keeps whole
         expanded = symbolic.expand(sfst, -2, 2)
-        assert serialize_model(expanded) == naive_writer.serialize_model(expanded)
+        text = serialize_model(expanded)
+        assert text == naive_writer.serialize_model(expanded)
+        assert parse_model(text) == expanded
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -812,6 +828,76 @@ class TestCliContract:
         code, _, err = run_cli(*argv)
         assert code in {0, 1, 2, 3, 4}
         assert err.count("\n") <= 1 and err[-1:] in ("", "\n"), err
+
+
+class TestExpandedModelsParseBack:
+    def test_validate_accepts_an_expansion_with_two_registers(self, tmp_path):
+        code, out, err = run_cli("expand", "--lo", "-1", "--hi", "1",
+                                 str(FIXDIR / "adder.sfst"))
+        assert (code, err) == (0, "") and "A[y=0,z=0]" in out
+        path = tmp_path / "expanded.fst"
+        path.write_text(out)
+        assert run_cli("validate", str(path)) == (
+            0, "ok: transducer, 18 states, 29 transitions\n", "")
+
+    def test_every_fixture_expansion_round_trips(self):
+        for path in sorted(FIXDIR.iterdir()):
+            if path.suffix in (".fst", ".sfst"):
+                model = parse_model(path.read_text())
+                if isinstance(model, Transducer):
+                    model = symbolic.lift_transducer(model)
+                E = symbolic.expand(model, -1, 1)
+                assert parse_model(serialize_model(E)) == E
+
+    @pytest.mark.parametrize("states, initial, line", [
+        ("A[y=0, s", "s", 2), ("A]y=0[, s", "s", 2), ("s", "A[y=0", 3),
+        ("s, a[(b]), c)", "s", 2),
+    ])
+    def test_an_unbalanced_bracket_is_an_error_at_its_line(self, states, initial, line):
+        with pytest.raises(ParseError) as err:
+            parse_model(f"signature in a; out b;\nstates {states};\n"
+                        f"initial {initial};\n")
+        assert err.value.line == line
+        assert "unbalanced" in str(err.value)
+
+
+class TestStreamingWriter:
+    """``write_model`` passes the header, then one chunk per source state
+    with transitions; joined, the chunks are ``serialize_model``'s text and
+    the frozen writer's, byte for byte."""
+
+    def assert_writes_like_the_frozen_writer(self, model):
+        chunks = []
+        write_model(model, chunks.append)
+        text = serialize_model(model)
+        assert "".join(chunks) == text == naive_writer.serialize_model(model)
+        header, *rows = chunks
+        assert not header.count("trans ")
+        sources = [chunk.split(" ", 2)[1] for chunk in rows]
+        assert all(chunk.count(f"trans {s} -> ") == chunk.count("\n")
+                   for s, chunk in zip(sources, rows))
+        assert len(set(sources)) == len(sources)
+
+    def test_fixtures(self):
+        for path in sorted(FIXDIR.iterdir()):
+            if path.suffix in (".fst", ".sfst"):
+                model = parse_model(path.read_text())
+                self.assert_writes_like_the_frozen_writer(model)
+                lifted = (model if isinstance(model, SFST)
+                          else symbolic.lift_transducer(model))
+                self.assert_writes_like_the_frozen_writer(symbolic.expand(lifted, -1, 1))
+
+    def test_expanded_sfsts(self):
+        rng = random.Random(12)
+        for model in [fixtures.adder(), fixtures.iterator_map()[0]] + \
+                [random_sfst(rng, 4, 8) for _ in range(40)]:
+            self.assert_writes_like_the_frozen_writer(symbolic.expand(model, -2, 2))
+
+    def test_products(self):
+        products = list(_product_machines())
+        assert len(products) > 250
+        for model in products:
+            self.assert_writes_like_the_frozen_writer(model)
 
 
 class TestShippedFixtures:

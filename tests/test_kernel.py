@@ -112,11 +112,50 @@ class TestConstructorContract:
             assert T == want and hash(T) == hash(want)
             assert T.delta == frozen and type(T.delta) is frozenset
             assert all(type(v) is frozenset for _, v, _ in T.delta)
-            assert {s: dict(T.out(s)) for s in T.states} == \
+            # each round maps to a tuple of distinct targets, in no fixed order
+            rows = [ts for s in T.states for ts in T.out(s).values()]
+            assert all(type(ts) is tuple and len(set(ts)) == len(ts) for ts in rows)
+            assert {s: {v: set(ts) for v, ts in T.out(s).items()} for s in T.states} == \
                 {"s0": {frozenset({"a"}): {"s1"}},
                  "s1": {frozenset({"b"}): {"s0"}, frozenset(): {"s1"}}}
         # a delta already in the frozen form is kept, not copied
         assert want.delta is frozen
+
+
+class TestTrustedBuild:
+    """``Transducer._trusted`` checks nothing; in the tests the autouse
+    ``checked_trusted_builds`` fixture re-validates every trusted build,
+    and it must reject a bad one."""
+
+    SIG = Signature(frozenset({"a"}), frozenset({"b"}))
+    A = frozenset({"a"})
+
+    def build(self, delta, adj):
+        return Transducer._trusted(self.SIG, frozenset({"s0", "s1"}), "s0",
+                                   frozenset(delta), adj)
+
+    def test_a_good_build_equals_the_validating_one(self):
+        T = self.build({("s0", self.A, "s1")}, {"s0": {self.A: ("s1",)}})
+        assert T == Transducer(self.SIG, {"s0", "s1"}, "s0", [("s0", self.A, "s1")])
+        assert T.out("s0") == {self.A: ("s1",)} and T.out("s1") == {}
+
+    @pytest.mark.parametrize("delta, adj, error", [
+        # an unknown target
+        ({("s0", A, "s7")}, {"s0": {A: ("s7",)}}, UnknownState),
+        # a round with a stray label
+        ({("s0", frozenset({"a", "c"}), "s1")},
+         {"s0": {frozenset({"a", "c"}): ("s1",)}}, UnknownLabel),
+        # a target repeated in one row
+        ({("s0", A, "s1")}, {"s0": {A: ("s1", "s1")}}, AssertionError),
+    ])
+    def test_the_fixture_rejects_a_bad_build(self, checked_trusted_builds,
+                                             delta, adj, error):
+        with pytest.raises(error):
+            self.build(delta, adj)
+        # the trusted constructor itself takes the bad parts as they are
+        bad = checked_trusted_builds(self.SIG, frozenset({"s0", "s1"}), "s0",
+                                     frozenset(delta), adj)
+        assert bad._adj is adj
 
 
 class TestRecord:

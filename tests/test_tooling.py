@@ -92,6 +92,7 @@ json.dump(results, sys.stdout)
 
 def _fixture_matrix(extra):
     """Every subcommand on every fixture file (and on ``extra``), then
+    intersect, interact and compose on each pair of different model files,
     coherent minimize and relation in both guard modes on each model x
     protocol pair, equiv on each model pair under each protocol, and
     monitor on each protocol x trace pair."""
@@ -111,6 +112,8 @@ def _fixture_matrix(extra):
                    ["expand", "--lo", "-1", "--hi", "1", f],
                    ["minimize", "--policy", "bisim", f]]
         matrix += [[op, f, f] for op in ("intersect", "interact", "compose")]
+    matrix += [[op, m, m2] for op in ("intersect", "interact", "compose")
+               for m in models for m2 in models if m != m2]
     for m in models:
         for p in protocols:
             for mode in ("structural", "bounded-semantic"):
@@ -148,3 +151,26 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
         runs.append(json.loads(out))
     assert runs[0] == runs[1]
     assert {code for code, _, _ in runs[0]} == {0, 2, 3}
+
+
+# Runs the command line it is given in a child process and prints the
+# child's max RSS in KiB: this process's own peak is not counted.
+_MAX_RSS = """\
+import resource, subprocess, sys
+subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+# `expand --lo -4 --hi 4` of iterator_map: 73.3 MB max RSS (Python 3.11,
+# x86-64 Linux) with a tuple per (source, round) in the index and a
+# streaming writer; a set per row and the whole text in memory took 128.6 MB.
+EXPAND_RSS_BUDGET_MB = 85
+
+
+def test_expand_stays_within_its_memory_budget():
+    argv = [sys.executable, "-c", "from cohmin.frontend.cli import main; main()",
+            "expand", "--lo", "-4", "--hi", "4", str(ROOT / "fixtures" / "iterator_map.sfst")]
+    proc = subprocess.run([sys.executable, "-c", _MAX_RSS, *argv], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < EXPAND_RSS_BUDGET_MB
