@@ -13,12 +13,14 @@ them, so that no process pays to compile a layer it does not run.
 
 from __future__ import annotations
 
-import argparse
+import math
+import re
 import sys
+from types import SimpleNamespace
 
 from .. import kernel
 from ..errors import CohminError, ResourceLimit
-from ..kernel import Signature, Transducer
+from ..kernel import DEFAULT_TRACE_CAP, Signature, Transducer
 from . import fileformat
 
 EXIT_OK = 0
@@ -30,11 +32,6 @@ EXIT_RESOURCE = 4
 
 class _Usage(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _Usage(message)
 
 
 def _read(path: str) -> str:
@@ -58,10 +55,10 @@ def _load_protocol(path: str, subject) -> Transducer:
     symbolic protocol is read as its control skeleton.  The result is
     rebound to the subject's signature; with no subject (``None``) it is
     left as read, and a regex protocol takes every label as an input."""
-    from .. import protocol
-
     text = _read(path)
     if fileformat.looks_like_regex_protocol(text):
+        from .. import protocol
+
         alphabet, regex = fileformat.parse_regex_protocol(text)
         sig = (Signature(frozenset(alphabet), frozenset()) if subject is None
                else subject.signature)
@@ -77,86 +74,7 @@ def _load_protocol(path: str, subject) -> Transducer:
         if not symbolic.is_symbolic_protocol(model):
             raise CohminError("a symbolic protocol needs true guards and identity updates")
         model = model.control_skeleton()
-    return model if subject is None else protocol.align_protocol(model, subject.signature)
-
-
-def _count(least: int):
-    """argparse type: an integer of at least ``least``."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
-        return value
-
-    return parse
-
-
-def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="cohmin", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="check a model file")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("traces", help="enumerate traces up to a depth")
-    sp.add_argument("--depth", type=_count(0), required=True)
-    sp.add_argument("--cap", type=_count(1), default=kernel.DEFAULT_TRACE_CAP,
-                    help="abort beyond this many traces (exit 4); the traces "
-                    f"may also hold at most {kernel.TRACE_ROUNDS_CAP:,} rounds in all")
-    sp.add_argument("file")
-
-    for name in ("intersect", "interact", "compose"):
-        sp = sub.add_parser(name, help=f"{name} two transducers")
-        sp.add_argument("left")
-        sp.add_argument("right")
-        sp.add_argument("--keep-unreachable", action="store_true")
-
-    sp = sub.add_parser("project", help="project a transducer onto labels")
-    sp.add_argument("--keep", required=True, help="comma-separated labels")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("minimize", help="coherent or bisimulation minimisation")
-    sp.add_argument("--policy", choices=("coherent", "bisim"), required=True)
-    sp.add_argument("--protocol")
-    sp.add_argument("--guard-mode", choices=("structural", "bounded-semantic"),
-                    default="structural")
-    sp.add_argument("--keep-unreachable", action="store_true")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("relation", help="print the coherent simulation")
-    sp.add_argument("--protocol", required=True)
-    sp.add_argument("--guard-mode", choices=("structural", "bounded-semantic"),
-                    default="structural")
-    sp.add_argument("file")
-
-    about = ("bounded protocol-restricted equivalence: walks reachable subset "
-             "triples to --depth, builds no product")
-    sp = sub.add_parser("equiv", help=about, description=about)
-    sp.add_argument("--protocol", required=True)
-    sp.add_argument("--depth", type=_count(0), default=8)
-    sp.add_argument("left")
-    sp.add_argument("right")
-
-    sp = sub.add_parser("quotient", help="merge two states")
-    sp.add_argument("--pair", required=True, help="s1,s2")
-    sp.add_argument("file")
-
-    sp = sub.add_parser("expand", help="expand a symbolic transducer")
-    sp.add_argument("--lo", type=int, required=True)
-    sp.add_argument("--hi", type=int, required=True)
-    sp.add_argument("file")
-
-    sp = sub.add_parser("monitor", help="check a trace against a protocol")
-    sp.add_argument("--protocol", required=True)
-    sp.add_argument("--trace", required=True)
-
-    sp = sub.add_parser("dot", help="emit a DOT graph")
-    sp.add_argument("file")
-    return p
+    return model if subject is None else model.relabel_signature(subject.signature)
 
 
 def _emit_model(model):
@@ -307,34 +225,143 @@ def _cmd_dot(args) -> int:
     return EXIT_OK
 
 
+# Each command's function, options and positionals.  An option maps to
+# (kind, default): kind None is a flag, ``str`` a string, a tuple its
+# choices, a number the least integer it takes; ``...`` marks it required.
+_MODES = (("structural", "bounded-semantic"), "structural")
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "traces": _cmd_traces,
-    "intersect": _cmd_binary,
-    "interact": _cmd_binary,
-    "compose": _cmd_binary,
-    "project": _cmd_project,
-    "minimize": _cmd_minimize,
-    "relation": _cmd_relation,
-    "equiv": _cmd_equiv,
-    "quotient": _cmd_quotient,
-    "expand": _cmd_expand,
-    "monitor": _cmd_monitor,
-    "dot": _cmd_dot,
+    "validate": (_cmd_validate, {}, ("file",)),
+    "traces": (_cmd_traces, {"--depth": (0, ...), "--cap": (1, DEFAULT_TRACE_CAP)}, ("file",)),
+    **{name: (_cmd_binary, {"--keep-unreachable": (None, False)}, ("left", "right"))
+       for name in ("intersect", "interact", "compose")},
+    "project": (_cmd_project, {"--keep": (str, ...)}, ("file",)),
+    "minimize": (_cmd_minimize, {"--policy": (("coherent", "bisim"), ...),
+                                 "--protocol": (str, None), "--guard-mode": _MODES,
+                                 "--keep-unreachable": (None, False)}, ("file",)),
+    "relation": (_cmd_relation, {"--protocol": (str, ...), "--guard-mode": _MODES}, ("file",)),
+    "equiv": (_cmd_equiv, {"--protocol": (str, ...), "--depth": (0, 8)}, ("left", "right")),
+    "quotient": (_cmd_quotient, {"--pair": (str, ...)}, ("file",)),
+    "expand": (_cmd_expand, {"--lo": (-math.inf, ...), "--hi": (-math.inf, ...)}, ("file",)),
+    "monitor": (_cmd_monitor, {"--protocol": (str, ...), "--trace": (str, ...)}, ()),
+    "dot": (_cmd_dot, {}, ("file",)),
 }
+_HELP = ("-h", "--help")
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _classify(token: str, options):
+    """How argparse read a token before ``--``: None for a value, else the
+    option it names (None if it names none) and its ``=`` value."""
+    if not token.startswith("-") or token == "-":
+        return None
+    known = (*_HELP, *options)
+    name, eq, value = token.partition("=")
+    if token in known or eq and name in known:
+        return (token, None) if token in known else (name, value)
+    if token[1] == "-":
+        hits = [o for o in known if o.startswith(name)]
+        if len(hits) > 1:
+            raise _Usage(f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]
+    return None if _NEGATIVE.match(token) or " " in token else (None, None)
+
+
+def _convert(option: str, kind, text: str):
+    if kind is str or isinstance(kind, tuple) and text in kind:
+        return text
+    if isinstance(kind, tuple):
+        raise _Usage(f"argument {option}: invalid choice: {text!r} "
+                     f"(choose from {', '.join(map(repr, kind))})")
+    try:
+        value = int(text)
+    except ValueError:
+        raise _Usage(f"argument {option}: invalid int value: {text!r}") from None
+    if value < kind:
+        raise _Usage(f"argument {option}: must be >= {kind}, got {value}")
+    return value
+
+
+def _walk(argv, options, names, args):
+    """Read ``argv`` into ``args`` as argparse did: options and the
+    positionals ``names`` in any order, ``--opt value`` or ``--opt=value``,
+    unique prefixes, ``--`` ending the options, the last of a repeated
+    option winning.  Return the tokens left over, or None at ``--help``."""
+    kinds = []
+    for t in argv:   # after ``--`` every token is a value
+        kinds.append(None if "--" in kinds else "--" if t == "--" else _classify(t, options))
+    free, extras, i, took = list(names), [], 0, False
+    while i < len(argv):
+        token, kind = argv[i], kinds[i]
+        i += 1
+        assigned = kind is None and bool(free)
+        if assigned:
+            setattr(args, free.pop(0), token)
+        # ``--`` goes with a positional that it follows or that follows it
+        elif kind == "--" and (took or free and i < len(argv)):
+            pass
+        elif kind is None or kind == "--" or kind[0] is None:
+            extras.append(token)
+        else:
+            option, value = kind
+            if option == "-h" and value:   # -hh is -h -h
+                value = value.lstrip("h") or None
+            kind = None if option in _HELP else options[option][0]
+            if kind is None and value is not None:
+                raise _Usage(f"argument {'-h/--help' if option in _HELP else option}: "
+                             f"ignored explicit argument {value!r}")
+            if option in _HELP:
+                return None
+            if kind is not None and value is None:
+                if i == len(argv) or kinds[i] is not None:
+                    raise _Usage(f"argument {option}: expected one argument")
+                value, i = argv[i], i + 1
+            setattr(args, option[2:].replace("-", "_"),
+                    kind is None or _convert(option, kind, value))
+        took = assigned
+    return extras
+
+
+def parse_argv(argv):
+    """``argv`` as a namespace of its command's fields, or None after
+    printing usage for ``-h``/``--help``.  A bad ``argv`` raises
+    ``_Usage``, worded as argparse worded it, error for error."""
+    at = next((i for i, token in enumerate(argv)
+               if token == "--" or _classify(token, ()) is None), len(argv))
+    extras = _walk(argv[:at], {}, (), SimpleNamespace())
+    if extras is None:
+        print(f"usage: cohmin [-h] {{{','.join(_COMMANDS)}}} ...\n")
+        print(*__doc__.split("\n\n")[:2], sep="\n\n")
+        return None
+    if argv[at:] in ([], ["--"]):
+        raise _Usage("the following arguments are required: command")
+    if argv[at] not in _COMMANDS:
+        raise _Usage(f"argument command: invalid choice: {argv[at]!r} "
+                     f"(choose from {', '.join(map(repr, _COMMANDS))})")
+    _, options, names = _COMMANDS[argv[at]]
+    dests = {o: o[2:].replace("-", "_") for o in options}
+    args = SimpleNamespace(command=argv[at], **{dests[o]: options[o][1] for o in options})
+    more = _walk(argv[at + 1:], options, names, args)
+    if more is None:
+        words = [o if k is None else f"{o} {dests[o].upper()}" for o, (k, _) in options.items()]
+        print("usage: cohmin", argv[at], "[-h]", *names, *(
+            w if options[w.split()[0]][1] is ... else f"[{w}]" for w in words))
+        return None
+    missing = [o for o in options if getattr(args, dests[o]) is ...]
+    missing += [name for name in names if not hasattr(args, name)]
+    if missing:
+        raise _Usage("the following arguments are required: " + ", ".join(missing))
+    if extras + more:
+        raise _Usage("unrecognized arguments: " + " ".join(extras + more))
+    return args
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _Usage as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SystemExit as e:  # --help
-        return int(e.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
+        args = parse_argv(sys.argv[1:] if argv is None else list(argv))
+        return EXIT_OK if args is None else _COMMANDS[args.command][0](args)
     except _Usage as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -176,10 +176,6 @@ class Signature(Record):
                 f"labels on both sides of the signature: {sorted(overlap)}"
             )
 
-    def dualize(self) -> "Signature":
-        """Swap input and output polarity (an involution)."""
-        return Signature(self.outputs, self.inputs)
-
     def restrict(self, labels: Iterable[str]) -> "Signature":
         keep = frozenset(labels)
         missing = keep - self.universe
@@ -298,11 +294,10 @@ class Transducer(Record):
 
     def relabel_signature(self, sig: Signature) -> "Transducer":
         """Rebind to a signature with the same label universe."""
+        if sig == self.signature:
+            return self
         if sig.universe != self.signature.universe:
-            raise SignatureMismatch(
-                "cannot rebind: label universes differ "
-                f"({sorted(self.signature.universe)} vs {sorted(sig.universe)})"
-            )
+            raise SignatureMismatch("protocol and subject use different label universes")
         return Transducer(sig, self.states, self.initial, self.delta)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import FrozenSet, List, Optional, Tuple
 
-from .errors import ParseError, ResourceLimit, SignatureMismatch, UnknownLabel
+from .errors import ParseError, UnknownLabel
 from .kernel import Record, Round, Signature, Trace, Transducer, render_round, round_key
 
 
@@ -53,17 +53,17 @@ _TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()+*])
 MAX_DEPTH = 100
 
 
-def parse_regex(text: str) -> ProtocolRegex:
+def parse_regex(text: str, line: int = 1, column: int = 1) -> ProtocolRegex:
     """Parse ``a (b c + d)* e`` style protocol expressions.
 
     Juxtaposition is concatenation, ``+`` alternation, ``*`` iteration;
     repeated stars fold, since ``(x*)* = x*``.  Parentheses nested deeper
-    than :data:`MAX_DEPTH` are a :class:`ParseError`.
+    than :data:`MAX_DEPTH` are a :class:`ParseError`, placed, as every
+    error is, by the ``line`` and ``column`` at which ``text`` starts.
     """
     tokens = []
     pos = 0
-    line = 1
-    line_start = 0
+    line_start = 1 - column
     while pos < len(text):
         if text[pos] == "\n":
             line += 1
@@ -290,38 +290,3 @@ def monitor(P: Transducer, t: Trace) -> Verdict:
         state = nxt
     return Verdict("OK")
 
-
-# -- canonical protocols -----------------------------------------------------
-
-_UNIVERSAL_CAP = 4096
-
-
-def universal_protocol(sig: Signature) -> Transducer:
-    """One state enabling every round: the all-permitting protocol."""
-    labels = sorted(sig.universe)
-    if 2 ** len(labels) > _UNIVERSAL_CAP:
-        raise ResourceLimit(
-            f"universal protocol over {len(labels)} labels is too large"
-        )
-    rounds = [frozenset()]
-    for lab in labels:
-        rounds += [v | {lab} for v in rounds]
-    return Transducer(
-        sig, frozenset({"u"}), "u", frozenset(("u", v, "u") for v in rounds)
-    )
-
-
-def empty_protocol(sig: Signature) -> Transducer:
-    """No interaction is permitted; the language is {epsilon}."""
-    return Transducer(sig, frozenset({"e"}), "e", frozenset())
-
-
-def align_protocol(P: Transducer, sig: Signature) -> Transducer:
-    """Rebind a protocol to the subject's signature (same label universe)."""
-    if P.signature == sig:
-        return P
-    if P.signature.universe != sig.universe:
-        raise SignatureMismatch(
-            "protocol and subject use different label universes"
-        )
-    return P.relabel_signature(sig)

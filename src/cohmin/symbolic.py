@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
-from . import coherence, kernel
-from .coherence import CoherenceRelation, EquivalencePairs
+from . import kernel
 from .errors import (
     CohminError,
     DomainExceeded,
@@ -30,6 +29,9 @@ from .errors import (
     UnknownState,
 )
 from .kernel import Record, Round, Signature, Transducer, drop_unreachable, merge_states
+
+if TYPE_CHECKING:
+    from .coherence import CoherenceRelation, EquivalencePairs
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -867,6 +869,7 @@ def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
     protocol-dead escape runs on the control skeleton, which
     over-approximates witnesses and therefore only ever forbids merges.
     """
+    from . import coherence  # ``expand`` and the runs never need it
     skel_t, skel_p = _skeletons(T, P)
     return coherence.coherent_simulation(
         skel_t, skel_p, keyed=_key_machine(T, mode, domain))
@@ -874,6 +877,7 @@ def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
 
 def sfst_equivalence_pairs(T: SFST, P: SFST, mode: str = "structural",
                            relation=None) -> EquivalencePairs:
+    from . import coherence
     rel = relation if relation is not None else sfst_coherent_simulation(T, P, mode)
     return coherence.equivalence_pairs(T, P, rel)
 
@@ -881,6 +885,7 @@ def sfst_equivalence_pairs(T: SFST, P: SFST, mode: str = "structural",
 def sfst_quotient(T: SFST, s1: str, s2: str) -> SFST:
     """Merge two control states; registers are untouched.  Transitions
     collapse only when round, guard, updates and endpoints all coincide."""
+    from . import coherence
     return coherence.quotient(T, s1, s2)
 
 
@@ -892,6 +897,7 @@ def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
     skeleton and the match keys, and reports to ``on_merge`` as there;
     ``T`` is then folded once, each merge class into its least name.
     """
+    from . import coherence
     skel_t, skel_p = _skeletons(T, P)
     _, log = coherence.coherent_minimize(
         skel_t, skel_p, keep_unreachable=True,
@@ -903,6 +909,7 @@ def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
 def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
     """Guard-sensitive coarsest partition: transitions distinguish on round,
     guard normal form and normalised updates."""
+    from . import coherence
     skel = T.control_skeleton()
     info = {}
     for tr in T.delta:

@@ -19,11 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from cohmin.errors import UnknownState
+from cohmin.errors import ResourceLimit, UnknownState
 from cohmin.fixtures import adder
+from cohmin.frontend.expr import parse_expr
 from cohmin.frontend.fileformat import (
     looks_like_regex_protocol,
-    parse_expr,
     parse_model,
     parse_regex_protocol,
 )
@@ -62,6 +62,36 @@ def run_cohmin_capped(*argv, timeout=60) -> subprocess.CompletedProcess:
         [sys.executable, "-c", "from cohmin.frontend.cli import main; main()", *argv],
         env=env, capture_output=True, text=True, timeout=timeout,
         preexec_fn=_cap_memory)
+
+
+def dualize(sig: Signature) -> Signature:
+    """Swap input and output polarity (an involution)."""
+    return Signature(sig.outputs, sig.inputs)
+
+
+# -- canonical protocols ------------------------------------------------------
+
+_UNIVERSAL_CAP = 4096
+
+
+def universal_protocol(sig: Signature) -> Transducer:
+    """One state enabling every round: the all-permitting protocol."""
+    labels = sorted(sig.universe)
+    if 2 ** len(labels) > _UNIVERSAL_CAP:
+        raise ResourceLimit(
+            f"universal protocol over {len(labels)} labels is too large"
+        )
+    rounds = [frozenset()]
+    for lab in labels:
+        rounds += [v | {lab} for v in rounds]
+    return Transducer(
+        sig, frozenset({"u"}), "u", frozenset(("u", v, "u") for v in rounds)
+    )
+
+
+def empty_protocol(sig: Signature) -> Transducer:
+    """No interaction is permitted; the language is {epsilon}."""
+    return Transducer(sig, frozenset({"e"}), "e", frozenset())
 
 
 def all_rounds(sig: Signature):
@@ -432,6 +462,31 @@ def random_regex(rng: random.Random, labels, depth: int = 3):
         random_regex(rng, labels, depth - 1) for _ in range(rng.randint(2, 3))
     )
     return Cat(items) if kind == "cat" else Alt(items)
+
+
+def render_regex(r, gap: str = " ") -> str:
+    """Protocol regex text for ``r`` with ``gap`` between the items of a
+    concatenation: every compound item is parenthesised, so the text
+    parses back to ``r`` up to :func:`fold_stars`."""
+    def item(x):
+        return render_regex(x, gap) if isinstance(x, (Lit, Star)) else \
+            f"({render_regex(x, gap)})"
+
+    if isinstance(r, Lit):
+        return r.label
+    if isinstance(r, Star):
+        return item(r.item) + "*"
+    return (gap if isinstance(r, Cat) else f"{gap}+{gap}").join(map(item, r.items))
+
+
+def fold_stars(r):
+    """``r`` in the normal form the regex parser builds: ``a** = a*``."""
+    if isinstance(r, Star):
+        inner = fold_stars(r.item)
+        return inner if isinstance(inner, Star) else Star(inner)
+    if isinstance(r, (Cat, Alt)):
+        return type(r)(tuple(map(fold_stars, r.items)))
+    return r
 
 
 # -- model files with several unknown endpoints -----------------------------

@@ -8,7 +8,7 @@ optimise this file.
 
 from __future__ import annotations
 
-from cohmin.frontend.fileformat import render_expr
+from cohmin.frontend.expr import render_expr
 from cohmin.kernel import Transducer, render_round, round_key
 
 

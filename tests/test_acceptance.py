@@ -23,7 +23,7 @@ from cohmin.fixtures import (
 )
 from cohmin.frontend import cli_main
 from cohmin.kernel import Signature, mkround
-from cohmin.protocol import empty_protocol, monitor, universal_protocol
+from cohmin.protocol import monitor
 from cohmin.symbolic import ValuedRound, expand, expand_valued_trace, sfst_run
 
 import naive_algebra
@@ -32,9 +32,11 @@ from helpers import (
     SIG3,
     bounded_language_subset,
     bruteforce_coherent_union,
+    empty_protocol,
     linear_protocol_shaped,
     random_transducer,
     step,
+    universal_protocol,
 )
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"

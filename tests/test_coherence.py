@@ -8,7 +8,6 @@ from cohmin.errors import SameState, UnknownState
 from cohmin.fixtures import forked_reader, linear_protocol, two_phase_cycle
 from cohmin.frontend import parse_model
 from cohmin.kernel import Transducer, merge_states, mkround
-from cohmin.protocol import empty_protocol, universal_protocol
 
 import naive_coherence
 
@@ -17,11 +16,13 @@ from helpers import (
     SIG3,
     bounded_language_subset,
     bruteforce_coherent_union,
+    empty_protocol,
     joint_reach,
     linear_protocol_shaped,
     protocol_extendable,
     random_transducer,
     ring,
+    universal_protocol,
 )
 
 R = mkround

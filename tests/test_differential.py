@@ -41,7 +41,6 @@ from cohmin.frontend import parse_model, parse_trace, serialize_model, serialize
 from cohmin.frontend.cli import _load_protocol
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, merge_states, mkround, round_key
-from cohmin.protocol import empty_protocol, universal_protocol
 from cohmin.symbolic import lift_transducer
 
 import naive_algebra
@@ -51,10 +50,12 @@ import naive_symbolic
 import naive_writer
 from helpers import (
     SFST_SIG,
-    accepts,
     SIG2,
     SIG3,
+    accepts,
     all_rounds,
+    dualize,
+    empty_protocol,
     fixture_machines,
     is_deterministic,
     linear_protocol_shaped,
@@ -62,6 +63,7 @@ from helpers import (
     random_sfst,
     random_transducer,
     ring,
+    universal_protocol,
 )
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -122,7 +124,7 @@ def fixture_protocols(model):
         else:
             P = parse_model(text)
             if P.signature.universe == sig.universe:
-                yield protocol.align_protocol(P, sig)
+                yield P.relabel_signature(sig)
 
 
 class TestAgainstNaiveOracle:
@@ -517,7 +519,7 @@ class TestBoundedEquivAgainstNaiveOracle:
         rng = random.Random(2700)
         T = random_transducer(rng, SIG2, 4, 8)
         other = random_transducer(rng, SIG3, 4, 8, "u")
-        flipped = T.relabel_signature(SIG2.dualize())
+        flipped = T.relabel_signature(dualize(SIG2))
         P = universal_protocol(SIG2)
         for args in ((T, T, universal_protocol(SIG3)), (T, other, P),
                      (other, T, P), (T, flipped, P), (flipped, T, P)):

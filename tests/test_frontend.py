@@ -17,14 +17,17 @@ from cohmin.frontend import (
     cli_main,
     dot,
     parse_model,
+    parse_regex_protocol,
     parse_trace,
     parse_valued_trace,
     serialize_model,
     serialize_trace,
     to_dot,
 )
+from cohmin.frontend import cli
 from cohmin.frontend.cli import _COMMANDS
-from cohmin.frontend.fileformat import parse_expr, render_expr, write_model
+from cohmin.frontend.expr import parse_expr, render_expr
+from cohmin.frontend.fileformat import write_model
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import Verdict
 from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg, STransition, Update
@@ -34,11 +37,15 @@ from helpers import (
     SIG2,
     UNKNOWN_ENDPOINT_FILES,
     fixture_machines,
+    fold_stars,
+    random_regex,
     random_sfst,
     random_transducer,
+    render_regex,
     run_cohmin_capped,
     step,
 )
+import naive_cli
 import naive_writer
 
 FIXDIR = Path(__file__).parent.parent / "fixtures"
@@ -68,6 +75,29 @@ class TestParsing:
         with pytest.raises(ParseError) as err:
             parse_model(src)
         assert "zz" in str(err.value)
+
+    @pytest.mark.parametrize("text, line, column, message", [
+        ("# c\nalphabet a, b;\nregex (a b;\n", 3, 11, "expected ')'"),
+        ("# c\nalphabet a, b;\nregex a ) (b\n  a)*;\n", 3, 9, "trailing input ')'"),
+        ("# c\nalphabet a, b;\nregex (a b)*\n  (a + ) b;\n", 4, 8,
+         "expected an event or a group"),
+        ("# c\nalphabet a, b;\nregex (a\n  c)*;\n", 3, 1, "unknown label 'c' in regex"),
+        ("alphabet a, b; regex a +;\n", 1, 25, "expected an event or a group"),
+    ], ids=["first-line", "first-of-two", "later-line", "undeclared", "after-statement"])
+    def test_regex_protocol_errors_name_their_place(self, text, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_regex_protocol(text)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+    @pytest.mark.parametrize("text, message", [
+        ("states s;\ninitial s;\n", "1:1: missing 'signature' declaration"),
+        ("signature in a;\n", "1:1: expected: out <labels>;"),
+        ("# c\nstates s;\nsignature in a;\n", "3:1: expected: out <labels>;"),
+    ])
+    def test_a_missing_signature_is_named(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert str(err.value) == message
 
     def test_adder_source(self):
         src = (FIXDIR / "adder.sfst").read_text()
@@ -117,7 +147,7 @@ class TestExpressions:
 
 
     def test_depth_bound_keeps_walkers_safe(self):
-        from cohmin.frontend.fileformat import MAX_DEPTH
+        from cohmin.frontend.expr import MAX_DEPTH
         from cohmin.symbolic import eval_expr, normal_form, type_of
         deepest = " - ".join(["y"] * MAX_DEPTH)  # a left spine MAX_DEPTH deep
         e = parse_expr("(" * MAX_DEPTH + deepest + ")" * MAX_DEPTH, {"y"}, set())
@@ -290,9 +320,11 @@ class TestCli:
             == (3, verdict.render() + "\n", "")
 
     def test_plain_commands_leave_the_symbolic_layer_unloaded(self, tmp_path):
-        """One process per benchmark op kind (and ``validate``): which
-        modules each command loads.  No command loads ``dataclasses`` or
-        ``inspect``, whose import alone costs a process several ms."""
+        """The start-up guard: one process per command shape the benchmark
+        runs (and ``validate``), each loading exactly the ``cohmin`` modules
+        listed.  No command loads ``argparse`` or ``gettext``, nor
+        ``dataclasses`` or ``inspect``, whose import alone costs a process
+        several ms."""
         ring, prot = tmp_path / "ring.fst", tmp_path / "ring.prot"
         ring.write_text("signature in a; out b;\nstates s0, s1, s2, s3;\n"
                         "initial s0;\ntrans s0 -> s1 : {a};\ntrans s1 -> s2 : {b};\n"
@@ -303,47 +335,48 @@ class TestCli:
         def fix(name):
             return str(FIXDIR / name)
 
-        plain = {"cohmin.symbolic", "cohmin.fixtures", "cohmin.frontend.dot"}
-        # (argv, exit code, modules it loads, modules it leaves unloaded)
+        im = ["--protocol", fix("iterator_map.prot"), fix("iterator_map.sfst")]
+        # (argv, exit code, the layers it loads beside the CLI's own modules)
         ops = [
             (["minimize", "--policy", "coherent", "--protocol", prot, ring], 0,
-             {"cohmin.coherence", "cohmin.protocol"}, plain),
-            (["validate", ring], 0, set(),
-             plain | {"cohmin.algebra", "cohmin.coherence", "cohmin.protocol"}),
-            (["intersect", ring, ring], 0, {"cohmin.algebra"},
-             plain | {"cohmin.coherence", "cohmin.protocol"}),
-            (["relation", "--protocol", ring, ring], 0,
-             {"cohmin.coherence", "cohmin.protocol"}, plain),
-            (["equiv", "--protocol", ring, ring, ring], 0,
-             {"cohmin.algebra", "cohmin.coherence", "cohmin.protocol"}, plain),
-            (["minimize", "--policy", "bisim", ring], 0, {"cohmin.coherence"},
-             plain | {"cohmin.protocol"}),
-            (["monitor", "--protocol", fix("display.prot"), "--trace",
-              fix("display_legal.trc")], 0, {"cohmin.protocol"},
-             plain | {"cohmin.coherence"}),
-            (["minimize", "--policy", "coherent", "--protocol",
-              fix("iterator_map.prot"), fix("iterator_map.sfst")], 0,
-             {"cohmin.symbolic"}, set()),
+             {"coherence", "protocol", "algebra"}),
+            (["validate", ring], 0, set()),
+            (["intersect", ring, ring], 0, {"algebra"}),
+            (["relation", "--protocol", ring, ring], 0, {"coherence"}),
+            (["equiv", "--protocol", ring, ring, ring], 0, {"coherence", "algebra"}),
+            (["minimize", "--policy", "bisim", ring], 0, {"coherence"}),
             (["expand", "--lo", "-1", "--hi", "1", fix("adder.sfst")], 0,
-             {"cohmin.symbolic"}, set()),
+             {"symbolic", "frontend.expr"}),
+            (["minimize", "--policy", "coherent", *im], 0,
+             {"symbolic", "frontend.expr", "coherence", "protocol", "algebra"}),
+            (["minimize", "--policy", "coherent", "--guard-mode", "bounded-semantic", *im],
+             0, {"symbolic", "frontend.expr", "coherence", "protocol", "algebra"}),
+            (["monitor", "--protocol", fix("display.prot"), "--trace",
+              fix("display_legal.trc")], 0, {"protocol"}),
+            (["monitor", "--protocol", fix("iterator_map.prot"), "--trace",
+              fix("display_attack.trc")], 3, {"protocol", "algebra"}),
         ]
+        base = {"cohmin", "cohmin.errors", "cohmin.kernel", "cohmin.frontend",
+                "cohmin.frontend.fileformat", "cohmin.frontend.cli"}
         script = (
             "import contextlib, io, json, sys\n"
             "from cohmin.frontend import cli_main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
             "    code = cli_main(sys.argv[1:])\n"
             "print(json.dumps([code, sorted(sys.modules)]))\n")
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        for argv, code, loads, unloaded in ops:
+        for argv, code, layers in ops:
             proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                                   capture_output=True, text=True, timeout=60)
             assert proc.stderr == "", argv
             got_code, modules = json.loads(proc.stdout)
             assert got_code == code, argv
-            assert loads <= set(modules), (argv, loads - set(modules))
-            assert not (unloaded | {"dataclasses", "inspect"}) & set(modules), argv
+            assert {m for m in modules if m.split(".")[0] == "cohmin"} \
+                == base | {f"cohmin.{layer}" for layer in layers}, argv
+            assert not {"argparse", "gettext", "dataclasses", "inspect"} & set(modules), argv
 
     def test_usage_error(self):
         code, _, err = run_cli("minimize", "--policy", "coherent",
@@ -643,6 +676,16 @@ def _symbolic_machines(draw):
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from((" ", "\n", "  # a comment\n  ")))
+    def test_regex_protocol_round_trip(self, seed, gap):
+        """A regex, rendered with ``gap`` between the items of each
+        concatenation (so over several lines, comments between), parses
+        back to itself up to ``a** = a*``."""
+        r = random_regex(random.Random(seed), ["a", "b", "c"], 4)
+        text = f"# protocol\nalphabet a, b, c;\nregex {render_regex(r, gap)};\n"
+        assert parse_regex_protocol(text) == (["a", "b", "c"], fold_stars(r))
+
+    @settings(max_examples=200, deadline=None)
     @given(st.one_of(_plain_machines(SIG2), _symbolic_machines()), _symbolic_machines())
     def test_writer_matches_the_frozen_writer_and_round_trips(self, model, sfst):
         text = serialize_model(model)
@@ -828,6 +871,107 @@ class TestCliContract:
         code, _, err = run_cli(*argv)
         assert code in {0, 1, 2, 3, 4}
         assert err.count("\n") <= 1 and err[-1:] in ("", "\n"), err
+
+
+_HELP_WORDS = ("-h", "--help", "--he", "-hh", "-hx", "--help=x")
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand's usual shape (``_SHAPES``) in any order, each option
+    as written, cut to a prefix, glued to its value by ``=`` or given
+    twice; sometimes with ``--`` inserted, and with ``--help`` or a stray
+    token.  No value is ``--``: argparse read one as an empty list, and
+    the command then failed with a traceback."""
+    pick = {"F": st.sampled_from(("f", "g", "-", "-f")),
+            "N": st.sampled_from(("-1", "0", "3", "x")),
+            "P": st.sampled_from(("coherent", "bisim", "co")), "W": st.sampled_from(_WORDS)}
+    command = draw(st.sampled_from(sorted(_SHAPES)))
+    shape, items = _SHAPES[command].split(), []
+    while shape:
+        word = shape.pop(0)
+        if not word.startswith("--"):
+            items.append([draw(pick[word])])
+            continue
+        item = [word, draw(pick[shape.pop(0)])]
+        how = draw(st.sampled_from(("plain", "prefix", "glued", "twice")))
+        if how == "prefix":
+            item[0] = word[:draw(st.integers(3, len(word)))]
+        elif how == "glued":
+            item = [f"{item[0]}={item[1]}"]
+        elif how == "twice":
+            item += [word, draw(st.one_of(*pick.values()))]
+        items.append(item)
+    argv = [command] + [t for i in draw(st.permutations(range(len(items)))) for t in items[i]]
+    if draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), "--")
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(_HELP_WORDS + _WORDS)))
+    return argv
+
+
+def _parsed(parse, usage, argv):
+    """What a parser made of ``argv``: its fields, its usage error, or
+    ``help``."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            args = parse(argv)
+    except usage as e:
+        return "usage", str(e)
+    except SystemExit as e:
+        return "help", e.code
+    return ("help", 0) if args is None else ("ok", vars(args))
+
+
+class TestArgv:
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    @example(["equiv", "--dep", "2", "--prot=p", "l", "r"])
+    @example(["expand", "--hi=1", "f", "--lo", "-2", "--lo", "-3"])
+    @example(["validate", "--", "-f"])
+    @example(["traces", "--depth", "x", "-h"])
+    @example(["traces", "-h", "--depth", "x"])
+    @example(["expand", "-h", "--h", "1"])
+    def test_argv_reads_as_argparse_read_it(self, argv):
+        """The table-driven parser and the frozen argparse front end
+        (``tests/naive_cli.py``) agree on every field, every usage error
+        and every ``--help``; the CLI exits 1 with that one line, or 0
+        with the usage on stdout."""
+        expected = _parsed(naive_cli.parse, naive_cli._Usage, argv)
+        assert _parsed(cli.parse_argv, cli._Usage, argv) == expected
+        if expected[0] == "usage":
+            assert run_cli(*argv) == (1, "", f"usage error: {expected[1]}\n")
+        elif expected[0] == "help":
+            code, out, err = run_cli(*argv)
+            assert (code, err) == (0, "") and out.startswith("usage: cohmin")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["minimize"], "the following arguments are required: --policy, file"),
+        (["minimize", "--policy", "both", "f"],
+         "argument --policy: invalid choice: 'both' (choose from 'coherent', 'bisim')"),
+        (["expand", "--lo", "x", "--hi", "1", "f"], "argument --lo: invalid int value: 'x'"),
+        (["traces", "--depth", "-1", "f"], "argument --depth: must be >= 0, got -1"),
+        (["relation", "f", "--protocol"], "argument --protocol: expected one argument"),
+        (["validate", "f", "g", "--x"], "unrecognized arguments: g --x"),
+        (["expand", "--h", "1", "f"], "ambiguous option: --h could match --help, --hi"),
+        (["--x", "mini"], "argument command: invalid choice: 'mini' (choose from "
+         "'validate', 'traces', 'intersect', 'interact', 'compose', 'project', "
+         "'minimize', 'relation', 'equiv', 'quotient', 'expand', 'monitor', 'dot')"),
+    ], ids=["required", "choice", "int", "bound", "one-argument", "unrecognized",
+            "ambiguous", "command"])
+    def test_usage_errors_keep_their_wording(self, argv, message):
+        assert _parsed(naive_cli.parse, naive_cli._Usage, argv) == ("usage", message)
+        assert run_cli(*argv) == (1, "", f"usage error: {message}\n")
+
+    def test_the_forms_argparse_took(self):
+        """Prefixes, ``=``, any order, a negative number as a value, the
+        last of a repeated option, and ``--`` before a dashed file."""
+        assert vars(cli.parse_argv(["equiv", "l", "--dep", "2", "--prot=p", "r"])) == {
+            "command": "equiv", "protocol": "p", "depth": 2, "left": "l", "right": "r"}
+        assert vars(cli.parse_argv(["expand", "--hi=1", "--lo", "-2", "--lo", "-3",
+                                    "--", "-f"])) == {
+            "command": "expand", "lo": -3, "hi": 1, "file": "-f"}
 
 
 class TestExpandedModelsParseBack:

@@ -37,6 +37,7 @@ import naive_algebra
 from helpers import (
     SIG2,
     accepts,
+    dualize,
     random_transducer,
     run,
     step,
@@ -339,16 +340,16 @@ class TestWitnessTraces:
 
 class TestDualize:
     def test_swap(self):
-        assert Signature(frozenset({"a"}), frozenset({"b"})).dualize() == \
+        assert dualize(Signature(frozenset({"a"}), frozenset({"b"}))) == \
             Signature(frozenset({"b"}), frozenset({"a"}))
 
     def test_empty(self):
         empty = Signature(frozenset(), frozenset())
-        assert empty.dualize() == empty
+        assert dualize(empty) == empty
 
     def test_involution(self):
         sig = Signature(frozenset({"a", "c"}), frozenset({"b"}))
-        assert sig.dualize().dualize() == sig
+        assert dualize(dualize(sig)) == sig
 
 
 class TestProjectTrace:

@@ -15,7 +15,14 @@ from cohmin.fixtures import (
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import compile_regex, monitor, parse_regex
 
-from helpers import is_deterministic, random_regex, regex_prefix_member, step
+from helpers import (
+    empty_protocol,
+    is_deterministic,
+    random_regex,
+    regex_prefix_member,
+    step,
+    universal_protocol,
+)
 
 R = mkround
 DISPLAY = display_protocol()
@@ -181,10 +188,10 @@ class TestIteratorMapFixture:
 class TestCanonicalProtocols:
     def test_universal_enables_everything(self):
         sig = Signature(frozenset({"a"}), frozenset({"b"}))
-        P = protocol.universal_protocol(sig)
+        P = universal_protocol(sig)
         assert P.enabled("u") == {frozenset(), R({"a"}), R({"b"}), R({"a", "b"})}
 
     def test_empty_protocol_language(self):
         sig = Signature(frozenset({"a"}), frozenset({"b"}))
-        P = protocol.empty_protocol(sig)
+        P = empty_protocol(sig)
         assert kernel.traces_upto(P, 5).traces == {()}
