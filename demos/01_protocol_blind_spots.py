@@ -5,12 +5,14 @@ able to trigger.  Conventional bisimulation must still distinguish states by
 that behaviour; coherent simulation may ignore it, which buys extra merges.
 """
 
-from cohmin import coherence, kernel
-from cohmin.fixtures import forked_reader, linear_protocol
-from cohmin.frontend import serialize_model
+from pathlib import Path
 
-machine = forked_reader()
-proto = linear_protocol()
+from cohmin import coherence, kernel
+from cohmin.frontend import load_model, load_protocol, serialize_model
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+machine = load_model(FIXTURES / "forked_reader.fst")
+proto = load_protocol(FIXTURES / "linear_protocol.fst", machine)
 
 print("machine:")
 print(serialize_model(machine))

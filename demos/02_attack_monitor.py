@@ -5,21 +5,20 @@ a display may only report termination after it was called.  An environment
 that answers out of turn is flagged at the exact offending round.
 """
 
-from cohmin.fixtures import (
-    display_attack_trace,
-    display_legal_trace,
-    display_protocol,
-)
+from pathlib import Path
+
+from cohmin.frontend import load_protocol, parse_trace
 from cohmin.kernel import render_round, render_trace
 from cohmin.protocol import monitor
 
-proto = display_protocol()
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+proto = load_protocol(FIXTURES / "display.prot")
 
-legal = display_legal_trace()
+legal = parse_trace((FIXTURES / "display_legal.trc").read_text())
 print("legal run:  ", render_trace(legal))
 print("verdict:    ", monitor(proto, legal).render())
 
-attack = display_attack_trace()
+attack = parse_trace((FIXTURES / "display_attack.trc").read_text())
 print("\nattack run: ", render_trace(attack))
 verdict = monitor(proto, attack)
 print("verdict:    ", verdict.render())

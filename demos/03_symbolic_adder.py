@@ -5,25 +5,25 @@ positive.  Register machines stay small where explicit ones explode; the
 explicit expansion over a finite value domain is the cross-check oracle.
 """
 
-from cohmin.fixtures import adder
-from cohmin.frontend import serialize_model
+from pathlib import Path
+
+from cohmin.frontend import load_model, parse_valued_trace, serialize_model
 from cohmin.symbolic import (
     Bin,
     IntLit,
     Reg,
-    ValuedRound,
     expand,
     expand_valued_trace,
     guard_equiv,
     sfst_run,
 )
 
-machine = adder()
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+machine = load_model(FIXTURES / "adder.sfst")
 print(serialize_model(machine))
 
-VR = ValuedRound.of
-good = [VR({"x": 2}), VR({"x": 3}), VR({"r": 5})]
-bad = [VR({"x": 2}), VR({"x": -3}), VR({"r": -1})]
+good = parse_valued_trace((FIXTURES / "adder_accept.vtrc").read_text())
+bad = parse_valued_trace((FIXTURES / "adder_reject.vtrc").read_text())
 print("run x=2, x=3, r=5  ->", sfst_run(machine, good) or "rejected")
 print("run x=2, x=-3, r=-1 ->", sfst_run(machine, bad) or "rejected")
 

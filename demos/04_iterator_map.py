@@ -7,11 +7,14 @@ monitor, coherent minimisation folds 13 control states down to 7, while
 guard-sensitive bisimulation can only merge the two identical poll states.
 """
 
-from cohmin import coherence, symbolic
-from cohmin.fixtures import iterator_map
-from cohmin.frontend import serialize_model, to_dot
+from pathlib import Path
 
-machine, proto = iterator_map()
+from cohmin import coherence, symbolic
+from cohmin.frontend import load_model, load_protocol, serialize_model, to_dot
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+machine = load_model(FIXTURES / "iterator_map.sfst")
+proto = load_protocol(FIXTURES / "iterator_map.prot", machine)
 print(f"machine: {len(machine.states)} control states,"
       f" {len(machine.delta)} transitions, registers {sorted(machine.registers)}")
 print(f"protocol: {len(proto.states)} states (compiled from the session regex)")

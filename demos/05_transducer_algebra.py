@@ -8,13 +8,15 @@ language intersection.
 """
 
 import random
+from pathlib import Path
 
 from cohmin import algebra, kernel
-from cohmin.fixtures import two_phase_cycle
+from cohmin.frontend import load_model
 from cohmin.kernel import Signature, Transducer, mkround, render_trace
 
 R = mkround
-T = two_phase_cycle()  # reads a, answers b
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+T = load_model(FIXTURES / "two_phase.fst")  # reads a, answers b
 
 # A forwarder that consumes b and acknowledges on c (with explicit idling:
 # there is no implicit stuttering anywhere in the algebra).

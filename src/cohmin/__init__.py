@@ -11,8 +11,8 @@ from .kernel import Round, Signature, Trace, TraceSet, Transducer
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("algebra", "coherence", "fixtures", "frontend", "kernel",
-               "protocol", "symbolic")
+_SUBMODULES = ("algebra", "coherence", "frontend", "kernel", "protocol",
+               "symbolic")
 
 __all__ = [
     *_SUBMODULES,

@@ -6,26 +6,28 @@ command that writes no DOT never loads it.
 """
 
 from .fileformat import (
+    load_model,
+    load_protocol,
     parse_model,
     parse_regex_protocol,
     parse_trace,
     parse_valued_trace,
     serialize_model,
     serialize_trace,
-    serialize_valued_trace,
 )
 
 __all__ = [
     "cli_main",
     "main",
     "to_dot",
+    "load_model",
+    "load_protocol",
     "parse_model",
     "parse_regex_protocol",
     "parse_trace",
     "parse_valued_trace",
     "serialize_model",
     "serialize_trace",
-    "serialize_valued_trace",
 ]
 
 

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 from .. import kernel
 from ..errors import CohminError, ResourceLimit
-from ..kernel import DEFAULT_TRACE_CAP, Signature, Transducer
+from ..kernel import DEFAULT_TRACE_CAP, Transducer
 from . import fileformat
 
 EXIT_OK = 0
@@ -34,49 +34,6 @@ class _Usage(Exception):
     pass
 
 
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as e:
-        raise CohminError(f"cannot read {path}: {e.strerror}") from e
-    except UnicodeDecodeError as e:
-        raise CohminError(
-            f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})"
-        ) from e
-
-
-def _load_model(path: str):
-    return fileformat.parse_model(_read(path))
-
-
-def _load_protocol(path: str, subject) -> Transducer:
-    """A protocol file is either a regex protocol or a transducer, and a
-    symbolic protocol is read as its control skeleton.  The result is
-    rebound to the subject's signature; with no subject (``None``) it is
-    left as read, and a regex protocol takes every label as an input."""
-    text = _read(path)
-    if fileformat.looks_like_regex_protocol(text):
-        from .. import protocol
-
-        alphabet, regex = fileformat.parse_regex_protocol(text)
-        sig = (Signature(frozenset(alphabet), frozenset()) if subject is None
-               else subject.signature)
-        if frozenset(alphabet) != sig.universe:
-            raise CohminError(
-                "protocol alphabet does not match the subject's labels"
-            )
-        return protocol.compile_regex(regex, sig)
-    model = fileformat.parse_model(text)
-    if not isinstance(model, Transducer):
-        from .. import symbolic
-
-        if not symbolic.is_symbolic_protocol(model):
-            raise CohminError("a symbolic protocol needs true guards and identity updates")
-        model = model.control_skeleton()
-    return model if subject is None else model.relabel_signature(subject.signature)
-
-
 def _emit_model(model):
     fileformat.write_model(model, sys.stdout.write)
 
@@ -88,7 +45,7 @@ def _require_transducer(model, command):
 
 
 def _cmd_validate(args) -> int:
-    model = _load_model(args.file)
+    model = fileformat.load_model(args.file)
     kind = "transducer" if isinstance(model, Transducer) else "symbolic transducer"
     n_trans = len(model.delta)
     print(f"ok: {kind}, {len(model.states)} states, {n_trans} transitions")
@@ -96,7 +53,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_traces(args) -> int:
-    model = _require_transducer(_load_model(args.file), "traces")
+    model = _require_transducer(fileformat.load_model(args.file), "traces")
     ts = kernel.traces_upto(model, args.depth, cap=args.cap)
     for t in ts.sorted_traces():
         print(kernel.render_trace(t))
@@ -104,8 +61,8 @@ def _cmd_traces(args) -> int:
 
 
 def _cmd_binary(args) -> int:
-    left = _require_transducer(_load_model(args.left), args.command)
-    right = _require_transducer(_load_model(args.right), args.command)
+    left = _require_transducer(fileformat.load_model(args.left), args.command)
+    right = _require_transducer(fileformat.load_model(args.right), args.command)
     from .. import algebra
 
     op = {"intersect": algebra.intersect, "interact": algebra.interact,
@@ -115,7 +72,7 @@ def _cmd_binary(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    model = _require_transducer(_load_model(args.file), "project")
+    model = _require_transducer(fileformat.load_model(args.file), "project")
     labels = [x.strip() for x in args.keep.split(",") if x.strip()]
     from .. import algebra
 
@@ -124,7 +81,7 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
-    model = _load_model(args.file)
+    model = fileformat.load_model(args.file)
     from .. import coherence
 
     if args.policy == "bisim":
@@ -140,7 +97,7 @@ def _cmd_minimize(args) -> int:
         return EXIT_OK
     if not args.protocol:
         raise _Usage("--policy coherent needs --protocol")
-    P = _load_protocol(args.protocol, model)
+    P = fileformat.load_protocol(args.protocol, model)
     if isinstance(model, Transducer):
         out, log = coherence.coherent_minimize(
             model, P, keep_unreachable=args.keep_unreachable)
@@ -157,8 +114,8 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_relation(args) -> int:
-    model = _load_model(args.file)
-    P = _load_protocol(args.protocol, model)
+    model = fileformat.load_model(args.file)
+    P = fileformat.load_protocol(args.protocol, model)
     from .. import coherence
 
     if isinstance(model, Transducer):
@@ -177,9 +134,9 @@ def _cmd_relation(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    left = _require_transducer(_load_model(args.left), "equiv")
-    right = _require_transducer(_load_model(args.right), "equiv")
-    P = _load_protocol(args.protocol, left)
+    left = _require_transducer(fileformat.load_model(args.left), "equiv")
+    right = _require_transducer(fileformat.load_model(args.right), "equiv")
+    P = fileformat.load_protocol(args.protocol, left)
     from .. import coherence
 
     same = coherence.coherent_equiv_bounded(left, right, P, args.depth)
@@ -188,7 +145,7 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    model = _load_model(args.file)
+    model = fileformat.load_model(args.file)
     parts = [x.strip() for x in args.pair.split(",")]
     if len(parts) != 2 or not all(parts):
         raise _Usage("--pair wants two comma-separated state names")
@@ -199,7 +156,7 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    model = _load_model(args.file)
+    model = fileformat.load_model(args.file)
     from .. import symbolic
 
     if isinstance(model, Transducer):
@@ -209,8 +166,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
-    P = _load_protocol(args.protocol, None)
-    trace = fileformat.parse_trace(_read(args.trace))
+    P = fileformat.load_protocol(args.protocol)
+    trace = fileformat.parse_trace(fileformat._read(args.trace))
     from .. import protocol
 
     verdict = protocol.monitor(P, trace)
@@ -221,7 +178,7 @@ def _cmd_monitor(args) -> int:
 def _cmd_dot(args) -> int:
     from . import dot
 
-    sys.stdout.write(dot.to_dot(_load_model(args.file)))
+    sys.stdout.write(dot.to_dot(fileformat.load_model(args.file)))
     return EXIT_OK
 
 

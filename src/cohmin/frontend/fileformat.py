@@ -1,7 +1,8 @@
 """Text formats: transducers, symbolic transducers, traces and protocols.
 
 One model per file, line oriented, ``#`` starts a comment.  One parser
-and one serialiser serve plain and symbolic models.  Serialisation is
+and one serialiser serve plain and symbolic models; ``load_model`` and
+``load_protocol`` read them from files.  Serialisation is
 canonical (states sorted, transitions in the order of
 ``canonical_transitions``) so equal models produce byte-identical output.
 """
@@ -105,7 +106,8 @@ def _keyword(stmt: str) -> Tuple[str, str]:
 
 
 def _parse_header(statements, line_hint):
-    """signature / states / initial / registers statements, in any order.
+    """signature / states / initial / registers statements, in any order,
+    each at most once.
 
     ``signature in a, b; out c;`` spans two ';'-terminated segments, so an
     ``out`` segment is read as the continuation of the signature.  A
@@ -121,11 +123,13 @@ def _parse_header(statements, line_hint):
                 raise ParseError(line, 1, "expected: out <labels>;")
             header["outputs"] = _split_names(rest, line)
             signature_line = None
+        elif word in _HEADER_WORDS and word in header:
+            raise ParseError(line, 1, f"duplicate {word!r} declaration")
         elif word == "signature":
             m = re.match(r"\s+in\b(?P<ins>.*)\Z", rest, re.S)
             if not m:
                 raise ParseError(line, 1, "expected: signature in ...; out ...;")
-            header["inputs"] = _split_names(m.group("ins"), line)
+            header["signature"] = _split_names(m.group("ins"), line)
             signature_line = line
         elif word == "states":
             header["states"] = _split_state_names(rest, line)
@@ -143,15 +147,16 @@ def _parse_header(statements, line_hint):
             body.append((line, stmt))
     if signature_line:
         raise ParseError(signature_line, 1, "expected: out <labels>;")
-    for key, word in (("inputs", "signature"), ("states", "states"), ("initial", "initial")):
-        if key not in header:
+    for word in ("signature", "states", "initial"):
+        if word not in header:
             raise ParseError(line_hint, 1, f"missing {word!r} declaration")
     return header, body
 
 
 def looks_like_regex_protocol(text: str) -> bool:
-    stripped = re.sub(r"#[^\n]*", "", text).strip()
-    return stripped.startswith("alphabet")
+    """Whether the first statement is ``alphabet`` or ``regex``: a regex
+    protocol takes the two in either order."""
+    return _keyword(re.sub(r"#[^\n]*", "", text).lstrip())[0] in ("alphabet", "regex")
 
 
 def _parse_updates(text: str, registers, inputs, line: int):
@@ -173,7 +178,7 @@ def parse_model(text: str):
     """A Transducer, or an SFST when the file has a ``registers`` statement
     or a transition with a guard or updates."""
     header, body = _parse_header(_statements(text), 1)
-    sig = Signature(frozenset(header["inputs"]), frozenset(header["outputs"]))
+    sig = Signature(frozenset(header["signature"]), frozenset(header["outputs"]))
     symbolic = "registers" in header
     registers = frozenset(header.get("registers", ()))
     states = frozenset(header["states"])
@@ -272,17 +277,20 @@ def parse_valued_trace(text: str):
 
 
 def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
-    """``alphabet a, b; regex (a b)*;`` -> (labels, regex AST)."""
+    """``alphabet a, b; regex (a b)*;`` -> (labels, regex AST).  The two
+    statements come in either order, each once."""
     from .. import protocol as protocol_mod  # only protocol files need it
 
     alphabet = None
     regex = None
     for line, column, stmt in _statements(text):
         word, rest = _keyword(stmt)
-        if word == "alphabet":
+        if word == "alphabet" and alphabet is None:
             alphabet = _split_names(rest, line)
-        elif word == "regex":
+        elif word == "regex" and regex is None:
             regex, regex_line = protocol_mod.parse_regex(rest, line, column + len(word)), line
+        elif word in ("alphabet", "regex"):
+            raise ParseError(line, 1, f"duplicate {word!r} declaration")
         else:
             raise ParseError(line, 1, f"bad statement: {stmt!r}")
     if alphabet is None:
@@ -293,6 +301,53 @@ def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
         if label not in alphabet:
             raise ParseError(regex_line, 1, f"unknown label {label!r} in regex")
     return alphabet, regex
+
+
+# -- reading files -----------------------------------------------------------
+
+
+def _read(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise CohminError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise CohminError(
+            f"cannot read {path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from e
+
+
+def load_model(path):
+    """The model in the file at ``path``, as :func:`parse_model` reads it."""
+    return parse_model(_read(path))
+
+
+def load_protocol(path, subject=None) -> Transducer:
+    """A protocol file is either a regex protocol or a transducer, and a
+    symbolic protocol is read as its control skeleton.  The result is
+    rebound to the subject's signature; with no subject (``None``) it is
+    left as read, and a regex protocol takes every label as an input."""
+    text = _read(path)
+    if looks_like_regex_protocol(text):
+        from .. import protocol
+
+        alphabet, regex = parse_regex_protocol(text)
+        sig = (Signature(frozenset(alphabet), frozenset()) if subject is None
+               else subject.signature)
+        if frozenset(alphabet) != sig.universe:
+            raise CohminError(
+                "protocol alphabet does not match the subject's labels"
+            )
+        return protocol.compile_regex(regex, sig)
+    model = parse_model(text)
+    if not isinstance(model, Transducer):
+        from .. import symbolic
+
+        if not symbolic.is_symbolic_protocol(model):
+            raise CohminError("a symbolic protocol needs true guards and identity updates")
+        model = model.control_skeleton()
+    return model if subject is None else model.relabel_signature(subject.signature)
 
 
 # -- serialisation -----------------------------------------------------------
@@ -355,7 +410,3 @@ def serialize_model(model) -> str:
 
 def serialize_trace(t: Trace) -> str:
     return "".join(render_round(v) + "\n" for v in t)
-
-
-def serialize_valued_trace(rounds) -> str:
-    return "".join(v.render() + "\n" for v in rounds)

@@ -3,8 +3,8 @@ small integer/boolean expression language.
 
 Guards and updates live in a closed grammar with two equivalence modes
 (structural normal forms, or agreement on a bounded test domain) instead of
-an external solver; the structural mode under-approximates semantic
-equivalence, which is the conservative direction for minimisation.
+an external solver.  Equal normal forms mean equal values over unbounded
+integers: only the bounded mode sees a 64-bit overflow.
 Coherence is decided on control states only, with witness reachability
 computed on the control skeleton (guards ignored), again conservative.
 """

@@ -20,13 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from cohmin.errors import ResourceLimit, UnknownState
-from cohmin.fixtures import adder
 from cohmin.frontend.expr import parse_expr
-from cohmin.frontend.fileformat import (
-    looks_like_regex_protocol,
-    parse_model,
-    parse_regex_protocol,
-)
+from cohmin.frontend.fileformat import load_model, load_protocol
 from cohmin.kernel import (
     DEFAULT_TRACE_CAP,
     Round,
@@ -36,11 +31,14 @@ from cohmin.kernel import (
     mkround,
     traces_upto,
 )
-from cohmin.protocol import Alt, Cat, Lit, Star, compile_regex
+from cohmin.protocol import Alt, Cat, Lit, Star
 from cohmin.symbolic import SFST, STransition, Update, expand
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# The standard machines, protocols and traces: each file is the one
+# definition of what it holds.
+FIXDIR = SRC.parent / "fixtures"
 
 # Address space a capped ``cohmin`` child may use: well above what any
 # shipped command needs, well below what a runaway one would take.
@@ -527,22 +525,23 @@ LINE_CHECK_FILES = {
 }
 
 
+def iterator_map():
+    """The iterate-and-map circuit and its session protocol, compiled
+    over the circuit's signature."""
+    machine = load_model(FIXDIR / "iterator_map.sfst")
+    return machine, load_protocol(FIXDIR / "iterator_map.prot", machine)
+
+
 def fixture_machines():
-    """Every plain machine the fixtures give: the model files, the regex
-    protocols compiled over their alphabets, the control skeleton of each
-    symbolic file and the adder expanded over [-1..1]."""
+    """Every plain machine the fixtures give: the model files, the
+    protocol files as the CLI reads them (a regex protocol over its
+    alphabet), the control skeleton of each symbolic file and the adder
+    expanded over [-1..1]."""
     machines = []
-    for path in sorted((SRC.parent / "fixtures").iterdir()):
-        if path.suffix not in (".fst", ".prot", ".sfst"):
-            continue
-        text = path.read_text()
-        if looks_like_regex_protocol(text):
-            alphabet, regex = parse_regex_protocol(text)
-            sig = Signature(frozenset(alphabet), frozenset())
-            machines.append(compile_regex(regex, sig))
-        else:
-            model = parse_model(text)
-            machines.append(model if isinstance(model, Transducer)
-                            else model.control_skeleton())
-    machines.append(expand(adder(), -1, 1))
+    for path in sorted(FIXDIR.iterdir()):
+        if path.suffix == ".sfst":
+            machines.append(load_model(path).control_skeleton())
+        elif path.suffix in (".fst", ".prot"):
+            machines.append(load_protocol(path))
+    machines.append(expand(load_model(FIXDIR / "adder.sfst"), -1, 1))
     return machines

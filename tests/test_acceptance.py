@@ -9,37 +9,28 @@ import itertools
 import random
 import time
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
-from pathlib import Path
 
 from cohmin import algebra, coherence, kernel, symbolic
-from cohmin.fixtures import (
-    adder,
-    display_attack_trace,
-    display_legal_trace,
-    display_protocol,
-    forked_reader,
-    iterator_map,
-    linear_protocol,
-)
-from cohmin.frontend import cli_main
+from cohmin.frontend import cli_main, load_model, load_protocol, parse_trace
 from cohmin.kernel import Signature, mkround
 from cohmin.protocol import monitor
 from cohmin.symbolic import ValuedRound, expand, expand_valued_trace, sfst_run
 
 import naive_algebra
 from helpers import (
+    FIXDIR,
     SIG2,
     SIG3,
     bounded_language_subset,
     bruteforce_coherent_union,
     empty_protocol,
+    iterator_map,
     linear_protocol_shaped,
     random_transducer,
     step,
     universal_protocol,
 )
 
-FIXDIR = Path(__file__).parent.parent / "fixtures"
 R = mkround
 
 
@@ -86,15 +77,17 @@ def run_cli(*argv):
 
 def test_criterion_2_attack_detection():
     with criterion("2 attack detection (legal OK / attack VIOLATION@2)"):
-        display = display_protocol()
-        assert monitor(display, display_legal_trace()).ok
+        display = load_protocol(FIXDIR / "display.prot")
+        legal = parse_trace((FIXDIR / "display_legal.trc").read_text())
+        attack = parse_trace((FIXDIR / "display_attack.trc").read_text())
+        assert monitor(display, legal).ok
 
-        verdict = monitor(display, display_attack_trace())
+        verdict = monitor(display, attack)
         assert not verdict.ok
         assert verdict.index == 2
         # exactly the moves enabled after [q5, r2]
         state = display.initial
-        for v in display_attack_trace()[:2]:
+        for v in attack[:2]:
             (state,) = step(display, state, v)
         assert verdict.expected == display.enabled(state)
         assert verdict.expected == {R({"d2"}), R({"q1"})}
@@ -141,7 +134,8 @@ def test_criterion_4_greatest_fixpoint_oracle():
 
 def test_criterion_5_forked_reader_separation():
     with criterion("5 forked reader: coherent 4 vs bisim 5"):
-        fork, proto = forked_reader(), linear_protocol()
+        fork = load_model(FIXDIR / "forked_reader.fst")
+        proto = load_protocol(FIXDIR / "linear_protocol.fst")
         mini, log = coherence.coherent_minimize(fork, proto)
         assert len(mini.states) == 4
         assert ("P", "Q") in log
@@ -222,7 +216,7 @@ def test_criterion_8_subset_lemma():
 
 def test_criterion_9_sfst_adequacy():
     with criterion("9 adder adequacy (runs + expansion agreement on 500)"):
-        machine = adder()
+        machine = load_model(FIXDIR / "adder.sfst")
         VR = ValuedRound.of
         assert sfst_run(machine, [VR({"x": 2}), VR({"x": 3}), VR({"r": 5})])
         for v in range(-4, 5):

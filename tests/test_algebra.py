@@ -4,16 +4,16 @@ import pytest
 
 from cohmin import algebra, kernel
 from cohmin.errors import SignatureMismatch
-from cohmin.fixtures import forked_reader, linear_protocol, two_phase_cycle
+from cohmin.frontend import load_model, load_protocol
 from cohmin.kernel import Signature, TraceSet, Transducer, mkround
 
 import naive_algebra
-from helpers import SIG3, bounded_language_subset, random_transducer
+from helpers import FIXDIR, SIG3, bounded_language_subset, random_transducer
 
 R = mkround
-T1 = two_phase_cycle()
-FORK = forked_reader()
-PR = linear_protocol()
+T1 = load_model(FIXDIR / "two_phase.fst")
+FORK = load_model(FIXDIR / "forked_reader.fst")
+PR = load_protocol(FIXDIR / "linear_protocol.fst")
 
 
 def lang(T, k):

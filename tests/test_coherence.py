@@ -5,13 +5,13 @@ import pytest
 
 from cohmin import algebra, coherence, kernel
 from cohmin.errors import SameState, UnknownState
-from cohmin.fixtures import forked_reader, linear_protocol, two_phase_cycle
-from cohmin.frontend import parse_model
+from cohmin.frontend import load_model, load_protocol, parse_model
 from cohmin.kernel import Transducer, merge_states, mkround
 
 import naive_coherence
 
 from helpers import (
+    FIXDIR,
     SIG2,
     SIG3,
     bounded_language_subset,
@@ -26,9 +26,9 @@ from helpers import (
 )
 
 R = mkround
-T1 = two_phase_cycle()
-FORK = forked_reader()
-PR = linear_protocol()
+T1 = load_model(FIXDIR / "two_phase.fst")
+FORK = load_model(FIXDIR / "forked_reader.fst")
+PR = load_protocol(FIXDIR / "linear_protocol.fst")
 
 
 class TestProductReach:

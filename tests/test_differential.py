@@ -36,9 +36,14 @@ from cohmin.errors import (
     ResourceLimit,
     SignatureMismatch,
 )
-from cohmin.fixtures import ITERATOR_MAP_REGEX, adder, iterator_map
-from cohmin.frontend import parse_model, parse_trace, serialize_model, serialize_trace
-from cohmin.frontend.cli import _load_protocol
+from cohmin.frontend import (
+    load_model,
+    load_protocol,
+    parse_model,
+    parse_trace,
+    serialize_model,
+    serialize_trace,
+)
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, merge_states, mkround, round_key
 from cohmin.symbolic import lift_transducer
@@ -49,6 +54,7 @@ import naive_protocol
 import naive_symbolic
 import naive_writer
 from helpers import (
+    FIXDIR,
     SFST_SIG,
     SIG2,
     SIG3,
@@ -58,15 +64,15 @@ from helpers import (
     empty_protocol,
     fixture_machines,
     is_deterministic,
+    iterator_map,
     linear_protocol_shaped,
     random_regex,
     random_sfst,
     random_transducer,
+    render_regex,
     ring,
     universal_protocol,
 )
-
-FIXDIR = Path(__file__).parent.parent / "fixtures"
 
 
 def ring_protocol(sig):
@@ -109,22 +115,16 @@ def assert_same(T, P, outcomes=None):
 
 
 def fixture_protocols(model):
-    """Empty, universal, and every fixture file usable as a protocol."""
+    """Empty, universal, and every fixture file usable as a protocol of
+    ``model``, read as the CLI reads it."""
     sig = model.signature
     yield empty_protocol(sig)
     yield universal_protocol(sig)
     for path in sorted(FIXDIR.iterdir()):
         if path.suffix not in (".fst", ".prot"):
             continue
-        text = path.read_text()
-        if looks_like_regex_protocol(text):
-            alphabet, regex = parse_regex_protocol(text)
-            if frozenset(alphabet) == sig.universe:
-                yield protocol.compile_regex(regex, sig)
-        else:
-            P = parse_model(text)
-            if P.signature.universe == sig.universe:
-                yield P.relabel_signature(sig)
+        if load_protocol(path).signature.universe == sig.universe:
+            yield load_protocol(path, model)
 
 
 class TestAgainstNaiveOracle:
@@ -270,7 +270,7 @@ class TestSymbolicAgainstNaiveOracle:
         assert_same_sfst_folds(machine)
 
     def test_adder(self):
-        machine = adder()
+        machine = load_model(FIXDIR / "adder.sfst")
         for P in sfst_protocols(random.Random(2000), machine.signature):
             assert_same_sfst(machine, P)
         assert_same_sfst_folds(machine)
@@ -593,13 +593,13 @@ class TestRegexCompilationAgainstNaiveOracle:
     def test_fixture_regexes(self):
         machine, _ = iterator_map()
         skeleton = machine.control_skeleton()
-        texts = [ITERATOR_MAP_REGEX]
+        texts = []   # each regex as text and as the file's syntax tree
         for path in sorted(FIXDIR.glob("*.prot")):
             text = path.read_text()
             if looks_like_regex_protocol(text):
                 alphabet, regex = parse_regex_protocol(text)
                 assert frozenset(alphabet) == skeleton.signature.universe
-                texts.append(regex)
+                texts += [render_regex(regex), regex]
         assert len(texts) >= 2
         rng = random.Random(2500)
         for regex in texts:
@@ -685,7 +685,7 @@ class TestTraceBoundaryAgainstNaiveOracle:
         for path in sorted(FIXDIR.iterdir()):
             if path.suffix in (".fst", ".sfst", ".prot"):
                 try:
-                    protocols.append(_load_protocol(str(path), None))
+                    protocols.append(load_protocol(path))
                 except CohminError:  # a symbolic machine that is no protocol
                     continue
         assert len(traces) >= 2 and len(protocols) >= 5

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohmin import algebra, fixtures, kernel, symbolic
+from cohmin import algebra, kernel, symbolic
 from cohmin.errors import ParseError
 from cohmin.frontend import (
     cli_main,
     dot,
+    load_model,
+    load_protocol,
     parse_model,
     parse_regex_protocol,
     parse_trace,
@@ -30,14 +32,16 @@ from cohmin.frontend.expr import parse_expr, render_expr
 from cohmin.frontend.fileformat import write_model
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import Verdict
-from cohmin.symbolic import SFST, Bin, IntLit, Not, Reg, STransition, Update
+from cohmin.symbolic import SFST, TRUE, Bin, IntLit, Not, Port, Reg, STransition, Update
 
 from helpers import (
+    FIXDIR,
     LINE_CHECK_FILES,
     SIG2,
     UNKNOWN_ENDPOINT_FILES,
     fixture_machines,
     fold_stars,
+    iterator_map,
     random_regex,
     random_sfst,
     random_transducer,
@@ -47,8 +51,6 @@ from helpers import (
 )
 import naive_cli
 import naive_writer
-
-FIXDIR = Path(__file__).parent.parent / "fixtures"
 
 TWO_PHASE_SRC = """\
 # a tiny example
@@ -105,7 +107,21 @@ class TestParsing:
         assert len(T.states) == 3
         assert len(T.registers) == 2
         assert len(T.delta) == 3
-        assert T == fixtures.adder()
+        y_plus_z = Bin("+", Reg("y"), Reg("z"))
+        assert T == SFST(
+            Signature(frozenset({"x"}), frozenset({"r"})),
+            frozenset({"A", "B", "C"}),
+            frozenset({"y", "z"}),
+            "A",
+            frozenset([
+                STransition("A", mkround({"x"}), TRUE,
+                            frozenset({Update("y", Port("x"))}), "B"),
+                STransition("B", mkround({"x"}), TRUE,
+                            frozenset({Update("z", Port("x"))}), "C"),
+                STransition("C", mkround({"r"}), Bin(">", y_plus_z, IntLit(0)),
+                            frozenset({Update("r", y_plus_z)}), "A"),
+            ]),
+        )
 
     def test_sfst_serialisation_is_canonical_on_ties(self):
         # transitions equal up to their update expressions once came out
@@ -190,19 +206,19 @@ class TestDot:
         assert graphs == [to_dot(m) for m in models]
 
     def test_two_phase_graph(self):
-        d = to_dot(fixtures.two_phase_cycle())
+        d = to_dot(load_model(FIXDIR / "two_phase.fst"))
         assert d.count("shape=") == 2
         assert d.count(" -> ") == 2
         assert "doublecircle" in d
 
     def test_sfst_edges_carry_guards(self):
-        d = to_dot(fixtures.adder())
+        d = to_dot(load_model(FIXDIR / "adder.sfst"))
         assert "when y + z > 0" in d
         assert "do r := y + z" in d
 
     def test_edges_follow_the_serialised_file(self):
-        for model in (fixtures.adder(), fixtures.iterator_map()[0],
-                      fixtures.forked_reader()):
+        for name in ("adder.sfst", "iterator_map.sfst", "forked_reader.fst"):
+            model = load_model(FIXDIR / name)
             edges = [line.split('[label="')[1][:-3]
                      for line in to_dot(model).splitlines() if " -> " in line]
             trans = [line.split(" : ", 1)[1][:-1]
@@ -581,6 +597,45 @@ class TestCli:
         assert err.startswith(f"error: {line}:1: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("name, text, line, word", [
+        ("m.fst", PLAIN.replace("initial", "signature in b; out a;\ninitial"), 3, "signature"),
+        ("m.fst", PLAIN.replace("initial", "states s0;\ninitial"), 3, "states"),
+        ("m.fst", PLAIN.replace("initial", "registers y;\nregisters z;\ninitial"), 4,
+         "registers"),
+        ("m.fst", PLAIN.replace("initial s0;", "initial s0;\ninitial s1;"), 4, "initial"),
+        ("p.prot", "alphabet a, b;\nregex (a b)*;\nalphabet a;\n", 3, "alphabet"),
+        ("p.prot", "alphabet a, b;\nregex (a b)*; regex a;\n", 2, "regex"),
+    ], ids=["signature", "states", "registers", "initial", "alphabet", "regex"])
+    def test_a_header_statement_appears_once(self, tmp_path, name, text, line, word):
+        # a second statement is an error, never a silent replacement
+        (tmp_path / name).write_text(text)
+        (tmp_path / "t.trc").write_text("{a}\n{b}\n{a}\n")
+        argv = (("validate", name) if name.endswith(".fst")
+                else ("monitor", "--protocol", name, "--trace", "t.trc"))
+        message = f"{line}:1: duplicate {word!r} declaration"
+        assert run_cli(*[str(tmp_path / a) if "." in a else a for a in argv]) == \
+            (2, "", f"error: {message}\n")
+        with pytest.raises(ParseError) as err:
+            (parse_model if name.endswith(".fst") else parse_regex_protocol)(text)
+        assert str(err.value) == message
+
+    def test_a_regex_protocol_may_start_with_its_regex(self, tmp_path):
+        # either statement order is a regex protocol, never a model
+        files = {"ab.prot": "alphabet a, b;\nregex (a b)*;\n",
+                 "ba.prot": "# the regex first\nregex (a b)*;\nalphabet a, b;\n",
+                 "m.fst": self.PLAIN + "trans s1 -> s0 : {b};\ntrans s1 -> s1 : {b};\n",
+                 "ok.trc": "{a}\n{b}\n{a}\n", "bad.trc": "{a}\n{a}\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        for argv, code in ((["monitor", "--trace", "ok.trc"], 0),
+                           (["monitor", "--trace", "bad.trc"], 3),
+                           (["relation", "m.fst"], 0)):
+            runs = [run_cli(*[str(tmp_path / a) if "." in a else a
+                              for a in argv + ["--protocol", p]])
+                    for p in ("ab.prot", "ba.prot")]
+            assert runs[0] == runs[1]
+            assert runs[0][0] == code and runs[0][1] and runs[0][2] == ""
+
     def test_monitor_reads_a_symbolic_protocol_as_its_skeleton(self, tmp_path):
         text = (FIXDIR / "display.prot").read_text()
         symbolic = tmp_path / "display.sfst"
@@ -746,7 +801,7 @@ class TestRoundTrip:
     def test_symbolic_round_trip(self):
         rng = random.Random(11)
         machines = [random_sfst(rng, 5, 12) for _ in range(300)]
-        machines += [fixtures.adder(), *fixtures.iterator_map()]
+        machines += [load_model(FIXDIR / "adder.sfst"), *iterator_map()]
         for m in machines:
             assert parse_model(serialize_model(m)) == m
 
@@ -759,7 +814,7 @@ class TestRoundTrip:
         for m in machines:
             d = algebra.determinize(m)
             assert parse_model(serialize_model(d)) == d
-        compiled = fixtures.iterator_map()[1]
+        compiled = iterator_map()[1]
         assert parse_model(serialize_model(compiled)) == compiled
 
     @settings(max_examples=200, deadline=None)
@@ -816,8 +871,9 @@ _WORDS = ("structural", "bounded-semantic", "a", "a,b",
 
 
 # seeded random machines over the labels of forked_reader.fst
+_FORKED_SIG = load_model(FIXDIR / "forked_reader.fst").signature
 _RANDOM_MODELS = st.integers(0, 10**6).map(lambda seed: serialize_model(
-    random_transducer(random.Random(seed), fixtures.forked_reader().signature, 4, 8)))
+    random_transducer(random.Random(seed), _FORKED_SIG, 4, 8)))
 
 
 @st.composite
@@ -1033,7 +1089,7 @@ class TestStreamingWriter:
 
     def test_expanded_sfsts(self):
         rng = random.Random(12)
-        for model in [fixtures.adder(), fixtures.iterator_map()[0]] + \
+        for model in [load_model(FIXDIR / "adder.sfst"), iterator_map()[0]] + \
                 [random_sfst(rng, 4, 8) for _ in range(40)]:
             self.assert_writes_like_the_frozen_writer(symbolic.expand(model, -2, 2))
 
@@ -1056,11 +1112,4 @@ class TestShippedFixtures:
             elif path.suffix == ".vtrc":
                 parse_valued_trace(text)
             elif path.suffix == ".prot":
-                from cohmin.frontend.fileformat import (
-                    looks_like_regex_protocol,
-                    parse_regex_protocol,
-                )
-                if looks_like_regex_protocol(text):
-                    parse_regex_protocol(text)
-                else:
-                    parse_model(text)
+                load_protocol(path)

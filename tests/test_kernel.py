@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cohmin import kernel
 from cohmin.errors import MissingInitial, UnknownLabel, UnknownState
-from cohmin.fixtures import forked_reader, two_phase_cycle
+from cohmin.frontend import load_model
 from cohmin.kernel import (
     EMPTY_TRACE,
     Signature,
@@ -35,6 +35,7 @@ from cohmin.symbolic import (
 
 import naive_algebra
 from helpers import (
+    FIXDIR,
     SIG2,
     accepts,
     dualize,
@@ -45,8 +46,8 @@ from helpers import (
 )
 
 R = mkround
-T1 = two_phase_cycle()
-FORK = forked_reader()
+T1 = load_model(FIXDIR / "two_phase.fst")
+FORK = load_model(FIXDIR / "forked_reader.fst")
 
 
 class TestValidate:

@@ -5,19 +5,15 @@ import pytest
 
 from cohmin import algebra, kernel, protocol
 from cohmin.errors import ParseError, UnknownLabel
-from cohmin.fixtures import (
-    ITERATOR_MAP_REGEX,
-    display_attack_trace,
-    display_legal_trace,
-    display_protocol,
-    iterator_map,
-)
+from cohmin.frontend import load_protocol, parse_trace
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import compile_regex, monitor, parse_regex
 
 from helpers import (
+    FIXDIR,
     empty_protocol,
     is_deterministic,
+    iterator_map,
     random_regex,
     regex_prefix_member,
     step,
@@ -25,7 +21,9 @@ from helpers import (
 )
 
 R = mkround
-DISPLAY = display_protocol()
+DISPLAY = load_protocol(FIXDIR / "display.prot")
+LEGAL = parse_trace((FIXDIR / "display_legal.trc").read_text())
+ATTACK = parse_trace((FIXDIR / "display_attack.trc").read_text())
 
 
 class TestParseRegex:
@@ -97,11 +95,11 @@ class TestCompileRegex:
 
 class TestMonitor:
     def test_legal_ten_move_trace(self):
-        verdict = monitor(DISPLAY, display_legal_trace())
+        verdict = monitor(DISPLAY, LEGAL)
         assert verdict.ok
 
     def test_attack_trace(self):
-        verdict = monitor(DISPLAY, display_attack_trace())
+        verdict = monitor(DISPLAY, ATTACK)
         assert not verdict.ok
         assert verdict.index == 2
         assert verdict.offending == R({"d4"})

@@ -15,8 +15,7 @@ from cohmin.errors import (
     TypeMismatch,
     UnboundReference,
 )
-from cohmin.fixtures import adder, iterator_map
-from cohmin.frontend import parse_model
+from cohmin.frontend import load_model, parse_model
 from cohmin.kernel import Signature, mkround
 from cohmin.symbolic import (
     SFST,
@@ -41,8 +40,9 @@ from cohmin.symbolic import (
     sfst_run,
 )
 
-ADDER = adder()
-FIXDIR = Path(__file__).parent.parent / "fixtures"
+from helpers import FIXDIR, iterator_map
+
+ADDER = load_model(FIXDIR / "adder.sfst")
 VR = ValuedRound.of
 
 

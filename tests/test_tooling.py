@@ -23,6 +23,17 @@ from helpers import LINE_CHECK_FILES, UNKNOWN_ENDPOINT_FILES
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# The headline results each demo must print.
+DEMO_LINES = {
+    "01_protocol_blind_spots": ["coherent minimisation: 8 -> 4 states",
+                                "bisimulation baseline:  8 -> 5 states"],
+    "02_attack_monitor": ["verdict:     OK", "verdict:     VIOLATION index=2 round={d4}"],
+    "03_symbolic_adder": ["expansion agrees on ['{x=2}', '{x=3}', '{r=5}'] -> True",
+                          "expansion agrees on ['{x=2}', '{x=-3}', '{r=-1}'] -> True"],
+    "04_iterator_map": ["coherent minimisation: 13 -> 7 states",
+                        "bisimulation baseline: 13 -> 12 states"],
+    "05_transducer_algebra": ["intersection soundness on 20 random pairs: True"],
+}
 
 
 def _env():
@@ -33,7 +44,7 @@ def _env():
 
 
 def test_every_demo_is_collected():
-    assert len(DEMOS) == 5
+    assert [demo.stem for demo in DEMOS] == sorted(DEMO_LINES)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -43,7 +54,8 @@ def test_demo_runs(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    for line in DEMO_LINES[demo.stem]:
+        assert line in proc.stdout
 
 
 def test_cli_runs_as_module():
