@@ -169,7 +169,8 @@ def distinguishing_trace(T: Transducer, U: Transducer, k: int,
     for _ in range(k):
         nxt = []
         for node in frontier:
-            mt, mu, *mp = map(_moves, machines, node, memos)
+            mt, mu, *mp = (memo[S] if S in memo else memo.setdefault(S, M.moves(S))
+                           for M, S, memo in zip(machines, node, memos))
             if mp:
                 a, b = mt.keys() & mp[0].keys(), mu.keys() & mp[0].keys()
             else:
@@ -189,18 +190,6 @@ def distinguishing_trace(T: Transducer, U: Transducer, k: int,
     return None
 
 
-def _moves(M: Transducer, subset, memo: dict) -> dict:
-    """Round -> the states of ``M`` it leads to from ``subset``."""
-    got = memo.get(subset)
-    if got is None:
-        acc = {}
-        for s in subset:
-            for v, ts in M.out(s).items():
-                acc.setdefault(v, set()).update(ts)
-        got = memo[subset] = {v: frozenset(ts) for v, ts in acc.items()}
-    return got
-
-
 def determinize(T: Transducer) -> Transducer:
     """Subset construction over rounds (labels stay whole rounds).
 
@@ -213,9 +202,9 @@ def determinize(T: Transducer) -> Transducer:
     order = [initial]
     delta = []
     for cur in order:  # grows while it is walked: a breadth-first queue
-        rounds = {v for s in cur for v in T.out(s)}
-        for v in sorted(rounds, key=round_key):
-            succ = T.step_set(cur, v)
+        moves = T.moves(cur)
+        for v in sorted(moves, key=round_key):
+            succ = moves[v]
             if succ not in names:
                 names[succ] = f"P{len(names)}"
                 order.append(succ)

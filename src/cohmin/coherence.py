@@ -29,13 +29,29 @@ def _bits(x: int):
         x ^= low
 
 
+def _index(K: Transducer) -> Tuple[List[str], List[List[Tuple[int, int]]], int]:
+    """The integer index a fixpoint runs on: the states of ``K`` in name
+    order, and for each state its transitions as (round id, target id)
+    pairs, where round ids number the distinct rounds of ``K``.  Returns
+    ``(states, moves, number of rounds)``."""
+    states = sorted(K.states)
+    ids = {s: i for i, s in enumerate(states)}
+    rid: Dict[Round, int] = {}
+    moves = [[(rid.setdefault(v, len(rid)), ids[t]) for v, targets in K.out(s).items()
+              for t in targets] for s in states]
+    return states, moves, len(rid)
+
+
 class CoherenceRelation:
     """The greatest coherent simulation of a machine under a protocol.
 
     Held as ``(states, rows)``: ``states`` sorted by name and bit ``i`` of
     ``rows[j]`` set iff ``(states[i], states[j])`` is related.  The set of
-    pairs is built only when first asked for.
+    pairs is built only when first asked for.  ``moves`` is the index
+    (:func:`_index`) that :func:`coherent_simulation` ran the fixpoint on.
     """
+
+    moves: Optional[List[List[Tuple[int, int]]]] = None   # None: built from rows
 
     def __init__(self, states: List[str], rows: List[int]):
         self._rows = (states, rows)
@@ -149,30 +165,15 @@ def coherent_simulation(T: Transducer, P: Transducer,
     """
     if T.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
-    states = sorted(T.states)
+    states, moves, rounds = _index(T if keyed is None else keyed)
     n = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    rid: Dict[Round, int] = {}
-    moves: List[List[Tuple[int, int]]] = []
-    pred: List[List[int]] = []   # per round: bitset of v-predecessors of each state
+    pred = [[0] * n for _ in range(rounds)]   # per round: bitset of predecessors
     into = [set() for _ in range(n)]
-    enabled = []
-    for j, s in enumerate(states):
-        out = []
-        adj = T.out(s)
-        enabled.append(frozenset(adj))
-        if keyed is not None:
-            adj = keyed.out(s)
-        for v, targets in adj.items():
-            r = rid.setdefault(v, len(rid))
-            if r == len(pred):
-                pred.append([0] * n)
-            for t in targets:
-                k = index[t]
-                out.append((r, k))
-                pred[r][k] |= 1 << j
-                into[k].add(j)
-        moves.append(out)
+    for j, out in enumerate(moves):
+        for r, k in out:
+            pred[r][k] |= 1 << j
+            into[k].add(j)
+    enabled = [frozenset(T.out(s)) for s in states]
 
     extendable = _extendable_rounds(T, P)
     groups: Dict[FrozenSet[Round], int] = {}
@@ -210,7 +211,9 @@ def coherent_simulation(T: Transducer, P: Transducer,
                 if not queued[p]:
                     queued[p] = True
                     pending.append(p)
-    return CoherenceRelation(states, sim)
+    relation = CoherenceRelation(states, sim)
+    relation.moves = moves
+    return relation
 
 
 def equivalence_pairs(T: Transducer, P: Transducer, relation=None,
@@ -249,7 +252,8 @@ class _Fold:
     """
 
     def __init__(self, T: Transducer, P: Transducer, keyed: Optional[Transducer]):
-        states, rows = coherent_simulation(T, P, keyed).rows()
+        relation = coherent_simulation(T, P, keyed)
+        states, rows = relation.rows()
         n = len(states)
         self.states, self.rows = states, rows
         self.alive = (1 << n) - 1
@@ -265,13 +269,10 @@ class _Fold:
         classes: Dict[Tuple[int, int], int] = {}
         cls = self.cls = [classes.setdefault(rc, len(classes))
                           for rc in zip(rows, cols)]
-        index = {s: i for i, s in enumerate(states)}
-        K = T if keyed is None else keyed
         shape: Dict[int, frozenset] = {}   # class -> (round, target class) set
         self.bisim = True
-        for s, c in zip(states, cls):
-            sig = frozenset((v, cls[index[t]])
-                            for v, targets in K.out(s).items() for t in targets)
+        for out, c in zip(relation.moves, cls):
+            sig = frozenset((r, cls[k]) for r, k in out)
             if shape.setdefault(c, sig) != sig:
                 self.bisim = False
                 break
@@ -383,37 +384,29 @@ def merge_classes(log: List[Tuple[str, str]]) -> List[FrozenSet[str]]:
 # -- conventional bisimulation baseline -------------------------------------
 
 
-def bisim_partition(T: Transducer, signature=None) -> List[FrozenSet[str]]:
+def bisim_partition(T: Transducer) -> List[FrozenSet[str]]:
     """Coarsest partition stable under the transition relation.
 
-    Iterated signature refinement (Kanellakis-Smolka style), correct for
-    nondeterministic transducers.  ``signature`` optionally maps a
-    transition to extra distinguishing data (used by the symbolic layer).
+    Iterated signature refinement (Kanellakis-Smolka style) over the
+    integer index of :func:`_index`, correct for nondeterministic
+    transducers: a state's signature is its block and the set of its
+    (round id, target block) pairs, and blocks are renumbered in name
+    order until their number stops growing.  A symbolic machine is
+    partitioned through its key machine (``symbolic.sfst_bisim_partition``).
     """
-    block: Dict[str, int] = {s: 0 for s in T.states}
+    states, moves, _ = _index(T)
+    block, count = [0] * len(states), 1
     while True:
-        sigs = {}
-        for s in T.states:
-            items = set()
-            for v, targets in T.out(s).items():
-                for t in targets:
-                    extra = signature(s, v, t) if signature is not None else None
-                    items.add((v, extra, block[t]))
-            sigs[s] = frozenset(items)
-        index = {}
-        new_block = {}
-        for s in sorted(T.states):
-            key = (block[s], sigs[s])
-            if key not in index:
-                index[key] = len(index)
-            new_block[s] = index[key]
-        if len(set(new_block.values())) == len(set(block.values())):
+        ids: Dict[tuple, int] = {}
+        new = [ids.setdefault((b, frozenset((r, block[k]) for r, k in out)), len(ids))
+               for b, out in zip(block, moves)]
+        if len(ids) == count:
             break
-        block = new_block
-    groups: Dict[int, set] = {}
-    for s, b in block.items():
-        groups.setdefault(b, set()).add(s)
-    return [frozenset(g) for g in groups.values()]
+        block, count = new, len(ids)
+    groups: List[List[str]] = [[] for _ in range(count)]
+    for s, b in zip(states, block):
+        groups[b].append(s)
+    return [frozenset(g) for g in groups]
 
 
 def bisim_minimize(T: Transducer, keep_unreachable: bool = False) -> Transducer:

@@ -1,9 +1,10 @@
 """Command-line surface over every pipeline stage.
 
 Exit codes: 0 success (OK / equivalent), 1 usage error, 2 input error,
-3 protocol violation or non-equivalence, 4 resource limit.  Results go to
-stdout, diagnostics to stderr; identical invocations produce byte-identical
-output.
+3 protocol violation or non-equivalence, 4 resource limit (output that
+cannot be written included; a reader that closes the pipe early ends the
+command quietly).  Results go to stdout, diagnostics to stderr; identical
+invocations produce byte-identical output.
 
 A model that is not a plain ``Transducer`` is symbolic.  Only ``kernel``
 and the file formats load with this module; ``algebra``, ``coherence``,
@@ -14,6 +15,7 @@ them, so that no process pays to compile a layer it does not run.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -334,7 +336,25 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(cli_main())
+    """Run ``sys.argv`` and exit with its code.  If stdout fails, a closed
+    pipe or a closed stdout ends quietly (with the command's code, or 0 if
+    it had none yet); any other write error is one line on stderr and
+    exit 4."""
+    if sys.stdout is None:   # started with stdout closed: drop all output, as print does
+        sys.stdout = open(os.devnull, "w")
+    code = EXIT_OK
+    try:
+        code = cli_main()
+        sys.stdout.flush()
+        sys.exit(code)
+    except BrokenPipeError:   # the reader stopped reading, as ``head`` does
+        pass
+    except OSError as e:   # reads fail inside ``cli_main``, as input errors
+        print(f"resource limit: cannot write output: {e.strerror or e}", file=sys.stderr)
+        code = EXIT_RESOURCE
+    # what stays buffered would fail again when the interpreter flushes it
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from operator import attrgetter
-from typing import FrozenSet, Iterable, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
     MissingInitial,
@@ -261,6 +261,17 @@ class Transducer(Record):
     def enabled(self, s: str) -> FrozenSet[Round]:
         return frozenset(self.out(s).keys())
 
+    def moves(self, states: Iterable[str]) -> Dict[Round, FrozenSet[str]]:
+        """The successor function of the subset construction: each round
+        some state of ``states`` enables maps to the states it leads to
+        from ``states``, so ``moves(S)[v] == step_set(S, v)`` for every
+        round ``v`` enabled in ``S``, and no other round is a key."""
+        acc = {}
+        for s in states:
+            for v, targets in self.out(s).items():
+                acc.setdefault(v, set()).update(targets)
+        return {v: frozenset(targets) for v, targets in acc.items()}
+
     def step_set(self, states: Iterable[str], v: Round) -> FrozenSet[str]:
         v = frozenset(v)
         acc = set()
@@ -373,13 +384,8 @@ def _enumerate(T: Transducer, k: int, cap: int):
     for _ in range(k):
         nxt = []
         for trace, states in frontier:
-            rounds = set()
-            for s in states:
-                rounds.update(T.out(s).keys())
-            for v in sorted(rounds, key=round_key):
-                succ = T.step_set(states, v)
-                if not succ:
-                    continue
+            moves = T.moves(states)
+            for v in sorted(moves, key=round_key):
                 count += 1
                 held += len(trace) + 1
                 if count > cap:
@@ -390,7 +396,7 @@ def _enumerate(T: Transducer, k: int, cap: int):
                     raise ResourceLimit(
                         f"traces would hold more than {TRACE_ROUNDS_CAP} rounds"
                     )
-                item = (trace + (v,), succ)
+                item = (trace + (v,), moves[v])
                 yield item
                 nxt.append(item)
         frontier = nxt

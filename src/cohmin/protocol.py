@@ -277,16 +277,16 @@ def monitor(P: Transducer, t: Trace) -> Verdict:
     """Online membership check: consume rounds left to right and flag the
     first round the protocol does not enable.  The state is the subset of
     ``P``'s states the prefix reaches, so a nondeterministic ``P`` is not
-    determinised up front: the successor of each (subset, round) pair is
-    built once, the first time the trace visits it."""
+    determinised up front: the moves of each subset (``Transducer.moves``)
+    are built once, the first time the trace reaches it."""
     state, succ = frozenset({P.initial}), {}
     for i, v in enumerate(t):
+        moves = succ.get(state)
+        if moves is None:
+            moves = succ[state] = P.moves(state)
         v = frozenset(v)  # the same object when ``v`` already is one
-        nxt = succ.get((state, v))
-        if nxt is None:
-            nxt = succ[state, v] = P.step_set(state, v)
-        if not nxt:
-            return Verdict("VIOLATION", i, v, frozenset(u for s in state for u in P.out(s)))
-        state = nxt
+        state = moves.get(v)
+        if state is None:
+            return Verdict("VIOLATION", i, v, frozenset(moves))
     return Verdict("OK")
 

@@ -201,34 +201,31 @@ def eval_expr(e: Expr, regs: Mapping[str, int], ports: Mapping[str, int] = None)
     return compile_expr(e)(regs, ports or {})
 
 
-def free_refs(e: Expr):
-    """(register names, port names) referenced by an expression."""
-    regs, ports = set(), set()
+def _subexpressions(e: Expr):
+    """``e`` and every expression inside it, in no fixed order."""
     stack = [e]
     while stack:
         x = stack.pop()
+        yield x
+        if isinstance(x, (Neg, Not)):
+            stack.append(x.arg)
+        elif isinstance(x, Bin):
+            stack.extend((x.left, x.right))
+
+
+def free_refs(e: Expr):
+    """(register names, port names) referenced by an expression."""
+    regs, ports = set(), set()
+    for x in _subexpressions(e):
         if isinstance(x, Reg):
             regs.add(x.name)
         elif isinstance(x, Port):
             ports.add(x.name)
-        elif isinstance(x, (Neg, Not)):
-            stack.append(x.arg)
-        elif isinstance(x, Bin):
-            stack.extend((x.left, x.right))
     return regs, ports
 
 
 def int_literals(e: Expr):
-    stack, out = [e], set()
-    while stack:
-        x = stack.pop()
-        if isinstance(x, IntLit):
-            out.add(x.value)
-        elif isinstance(x, (Neg, Not)):
-            stack.append(x.arg)
-        elif isinstance(x, Bin):
-            stack.extend((x.left, x.right))
-    return out
+    return {x.value for x in _subexpressions(e) if isinstance(x, IntLit)}
 
 
 # -- structural normal forms ------------------------------------------------
@@ -907,20 +904,11 @@ def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
 
 
 def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
-    """Guard-sensitive coarsest partition: transitions distinguish on round,
-    guard normal form and normalised updates."""
+    """Guard-sensitive coarsest partition: the bisimulation partition of
+    the structural key machine, so each transition is matched on its own
+    round, guard normal form and normalised updates."""
     from . import coherence
-    skel = T.control_skeleton()
-    info = {}
-    for tr in T.delta:
-        info.setdefault((tr.source, tr.round, tr.target), set()).add(
-            (normal_form(tr.guard), normalised_updates(tr.updates))
-        )
-
-    def signature(s, v, t):
-        return frozenset(info[(s, v, t)])
-
-    return coherence.bisim_partition(skel, signature)
+    return coherence.bisim_partition(_key_machine(T, "structural", SEMANTIC_DOMAIN))
 
 
 def sfst_bisim_minimize(T: SFST, keep_unreachable: bool = False) -> SFST:

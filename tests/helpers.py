@@ -525,6 +525,23 @@ LINE_CHECK_FILES = {
 }
 
 
+# s1 and s2 are bisimilar: each has one b-transition per guard, and every
+# target is a dead end.  s1's two guards lead to one state, so a partition
+# that keys a (source, round, target) by all its guards at once splits them.
+PARALLEL_GUARDS = """\
+signature in a, b; out;
+states s0, s1, s2, t, u1, u2;
+registers y;
+initial s0;
+trans s0 -> s1 : {a};
+trans s0 -> s2 : {a};
+trans s1 -> t : {b} when y > 0;
+trans s1 -> t : {b} when y < 0;
+trans s2 -> u1 : {b} when y > 0;
+trans s2 -> u2 : {b} when y < 0;
+"""
+
+
 def iterator_map():
     """The iterate-and-map circuit and its session protocol, compiled
     over the circuit's signature."""

@@ -7,7 +7,9 @@ reachability they rest on, so that the bitset engine in
 and merge log by merge log.  The pair-set relation classes, ``quotient``
 and ``_drop_unreachable`` are verbatim copies of the first implementation
 too, so the oracle shares no code with the engine it checks beyond the
-``Transducer`` value itself.  Do not optimise this file: its value is that
+``Transducer`` value itself.  ``bisim_partition`` is kept verbatim from
+the signature refinement over state names, with its ``signature``
+callback, that the integer refinement in ``cohmin.coherence`` replaced.  Do not optimise this file: its value is that
 it stays the obvious transcription of the definition.
 """
 
@@ -197,3 +199,36 @@ def coherent_minimize(
     if not keep_unreachable:
         current = _drop_unreachable(current)
     return current, log
+
+
+def bisim_partition(T: Transducer, signature=None) -> List[FrozenSet[str]]:
+    """Coarsest partition stable under the transition relation.
+
+    Iterated signature refinement (Kanellakis-Smolka style), correct for
+    nondeterministic transducers.  ``signature`` optionally maps a
+    transition to extra distinguishing data (used by the symbolic layer).
+    """
+    block: Dict[str, int] = {s: 0 for s in T.states}
+    while True:
+        sigs = {}
+        for s in T.states:
+            items = set()
+            for v, targets in T.out(s).items():
+                for t in targets:
+                    extra = signature(s, v, t) if signature is not None else None
+                    items.add((v, extra, block[t]))
+            sigs[s] = frozenset(items)
+        index = {}
+        new_block = {}
+        for s in sorted(T.states):
+            key = (block[s], sigs[s])
+            if key not in index:
+                index[key] = len(index)
+            new_block[s] = index[key]
+        if len(set(new_block.values())) == len(set(block.values())):
+            break
+        block = new_block
+    groups: Dict[int, set] = {}
+    for s, b in block.items():
+        groups.setdefault(b, set()).add(s)
+    return [frozenset(g) for g in groups.values()]

@@ -1,11 +1,15 @@
 """Frozen differential oracle: the original symbolic coherence engine.
 
 ``sfst_coherent_simulation``, ``sfst_equivalence_pairs``,
-``sfst_quotient``, ``sfst_coherent_minimize`` and ``sfst_bisim_minimize``
-are kept verbatim from the pair-scanning implementation that called
-``guard_equiv`` inside the fixpoint loop and rebuilt the whole SFST at
-every merge.  The only edit: joint reachability and the pair-set relation
-classes come from the frozen plain oracle in ``naive_coherence``.
+``sfst_quotient``, ``sfst_coherent_minimize``, ``sfst_bisim_partition``
+and ``sfst_bisim_minimize`` are kept verbatim from the pair-scanning
+implementation that called ``guard_equiv`` inside the fixpoint loop and
+rebuilt the whole SFST at every merge.  The only edit: joint reachability, the pair-set relation
+classes and the name-keyed ``bisim_partition`` come from the frozen plain
+oracle in ``naive_coherence``.  ``sfst_bisim_partition`` groups every
+guard and update between one (source, round, target) into one item, so
+it splits states whose parallel guards lead to different but equivalent
+targets; the engine's match keys do not.
 ``eval_expr`` and ``expand`` are kept verbatim from the tree-walking
 evaluator and the expansion loop that evaluated, sorted and rendered every
 emitted transition afresh, before transitions were planned and guards
@@ -15,7 +19,7 @@ compiled.  Do not optimise this file.
 from __future__ import annotations
 
 import itertools
-from typing import List, Mapping, Tuple
+from typing import FrozenSet, List, Mapping, Tuple
 
 from cohmin.errors import (
     DomainExceeded,
@@ -51,13 +55,19 @@ from cohmin.symbolic import (
     int_literals,
     is_symbolic_protocol,
     lift_transducer,
-    sfst_bisim_partition,
+    normal_form,
+    normalised_updates,
     updates_equiv,
 )
 
 Expr = object
 
-from naive_coherence import CoherenceRelation, EquivalencePairs, _extendable_rounds
+from naive_coherence import (
+    CoherenceRelation,
+    EquivalencePairs,
+    _extendable_rounds,
+    bisim_partition,
+)
 
 
 def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
@@ -175,6 +185,22 @@ def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
                           if t.source in reach and t.target in reach),
             )
     return current, log
+
+
+def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
+    """Guard-sensitive coarsest partition: transitions distinguish on round,
+    guard normal form and normalised updates."""
+    skel = T.control_skeleton()
+    info = {}
+    for tr in T.delta:
+        info.setdefault((tr.source, tr.round, tr.target), set()).add(
+            (normal_form(tr.guard), normalised_updates(tr.updates))
+        )
+
+    def signature(s, v, t):
+        return frozenset(info[(s, v, t)])
+
+    return bisim_partition(skel, signature)
 
 
 def sfst_bisim_minimize(T: SFST, keep_unreachable: bool = False) -> SFST:

@@ -55,6 +55,7 @@ import naive_symbolic
 import naive_writer
 from helpers import (
     FIXDIR,
+    PARALLEL_GUARDS,
     SFST_SIG,
     SIG2,
     SIG3,
@@ -317,6 +318,72 @@ class TestSymbolicAgainstNaiveOracle:
         assert merges > 40
         assert modes_differ > 5
         assert outcomes["skip"] > 50 and outcomes["not interchangeable"] > 50
+
+
+def blocks(partition):
+    return {frozenset(block) for block in partition}
+
+
+def product_shaped(rng, n=200, m=600, labels=("a", "b", "c")):
+    """A nondeterministic machine shaped like the ``random-product``
+    benchmark's: n states, m single-label transitions, every state
+    reachable from the first."""
+    names = [f"m{i:03d}" for i in range(n)]
+    delta = {(names[rng.randrange(i)], mkround({rng.choice(labels)}), names[i])
+             for i in range(1, n)}
+    while len(delta) < m:
+        delta.add((rng.choice(names), mkround({rng.choice(labels)}), rng.choice(names)))
+    return Transducer(Signature(frozenset(labels), frozenset()), names, names[0], delta)
+
+
+def assert_stable(K, partition):
+    """``partition`` covers the states of ``K`` and each of its blocks is
+    stable: all members step on the same (round, target block) pairs."""
+    block = {s: i for i, b in enumerate(partition) for s in b}
+    assert block.keys() == K.states and sum(map(len, partition)) == len(K.states)
+    for b in partition:
+        assert len({frozenset((v, block[t]) for v, ts in K.out(s).items() for t in ts)
+                    for s in b}) == 1
+
+
+class TestBisimulationAgainstNaiveOracle:
+    """The integer refinement against the frozen name-keyed one, and the
+    key-machine partition of symbolic machines against the frozen
+    per-(source, round, target) grouping."""
+
+    def test_plain_partitions(self):
+        rng = random.Random(3100)
+        machines = fixture_machines() + [ring(ring_names(12))]
+        machines += [random_transducer(rng, rng.choice((SIG2, SIG3)), 9, 18,
+                                       deterministic=i % 2 == 0) for i in range(300)]
+        machines += [product_shaped(rng) for _ in range(4)]
+        merged = 0
+        for T in machines:
+            new = coherence.bisim_partition(T)
+            assert blocks(new) == blocks(naive.bisim_partition(T))
+            assert_stable(T, new)
+            merged += len(new) < len(T.states)
+        assert merged > 100
+
+    def test_symbolic_partitions(self):
+        rng = random.Random(3200)
+        machines = [random_sfst(rng, 6, 14) for _ in range(300)]
+        machines += [load_model(FIXDIR / "adder.sfst"), iterator_map()[0],
+                     parse_model(PARALLEL_GUARDS)]
+        parallel = coarser = 0
+        for T in machines:
+            new, old = blocks(symbolic.sfst_bisim_partition(T)), \
+                blocks(naive_symbolic.sfst_bisim_partition(T))
+            edges = Counter((tr.source, tr.round, tr.target) for tr in T.delta)
+            if max(edges.values(), default=0) < 2:
+                assert new == old
+                continue
+            parallel += 1
+            coarser += new != old
+            assert all(any(b <= c for c in new) for b in old)
+            assert_stable(symbolic._key_machine(T, "structural", symbolic.SEMANTIC_DOMAIN),
+                          list(new))
+        assert parallel > 10 and coarser >= 1
 
 
 def assert_same_products(T, U):

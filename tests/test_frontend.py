@@ -38,6 +38,7 @@ from helpers import (
     FIXDIR,
     LINE_CHECK_FILES,
     SIG2,
+    SRC,
     UNKNOWN_ENDPOINT_FILES,
     fixture_machines,
     fold_stars,
@@ -927,6 +928,51 @@ class TestCliContract:
         code, _, err = run_cli(*argv)
         assert code in {0, 1, 2, 3, 4}
         assert err.count("\n") <= 1 and err[-1:] in ("", "\n"), err
+
+
+class TestOutputFailures:
+    """A ``cohmin`` process whose stdout cannot take its output exits with
+    a documented code and no traceback."""
+
+    ARGV = [sys.executable, "-c", "from cohmin.frontend.cli import main; main()",
+            "expand", "--lo", "-2", "--hi", "2", str(FIXDIR / "iterator_map.sfst")]
+
+    def _env(self):
+        return dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+    def test_pipe_closed_after_the_first_line(self):
+        # about 1 MB of output: the writer is still writing when the pipe closes
+        proc = subprocess.Popen(self.ARGV, env=self._env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert first.startswith(b"signature in ")
+        assert (code, err) == (0, b"")
+
+    def test_closed_stdout(self):
+        proc = subprocess.run(self.ARGV, env=self._env(), stderr=subprocess.PIPE,
+                              preexec_fn=lambda: os.close(1), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ARGV[3:], ["validate", str(FIXDIR / "adder.sfst")],
+        ["monitor", "--protocol", str(FIXDIR / "display.prot"),
+         "--trace", str(FIXDIR / "display_attack.trc")],
+    ], ids=["expand", "validate", "monitor"])
+    def test_full_device(self, argv):
+        # a short output fails only in the final flush
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(self.ARGV[:3] + argv, env=self._env(), stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        assert proc.returncode == 4
+        assert proc.stderr == "resource limit: cannot write output: No space left on device\n"
 
 
 _HELP_WORDS = ("-h", "--help", "--he", "-hh", "-hx", "--help=x")

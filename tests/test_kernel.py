@@ -37,7 +37,9 @@ import naive_algebra
 from helpers import (
     FIXDIR,
     SIG2,
+    SIG3,
     accepts,
+    all_rounds,
     dualize,
     random_transducer,
     run,
@@ -278,6 +280,29 @@ class TestStep:
     def test_unknown_state(self):
         with pytest.raises(UnknownState):
             step(T1, "zz", R({"a"}))
+
+
+class TestMoves:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10**6), st.booleans())
+    def test_moves_is_step_set_on_every_subset(self, seed, deterministic):
+        # up to 5 states and as few as no transitions, so that the empty
+        # subset, dead states and unreachable states all occur
+        rng = random.Random(seed)
+        sig = rng.choice((SIG2, SIG3))
+        T = random_transducer(rng, sig, 5, rng.randint(0, 12), deterministic=deterministic)
+        states = sorted(T.states)
+        for mask in range(1 << len(states)):
+            S = frozenset(s for i, s in enumerate(states) if mask >> i & 1)
+            moves = T.moves(S)
+            assert moves.keys() == {v for s in S for v in T.enabled(s)}
+            for v in all_rounds(sig):
+                assert moves.get(v, frozenset()) == T.step_set(S, v)
+                assert v not in moves or type(moves[v]) is frozenset and moves[v]
+
+    def test_unknown_state(self):
+        with pytest.raises(UnknownState):
+            T1.moves({"s0", "zz"})
 
 
 class TestRun:

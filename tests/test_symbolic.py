@@ -15,7 +15,7 @@ from cohmin.errors import (
     TypeMismatch,
     UnboundReference,
 )
-from cohmin.frontend import load_model, parse_model
+from cohmin.frontend import cli_main, load_model, parse_model
 from cohmin.kernel import Signature, mkround
 from cohmin.symbolic import (
     SFST,
@@ -40,7 +40,7 @@ from cohmin.symbolic import (
     sfst_run,
 )
 
-from helpers import FIXDIR, iterator_map
+from helpers import FIXDIR, PARALLEL_GUARDS, iterator_map
 
 ADDER = load_model(FIXDIR / "adder.sfst")
 VR = ValuedRound.of
@@ -352,6 +352,17 @@ class TestSfstMinimize:
         assert len(mini.states) == 7
         bis = symbolic.sfst_bisim_minimize(machine)
         assert len(bis.states) == 12
+
+    def test_parallel_guards_to_one_target(self, tmp_path, capsys):
+        path = tmp_path / "parallel.sfst"
+        path.write_text(PARALLEL_GUARDS)
+        assert cli_main(["minimize", "--policy", "bisim", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "signature in a, b; out ;\nstates s0, s1, t;\nregisters y;\ninitial s0;\n"
+            "trans s0 -> s1 : {a};\n"
+            "trans s1 -> t : {b} when y < 0;\ntrans s1 -> t : {b} when y > 0;\n")
+        assert sorted(map(sorted, symbolic.sfst_bisim_partition(parse_model(PARALLEL_GUARDS)))) \
+            == [["s0"], ["s1", "s2"], ["t", "u1", "u2"]]
 
     def test_register_set_never_changes(self):
         machine, proto = iterator_map()

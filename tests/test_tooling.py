@@ -6,6 +6,7 @@ Each reaches into cohmin by name, so a refactor can break it without any
 library test noticing.
 """
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -146,7 +147,8 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
         (tmp_path / name).write_text(text)
         extra.append(str(tmp_path / name))
     matrix = tmp_path / "matrix.json"
-    matrix.write_text(json.dumps(_fixture_matrix(extra)))
+    commands = _fixture_matrix(extra)
+    matrix.write_text(json.dumps(commands))
     # both seeds at once: two process starts in all
     procs = [subprocess.Popen([sys.executable, "-c", _CLI_BATCH, str(matrix)],
                               env=dict(_env(), PYTHONHASHSEED=seed),
@@ -163,6 +165,42 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
         runs.append(json.loads(out))
     assert runs[0] == runs[1]
     assert {code for code, _, _ in runs[0]} == {0, 2, 3}
+    # the commands over fixtures/ alone are the golden matrix's commands
+    result = dict(zip(map(tuple, commands), runs[0]))
+    fixture_commands = _fixture_matrix([])
+    assert _digests(fixture_commands, [result[tuple(argv)] for argv in fixture_commands]) \
+        == json.loads(GOLDEN.read_text())
+
+
+# One sha256 of [code, stdout, stderr] per command of ``_fixture_matrix([])``,
+# with the repository root cut from arguments and output.  Regenerate with
+#     PYTHONPATH=src python tests/test_tooling.py
+# only when the CLI's output is meant to change, and declare every change to
+# it in CHANGES.md: it is what keeps "byte-identical output" a test.
+GOLDEN = ROOT / "tests" / "golden_cli.json"
+
+
+def _relative(text):
+    return text.replace(str(ROOT) + os.sep, "")
+
+
+def _digests(matrix, results):
+    return {" ".join(map(_relative, argv)): hashlib.sha256(json.dumps(
+                [code, _relative(out), _relative(err)]).encode()).hexdigest()
+            for argv, (code, out, err) in zip(matrix, results)}
+
+
+def _write_golden():
+    matrix = _fixture_matrix([])
+    path = GOLDEN.with_suffix(".matrix.tmp")
+    path.write_text(json.dumps(matrix))
+    try:
+        proc = subprocess.run([sys.executable, "-c", _CLI_BATCH, str(path)], env=_env(),
+                              capture_output=True, text=True, timeout=300, check=True)
+    finally:
+        path.unlink()
+    GOLDEN.write_text(json.dumps(_digests(matrix, json.loads(proc.stdout)),
+                                 indent=0, sort_keys=True) + "\n")
 
 
 # Runs the command line it is given in a child process and prints the
@@ -186,3 +224,7 @@ def test_expand_stays_within_its_memory_budget():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 < EXPAND_RSS_BUDGET_MB
+
+
+if __name__ == "__main__":
+    _write_golden()
