@@ -15,6 +15,7 @@ bisimulation minimiser is included as the protocol-free baseline.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import SameState, SignatureMismatch, UnknownState
@@ -29,17 +30,17 @@ def _bits(x: int):
         x ^= low
 
 
-def _index(K: Transducer) -> Tuple[List[str], List[List[Tuple[int, int]]], int]:
+def _index(K: Transducer) -> Tuple[List[str], List[List[Tuple[int, int]]], Dict[Round, int]]:
     """The integer index a fixpoint runs on: the states of ``K`` in name
     order, and for each state its transitions as (round id, target id)
     pairs, where round ids number the distinct rounds of ``K``.  Returns
-    ``(states, moves, number of rounds)``."""
+    ``(states, moves, round ids)``."""
     states = sorted(K.states)
     ids = {s: i for i, s in enumerate(states)}
     rid: Dict[Round, int] = {}
     moves = [[(rid.setdefault(v, len(rid)), ids[t]) for v, targets in K.out(s).items()
               for t in targets] for s in states]
-    return states, moves, len(rid)
+    return states, moves, rid
 
 
 class CoherenceRelation:
@@ -47,15 +48,14 @@ class CoherenceRelation:
 
     Held as ``(states, rows)``: ``states`` sorted by name and bit ``i`` of
     ``rows[j]`` set iff ``(states[i], states[j])`` is related.  The set of
-    pairs is built only when first asked for.  ``moves`` is the index
-    (:func:`_index`) that :func:`coherent_simulation` ran the fixpoint on.
+    pairs is built only when first asked for.  ``moves``, when given, is
+    the index (:func:`_index`) that condition 1 of the fixpoint ran on.
     """
 
-    moves: Optional[List[List[Tuple[int, int]]]] = None   # None: built from rows
-
-    def __init__(self, states: List[str], rows: List[int]):
+    def __init__(self, states: List[str], rows: List[int], moves=None):
         self._rows = (states, rows)
         self._pairs = None
+        self.moves = moves
 
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
@@ -109,51 +109,47 @@ class EquivalencePairs:
         return next(self._sorted(), None) is not None
 
 
-def product_reach(T: Transducer, P: Transducer) -> FrozenSet[Tuple[str, str]]:
-    """Pairs (s, p) jointly reachable by a common trace.
-
-    Breadth-first search over the synchronized product; this decides the
-    emptiness questions about witness traces exactly.
-    """
-    if T.signature != P.signature:
-        raise SignatureMismatch("product reachability needs identical signatures")
-    start = (T.initial, P.initial)
+def product_reach(index, P: Transducer, initial: str) -> List[int]:
+    """For each state of T, the bitset of the rounds that extend a legal
+    witness: T's round ids (``index`` is :func:`_index` of T, ``initial``
+    its initial state) enabled at a protocol state jointly reachable with
+    it.  A depth-first walk over (state id, protocol state id) pairs, each
+    one integer; rounds T never takes have no id and drop out."""
+    states, moves, rid = index
+    pid = {p: i for i, p in enumerate(P.states)}
+    m = len(pid)
+    step = [{rid[v]: [pid[q] for q in targets] for v, targets in P.out(p).items()
+             if v in rid} for p in pid]
+    live = [sum(1 << r for r in out) for out in step]
+    start = bisect_left(states, initial) * m + pid[P.initial]
     seen = {start}
-    frontier = [start]
-    while frontier:
-        s, p = frontier.pop()
-        pout = P.out(p)
-        for v, targets in T.out(s).items():
-            ptargets = pout.get(v)
-            if not ptargets:
-                continue
-            for s2 in targets:
-                for p2 in ptargets:
-                    pair = (s2, p2)
-                    if pair not in seen:
-                        seen.add(pair)
-                        frontier.append(pair)
-    return frozenset(seen)
-
-
-def _extendable_rounds(T: Transducer, P: Transducer) -> Dict[str, FrozenSet[Round]]:
-    """For each state of T, the rounds that extend some legal witness."""
-    reach: Dict[str, set] = {s: set() for s in T.states}
-    for (ts, ps) in product_reach(T, P):
-        reach[ts].update(P.out(ps).keys())
-    return {s: frozenset(vs) for s, vs in reach.items()}
+    stack = [start]
+    reach = [0] * len(states)
+    while stack:
+        j, p = divmod(stack.pop(), m)
+        reach[j] |= live[p]
+        out = step[p]
+        for r, k in moves[j]:
+            for q in out.get(r, ()):
+                pair = k * m + q
+                if pair not in seen:
+                    seen.add(pair)
+                    stack.append(pair)
+    return reach
 
 
 def coherent_simulation(T: Transducer, P: Transducer,
                         keyed: Optional[Transducer] = None) -> CoherenceRelation:
     """Greatest coherent simulation of ``T`` under protocol ``P``.
 
-    States are numbered in name order and ``sim[j]`` is the bitset of the
-    states ``i`` with ``(i, j)`` related.  Condition 2 does not depend on
-    the relation: it fixes the starting rows, one OR per group of states
-    with equal enabled rounds.  Condition 1 then prunes to the greatest
-    fixpoint by ``sim[j] &= pre_v(sim[k])`` for every transition
-    ``j -v-> k``, where ``pre_v(B)`` is the set of states with a
+    States and rounds are numbered (:func:`_index`), and ``sim[j]`` is the
+    bitset of the states ``i`` with ``(i, j)`` related.  Condition 2 does
+    not depend on the relation: with ``E_j`` the rounds enabled at ``j``
+    and ``X_j`` those extending a witness of ``j`` (:func:`product_reach`),
+    both bitsets, it starts ``sim[j]`` as the states ``i`` with ``not E_i &
+    ~E_j & X_j``, one OR per distinct ``E_i``.  Condition 1 then prunes to
+    the greatest fixpoint by ``sim[j] &= pre_v(sim[k])`` for every
+    transition ``j -v-> k``, where ``pre_v(B)`` is the set of states with a
     ``v``-transition into ``B``; a worklist revisits ``j`` only when a
     successor row shrank, and ``pre_v`` is memoised on its argument
     because equivalent states share rows.  See the README for the cost.
@@ -161,33 +157,32 @@ def coherent_simulation(T: Transducer, P: Transducer,
     ``keyed`` serves symbolic machines: a transducer on the states of ``T``
     whose rounds are match keys (see ``symbolic.sfst_coherent_simulation``);
     a key determines the round of its transition.  Condition 1 then matches
-    keys instead of rounds; condition 2 always reads ``T``.
+    keys on the key machine's index; condition 2 always reads ``T``'s,
+    which numbers the same states in the same order.
     """
     if T.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
-    states, moves, rounds = _index(T if keyed is None else keyed)
+    index = _index(T)
+    states, moves, rid = index if keyed is None else _index(keyed)
     n = len(states)
-    pred = [[0] * n for _ in range(rounds)]   # per round: bitset of predecessors
+    pred = [[0] * n for _ in range(len(rid))]   # per round: bitset of predecessors
     into = [set() for _ in range(n)]
     for j, out in enumerate(moves):
         for r, k in out:
             pred[r][k] |= 1 << j
             into[k].add(j)
-    enabled = [frozenset(T.out(s)) for s in states]
 
-    extendable = _extendable_rounds(T, P)
-    groups: Dict[FrozenSet[Round], int] = {}
+    enabled = [sum({1 << r for r, _ in out}) for out in index[1]]
+    groups: Dict[int, int] = {}   # enabled rounds -> bitset of states
     for j, e in enumerate(enabled):
         groups[e] = groups.get(e, 0) | 1 << j
-    masks: Dict[tuple, int] = {}
+    masks: Dict[int, int] = {}   # X_j & ~E_j -> starting row, a sum of disjoint groups
     sim = []
-    for j, s in enumerate(states):
-        key = (enabled[j], extendable[s])
-        if key not in masks:
-            # the groups are disjoint, so their sum is their union
-            masks[key] = sum(members for e, members in groups.items()
-                             if (e - key[0]).isdisjoint(key[1]))
-        sim.append(masks[key])
+    for e, x in zip(enabled, product_reach(index, P, T.initial)):
+        forbidden = x & ~e
+        if forbidden not in masks:
+            masks[forbidden] = sum(m for f, m in groups.items() if not f & forbidden)
+        sim.append(masks[forbidden])
 
     memo: Dict[Tuple[int, int], int] = {}
     pending = list(range(n))
@@ -211,15 +206,12 @@ def coherent_simulation(T: Transducer, P: Transducer,
                 if not queued[p]:
                     queued[p] = True
                     pending.append(p)
-    relation = CoherenceRelation(states, sim)
-    relation.moves = moves
-    return relation
+    return CoherenceRelation(states, sim, moves)
 
 
-def equivalence_pairs(T: Transducer, P: Transducer, relation=None,
-                      keyed: Optional[Transducer] = None) -> EquivalencePairs:
+def equivalence_pairs(T: Transducer, P: Transducer, relation=None) -> EquivalencePairs:
     """Symmetrise the greatest coherent simulation, dropping identity pairs."""
-    rel = relation if relation is not None else coherent_simulation(T, P, keyed)
+    rel = relation if relation is not None else coherent_simulation(T, P)
     return EquivalencePairs(*rel.rows())
 
 

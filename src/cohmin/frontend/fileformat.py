@@ -185,18 +185,22 @@ def parse_model(text: str):
     if states and header["initial"] not in states:
         raise ParseError(header["initial_line"], 1, str(MissingInitial(header["initial"])))
     delta = set()
+    rounds = {}   # round text -> round, and round -> itself: equal rounds are one object
     for line, stmt in body:
         m = _TRANS_RE.match(stmt)
         if not m:
             raise ParseError(line, 1, f"bad statement: {stmt!r}")
-        labels = _parse_round_text(m.group("round"), line)
-        for lab in labels:
-            if lab not in sig.universe:
-                raise ParseError(line, 1, f"unknown label {lab!r} in round")
+        v = rounds.get(m.group("round"))
+        if v is None:
+            labels = _parse_round_text(m.group("round"), line)
+            for lab in labels:
+                if lab not in sig.universe:
+                    raise ParseError(line, 1, f"unknown label {lab!r} in round")
+            v = mkround(labels)
+            v = rounds[m.group("round")] = rounds.setdefault(v, v)
         for name in (m.group("src"), m.group("tgt")):
             if name not in states:
                 raise ParseError(line, 1, f"unknown state {name!r}")
-        v = mkround(labels)
         if not (m.group("guard") or m.group("updates")):
             delta.add((m.group("src"), v, m.group("tgt")))
             continue
@@ -344,9 +348,7 @@ def load_protocol(path, subject=None) -> Transducer:
     if not isinstance(model, Transducer):
         from .. import symbolic
 
-        if not symbolic.is_symbolic_protocol(model):
-            raise CohminError("a symbolic protocol needs true guards and identity updates")
-        model = model.control_skeleton()
+        model = symbolic.protocol_skeleton(model)
     return model if subject is None else model.relabel_signature(subject.signature)
 
 

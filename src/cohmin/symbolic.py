@@ -795,13 +795,18 @@ def is_symbolic_protocol(T: SFST) -> bool:
     return True
 
 
+def protocol_skeleton(P: SFST) -> Transducer:
+    """The control skeleton of a symbolic protocol (:func:`is_symbolic_protocol`)."""
+    if not is_symbolic_protocol(P):
+        raise NotAProtocol("a symbolic protocol needs true guards and identity updates")
+    return P.control_skeleton()
+
+
 def _skeletons(T: SFST, P) -> Tuple[Transducer, Transducer]:
     """Control skeletons of a machine and of a (plain or symbolic) protocol;
     a plain protocol is its own skeleton."""
     if not isinstance(P, Transducer):
-        if not is_symbolic_protocol(P):
-            raise NotAProtocol("guards must be true and updates identities")
-        P = P.control_skeleton()
+        P = protocol_skeleton(P)
     skel_t = T.control_skeleton()
     if skel_t.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")

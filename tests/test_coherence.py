@@ -17,6 +17,7 @@ from helpers import (
     bounded_language_subset,
     bruteforce_coherent_union,
     empty_protocol,
+    extendable_rounds,
     joint_reach,
     linear_protocol_shaped,
     protocol_extendable,
@@ -31,26 +32,67 @@ FORK = load_model(FIXDIR / "forked_reader.fst")
 PR = load_protocol(FIXDIR / "linear_protocol.fst")
 
 
+def checked_reach(T, P):
+    """``coherence.product_reach`` on the index of ``T``, checked against
+    the independent ``helpers.extendable_rounds`` mapped to the same state
+    and round ids (rounds ``T`` never takes have no id), then read back as
+    {state: rounds}."""
+    index = coherence._index(T)
+    states, _, rid = index
+    got = coherence.product_reach(index, P, T.initial)
+    oracle = extendable_rounds(T, P)
+    assert got == [sum(1 << rid[v] for v in oracle[s] if v in rid) for s in states]
+    return {s: {v for v, r in rid.items() if b >> r & 1} for s, b in zip(states, got)}
+
+
 class TestProductReach:
     def test_self_product(self):
-        assert coherence.product_reach(T1, T1) == {("s0", "s0"), ("s1", "s1")}
+        assert checked_reach(T1, T1) == {"s0": {R({"a"})}, "s1": {R({"b"})}}
 
     def test_empty_protocol(self):
         P = empty_protocol(T1.signature)
-        assert coherence.product_reach(T1, P) == {("s0", "e")}
+        assert checked_reach(T1, P) == {"s0": set(), "s1": set()}
 
     def test_fork_against_protocol(self):
-        got = coherence.product_reach(FORK, PR)
-        assert got >= {("r0", "X0"), ("P", "X1"), ("Q", "X1"),
-                       ("p1", "X2"), ("p2", "X2"), ("q1", "X2")}
-        assert not any(s in ("p3", "q3") for s, _ in got)
+        # the protocol ends at X2, so nothing extends a witness of the
+        # states after the first a, and p3, q3 have no witness at all
+        assert checked_reach(FORK, PR) == {
+            "r0": {R({"i"})}, "P": {R({"a"})}, "Q": {R({"a"})},
+            "p1": set(), "p2": set(), "p3": set(), "q1": set(), "q3": set(),
+        }
 
     def test_matches_independent_search(self):
         rng = random.Random(21)
         for _ in range(40):
             T = random_transducer(rng, SIG3, 6, 12)
             P = random_transducer(rng, SIG3, 4, 10, "p")
-            assert coherence.product_reach(T, P) == joint_reach(T, P)
+            checked_reach(T, P)
+
+    def test_protocol_rounds_the_machine_never_takes(self):
+        P = universal_protocol(FORK.signature)
+        taken = {v for _, v, _ in FORK.delta}
+        assert extendable_rounds(FORK, P)["r0"] - taken
+        # every reachable state may be extended by each round FORK takes
+        assert checked_reach(FORK, P) == {
+            s: (taken if s in FORK.reachable_states() else set())
+            for s in FORK.states
+        }
+
+    def test_nondeterministic_protocol(self):
+        # after {i} the protocol is in X1 or Y1: the a of X1 and the b of
+        # Y1 both extend the witnesses of P and Q
+        P = parse_model("""\
+signature in a, i; out b;
+states X0, X1, Y1, Z;
+initial X0;
+trans X0 -> X1 : {i};
+trans X0 -> Y1 : {i};
+trans X1 -> Z : {a};
+trans Y1 -> Z : {b};
+""")
+        ext = checked_reach(FORK, P)
+        assert ext["P"] == ext["Q"] == {R({"a"}), R({"b"})}
+        assert ext["p1"] == ext["q1"] == set()
 
 
 class TestProtocolExtendable:
@@ -247,8 +289,7 @@ class TestSkipRule:
             assert (("a", x) in R) == (("b", x) in R)
         f = {"b": "a"}
         merged = merge_states(T, [{"a", "b"}])
-        assert coherence.product_reach(merged, P) == \
-            fold(f, coherence.product_reach(T, P))
+        assert joint_reach(merged, P) == fold(f, joint_reach(T, P))
         # ... yet f(R) misses the pair that the loop merges next
         fresh = coherence.coherent_simulation(merged, P).pairs
         assert fresh - fold(f, R) == {("a", "d")}
@@ -261,8 +302,8 @@ class TestSkipRule:
         assert outcomes == ["skip", "skip"]
         assert (mini, log) == naive_coherence.coherent_minimize(T, P)
         merged = merge_states(T, [{"s1", "s3"}])
-        before = fold({"s3": "s1"}, coherence.product_reach(T, P))
-        after = coherence.product_reach(merged, P)
+        before = fold({"s3": "s1"}, joint_reach(T, P))
+        after = joint_reach(merged, P)
         assert before < after and ("s4", "u") in after - before
 
     def test_ring_runs_one_fixpoint(self, monkeypatch):

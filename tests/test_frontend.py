@@ -650,6 +650,16 @@ class TestCli:
             assert verdicts[0] == verdicts[1]
             assert verdicts[0][0] in (0, 3) and verdicts[0][2] == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("relation", str(FIXDIR / "two_phase.fst")),
+        ("monitor", "--trace", str(FIXDIR / "display_legal.trc")),
+    ], ids=["relation", "monitor"])
+    def test_a_symbolic_protocol_with_guards_is_an_input_error(self, argv):
+        # the adder guards and updates its register, so it is no protocol
+        got = run_cli(*argv, "--protocol", str(FIXDIR / "adder.sfst"))
+        assert got == (2, "", "error: a symbolic protocol needs true guards "
+                              "and identity updates\n")
+
     SFST_HEAD = ("signature in x; out r;\nstates A;\nregisters y;\ninitial A;\n"
                  "trans A -> A : {x} when ")
 
@@ -836,6 +846,19 @@ class TestRoundTrip:
             t = parse_trace(text)
             assert len(t) == 500 + k
             assert len({id(v) for v in t}) == k
+
+    def test_equal_rounds_of_a_model_are_one_object(self):
+        text = ("signature in a, b; out c;\nstates s, t;\ninitial s;\n"
+                "trans s -> t : {a, b};\ntrans t -> s : {b,a};\n"
+                "trans t -> t : {a, b};\ntrans s -> s : {};\ntrans t -> s : { };\n"
+                "trans s -> t : {c} when true;\ntrans t -> s : {c};\n")
+        for T in (parse_model(text), parse_model(text.replace(" when true", ""))):
+            rounds = [v for _, v, _ in T.control_skeleton().delta] \
+                if isinstance(T, SFST) else [v for _, v, _ in T.delta]
+            assert len({id(v) for v in rounds}) == len(set(rounds)) == 3
+        expanded = parse_model(serialize_model(symbolic.expand(iterator_map()[0], -1, 1)))
+        rounds = [v for _, v, _ in expanded.delta]
+        assert len({id(v) for v in rounds}) == len(set(rounds)) < len(rounds)
 
     HEAD = ("signature in a, when; out do, registers;\n"
             "states s, do, when, registers;\ninitial s;\n")
