@@ -9,6 +9,7 @@ from .fileformat import (
     load_model,
     load_protocol,
     parse_model,
+    parse_regex,
     parse_regex_protocol,
     parse_trace,
     parse_valued_trace,
@@ -23,6 +24,7 @@ __all__ = [
     "load_model",
     "load_protocol",
     "parse_model",
+    "parse_regex",
     "parse_regex_protocol",
     "parse_trace",
     "parse_valued_trace",

@@ -20,6 +20,82 @@ from ..kernel import Signature, Trace, Transducer, mkround, render_round, round_
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
+# -- the token cursor of the regex and expression grammars -------------------
+
+# Deepest parenthesis nesting, and deepest expression tree, either grammar
+# accepts, so that the parsers and the walkers over their trees
+# (``_glushkov``, ``regex_labels``, ``type_of``, ``eval_expr``,
+# ``normal_form``, ``render_expr``) stay far from the recursion limit.
+MAX_DEPTH = 100
+
+
+class Cursor:
+    """The tokens of ``text`` as the regular expression ``pattern`` matches
+    them, its named groups the kinds, each placed at its file line and
+    column: ``text`` starts at ``line``:``column``, and whitespace and line
+    breaks between tokens are skipped.  A character that starts no token is
+    a :class:`ParseError` with the message ``bad``, formatted with that
+    character.  The patterns are compiled here, through the cache of
+    :mod:`re`, so that a process that parses no regex or expression never
+    compiles them."""
+
+    def __init__(self, pattern: str, text: str, line: int, column: int, bad: str):
+        self.tokens, self.i, self.depth = [], 0, 0   # (text, kind, line, column)
+        pattern, space_re = re.compile(pattern), re.compile(r"\s*")
+        pos, origin = 0, -column   # a column is an offset less ``origin``
+        while True:
+            space = space_re.match(text, pos).end()
+            breaks = text.count("\n", pos, space)
+            if breaks:
+                line, origin = line + breaks, text.rindex("\n", pos, space)
+            pos = space
+            if pos == len(text):
+                self.tokens.append((None, None, line, pos - origin))   # the end
+                return
+            m = pattern.match(text, pos)
+            if m is None:
+                raise ParseError(line, pos - origin, bad.format(text[pos]))
+            self.tokens.append((m.group(), m.lastgroup, line, pos - origin))
+            pos = m.end()
+
+    def peek(self):
+        """The next token's text, or ``None`` past the last token."""
+        return self.tokens[self.i][0]
+
+    def kind(self):
+        """The next token's kind, or ``None`` past the last token."""
+        return self.tokens[self.i][1]
+
+    def take(self):
+        """The next token, as (text, kind, line, column), and step past it."""
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def fail(self, message: str):
+        """A :class:`ParseError` at the next token, or just past the text."""
+        raise ParseError(*self.tokens[self.i][2:], message)
+
+    def group(self, inner):
+        """``inner()`` between the parentheses at the cursor, nested at
+        most :data:`MAX_DEPTH` deep."""
+        if self.depth == MAX_DEPTH:
+            self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
+        self.depth += 1
+        self.take()
+        out = inner()
+        if self.peek() != ")":
+            self.fail("expected ')'")
+        self.take()
+        self.depth -= 1
+        return out
+
+    def finish(self, out, where: str = ""):
+        """``out``, once every token is read."""
+        if self.peek() is not None:
+            self.fail(f"trailing input {self.peek()!r}{where}")
+        return out
+
+
 # -- statement scanner -------------------------------------------------------
 
 
@@ -116,7 +192,7 @@ def _parse_header(statements, line_hint):
     header = {}
     body = []
     signature_line = None   # while the signature waits for its ``out`` part
-    for line, _, stmt in statements:
+    for line, column, stmt in statements:
         word, rest = _keyword(stmt)
         if signature_line:
             if word != "out":
@@ -144,7 +220,7 @@ def _parse_header(statements, line_hint):
         elif word.startswith(_HEADER_WORDS):
             raise ParseError(line, 1, f"bad statement: {stmt!r}")
         else:
-            body.append((line, stmt))
+            body.append((line, column, stmt))
     if signature_line:
         raise ParseError(signature_line, 1, "expected: out <labels>;")
     for word in ("signature", "states", "initial"):
@@ -159,18 +235,30 @@ def looks_like_regex_protocol(text: str) -> bool:
     return _keyword(re.sub(r"#[^\n]*", "", text).lstrip())[0] in ("alphabet", "regex")
 
 
-def _parse_updates(text: str, registers, inputs, line: int):
+def _place(stmt: str, line: int, column: int, offset: int):
+    """The file line and column of ``stmt[offset]``, in a statement that
+    starts at ``line``:``column``."""
+    breaks = stmt.count("\n", 0, offset)
+    if not breaks:
+        return line, column + offset
+    return line + breaks, offset - stmt.rindex("\n", 0, offset)
+
+
+def _parse_updates(stmt: str, start: int, registers, inputs, line: int, column: int):
+    """The updates of ``stmt`` from ``stmt[start]`` on, after its ``do``."""
     from ..symbolic import Update
     from .expr import parse_expr
 
     updates = set()
-    for part in text.split(","):
+    for part in stmt[start:].split(","):
         um = re.match(r"\s*(?P<target>[A-Za-z_][A-Za-z0-9_]*)\s*:=\s*(?P<expr>.+)\Z",
                       part, re.S)
         if not um:
             raise ParseError(line, 1, f"bad update {part.strip()!r}")
+        at = _place(stmt, line, column, start + um.start("expr"))
         updates.add(Update(um.group("target"),
-                           parse_expr(um.group("expr"), registers, inputs, line)))
+                           parse_expr(um.group("expr"), registers, inputs, *at)))
+        start += len(part) + 1
     return frozenset(updates)
 
 
@@ -182,11 +270,12 @@ def parse_model(text: str):
     symbolic = "registers" in header
     registers = frozenset(header.get("registers", ()))
     states = frozenset(header["states"])
+    names = {n: n for n in states}   # so that each state name is one object
     if states and header["initial"] not in states:
         raise ParseError(header["initial_line"], 1, str(MissingInitial(header["initial"])))
     delta = set()
     rounds = {}   # round text -> round, and round -> itself: equal rounds are one object
-    for line, stmt in body:
+    for line, column, stmt in body:
         m = _TRANS_RE.match(stmt)
         if not m:
             raise ParseError(line, 1, f"bad statement: {stmt!r}")
@@ -198,11 +287,12 @@ def parse_model(text: str):
                     raise ParseError(line, 1, f"unknown label {lab!r} in round")
             v = mkround(labels)
             v = rounds[m.group("round")] = rounds.setdefault(v, v)
-        for name in (m.group("src"), m.group("tgt")):
-            if name not in states:
-                raise ParseError(line, 1, f"unknown state {name!r}")
+        try:
+            src, tgt = names[m.group("src")], names[m.group("tgt")]
+        except KeyError as e:
+            raise ParseError(line, 1, f"unknown state {e.args[0]!r}") from None
         if not (m.group("guard") or m.group("updates")):
-            delta.add((m.group("src"), v, m.group("tgt")))
+            delta.add((src, v, tgt))
             continue
         symbolic = True
         from ..symbolic import STransition, TRUE, check_transition
@@ -211,11 +301,13 @@ def parse_model(text: str):
         inputs = v & sig.inputs
         guard = TRUE
         if m.group("guard"):
-            guard = parse_expr(m.group("guard"), registers, inputs, line)
+            guard = parse_expr(m.group("guard"), registers, inputs,
+                               *_place(stmt, line, column, m.start("guard")))
         updates = frozenset()
         if m.group("updates"):
-            updates = _parse_updates(m.group("updates"), registers, inputs, line)
-        tr = STransition(m.group("src"), v, guard, updates, m.group("tgt"))
+            updates = _parse_updates(stmt, m.start("updates"), registers, inputs,
+                                     line, column)
+        tr = STransition(src, v, guard, updates, tgt)
         try:
             check_transition(tr, sig, states, registers)
         except CohminError as e:
@@ -271,19 +363,65 @@ def parse_valued_trace(text: str):
                 m = _VALUED_EVENT.match(part.strip())
                 if not m:
                     raise ParseError(lineno, 1, f"bad event {part.strip()!r}")
-                value = m.group("value")
-                events[m.group("label")] = int(value) if value is not None else None
+                label, value = m.group("label"), m.group("value")
+                value = int(value) if value is not None else None
+                if events.setdefault(label, value) != value:
+                    raise ParseError(lineno, 1, f"two values for port {label!r}")
         rounds.append(ValuedRound.of(events))
     return tuple(rounds)
 
 
 # -- regex protocol files ----------------------------------------------------
 
+_REGEX_TOKEN = r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()+*])"
+
+
+def parse_regex(text: str, line: int = 1, column: int = 1):
+    """Parse ``a (b c + d)* e`` style protocol expressions into the tree
+    of :mod:`cohmin.protocol` that ``compile_regex`` reads.
+
+    Juxtaposition is concatenation, ``+`` alternation, ``*`` iteration;
+    repeated stars fold, since ``(x*)* = x*``.  Parentheses nested deeper
+    than :data:`MAX_DEPTH` are a :class:`ParseError`, placed, as every
+    error is, at its file line and column: ``text`` starts at
+    ``line``:``column``.
+    """
+    from ..protocol import Alt, Cat, Lit, Star  # only protocol files need them
+
+    cur = Cursor(_REGEX_TOKEN, text, line, column, "unexpected character {!r}")
+
+    def alt():
+        arms = [cat()]
+        while cur.peek() == "+":
+            cur.take()
+            arms.append(cat())
+        return arms[0] if len(arms) == 1 else Alt(tuple(arms))
+
+    def cat():
+        items = []
+        while cur.peek() not in (None, ")", "+"):
+            items.append(rep())
+        if not items:
+            cur.fail("expected an event or a group")
+        return items[0] if len(items) == 1 else Cat(tuple(items))
+
+    def rep():
+        if cur.peek() == "*":
+            cur.fail("unexpected '*'")
+        node = cur.group(alt) if cur.peek() == "(" else Lit(cur.take()[0])
+        while cur.peek() == "*":
+            cur.take()
+            if not isinstance(node, Star):
+                node = Star(node)
+        return node
+
+    return cur.finish(alt())
+
 
 def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
     """``alphabet a, b; regex (a b)*;`` -> (labels, regex AST).  The two
     statements come in either order, each once."""
-    from .. import protocol as protocol_mod  # only protocol files need it
+    from ..protocol import regex_labels  # only protocol files need it
 
     alphabet = None
     regex = None
@@ -292,7 +430,7 @@ def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
         if word == "alphabet" and alphabet is None:
             alphabet = _split_names(rest, line)
         elif word == "regex" and regex is None:
-            regex, regex_line = protocol_mod.parse_regex(rest, line, column + len(word)), line
+            regex, regex_line = parse_regex(rest, line, column + len(word)), line
         elif word in ("alphabet", "regex"):
             raise ParseError(line, 1, f"duplicate {word!r} declaration")
         else:
@@ -301,7 +439,7 @@ def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
         raise ParseError(1, 1, "missing 'alphabet' declaration")
     if regex is None:
         raise ParseError(1, 1, "missing 'regex' declaration")
-    for label in sorted(protocol_mod.regex_labels(regex)):
+    for label in sorted(regex_labels(regex)):
         if label not in alphabet:
             raise ParseError(regex_line, 1, f"unknown label {label!r} in regex")
     return alphabet, regex

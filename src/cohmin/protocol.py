@@ -1,18 +1,19 @@
-"""Protocol construction and the online trace monitor.
+"""Protocol compilation and the online trace monitor.
 
 Protocols are ordinary transducers whose language delimits what the
 environment may do.  Asynchronous protocols are written as regular
-expressions over single moves; the compiled transducer's language is the
-prefix closure of the regex's path language (there are no accepting states
-anywhere in this library, matching the game-style reading of plays).
+expressions over single moves; this module holds their trees and compiles
+them, and ``frontend.parse_regex`` reads them from text.  The compiled
+transducer's language is the prefix closure of the regex's path language
+(there are no accepting states anywhere in this library, matching the
+game-style reading of plays).
 """
 
 from __future__ import annotations
 
-import re
 from typing import FrozenSet, List, Optional, Tuple
 
-from .errors import ParseError, UnknownLabel
+from .errors import UnknownLabel
 from .kernel import Record, Round, Signature, Trace, Transducer, render_round, round_key
 
 
@@ -44,108 +45,6 @@ class Star(Record):
 
 
 ProtocolRegex = object
-
-_TOKEN_RE = re.compile(r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()+*]))")
-
-# Deepest parenthesis nesting accepted, so that the parser and the walkers
-# over the tree (``_glushkov``, ``regex_labels``) stay far from the
-# interpreter's recursion limit.
-MAX_DEPTH = 100
-
-
-def parse_regex(text: str, line: int = 1, column: int = 1) -> ProtocolRegex:
-    """Parse ``a (b c + d)* e`` style protocol expressions.
-
-    Juxtaposition is concatenation, ``+`` alternation, ``*`` iteration;
-    repeated stars fold, since ``(x*)* = x*``.  Parentheses nested deeper
-    than :data:`MAX_DEPTH` are a :class:`ParseError`, placed, as every
-    error is, by the ``line`` and ``column`` at which ``text`` starts.
-    """
-    tokens = []
-    pos = 0
-    line_start = 1 - column
-    while pos < len(text):
-        if text[pos] == "\n":
-            line += 1
-            line_start = pos + 1
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos].isspace():
-                pos += 1
-                continue
-            raise ParseError(line, pos - line_start + 1,
-                             f"unexpected character {text[pos]!r}")
-        tokens.append((m.group("ident") or m.group("sym"),
-                       line, m.start(m.lastgroup) - line_start + 1))
-        pos = m.end()
-
-    state = {"i": 0, "depth": 0}
-
-    def peek():
-        return tokens[state["i"]][0] if state["i"] < len(tokens) else None
-
-    def where():
-        if state["i"] < len(tokens):
-            _, ln, col = tokens[state["i"]]
-            return ln, col
-        return line, len(text) - line_start + 1
-
-    def advance():
-        state["i"] += 1
-
-    def parse_alt():
-        arms = [parse_cat()]
-        while peek() == "+":
-            advance()
-            arms.append(parse_cat())
-        return arms[0] if len(arms) == 1 else Alt(tuple(arms))
-
-    def parse_cat():
-        items = []
-        while peek() is not None and peek() not in (")", "+"):
-            items.append(parse_rep())
-        if not items:
-            ln, col = where()
-            raise ParseError(ln, col, "expected an event or a group")
-        return items[0] if len(items) == 1 else Cat(tuple(items))
-
-    def parse_rep():
-        node = parse_atom()
-        while peek() == "*":
-            advance()
-            if not isinstance(node, Star):
-                node = Star(node)
-        return node
-
-    def parse_atom():
-        tok = peek()
-        ln, col = where()
-        if tok is None:
-            raise ParseError(ln, col, "unexpected end of expression")
-        if tok == "(":
-            if state["depth"] == MAX_DEPTH:
-                raise ParseError(ln, col, f"parentheses nested deeper than {MAX_DEPTH}")
-            state["depth"] += 1
-            advance()
-            inner = parse_alt()
-            state["depth"] -= 1
-            if peek() != ")":
-                ln, col = where()
-                raise ParseError(ln, col, "expected ')'")
-            advance()
-            return inner
-        if tok in (")", "+", "*"):
-            raise ParseError(ln, col, f"unexpected {tok!r}")
-        advance()
-        return Lit(tok)
-
-    out = parse_alt()
-    if peek() is not None:
-        ln, col = where()
-        raise ParseError(ln, col, f"trailing input {peek()!r}")
-    return out
 
 
 def regex_labels(r: ProtocolRegex) -> FrozenSet[str]:
@@ -206,8 +105,9 @@ def _glushkov(r: ProtocolRegex):
     return positions, nullable, first, last, follow
 
 
-def compile_regex(r, sig: Signature) -> Transducer:
-    """Compile a protocol regex (text or AST) to a deterministic transducer.
+def compile_regex(r: ProtocolRegex, sig: Signature) -> Transducer:
+    """Compile a protocol regex tree (``frontend.parse_regex`` reads one
+    from text) to a deterministic transducer.
 
     The position automaton is trimmed to the positions from which an
     accepting position is reachable, keeping its start as the initial
@@ -217,8 +117,6 @@ def compile_regex(r, sig: Signature) -> Transducer:
     the empty trace when that language is empty).  Every literal becomes a
     singleton round.
     """
-    if isinstance(r, str):
-        r = parse_regex(r)
     for label in regex_labels(r):
         if label not in sig.universe:
             raise UnknownLabel(label)

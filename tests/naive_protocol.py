@@ -4,8 +4,9 @@ the original trace boundary.
 ``compile_regex`` is kept verbatim from the implementation that ran its own
 subset construction over Glushkov position sets, trimmed the dead subsets
 afterwards and named the survivors ``P<i>`` breadth first.  It shares the
-parser and the position automaton (``parse_regex``, ``regex_labels``,
-``_glushkov``) with ``cohmin.protocol``, but none of ``algebra.determinize``.
+parser (``cohmin.frontend.parse_regex``) and the position automaton
+(``regex_labels``, ``_glushkov``) with the library, but none of
+``algebra.determinize``.
 
 ``parse_trace`` and ``monitor`` are kept verbatim from the implementation
 that parsed every trace line afresh and determinised a nondeterministic
@@ -22,7 +23,8 @@ from cohmin import algebra
 from cohmin.errors import UnknownLabel
 from cohmin.frontend.fileformat import _parse_round_text
 from cohmin.kernel import Signature, Trace, Transducer, mkround
-from cohmin.protocol import Verdict, _glushkov, parse_regex, regex_labels
+from cohmin.frontend import parse_regex
+from cohmin.protocol import Verdict, _glushkov, regex_labels
 
 from helpers import is_deterministic, step
 

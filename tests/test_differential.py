@@ -40,6 +40,7 @@ from cohmin.frontend import (
     load_model,
     load_protocol,
     parse_model,
+    parse_regex,
     parse_trace,
     serialize_model,
     serialize_trace,
@@ -639,7 +640,8 @@ def singleton_machine(rng, sig, max_states, max_trans):
 
 
 def assert_same_compilation(regex, sig, machines):
-    new = protocol.compile_regex(regex, sig)
+    new = protocol.compile_regex(parse_regex(regex) if isinstance(regex, str) else regex,
+                                 sig)
     old = naive_protocol.compile_regex(regex, sig)
     assert is_deterministic(new)
     assert kernel.traces_upto(new, 6).traces == kernel.traces_upto(old, 6).traces

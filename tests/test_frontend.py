@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -86,11 +87,69 @@ class TestParsing:
          "expected an event or a group"),
         ("# c\nalphabet a, b;\nregex (a\n  c)*;\n", 3, 1, "unknown label 'c' in regex"),
         ("alphabet a, b; regex a +;\n", 1, 25, "expected an event or a group"),
-    ], ids=["first-line", "first-of-two", "later-line", "undeclared", "after-statement"])
+        ("alphabet a, b;\nregex (a b \n  a)*);\n", 3, 6, "trailing input ')'"),
+    ], ids=["first-line", "first-of-two", "later-line", "undeclared", "after-statement",
+            "space-before-break"])
     def test_regex_protocol_errors_name_their_place(self, text, line, column, message):
         with pytest.raises(ParseError) as err:
             parse_regex_protocol(text)
         assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+    EXPR_HEAD = "signature in x; out y;\nstates a, b;\nregisters r;\ninitial a;\n"
+
+    @pytest.mark.parametrize("trans, line, column, message", [
+        ("trans a -> b : {x} when r > + 1;\n", 5, 29, "expected an expression"),
+        ("trans a -> b : {x} when r > 0\n   and $;\n", 6, 8,
+         "bad character '$' in expression"),
+        ("trans a -> b : {x, y} do r := x, y := r * (x + 1;\n", 5, 49, "expected ')'"),
+        ("trans a -> b : {x} when r > q;\n", 5, 29,
+         "unknown name 'q' (not a register or input port)"),
+        ("trans a -> b : {x} when\n" + "(" * 101 + "r" + ")" * 101 + " > 0;\n", 6, 101,
+         "parentheses nested deeper than 100"),
+    ], ids=["guard", "continued-guard", "second-update", "unknown-name", "too-deep"])
+    def test_expression_errors_name_their_place(self, trans, line, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_model(self.EXPR_HEAD + trans)
+        assert (err.value.line, err.value.column, err.value.message) == (line, column, message)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_bad_character_is_placed_at_its_line_and_column(self, data):
+        """A ``$`` at any token boundary of a guard, an update or a regex
+        that spans lines is reported at its own line and column."""
+        kind = data.draw(st.sampled_from(["guard", "update", "regex"]))
+        if kind == "regex":
+            r = random_regex(random.Random(data.draw(st.integers(0, 10**6))), ["a", "b"], 4)
+            body = render_regex(r)
+        else:
+            body = data.draw(st.sampled_from(
+                _GUARD_TEXTS + _PORT_GUARD_TEXTS if kind == "guard"
+                else _EXPR_TEXTS + _PORT_EXPR_TEXTS))
+        tokens = re.findall(r"\w+|[<>]=|\S", body)
+        tokens.insert(data.draw(st.integers(0, len(tokens))), "$")
+        gaps = st.sampled_from(["", " ", "\n", " \n  ", "\t", "  # note\n "])
+        text = tokens[0] + "".join(data.draw(gaps) + tok for tok in tokens[1:])
+        head = "signature in x; out r;\nstates s0, s1;\nregisters y, z;\ninitial s0;\n"
+        full = {"regex": f"alphabet a, b;\nregex\n  {text};\n",
+                "guard": f"{head}trans s0 -> s1 : {{x}}\n  when {text};\n",
+                "update": f"{head}trans s0 -> s1 : {{x, r}} do y := 1,\n r := {text};\n"}[kind]
+        with pytest.raises(ParseError) as err:
+            (parse_regex_protocol if kind == "regex" else parse_model)(full)
+        at = full.index("$")
+        assert (err.value.line, err.value.column) == (full.count("\n", 0, at) + 1,
+                                                      at - full.rfind("\n", 0, at))
+        assert err.value.message == ("unexpected character '$'" if kind == "regex"
+                                     else "bad character '$' in expression")
+
+    def test_each_state_name_is_one_object(self):
+        # a transition's endpoints are the header's own strings, not a new
+        # string per ``trans`` line
+        for name in ("two_phase.fst", "iterator_map.sfst"):
+            T = parse_model((FIXDIR / name).read_text())
+            own = {id(s) for s in T.states}
+            ends = [(t[0], t[2]) if isinstance(t, tuple) else (t.source, t.target)
+                    for t in T.delta]
+            assert ends and all(id(s) in own and id(t) in own for s, t in ends)
 
     @pytest.mark.parametrize("text, message", [
         ("states s;\ninitial s;\n", "1:1: missing 'signature' declaration"),
@@ -146,6 +205,15 @@ class TestParsing:
         assert valued[2].as_dict() == {}
         assert valued[3].as_dict() == {"q": None}
 
+    @pytest.mark.parametrize("text", ["{x=1, x=2}\n", "{x, x=1}\n", "{}\n{x=0, x}\n"])
+    def test_a_valued_round_names_each_port_once(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_valued_trace(text)
+        assert (err.value.line, err.value.message) == (text.count("\n"),
+                                                       "two values for port 'x'")
+        # an identical repeat collapses, as in a plain trace
+        assert parse_valued_trace("{x=1, x=1}\n{a, a}\n") == parse_valued_trace("{x=1}\n{a}\n")
+
 
 class TestExpressions:
     def test_parse_and_render(self):
@@ -164,7 +232,7 @@ class TestExpressions:
 
 
     def test_depth_bound_keeps_walkers_safe(self):
-        from cohmin.frontend.expr import MAX_DEPTH
+        from cohmin.frontend.fileformat import MAX_DEPTH
         from cohmin.symbolic import eval_expr, normal_form, type_of
         deepest = " - ".join(["y"] * MAX_DEPTH)  # a left spine MAX_DEPTH deep
         e = parse_expr("(" * MAX_DEPTH + deepest + ")" * MAX_DEPTH, {"y"}, set())

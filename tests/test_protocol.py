@@ -5,9 +5,10 @@ import pytest
 
 from cohmin import algebra, kernel, protocol
 from cohmin.errors import ParseError, UnknownLabel
-from cohmin.frontend import load_protocol, parse_trace
+from cohmin.frontend import load_protocol, parse_regex, parse_trace
+from cohmin.frontend.fileformat import MAX_DEPTH
 from cohmin.kernel import Signature, Transducer, mkround
-from cohmin.protocol import compile_regex, monitor, parse_regex
+from cohmin.protocol import compile_regex, monitor
 
 from helpers import (
     FIXDIR,
@@ -41,24 +42,24 @@ class TestParseRegex:
 
     def test_nesting_bound(self):
         # the deepest tree the bound admits: three nodes per parenthesis
-        deepest = "(a + b " * protocol.MAX_DEPTH + ")*" * protocol.MAX_DEPTH
+        deepest = "(a + b " * MAX_DEPTH + ")*" * MAX_DEPTH
         sig = Signature(frozenset({"a", "b"}), frozenset())
-        assert is_deterministic(compile_regex(deepest, sig))
+        assert is_deterministic(compile_regex(parse_regex(deepest), sig))
         with pytest.raises(ParseError) as err:
-            parse_regex("(" * (protocol.MAX_DEPTH + 1) + "a" + ")" * 200)
-        assert (err.value.line, err.value.column) == (1, protocol.MAX_DEPTH + 1)
+            parse_regex("(" * (MAX_DEPTH + 1) + "a" + ")" * 200)
+        assert (err.value.line, err.value.column) == (1, MAX_DEPTH + 1)
 
     def test_unknown_label_on_compile(self):
         sig = Signature(frozenset({"a"}), frozenset())
         with pytest.raises(UnknownLabel):
-            compile_regex("a q", sig)
+            compile_regex(parse_regex("a q"), sig)
 
 
 class TestCompileRegex:
     SIG = Signature(frozenset({"a"}), frozenset({"b"}))
 
     def test_alternating_pair(self):
-        got = compile_regex("(a b)*", self.SIG)
+        got = compile_regex(parse_regex("(a b)*"), self.SIG)
         assert is_deterministic(got)
         assert kernel.traces_upto(got, 4).traces == {
             (), (R({"a"}),), (R({"a"}), R({"b"})),
@@ -67,7 +68,7 @@ class TestCompileRegex:
         }
 
     def test_single_literal_prefix_closure(self):
-        got = compile_regex("a", self.SIG)
+        got = compile_regex(parse_regex("a"), self.SIG)
         assert kernel.traces_upto(got, 3).traces == {(), (R({"a"}),)}
 
     def test_iterator_map_regex_depth3(self):
