@@ -100,10 +100,8 @@ def _product(T: Transducer, U: Transducer, sig: Signature,
     for row in adj.values():   # a target repeats only where two pairs share a name
         for vw, targets in row.items():
             row[vw] = tuple(dict.fromkeys(targets) if ambiguous else targets)
-    delta = frozenset((s, vw, t) for s, row in adj.items()
-                      for vw, targets in row.items() for t in targets)
     return Transducer._trusted(sig, frozenset(seen.values()),
-                               seen[product_state(T.initial, U.initial)], delta, adj)
+                               seen[product_state(T.initial, U.initial)], adj)
 
 
 def _pairs_named(name: str, T: Transducer, U: Transducer) -> list:

@@ -169,10 +169,12 @@ def _cmd_expand(args) -> int:
 
 def _cmd_monitor(args) -> int:
     P = fileformat.load_protocol(args.protocol)
-    trace = fileformat.parse_trace(fileformat._read(args.trace))
+    rounds = fileformat.TraceReader(fileformat._read(args.trace))
     from .. import protocol
 
-    verdict = protocol.monitor(P, trace)
+    verdict = protocol.monitor(P, rounds)
+    for _ in rounds:   # a bad line after a violation is still an input error
+        pass
     print(verdict.render())
     return EXIT_OK if verdict.ok else EXIT_VERDICT
 

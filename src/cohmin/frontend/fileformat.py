@@ -209,6 +209,8 @@ def _parse_header(statements, line_hint):
             signature_line = line
         elif word == "states":
             header["states"] = _split_state_names(rest, line)
+            if not header["states"]:
+                raise ParseError(line, 1, "expected at least one state")
         elif word == "registers":
             header["registers"] = _split_names(rest, line)
         elif word == "initial":
@@ -249,17 +251,17 @@ def _parse_updates(stmt: str, start: int, registers, inputs, line: int, column: 
     from ..symbolic import Update
     from .expr import parse_expr
 
-    updates = set()
+    updates = []
     for part in stmt[start:].split(","):
         um = re.match(r"\s*(?P<target>[A-Za-z_][A-Za-z0-9_]*)\s*:=\s*(?P<expr>.+)\Z",
                       part, re.S)
         if not um:
             raise ParseError(line, 1, f"bad update {part.strip()!r}")
         at = _place(stmt, line, column, start + um.start("expr"))
-        updates.add(Update(um.group("target"),
-                           parse_expr(um.group("expr"), registers, inputs, *at)))
+        updates.append(Update(um.group("target"),
+                              parse_expr(um.group("expr"), registers, inputs, *at)))
         start += len(part) + 1
-    return frozenset(updates)
+    return updates
 
 
 def parse_model(text: str):
@@ -271,7 +273,7 @@ def parse_model(text: str):
     registers = frozenset(header.get("registers", ()))
     states = frozenset(header["states"])
     names = {n: n for n in states}   # so that each state name is one object
-    if states and header["initial"] not in states:
+    if header["initial"] not in states:
         raise ParseError(header["initial_line"], 1, str(MissingInitial(header["initial"])))
     delta = set()
     rounds = {}   # round text -> round, and round -> itself: equal rounds are one object
@@ -303,7 +305,7 @@ def parse_model(text: str):
         if m.group("guard"):
             guard = parse_expr(m.group("guard"), registers, inputs,
                                *_place(stmt, line, column, m.start("guard")))
-        updates = frozenset()
+        updates = []
         if m.group("updates"):
             updates = _parse_updates(stmt, m.start("updates"), registers, inputs,
                                      line, column)
@@ -312,6 +314,9 @@ def parse_model(text: str):
             check_transition(tr, sig, states, registers)
         except CohminError as e:
             raise ParseError(line, 1, str(e)) from None
+        if len(tr.updates) < len(updates):   # equal updates collapsed in the set
+            doubled = min(u.target for u in updates if updates.count(u) > 1)
+            raise ParseError(line, 1, f"two updates for target {doubled!r}")
         delta.add(tr)
     if not symbolic:
         return Transducer(sig, states, header["initial"], frozenset(delta))
@@ -325,20 +330,42 @@ def parse_model(text: str):
 # -- traces ------------------------------------------------------------------
 
 
+# Least characters of trace text split into lines at once; a piece ends after a "\n".
+_TRACE_PIECE = 1 << 16
+
+
+class TraceReader:
+    """The rounds of a trace text, one per line, read lazily: blank and
+    ``#`` lines are skipped and each distinct line is parsed once.  Each
+    iteration reads on from the last; ``len`` reads the text once more."""
+
+    def __init__(self, text: str):
+        self.text, self._rounds = text, self._read()
+
+    def __iter__(self):
+        return self._rounds
+
+    def __len__(self):
+        return sum(1 for _ in TraceReader(self.text))
+
+    def _read(self):
+        text, seen, lineno, start = self.text, {}, 0, 0
+        while start < len(text):
+            cut = text.find("\n", start + _TRACE_PIECE - 1) + 1 or len(text)
+            for lineno, raw in enumerate(text[start:cut].splitlines(), lineno + 1):
+                v = seen.get(raw)
+                if v is None:
+                    line = raw.split("#", 1)[0].strip()
+                    if not line:
+                        continue
+                    v = seen[raw] = mkround(_parse_round_text(line, lineno))
+                yield v
+            start = cut
+
+
 def parse_trace(text: str) -> Trace:
-    """One round per line, skipping blank lines and ``#`` comments.  Each
-    distinct line is parsed once and its copies share that round; only
-    rounds are remembered, so a bad line is reported at its first line."""
-    rounds, seen = [], {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        v = seen.get(raw)
-        if v is None:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            v = seen[raw] = mkround(_parse_round_text(line, lineno))
-        rounds.append(v)
-    return tuple(rounds)
+    """The rounds of ``text``, as :class:`TraceReader` reads them."""
+    return tuple(TraceReader(text))
 
 
 _VALUED_EVENT = re.compile(
@@ -504,7 +531,7 @@ def canonical_transitions(model):
         # target), as sorting the whole set would; only rows of more than
         # one round or target are sorted
         rounds = {v: (round_key(v), render_round(v))
-                  for v in {v for _, v, _ in model.delta}}
+                  for v in {v for row in model._adj.values() for v in row}}
         for s in sorted(model.states):
             out = model.out(s)
             for v in sorted(out, key=rounds.__getitem__) if len(out) > 1 else out:

@@ -208,12 +208,11 @@ class Transducer(Record):
     """
 
     _fields = ("signature", "states", "initial", "delta")
-    __slots__ = _fields + ("_adj",)
+    __slots__ = _fields[:3] + ("_delta", "_adj")
 
     signature: Signature
     states: FrozenSet[str]
     initial: str
-    delta: FrozenSet[Tuple[str, Round, str]]
 
     def __post_init__(self):
         _set(self, "states", frozenset(self.states))
@@ -240,14 +239,22 @@ class Transducer(Record):
         _set(self, "_adj", adj)
 
     @classmethod
-    def _trusted(cls, signature, states, initial, delta, adj) -> "Transducer":
-        """A machine from parts built in normal form from valid machines
-        (frozensets, and the index the constructor would build), taken as
-        they are: nothing is validated or indexed again."""
+    def _trusted(cls, signature, states, initial, adj) -> "Transducer":
+        """A machine from valid parts in normal form (a frozenset of states,
+        and the index the constructor would build), taken as they are; its
+        ``delta`` is built from the index when it is first read."""
         T = object.__new__(cls)
-        for field, value in zip(cls.__slots__, (signature, states, initial, delta, adj)):
+        for field, value in zip(cls.__slots__, (signature, states, initial, None, adj)):
             _set(T, field, value)
         return T
+
+    def _delta_view(self) -> FrozenSet[Tuple[str, Round, str]]:   # only ``_set`` sets ``delta``
+        if self._delta is None:   # a trusted build's, read off its index once
+            _set(self, "_delta", frozenset((s, v, t) for s, row in self._adj.items()
+                                           for v, targets in row.items() for t in targets))
+        return self._delta
+
+    delta = property(_delta_view, lambda self, value: _set(self, "_delta", value))
 
     # -- stepping ---------------------------------------------------------
 

@@ -11,10 +11,10 @@ game-style reading of plays).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .errors import UnknownLabel
-from .kernel import Record, Round, Signature, Trace, Transducer, render_round, round_key
+from .kernel import Record, Round, Signature, Transducer, render_round, round_key
 
 
 # -- protocol regular expressions -------------------------------------------
@@ -171,20 +171,21 @@ class Verdict(Record):
         )
 
 
-def monitor(P: Transducer, t: Trace) -> Verdict:
+def monitor(P: Transducer, t: Iterable[Round]) -> Verdict:
     """Online membership check: consume rounds left to right and flag the
-    first round the protocol does not enable.  The state is the subset of
-    ``P``'s states the prefix reaches, so a nondeterministic ``P`` is not
-    determinised up front: the moves of each subset (``Transducer.moves``)
-    are built once, the first time the trace reaches it."""
-    state, succ = frozenset({P.initial}), {}
+    first round the protocol does not enable, reading no further.  The
+    state is the subset of ``P``'s states the prefix reaches, so a
+    nondeterministic ``P`` is not determinised up front.  Each subset
+    reached gets a row, ``P.moves`` of it, whose successor subsets become
+    their rows when first taken: a step taken before is one lookup."""
+    cur = P.moves(frozenset({P.initial}))
+    rows = {frozenset({P.initial}): cur}   # subset -> its row
     for i, v in enumerate(t):
-        moves = succ.get(state)
-        if moves is None:
-            moves = succ[state] = P.moves(state)
-        v = frozenset(v)  # the same object when ``v`` already is one
-        state = moves.get(v)
-        if state is None:
-            return Verdict("VIOLATION", i, v, frozenset(moves))
+        v = frozenset(v)   # the same object when ``v`` already is one
+        nxt = cur.get(v)
+        if nxt.__class__ is not dict:
+            if nxt is None:
+                return Verdict("VIOLATION", i, v, frozenset(cur))
+            nxt = cur[v] = rows[nxt] if nxt in rows else rows.setdefault(nxt, P.moves(nxt))
+        cur = nxt
     return Verdict("OK")
-

@@ -745,10 +745,11 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     init = (T.initial, (0,) * len(registers))
     names = {init: _config_name(T.initial, T.initial_registers())}
     frontier = [init]
-    delta = set()
+    adj, n_transitions = {}, 0   # the index the constructor would build
     while frontier:
         state, regs = cfg = frontier.pop()
         source, regs_d = names[cfg], dict(zip(registers, regs))
+        row = adj.get(source) or {}   # two configurations may share a name
         if state not in plans:
             plans[state] = [_Plan(T, tr, data, position, width) for tr in T.out(state)]
         for plan in plans[state]:
@@ -764,10 +765,14 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
                     target = names[cfg] = _config_name(plan.target, tuple(zip(registers, fired[0])))
                     frontier.append(cfg)
                 for r in plan.expanded_rounds(values, fired[1], data, domain):
-                    delta.add((source, r, target))
-                if len(delta) > EXPAND_TRANSITION_CAP:
+                    if target not in row.setdefault(r, ()):
+                        row[r] += (target,)
+                        n_transitions += 1
+                if n_transitions > EXPAND_TRANSITION_CAP:
                     raise ResourceLimit(f"expansion exceeded {EXPAND_TRANSITION_CAP} transitions")
-    return Transducer(sig, frozenset(names.values()), names[init], frozenset(delta))
+        if row:
+            adj[source] = row
+    return Transducer._trusted(sig, frozenset(names.values()), names[init], adj)
 
 
 def expand_valued_trace(T: SFST, trace, data_ports=None):

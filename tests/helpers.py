@@ -502,7 +502,7 @@ UNKNOWN_ENDPOINT_FILES = {
 }
 
 
-# -- model files with several faulty transitions or a bad initial state ------
+# -- model files with faulty transitions, or a bad state list or initial state
 # Each maps to the one diagnostic ``cohmin validate`` must print for it,
 # whatever the hash seed: the first fault in file order, at its line.
 
@@ -513,6 +513,10 @@ LINE_CHECK_FILES = {
         "trans s1 -> s0 : {a} do z := 1, z := 2;\n"
         "trans s0 -> s0 : {b} do w := 1, w := 2;\n",
         "5:1: two updates for target 'y'"),
+    "repeated_update.sfst": (
+        "signature in a; out b;\nstates s0;\nregisters y;\ninitial s0;\n"
+        "trans s0 -> s0 : {a} do y := a, y := a;\n",
+        "5:1: two updates for target 'y'"),
     "mixed_faults.sfst": (
         "signature in a; out b;\nstates s0;\nregisters y;\ninitial s0;\n"
         "trans s0 -> s0 : {a} do y := 1 < 2, q := 1;\n"
@@ -522,6 +526,9 @@ LINE_CHECK_FILES = {
     "bad_initial.fst": (
         "signature in a; out b;\nstates s0;\ninitial s9;\ntrans s0 -> s0 : {a};\n",
         "3:1: initial state 's9' is not in the state set"),
+    "empty_states.fst": (
+        "signature in a; out b;\nstates ;\ninitial s0;\n",
+        "2:1: expected at least one state"),
 }
 
 

@@ -45,6 +45,7 @@ from cohmin.frontend import (
     serialize_model,
     serialize_trace,
 )
+from cohmin.frontend import fileformat
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, merge_states, mkround, round_key
 from cohmin.symbolic import lift_transducer
@@ -827,6 +828,53 @@ class TestTraceBoundaryAgainstNaiveOracle:
                       tuple(list(v) if j % 2 else v for j, v in enumerate(walk))):
                 verdict = assert_same_verdict(P, t)
                 assert verdict.offending is None or type(verdict.offending) is frozenset
+
+    # every line break ``str.splitlines`` knows
+    BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029"]
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 64, 1 << 16])
+    def test_streamed_reading_against_splitlines(self, monkeypatch, piece):
+        """The reader walks the text a piece at a time, each piece cut just
+        after a line feed; whatever the piece size, its rounds, its parse
+        errors and ``len`` are those of the oracle's ``text.splitlines()``.
+        ``monitor`` reads it as the CLI does: the rest of the text is read
+        after a violation, so a bad line there is still the error."""
+        monkeypatch.setattr(fileformat, "_TRACE_PIECE", piece)
+        P = parse_model((FIXDIR / "display.prot").read_text())
+        rounds = sorted({v for _, v, _ in P.delta}, key=round_key)
+        rng = random.Random(3100 + piece)
+        seen = set()
+        for _ in range(150):
+            walk = [kernel.render_round(v)
+                    for v in random_walk(rng, P, rng.randint(0, 12))]
+            if walk and rng.random() < 0.5:   # a violation, mostly
+                walk[rng.randrange(len(walk))] = kernel.render_round(rng.choice(rounds))
+            for _ in range(rng.randint(0, 4)):
+                extra = rng.choice(["", "  ", "# note", "{q5} # c", "\t{ r2 }", "{q5",
+                                    "q5", "{}"])
+                walk.insert(rng.randint(0, len(walk)), extra)
+            text = "".join(line + rng.choice(self.BREAKS) for line in walk)
+            text += rng.choice(["", "{q5}", "# end", "{q5"])
+            try:
+                old = naive_protocol.monitor(P, naive_protocol.parse_trace(text))
+            except ParseError as e:
+                rounds_read = fileformat.TraceReader(text)
+                with pytest.raises(ParseError) as info:
+                    protocol.monitor(P, rounds_read)
+                    for _ in rounds_read:
+                        pass
+                assert (info.value.line, info.value.column, info.value.message) == \
+                    (e.line, e.column, e.message)
+                seen.add("error")
+                continue
+            assert len(fileformat.TraceReader(text)) == len(naive_protocol.parse_trace(text))
+            assert assert_same_parse(text) is not None
+            new = protocol.monitor(P, fileformat.TraceReader(text))
+            assert (new.status, new.index, new.offending, new.expected) == \
+                (old.status, old.index, old.offending, old.expected)
+            seen.add(new.status)
+        assert seen == {"OK", "VIOLATION", "error"}
 
 
 def ring_names(n):

@@ -376,7 +376,9 @@ class TestCli:
     def test_transition_checks_are_reported_at_their_line(self, tmp_path):
         # several faulty transitions, or faulty updates in one transition: the
         # constructor once reported the first fault met in a frozenset, which
-        # varied with the hash seed, and a bad initial state had no line
+        # varied with the hash seed, and a bad initial state had no line.  An
+        # update given twice once collapsed in a set and passed, and an empty
+        # state list was an error with no line
         files = sorted(LINE_CHECK_FILES.items())
         paths = write_files(tmp_path, [(name, text) for name, (text, _) in files])
         for out, err in validate_under_hash_seeds(paths):
@@ -509,6 +511,22 @@ class TestCli:
                                "--trace", str(FIXDIR / "display_attack.trc"))
         assert code == 3
         assert out.startswith("VIOLATION index=2 round={d4}")
+
+    def test_monitor_a_bad_line_before_or_after_the_violation(self, tmp_path):
+        # the trace is checked as it is read, and read to its end after a
+        # violation: a bad line on either side is an input error at its line
+        argv = ("monitor", "--protocol", str(FIXDIR / "display.prot"), "--trace")
+        for text, code, err in (
+                ("{q5}\n{r2}\n{d4}\n{q5}\n", 3, ""),
+                ("{q5}\n{r2\n{d4}\n{q5}\n", 2, "error: 2:1: expected a round in braces, "
+                 "got '{r2'\n"),
+                ("{q5}\n{r2}\n{d4}\n\n{q5\n", 2, "error: 5:1: expected a round in braces, "
+                 "got '{q5'\n")):
+            (tmp_path / "t.trc").write_text(text)
+            code_, out, err_ = run_cli(*argv, str(tmp_path / "t.trc"))
+            assert (code_, err_) == (code, err)
+            assert out == ("VIOLATION index=2 round={d4} expected={{d2},{q1}}\n"
+                           if code == 3 else "")
 
     def test_quotient(self):
         code, out, _ = run_cli("quotient", "--pair", "P,Q",

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohmin import kernel
+from cohmin import algebra, kernel, symbolic
 from cohmin.errors import MissingInitial, UnknownLabel, UnknownState
-from cohmin.frontend import load_model
+from cohmin.frontend import load_model, serialize_model
 from cohmin.kernel import (
     EMPTY_TRACE,
     Signature,
@@ -134,14 +134,31 @@ class TestTrustedBuild:
     SIG = Signature(frozenset({"a"}), frozenset({"b"}))
     A = frozenset({"a"})
 
-    def build(self, delta, adj):
-        return Transducer._trusted(self.SIG, frozenset({"s0", "s1"}), "s0",
-                                   frozenset(delta), adj)
+    def build(self, adj):
+        return Transducer._trusted(self.SIG, frozenset({"s0", "s1"}), "s0", adj)
 
     def test_a_good_build_equals_the_validating_one(self):
-        T = self.build({("s0", self.A, "s1")}, {"s0": {self.A: ("s1",)}})
+        T = self.build({"s0": {self.A: ("s1",)}})
         assert T == Transducer(self.SIG, {"s0", "s1"}, "s0", [("s0", self.A, "s1")])
         assert T.out("s0") == {self.A: ("s1",)} and T.out("s1") == {}
+
+    def test_products_and_expansions_hold_only_the_index(self, checked_trusted_builds, monkeypatch):
+        """A product and an expansion keep no transition set: ``delta`` is
+        built from the index when it is first read, and kept.  Writing the
+        machine does not read it."""
+        # the unchecked constructor: the fixture's check reads ``delta``
+        monkeypatch.setattr(Transducer, "_trusted", checked_trusted_builds)
+        T = load_model(FIXDIR / "two_phase.fst")
+        built = [algebra.intersect(T, T), algebra.interact(T, T),
+                 symbolic.expand(load_model(FIXDIR / "adder.sfst"), -2, 2)]
+        for M in built:
+            serialize_model(M)
+            assert M._delta is None
+            rebuilt = Transducer(M.signature, M.states, M.initial, M.delta)
+            assert M._delta is M.delta and rebuilt == M
+            assert {s: {v: set(ts) for v, ts in rebuilt.out(s).items()} for s in M.states} \
+                == {s: {v: set(ts) for v, ts in M.out(s).items()} for s in M.states}
+            assert pickle.loads(pickle.dumps(M)) == M and hash(M) == hash(rebuilt)
 
     @pytest.mark.parametrize("delta, adj, error", [
         # an unknown target
@@ -155,11 +172,11 @@ class TestTrustedBuild:
     def test_the_fixture_rejects_a_bad_build(self, checked_trusted_builds,
                                              delta, adj, error):
         with pytest.raises(error):
-            self.build(delta, adj)
-        # the trusted constructor itself takes the bad parts as they are
-        bad = checked_trusted_builds(self.SIG, frozenset({"s0", "s1"}), "s0",
-                                     frozenset(delta), adj)
-        assert bad._adj is adj
+            self.build(adj)
+        # the trusted constructor itself takes the bad parts as they are,
+        # and its ``delta`` lists what the index holds
+        bad = checked_trusted_builds(self.SIG, frozenset({"s0", "s1"}), "s0", adj)
+        assert bad._adj is adj and bad.delta == frozenset(delta)
 
 
 class TestRecord:

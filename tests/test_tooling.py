@@ -213,10 +213,12 @@ subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)
 print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
-# `expand --lo -4 --hi 4` of iterator_map: 73.3 MB max RSS (Python 3.11,
-# x86-64 Linux) with a tuple per (source, round) in the index and a
-# streaming writer; a set per row and the whole text in memory took 128.6 MB.
-EXPAND_RSS_BUDGET_MB = 85
+# `expand --lo -4 --hi 4` of iterator_map: 31.3 MB max RSS (Python 3.11,
+# x86-64 Linux) when the walk builds the index and no transition set;
+# 72.7 MB when it built a set of (source, round, target) triples and the
+# constructor indexed it, and 128.6 MB with a set per row and the whole
+# text in memory.
+EXPAND_RSS_BUDGET_MB = 65
 
 
 def test_expand_stays_within_its_memory_budget():
@@ -226,6 +228,26 @@ def test_expand_stays_within_its_memory_budget():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 < EXPAND_RSS_BUDGET_MB
+
+
+# `monitor` over this 10^6-round legal trace: 98 MB max RSS when the trace
+# was read into a list of lines and a tuple of rounds, about 23 MB when it
+# is read in pieces as it is checked (Python 3.11, x86-64 Linux).
+MONITOR_RSS_BUDGET_MB = 45
+
+
+def test_monitor_streams_a_long_trace(tmp_path):
+    (tmp_path / "p.fst").write_text("signature in a; out b;\nstates s0, s1;\n"
+                                    "initial s0;\ntrans s0 -> s1 : {a};\n"
+                                    "trans s1 -> s0 : {b};\n")
+    (tmp_path / "t.trc").write_text("{a}\n{b}\n" * 500_000)
+    argv = [sys.executable, "-c", "from cohmin.frontend.cli import main; main()",
+            "monitor", "--protocol", str(tmp_path / "p.fst"), "--trace",
+            str(tmp_path / "t.trc")]
+    proc = subprocess.run([sys.executable, "-c", _MAX_RSS, *argv], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) / 1024 < MONITOR_RSS_BUDGET_MB
 
 
 def test_no_module_in_src_imports_a_name_it_never_uses():
