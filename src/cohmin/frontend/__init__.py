@@ -1,8 +1,9 @@
 """File formats, DOT output and the command line.
 
-``cli_main``, ``main`` and ``to_dot`` load their modules on first use, so
-that ``python -m cohmin.frontend.cli`` runs the CLI exactly once and a
-command that writes no DOT never loads it.
+``cli_main``, ``main``, ``to_dot`` and ``parse_valued_trace`` load their
+modules on first use, so that ``python -m cohmin.frontend.cli`` runs the
+CLI exactly once and a command that writes no DOT, or reads no trace,
+never loads those modules.
 """
 
 from .fileformat import (
@@ -12,7 +13,6 @@ from .fileformat import (
     parse_regex,
     parse_regex_protocol,
     parse_trace,
-    parse_valued_trace,
     serialize_model,
     serialize_trace,
 )
@@ -42,4 +42,8 @@ def __getattr__(name):
         from .dot import to_dot
 
         return to_dot
+    if name == "parse_valued_trace":
+        from .trace import parse_valued_trace
+
+        return parse_valued_trace
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -169,12 +169,13 @@ def _cmd_expand(args) -> int:
 
 def _cmd_monitor(args) -> int:
     P = fileformat.load_protocol(args.protocol)
-    rounds = fileformat.TraceReader(fileformat._read(args.trace))
     from .. import protocol
+    from .trace import TraceReader
 
-    verdict = protocol.monitor(P, rounds)
-    for _ in rounds:   # a bad line after a violation is still an input error
-        pass
+    reader = TraceReader(fileformat._read(args.trace))
+    verdict = protocol.monitor(P, reader)
+    if not verdict.ok:
+        reader.check()   # a bad line after the violation is still an input error
     print(verdict.render())
     return EXIT_OK if verdict.ok else EXIT_VERDICT
 

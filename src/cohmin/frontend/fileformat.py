@@ -1,10 +1,11 @@
-"""Text formats: transducers, symbolic transducers, traces and protocols.
+"""Text formats: transducers, symbolic transducers and protocols; the
+trace formats are read by ``frontend.trace``.
 
 One model per file, line oriented, ``#`` starts a comment.  One parser
 and one serialiser serve plain and symbolic models; ``load_model`` and
 ``load_protocol`` read them from files.  Serialisation is
 canonical (states sorted, transitions in the order of
-``canonical_transitions``) so equal models produce byte-identical output.
+``canonical_rows``) so equal models produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from typing import List, Tuple
 
 from ..errors import CohminError, MissingInitial, ParseError
 from ..kernel import Signature, Trace, Transducer, mkround, render_round, round_key
-
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
 # -- the token cursor of the regex and expression grammars -------------------
@@ -122,9 +121,9 @@ def _statements(text: str):
 
 
 def _split_names(text: str, line: int) -> List[str]:
-    names = [n.strip() for n in text.split(",") if n.strip()]
+    names = [n for n in map(str.strip, text.split(",")) if n]
     for n in names:
-        if not _IDENT.match(n):
+        if not (n.isascii() and n.isidentifier()):   # [A-Za-z_][A-Za-z0-9_]*
             raise ParseError(line, 1, f"bad identifier {n!r}")
     return names
 
@@ -157,11 +156,10 @@ def _split_state_names(text: str, line: int) -> List[str]:
 
 
 def _parse_round_text(text: str, line: int) -> List[str]:
-    text = text.strip()
+    """The labels of a round, ``text`` being stripped of outer whitespace."""
     if not (text.startswith("{") and text.endswith("}")):
         raise ParseError(line, 1, f"expected a round in braces, got {text!r}")
-    inner = text[1:-1].strip()
-    return _split_names(inner, line) if inner else []
+    return _split_names(text[1:-1], line)
 
 
 _TRANS_RE = re.compile(
@@ -330,72 +328,12 @@ def parse_model(text: str):
 # -- traces ------------------------------------------------------------------
 
 
-# Least characters of trace text split into lines at once; a piece ends after a "\n".
-_TRACE_PIECE = 1 << 16
-
-
-class TraceReader:
-    """The rounds of a trace text, one per line, read lazily: blank and
-    ``#`` lines are skipped and each distinct line is parsed once.  Each
-    iteration reads on from the last; ``len`` reads the text once more."""
-
-    def __init__(self, text: str):
-        self.text, self._rounds = text, self._read()
-
-    def __iter__(self):
-        return self._rounds
-
-    def __len__(self):
-        return sum(1 for _ in TraceReader(self.text))
-
-    def _read(self):
-        text, seen, lineno, start = self.text, {}, 0, 0
-        while start < len(text):
-            cut = text.find("\n", start + _TRACE_PIECE - 1) + 1 or len(text)
-            for lineno, raw in enumerate(text[start:cut].splitlines(), lineno + 1):
-                v = seen.get(raw)
-                if v is None:
-                    line = raw.split("#", 1)[0].strip()
-                    if not line:
-                        continue
-                    v = seen[raw] = mkround(_parse_round_text(line, lineno))
-                yield v
-            start = cut
-
-
 def parse_trace(text: str) -> Trace:
-    """The rounds of ``text``, as :class:`TraceReader` reads them."""
-    return tuple(TraceReader(text))
+    """The rounds of ``text``, as :class:`frontend.trace.TraceReader` reads
+    them."""
+    from .trace import TraceReader   # only callers that read traces load it
 
-
-_VALUED_EVENT = re.compile(
-    r"(?P<label>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<value>-?\d+))?\Z"
-)
-
-
-def parse_valued_trace(text: str):
-    from ..symbolic import ValuedRound
-
-    rounds = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if not (line.startswith("{") and line.endswith("}")):
-            raise ParseError(lineno, 1, f"expected a round in braces, got {line!r}")
-        inner = line[1:-1].strip()
-        events = {}
-        if inner:
-            for part in inner.split(","):
-                m = _VALUED_EVENT.match(part.strip())
-                if not m:
-                    raise ParseError(lineno, 1, f"bad event {part.strip()!r}")
-                label, value = m.group("label"), m.group("value")
-                value = int(value) if value is not None else None
-                if events.setdefault(label, value) != value:
-                    raise ParseError(lineno, 1, f"two values for port {label!r}")
-        rounds.append(ValuedRound.of(events))
-    return tuple(rounds)
+    return tuple(iter(TraceReader(text)))   # ``tuple`` would read ``len`` first
 
 
 # -- regex protocol files ----------------------------------------------------
@@ -520,24 +458,28 @@ def load_protocol(path, subject=None) -> Transducer:
 # -- serialisation -----------------------------------------------------------
 
 
-def canonical_transitions(model):
-    """Yield ``(source, target, label)`` for every transition of a
-    Transducer or SFST in the canonical order: by source, round
-    (``round_key``), target, then the rendered guard and updates.  The
-    label is the round, then any ``when`` guard and ``do`` updates, as the
-    file writes them; each distinct round is rendered once."""
+def canonical_rows(model, wrap=str):
+    """Yield ``(source, [(target, text), ...])`` for each state of a
+    Transducer or SFST with transitions, sources in sorted order and each
+    source's transitions in the canonical order: by round (``round_key``),
+    target, then the rendered guard and updates.  A transition's label is
+    its round, then any ``when`` guard and ``do`` updates, as the file
+    writes them, and ``text`` is ``wrap(label)``: for a Transducer each
+    distinct round is rendered and wrapped once."""
     if isinstance(model, Transducer):
         # walking the index in this order sorts by (source, round_key,
         # target), as sorting the whole set would; only rows of more than
-        # one round or target are sorted
-        rounds = {v: (round_key(v), render_round(v))
-                  for v in {v for row in model._adj.values() for v in row}}
-        for s in sorted(model.states):
-            out = model.out(s)
-            for v in sorted(out, key=rounds.__getitem__) if len(out) > 1 else out:
-                ts = out[v]
-                for t in sorted(ts) if len(ts) > 1 else ts:
-                    yield s, t, rounds[v][1]
+        # one round or target are sorted, rounds by their place in the
+        # sorted list of distinct rounds
+        order = sorted({v for row in model._adj.values() for v in row}, key=round_key)
+        rank = {v: i for i, v in enumerate(order)}
+        texts = {v: wrap(render_round(v)) for v in order}
+        for s in sorted(model._adj):
+            out = model._adj[s]
+            if out:
+                yield s, [(t, texts[v])
+                          for v in (sorted(out, key=rank.__getitem__) if len(out) > 1 else out)
+                          for t in (sorted(out[v]) if len(out[v]) > 1 else out[v])]
         return
     from .expr import render_expr
     rounds = {v: (round_key(v), render_round(v)) for v in {t.round for t in model.delta}}
@@ -547,25 +489,41 @@ def canonical_transitions(model):
         rows.append((tr.source, rounds[tr.round], tr.target, render_expr(tr.guard),
                      tuple(u.target for u in updates),
                      tuple(render_expr(u.expr) for u in updates)))
-    for s, (_, label), t, guard, targets, exprs in sorted(rows):
-        if guard != "true":
-            label += f" when {guard}"
-        if targets:
-            label += " do " + ", ".join(f"{x} := {e}" for x, e in zip(targets, exprs))
-        yield s, t, label
+    rows.sort()
+    for s, group in groupby(rows, itemgetter(0)):
+        row = []
+        for _, (_, label), t, guard, targets, exprs in group:
+            if guard != "true":
+                label += f" when {guard}"
+            if targets:
+                label += " do " + ", ".join(f"{x} := {e}" for x, e in zip(targets, exprs))
+            row.append((t, wrap(label)))
+        yield s, row
+
+
+def canonical_transitions(model):
+    """Yield ``(source, target, label)`` for every transition of a
+    Transducer or SFST, in the order of :func:`canonical_rows`."""
+    for s, row in canonical_rows(model):
+        for t, label in row:
+            yield s, t, label
 
 
 def write_model(model, write) -> None:
     """Pass the model's text to ``write``: the header, then one piece per
-    source state's transitions, so the whole text is never held at once."""
+    source state's transitions, so the whole text is never held at once.
+    ``trans <source> -> `` is rendered once per source and `` : <label>;``
+    once per distinct round (per transition of an SFST), so each line costs
+    one string build."""
     header = [f"signature {model.signature.render()};",
               f"states {', '.join(sorted(model.states))};"]
     if not isinstance(model, Transducer):
         header.append(f"registers {', '.join(sorted(model.registers))};")
     header.append(f"initial {model.initial};")
     write("\n".join(header) + "\n")
-    for s, group in groupby(canonical_transitions(model), itemgetter(0)):
-        write("".join([f"trans {s} -> {t} : {label};\n" for _, t, label in group]))
+    for s, row in canonical_rows(model, lambda label: f" : {label};\n"):
+        head = f"trans {s} -> "
+        write("".join([f"{head}{t}{tail}" for t, tail in row]))
 
 
 def serialize_model(model) -> str:

@@ -11,7 +11,9 @@ game-style reading of plays).
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from itertools import islice
+from operator import length_hint
+from typing import FrozenSet, List, Optional, Tuple
 
 from .errors import UnknownLabel
 from .kernel import Record, Round, Signature, Transducer, render_round, round_key
@@ -171,21 +173,53 @@ class Verdict(Record):
         )
 
 
-def monitor(P: Transducer, t: Iterable[Round]) -> Verdict:
+def monitor(P: Transducer, t) -> Verdict:
     """Online membership check: consume rounds left to right and flag the
-    first round the protocol does not enable, reading no further.  The
-    state is the subset of ``P``'s states the prefix reaches, so a
+    first round the protocol does not enable, reading no further.
+
+    ``t`` is an iterable of rounds, or a source of keyed items such as
+    ``frontend.trace.TraceReader``: an object whose ``pieces()``
+    yields lists of hashable items (the reader's raw lines) and whose
+    ``round_of(item)`` gives the round of an item of the last piece, or
+    ``None`` for an item that is no round (a blank or comment line, which
+    ``index`` does not count).
+
+    The state is the subset of ``P``'s states the prefix reaches, so a
     nondeterministic ``P`` is not determinised up front.  Each subset
-    reached gets a row, ``P.moves`` of it, whose successor subsets become
-    their rows when first taken: a step taken before is one lookup."""
-    cur = P.moves(frozenset({P.initial}))
-    rows = {frozenset({P.initial}): cur}   # subset -> its row
-    for i, v in enumerate(t):
-        v = frozenset(v)   # the same object when ``v`` already is one
-        nxt = cur.get(v)
-        if nxt.__class__ is not dict:
-            if nxt is None:
-                return Verdict("VIOLATION", i, v, frozenset(cur))
-            nxt = cur[v] = rows[nxt] if nxt in rows else rows.setdefault(nxt, P.moves(nxt))
-        cur = nxt
+    reached gets a row that maps every item met there to its successor's
+    row: an item met before in that subset costs one dict lookup, and
+    ``round_of`` and ``P.moves`` run only when a row first meets an item,
+    so their cost is per distinct (subset, item), not per round."""
+    if hasattr(t, "round_of"):
+        pieces, round_of = t.pieces(), t.round_of
+    else:
+        rounds = iter(t)
+        pieces = iter(lambda: [frozenset(v) for v in islice(rounds, 4096)], [])
+        round_of = frozenset
+    start = frozenset({P.initial})
+    cur = {None: P.moves(start)}   # a row; under None, its subset's moves
+    rows = {start: cur}
+    skips, index = set(), 0   # items that are no round; rounds before the piece
+    for items in pieces:
+        it = iter(items)
+        for item in it:
+            nxt = cur.get(item)
+            if nxt is None:   # the row's first meeting with ``item``
+                v = round_of(item)
+                if v is None:
+                    skips.add(item)
+                    cur[item] = cur
+                    continue
+                moves = cur[None]
+                nxt = moves.get(v)
+                if nxt is None:
+                    before = items[:len(items) - length_hint(it) - 1]
+                    index += len(before) - sum(map(skips.__contains__, before))
+                    return Verdict("VIOLATION", index, v, frozenset(moves))
+                if nxt.__class__ is not dict:   # a subset, replaced by its row
+                    nxt = moves[v] = rows.get(nxt) or rows.setdefault(nxt, {None: P.moves(nxt)})
+                cur[item] = nxt
+            cur = nxt
+        index += len(items) - (sum(map(skips.__contains__, items)) if skips else 0)
+        del items   # before the next piece is split
     return Verdict("OK")

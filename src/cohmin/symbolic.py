@@ -3,8 +3,9 @@ small integer/boolean expression language.
 
 Guards and updates live in a closed grammar with two equivalence modes
 (structural normal forms, or agreement on a bounded test domain) instead of
-an external solver.  Equal normal forms mean equal values over unbounded
-integers: only the bounded mode sees a 64-bit overflow.
+an external solver.  No constant fold in a normal form makes a value that
+64-bit checked evaluation refuses, though reassociating operands that hold
+registers or ports can still hide an overflow from the structural mode.
 Coherence is decided on control states only, with witness reachability
 computed on the control skeleton (guards ignored), again conservative.
 """
@@ -150,26 +151,40 @@ def _raise(error: Exception):
     raise error
 
 
-def compile_expr(e: Expr):
+def _unbound(name: str):
+    return lambda regs, ports: _raise(UnboundReference(name))
+
+
+def compile_expr(e: Expr, registers: Mapping[str, int] = None,
+                 ports: Mapping[str, int] = None):
     """``e`` as a closure ``f(regs, ports)`` that evaluates it strictly:
     64-bit checked arithmetic (overflow is an error), both operands of
-    every operator, left first.  Faults are raised by ``f``, not here."""
+    every operator, left first.  Faults are raised by ``f``, not here.
+    ``regs`` and ``ports`` map names to values; given ``registers`` (or
+    ``ports``), a map from each name to its position, ``regs`` (or
+    ``ports``) is instead a sequence of values in those positions."""
     if isinstance(e, (IntLit, BoolLit)):
         value = e.value
         return lambda regs, ports: value
     if isinstance(e, Reg):
         name = e.name
-        return lambda regs, ports: (
-            regs[name] if name in regs else _raise(UnboundReference(name)))
+        if registers is None:
+            return lambda regs, ports: (
+                regs[name] if name in regs else _raise(UnboundReference(name)))
+        i = registers.get(name)
+        return (lambda regs, ports: regs[i]) if i is not None else _unbound(name)
     if isinstance(e, Port):
         name = e.name
-        return lambda regs, ports: (
-            ports[name] if ports.get(name) is not None else _raise(UnboundReference(name)))
+        if ports is None:
+            return lambda regs, ports: (
+                ports[name] if ports.get(name) is not None else _raise(UnboundReference(name)))
+        i = ports.get(name)
+        return (lambda regs, ports: ports[i]) if i is not None else _unbound(name)
     if isinstance(e, Neg):
-        arg = compile_expr(e.arg)
+        arg = compile_expr(e.arg, registers, ports)
         return lambda regs, ports: _check64(-arg(regs, ports))
     if isinstance(e, Not):
-        arg = compile_expr(e.arg)
+        arg = compile_expr(e.arg, registers, ports)
 
         def not_(regs, ports):
             v = arg(regs, ports)
@@ -180,7 +195,7 @@ def compile_expr(e: Expr):
     if not isinstance(e, Bin):
         return lambda regs, ports: _raise(TypeMismatch(f"not an expression: {e!r}"))
     op, fn = e.op, _BIN_FNS.get(e.op)
-    left, right = compile_expr(e.left), compile_expr(e.right)
+    left, right = compile_expr(e.left, registers, ports), compile_expr(e.right, registers, ports)
     # a comparison's result needs no bound check; bool() leaves it as is
     check = _check64 if op in _INT_OPS else bool
 
@@ -235,9 +250,37 @@ def _nf_key(nf) -> str:
     return repr(nf)
 
 
+class _Refused:
+    """Part of the normal form of an expression that checked evaluation
+    refuses: equal only to itself, so two such normal forms never match."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "refused"
+
+
+def _refused():
+    return ("refused", _Refused())
+
+
+def _int(v: int):
+    """The normal form of the constant ``v``, unless checked arithmetic
+    would refuse to make it."""
+    return ("int", v) if INT64_MIN <= v <= INT64_MAX else _refused()
+
+
 def normal_form(e: Expr):
     """Hashable normal form: constant-fold, flatten associative operators,
-    sort commutative operands."""
+    sort commutative operands.
+
+    No fold makes a value that checked evaluation (``_check64``) refuses.
+    A closed subexpression that overflows, and a sum or product whose
+    constants add up past 64 bits, get a normal form equal only to itself,
+    and so does every expression around the first: strict evaluation
+    reaches every operand, so it overflows too.  Reassociation can still
+    hide an overflow that depends on a register or port (``x + 1 + -1``
+    normalises to ``x``)."""
     if isinstance(e, IntLit):
         return ("int", e.value)
     if isinstance(e, BoolLit):
@@ -249,58 +292,56 @@ def normal_form(e: Expr):
     if isinstance(e, Neg):
         nf = normal_form(e.arg)
         if nf[0] == "int":
-            return ("int", -nf[1])
+            return _int(-nf[1])
         if nf[0] == "neg":
             return nf[1]
-        return ("neg", nf)
+        return _refused() if nf[0] == "refused" else ("neg", nf)
     if isinstance(e, Not):
         nf = normal_form(e.arg)
         if nf[0] == "bool":
             return ("bool", not nf[1])
         if nf[0] == "not":
             return nf[1]
-        return ("not", nf)
+        return _refused() if nf[0] == "refused" else ("not", nf)
     if isinstance(e, Bin):
+        if e.op in _BOOL_OPS:
+            return _nf_and_or(e)
+        a, b = normal_form(e.left), normal_form(e.right)
+        if a[0] == "refused" or b[0] == "refused":
+            return _refused()
         if e.op in ("+", "*"):
-            return _nf_sum_prod(e)
+            return _nf_sum_prod(e.op, a, b)
         if e.op == "-":
-            a, b = normal_form(e.left), normal_form(e.right)
             if a[0] == "int" and b[0] == "int":
-                return ("int", a[1] - b[1])
+                return _int(a[1] - b[1])
             if b[0] == "int" and b[1] == 0:
                 return a
             return ("sub", a, b)
         if e.op in _CMP_OPS:
-            a, b = normal_form(e.left), normal_form(e.right)
             if a[0] == "int" and b[0] == "int":
                 return ("bool", eval_expr(Bin(e.op, IntLit(a[1]), IntLit(b[1])), {}))
             if e.op == "=" and _nf_key(b) < _nf_key(a):
                 a, b = b, a
             return ("cmp", e.op, a, b)
-        if e.op in _BOOL_OPS:
-            return _nf_and_or(e)
     raise TypeMismatch(f"not an expression: {e!r}")
 
 
-def _nf_sum_prod(e: Bin):
-    op = e.op
+def _nf_sum_prod(op: str, a, b):
+    """The normal form of ``a op b`` from the normal forms of its operands:
+    their constants folded into one, their other operands flattened."""
     kind = "sum" if op == "+" else "prod"
     const = 0 if op == "+" else 1
     operands: List = []
-    stack = [e.left, e.right]
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Bin) and x.op == op:
-            stack.extend((x.left, x.right))
-            continue
-        nf = normal_form(x)
-        if nf[0] == kind:  # flatten an already-normalised child
+    for nf in (a, b):
+        if nf[0] == kind:  # flatten an already-normalised operand
             const = const + nf[1] if op == "+" else const * nf[1]
             operands.extend(nf[2])
         elif nf[0] == "int":
             const = const + nf[1] if op == "+" else const * nf[1]
         else:
             operands.append(nf)
+    if not INT64_MIN <= const <= INT64_MAX:
+        return _refused()
     if op == "*" and const == 0:
         return ("int", 0)
     if not operands:
@@ -325,11 +366,13 @@ def _nf_and_or(e: Bin):
         nf = normal_form(x)
         if nf[0] == op:
             operands.update(nf[1])
-        elif nf[0] == "bool":
-            if nf[1] == absorbing:
-                return ("bool", absorbing)
         else:
             operands.add(nf)
+    if any(nf[0] == "refused" for nf in operands):
+        return _refused()
+    if ("bool", absorbing) in operands:
+        return ("bool", absorbing)
+    operands.discard(("bool", not absorbing))
     if not operands:
         return ("bool", not absorbing)
     items = tuple(sorted(operands, key=_nf_key))
@@ -646,18 +689,23 @@ def _config_name(state: str, regs) -> str:
 
 
 class _Plan:
-    """One symbolic transition as :func:`expand` runs it, built once: its
-    data inputs, compiled guard and updates (each with its register's
-    position, or None for an output), output update targets, free data
-    outputs and plain labels; ``rounds`` interns its expanded rounds."""
+    """One symbolic transition as :func:`expand` runs it, built once, when
+    its source is first reached: its data inputs, its guard and updates
+    compiled to read register values and input values by position (so an
+    assignment of the inputs is the value tuple itself, with no port map
+    to build), each update's register position (None for an output), and
+    ``rounds``, the expanded rounds of each firing, rendered the first time
+    that firing happens, so only firings that happen are held."""
 
     __slots__ = ("inputs", "guard", "updates", "outputs", "free", "plain",
                  "target", "rounds")
 
     def __init__(self, T: SFST, tr: STransition, data, position, width):
         self.inputs = sorted(tr.round & T.signature.inputs & data)
-        self.guard = compile_expr(tr.guard)
-        self.updates = [(position.get(u.target), compile_expr(u.expr)) for u in tr.updates]
+        ports = {p: i for i, p in enumerate(self.inputs)}
+        self.guard = compile_expr(tr.guard, position, ports)
+        self.updates = [(position.get(u.target), compile_expr(u.expr, position, ports))
+                        for u in tr.updates]
         self.outputs = [u.target for u in tr.updates if u.target not in position]
         self.free = sorted((tr.round & T.signature.outputs & data) - set(self.outputs))
         self.plain, self.target, self.rounds = tr.round - data, tr.target, {}
@@ -666,36 +714,37 @@ class _Plan:
             raise ResourceLimit(f"expansion needs {n} assignments of one "
                                 f"transition, more than {EXPAND_TRANSITION_CAP}")
 
-    def fire(self, regs, regs_d, ports, lo, hi):
-        """(register values, output update values) after firing, or None
-        if the guard declines or a value overflows or leaves the domain."""
+    def fire(self, regs, values, lo, hi):
+        """(register values, expanded rounds) after firing from register
+        values ``regs`` on input values ``values``, or None if the guard
+        declines or a value overflows or leaves the domain."""
         try:
-            if self.guard(regs_d, ports) is not True:
+            if self.guard(regs, values) is not True:
                 return None
-            new_regs, carried = list(regs), []
+            new_regs, carried = list(regs), ()
             for i, f in self.updates:
-                v = f(regs_d, ports)
+                v = f(regs, values)
                 if not lo <= v <= hi:
                     return None
                 if i is None:
-                    carried.append(v)
+                    carried += (v,)
                 else:
                     new_regs[i] = v
         except Overflow:
             return None
-        return tuple(new_regs), tuple(carried)
-
-    def expanded_rounds(self, values, carried, data, domain):
-        """The rounds of one firing, one per value of the free outputs."""
-        rounds = self.rounds.get((values, carried))
+        key = (values, carried) if carried else values
+        rounds = self.rounds.get(key)
         if rounds is None:
-            fixed = set(self.plain).union(map(expanded_label, self.inputs, values))
-            fixed.update(expanded_label(p, v) for p, v in zip(self.outputs, carried)
-                         if p in data)
-            rounds = self.rounds[values, carried] = [
-                frozenset(fixed.union(map(expanded_label, self.free, extra)))
-                for extra in itertools.product(domain, repeat=len(self.free))]
-        return rounds
+            rounds = self.rounds[key] = self._expanded_rounds(values, carried, lo, hi)
+        return tuple(new_regs), rounds
+
+    def _expanded_rounds(self, values, carried, lo, hi):
+        """The rounds of one firing, one per value of the free outputs."""
+        fixed = set(self.plain).union(map(expanded_label, self.inputs, values))
+        fixed.update(expanded_label(p, v) for p, v in zip(self.outputs, carried)
+                     if p not in self.plain)   # an updated output is in the round
+        return [frozenset(fixed.union(map(expanded_label, self.free, extra)))
+                for extra in itertools.product(range(lo, hi + 1), repeat=len(self.free))]
 
 
 def expand(T: SFST, lo: int, hi: int, data_ports=None,
@@ -711,8 +760,12 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     raises :class:`UnknownLabel` rather than rejecting it.  An expansion
     that needs more than :data:`EXPAND_LABEL_CAP` labels, ``state_cap``
     states, or :data:`EXPAND_TRANSITION_CAP` transitions or assignments of
-    one transition, is a :class:`ResourceLimit`.  Each transition is
-    planned once (:class:`_Plan`), when its source is first reached.
+    one transition, is a :class:`ResourceLimit`.
+
+    Each transition is planned once (:class:`_Plan`).  Per configuration
+    and assignment of its data inputs, only its guard and updates run: the
+    expanded rounds of a firing are rendered once per distinct firing, and
+    a target joins its row with one lookup per round.
     """
     if lo > hi:
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
@@ -748,13 +801,13 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     adj, n_transitions = {}, 0   # the index the constructor would build
     while frontier:
         state, regs = cfg = frontier.pop()
-        source, regs_d = names[cfg], dict(zip(registers, regs))
+        source = names[cfg]
         row = adj.get(source) or {}   # two configurations may share a name
         if state not in plans:
             plans[state] = [_Plan(T, tr, data, position, width) for tr in T.out(state)]
         for plan in plans[state]:
             for values in itertools.product(domain, repeat=len(plan.inputs)):
-                fired = plan.fire(regs, regs_d, dict(zip(plan.inputs, values)), lo, hi)
+                fired = plan.fire(regs, values, lo, hi)
                 if fired is None:
                     continue
                 cfg = (plan.target, fired[0])
@@ -764,10 +817,15 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
                         raise ResourceLimit(f"expansion exceeded {state_cap} states")
                     target = names[cfg] = _config_name(plan.target, tuple(zip(registers, fired[0])))
                     frontier.append(cfg)
-                for r in plan.expanded_rounds(values, fired[1], data, domain):
-                    if target not in row.setdefault(r, ()):
-                        row[r] += (target,)
-                        n_transitions += 1
+                for r in fired[1]:
+                    ts = row.get(r)
+                    if ts is None:
+                        row[r] = (target,)
+                    elif target in ts:
+                        continue
+                    else:
+                        row[r] = ts + (target,)
+                    n_transitions += 1
                 if n_transitions > EXPAND_TRANSITION_CAP:
                     raise ResourceLimit(f"expansion exceeded {EXPAND_TRANSITION_CAP} transitions")
         if row:

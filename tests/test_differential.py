@@ -37,6 +37,7 @@ from cohmin.errors import (
     SignatureMismatch,
 )
 from cohmin.frontend import (
+    cli_main,
     load_model,
     load_protocol,
     parse_model,
@@ -46,6 +47,7 @@ from cohmin.frontend import (
     serialize_trace,
 )
 from cohmin.frontend import fileformat
+from cohmin.frontend import trace as trace_reader
 from cohmin.frontend.fileformat import looks_like_regex_protocol, parse_regex_protocol
 from cohmin.kernel import Signature, Transducer, merge_states, mkround, round_key
 from cohmin.symbolic import lift_transducer
@@ -833,14 +835,37 @@ class TestTraceBoundaryAgainstNaiveOracle:
     BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
               "\u2028", "\u2029"]
 
-    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 64, 1 << 16])
-    def test_streamed_reading_against_splitlines(self, monkeypatch, piece):
+    @staticmethod
+    def cli_against_oracle(capsys, path, text):
+        """``cohmin monitor`` on ``text`` under ``display.prot`` gives the
+        exit code, stdout and stderr that the frozen parser and monitor
+        imply: exit 2 at the first bad line anywhere, else the verdict.
+        Returns the exit code."""
+        path.write_bytes(text.encode("utf-8"))
+        text = path.read_text(encoding="utf-8")   # as the CLI reads it
+        prot = FIXDIR / "display.prot"
+        try:
+            old = naive_protocol.monitor(parse_model(prot.read_text()),
+                                         naive_protocol.parse_trace(text))
+            expected = (0 if old.ok else 3, old.render() + "\n", "")
+        except ParseError as e:
+            expected = (2, "", f"error: {e}\n")
+        capsys.readouterr()
+        code = cli_main(["monitor", "--protocol", str(prot), "--trace", str(path)])
+        assert (code, *capsys.readouterr()) == expected
+        return code
+
+    PIECES = [1, 2, 3, 7, 64, 1 << 16]
+
+    @pytest.mark.parametrize("piece", PIECES)
+    def test_streamed_reading_against_splitlines(self, monkeypatch, capsys, tmp_path, piece):
         """The reader walks the text a piece at a time, each piece cut just
         after a line feed; whatever the piece size, its rounds, its parse
-        errors and ``len`` are those of the oracle's ``text.splitlines()``.
-        ``monitor`` reads it as the CLI does: the rest of the text is read
-        after a violation, so a bad line there is still the error."""
-        monkeypatch.setattr(fileformat, "_TRACE_PIECE", piece)
+        errors and ``len`` are those of the oracle's ``text.splitlines()``,
+        and ``cohmin monitor`` gives the oracle's verdict or error: the
+        rest of the text is read after a violation, so a bad line there is
+        still the error."""
+        monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
         P = parse_model((FIXDIR / "display.prot").read_text())
         rounds = sorted({v for _, v, _ in P.delta}, key=round_key)
         rng = random.Random(3100 + piece)
@@ -856,25 +881,49 @@ class TestTraceBoundaryAgainstNaiveOracle:
                 walk.insert(rng.randint(0, len(walk)), extra)
             text = "".join(line + rng.choice(self.BREAKS) for line in walk)
             text += rng.choice(["", "{q5}", "# end", "{q5"])
-            try:
-                old = naive_protocol.monitor(P, naive_protocol.parse_trace(text))
-            except ParseError as e:
-                rounds_read = fileformat.TraceReader(text)
-                with pytest.raises(ParseError) as info:
-                    protocol.monitor(P, rounds_read)
-                    for _ in rounds_read:
-                        pass
-                assert (info.value.line, info.value.column, info.value.message) == \
-                    (e.line, e.column, e.message)
-                seen.add("error")
-                continue
-            assert len(fileformat.TraceReader(text)) == len(naive_protocol.parse_trace(text))
-            assert assert_same_parse(text) is not None
-            new = protocol.monitor(P, fileformat.TraceReader(text))
-            assert (new.status, new.index, new.offending, new.expected) == \
-                (old.status, old.index, old.offending, old.expected)
-            seen.add(new.status)
-        assert seen == {"OK", "VIOLATION", "error"}
+            if assert_same_parse(text) is not None:
+                assert len(trace_reader.TraceReader(text)) == len(naive_protocol.parse_trace(text))
+            seen.add(self.cli_against_oracle(capsys, tmp_path / "t.trc", text))
+        assert seen == {0, 2, 3}
+
+    @pytest.mark.parametrize("piece", PIECES)
+    @pytest.mark.parametrize("text, code, where", [
+        ("{q5}\n\n# a note\n{r2}\n   \n# more\n{d4}\n{q5}\n", 3, "index=2 "),
+        ("{q5}\n{r2}\n{d4}\n{q5}\n{q5\n{r2}\n", 2, "error: 5:1: "),
+        ("{q5}\n{d5}\n{ q5 }  # again\n{d5}\n{q5}\n{d5 }\n{r4}\n", 3, "index=6 "),
+    ], ids=["skipped-lines-before-violation", "bad-line-after-violation",
+            "one-round-two-texts"])
+    def test_cli_cases(self, monkeypatch, capsys, tmp_path, piece, text, code, where):
+        """``index`` counts rounds, not lines; a bad line met first after
+        the violation is still exit 2 at its line; a row that meets one
+        round as two line texts steps the same way on both."""
+        monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
+        path = tmp_path / "t.trc"
+        assert self.cli_against_oracle(capsys, path, text) == code
+        capsys.readouterr()
+        cli_main(["monitor", "--protocol", str(FIXDIR / "display.prot"), "--trace", str(path)])
+        assert where in "".join(capsys.readouterr())
+
+    @pytest.mark.parametrize("piece", [1, 64, 1 << 16])
+    def test_every_line_distinct(self, monkeypatch, capsys, tmp_path, piece):
+        """No line text repeats: every step parses a line."""
+        monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
+        P = parse_model((FIXDIR / "display.prot").read_text())
+        rng = random.Random(3300 + piece)
+        walk = [sorted(v)[0] for v in random_walk(rng, P, 400)]
+        assert len(walk) == 400
+        lines = ["{" + " " * (i % 7) + label + " " * (i // 7) + "}" + (" # %d" % i) * (i % 2)
+                 for i, label in enumerate(walk)]
+        assert len(set(lines)) == len(lines)
+        text = "".join(line + "\n" for line in lines)
+        assert self.cli_against_oracle(capsys, tmp_path / "t.trc", text) == 0
+        state = P.initial
+        for label in walk[:300]:
+            (state,) = P.out(state)[frozenset({label})]
+        bad = min(x for x in P.signature.universe if frozenset({x}) not in P.out(state))
+        lines[300] = "{ " + bad + " }  # not enabled here"
+        text = "".join(line + "\n" for line in lines)
+        assert self.cli_against_oracle(capsys, tmp_path / "t.trc", text) == 3
 
 
 def ring_names(n):

@@ -439,9 +439,9 @@ class TestCli:
             (["minimize", "--policy", "coherent", "--guard-mode", "bounded-semantic", *im],
              0, {"symbolic", "frontend.expr", "coherence", "protocol", "algebra"}),
             (["monitor", "--protocol", fix("display.prot"), "--trace",
-              fix("display_legal.trc")], 0, {"protocol"}),
+              fix("display_legal.trc")], 0, {"protocol", "frontend.trace"}),
             (["monitor", "--protocol", fix("iterator_map.prot"), "--trace",
-              fix("display_attack.trc")], 3, {"protocol", "algebra"}),
+              fix("display_attack.trc")], 3, {"protocol", "algebra", "frontend.trace"}),
         ]
         base = {"cohmin", "cohmin.errors", "cohmin.kernel", "cohmin.frontend",
                 "cohmin.frontend.fileformat", "cohmin.frontend.cli"}

@@ -139,6 +139,67 @@ class TestGuardEquiv:
                 assert guard_equiv(ga, gb, "bounded-semantic", (-4, 4))
         assert agree > 0  # the generator does hit structural equalities
 
+    OVERFLOWING = Bin(">", Bin("+", IntLit(2**63 - 1), IntLit(1)), IntLit(0))
+
+    def test_a_fold_that_overflows_is_no_constant(self):
+        g = self.OVERFLOWING
+        assert not guard_equiv(g, TRUE, "structural")
+        assert not guard_equiv(g, g, "structural")
+        with pytest.raises(Overflow):
+            guard_equiv(g, TRUE, "bounded-semantic")
+        # strict evaluation reaches every operand, so no fold drops it
+        for e in (Bin("and", BoolLit(False), g), Bin("or", g, BoolLit(True)),
+                  Bin("*", Bin("-", IntLit(-2**63), IntLit(1)), IntLit(0)),
+                  Neg(IntLit(-2**63)),
+                  Bin("+", Bin("+", Reg("y"), IntLit(2**63 - 1)), IntLit(1))):
+            assert normal_form(e)[0] == "refused", e
+            assert normal_form(e) != normal_form(e)
+        assert normal_form(Bin("+", IntLit(2**63 - 1), IntLit(0))) == ("int", 2**63 - 1)
+        assert normal_form(Bin("+", Reg("y"), IntLit(2**63 - 1)))[0] == "sum"
+
+    def test_bisim_keeps_apart_a_guard_that_overflows(self, tmp_path, capsys):
+        path = tmp_path / "overflow.sfst"
+        path.write_text("signature in a, b; out c;\nstates s0, s1, s2, s3;\ninitial s0;\n"
+                        "trans s0 -> s1 : {a};\ntrans s0 -> s2 : {a};\n"
+                        "trans s1 -> s3 : {b} when 9223372036854775807 + 1 > 0;\n"
+                        "trans s2 -> s3 : {b};\n")
+        assert cli_main(["minimize", "--policy", "bisim", str(path)]) == 0
+        assert "states s0, s1, s2, s3;" in capsys.readouterr().out
+
+    def test_structural_equality_only_where_evaluation_agrees(self):
+        """On closed guards with constants near the 64-bit bounds, two
+        guards are structurally equal only if both evaluate, without
+        overflow, to the same value."""
+        rng = random.Random(4100)
+        near = [2**63 - 1, 2**63 - 2, -2**63, -2**63 + 1, 2**62, -2**62, 1, 0, -1, 2, 3]
+        seen = set()
+
+        def expr(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return IntLit(rng.choice(near))
+            if rng.random() < 0.15:
+                return Neg(expr(depth - 1))
+            return Bin(rng.choice("+-*"), expr(depth - 1), expr(depth - 1))
+
+        def guard():
+            g = Bin(rng.choice(["<", "<=", "=", ">", ">="]), expr(3), expr(2))
+            return Bin(rng.choice(["and", "or"]), g, guard()) if rng.random() < 0.3 else g
+
+        def value(g):
+            try:
+                return eval_expr(g, {})
+            except Overflow:
+                return Overflow
+
+        for _ in range(3000):
+            a, b = guard(), guard()
+            for x, y in ((a, b), (a, a), (a, Not(Not(a)))):
+                same = guard_equiv(x, y, "structural")
+                if same:
+                    assert value(x) is not Overflow and value(x) == value(y), (x, y)
+                seen.add((same, value(x) is Overflow))
+        assert seen == {(True, False), (False, False), (False, True)}
+
 
 def random_int_expr(rng, regs, depth):
     if depth == 0 or rng.random() < 0.4:

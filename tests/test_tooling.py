@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from cohmin.errors import CohminError
-from cohmin.frontend import parse_model
+from cohmin.frontend import parse_model, parse_trace
 
 from helpers import LINE_CHECK_FILES, UNKNOWN_ENDPOINT_FILES
 
@@ -85,6 +85,71 @@ def test_tracer_targets_resolve():
         for part in attr.split("."):
             owner = getattr(owner, part)
         assert callable(owner), f"{module}.{attr}"
+
+
+# Loads the tracer by path, installs a Recorder and runs, in process, one op
+# of each kind the benchmark's workloads run; prints the exit codes, the
+# stderr texts, the stdout of the violating monitor op and the monitored
+# rounds that ``layer_metrics`` computes from the spans.
+_TRACED_PASS = """\
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("cohmin_bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+recorder = tracing.Recorder()
+recorder.install()
+results = tracing.run_ops(json.loads(sys.argv[2]), recorder)
+traced = {"results": results, "spans": recorder.spans, "tallies": recorder.tallies}
+metrics = tracing.layer_metrics(traced, 1.0, 1.0)
+print(json.dumps({"codes": [r["code"] for r in results],
+                  "stderr": [r["stderr"] for r in results],
+                  "violation": results[-1]["stdout"],
+                  "rounds": metrics["protocol.monitor_rounds"][0]}))
+"""
+
+
+def test_a_traced_pass_runs_every_kind_of_benchmark_op(tmp_path):
+    """``run.py --trace 1`` runs ops in process with the tracer's wrappers
+    installed; each kind of op the workloads run must still pass through
+    them.  The monitor's span counts rounds with ``len`` of the second
+    argument of ``protocol.monitor``, so that argument must have one."""
+    fix = ROOT / "fixtures"
+    (tmp_path / "ring.prot").write_text("alphabet a, b;\nregex (a b)*;\n")
+    (tmp_path / "ring.fst").write_text(
+        "signature in a; out b;\nstates r0, r1, r2, r3;\ninitial r0;\n"
+        "trans r0 -> r1 : {a};\ntrans r1 -> r2 : {b};\n"
+        "trans r2 -> r3 : {a};\ntrans r3 -> r0 : {b};\n")
+    (tmp_path / "stub.fst").write_text(
+        "signature in a; out b;\nstates s0, s1;\ninitial s0;\ntrans s0 -> s1 : {a};\n")
+    ring, ring_prot, stub = (str(tmp_path / n) for n in ("ring.fst", "ring.prot", "stub.fst"))
+    reader, linear = str(fix / "forked_reader.fst"), str(fix / "linear_protocol.fst")
+    im, im_prot = str(fix / "iterator_map.sfst"), str(fix / "iterator_map.prot")
+    display = str(fix / "display.prot")
+    ops = [
+        (["minimize", "--policy", "coherent", "--protocol", ring_prot, ring], 0),
+        (["intersect", reader, linear], 0),
+        (["relation", "--protocol", linear, reader], 0),
+        (["equiv", "--protocol", linear, "--depth", "4", reader, reader], 0),
+        (["equiv", "--protocol", ring_prot, "--depth", "4", ring, stub], 3),
+        (["minimize", "--policy", "bisim", reader], 0),
+        (["expand", "--lo", "-1", "--hi", "1", im], 0),
+        (["minimize", "--policy", "coherent", "--protocol", im_prot, im], 0),
+        (["minimize", "--policy", "coherent", "--protocol", im_prot,
+          "--guard-mode", "bounded-semantic", im], 0),
+        (["monitor", "--protocol", display, "--trace", str(fix / "display_legal.trc")], 0),
+        (["monitor", "--protocol", display, "--trace", str(fix / "display_attack.trc")], 3),
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_PASS, str(ROOT / "benchmarks" / "tracing.py"),
+         json.dumps([argv for argv, _ in ops])],
+        env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["codes"] == [code for _, code in ops]
+    assert out["stderr"] == [""] * len(ops)
+    legal = parse_trace((fix / "display_legal.trc").read_text())
+    index = int(re.match(r"VIOLATION index=(\d+) ", out["violation"]).group(1))
+    assert out["rounds"] == len(legal) + index + 1
 
 
 # Runs every command line of a JSON file (a list) through cli_main and
@@ -228,6 +293,31 @@ def test_expand_stays_within_its_memory_budget():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout) / 1024 < EXPAND_RSS_BUDGET_MB
+
+
+# tracemalloc peak of `expand` over [-200..200] of one transition with two
+# data inputs and the guard `x = y`: 0.34 MiB when each assignment is made,
+# tried and dropped, for 160,801 assignments of which 401 fire (Python 3.11,
+# x86-64 Linux); holding every assignment's value tuple alone takes about
+# 11 MiB.
+EXPAND_SELECTIVE_PEAK_BUDGET_MB = 2
+
+
+def test_expand_holds_no_assignment_a_guard_declines():
+    import tracemalloc
+
+    from cohmin import symbolic
+
+    T = parse_model("signature in x, y; out o;\nstates s;\ninitial s;\n"
+                    "trans s -> s : {x, y} when x = y;\n")
+    tracemalloc.start()
+    try:
+        M = symbolic.expand(T, -200, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(row) for row in M._adj.values()) == 401
+    assert peak / 2**20 < EXPAND_SELECTIVE_PEAK_BUDGET_MB
 
 
 # `monitor` over this 10^6-round legal trace: 98 MB max RSS when the trace
