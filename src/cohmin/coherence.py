@@ -261,13 +261,7 @@ class _Fold:
         classes: Dict[Tuple[int, int], int] = {}
         cls = self.cls = [classes.setdefault(rc, len(classes))
                           for rc in zip(rows, cols)]
-        shape: Dict[int, frozenset] = {}   # class -> (round, target class) set
-        self.bisim = True
-        for out, c in zip(relation.moves, cls):
-            sig = frozenset((r, cls[k]) for r, k in out)
-            if shape.setdefault(c, sig) != sig:
-                self.bisim = False
-                break
+        self.bisim = _refine(relation.moves, cls)[1] == len(classes)   # no class splits
 
     def least(self) -> Optional[Tuple[int, int]]:
         """Ids of the least pair related both ways, or None.  The search
@@ -376,25 +370,28 @@ def merge_classes(log: List[Tuple[str, str]]) -> List[FrozenSet[str]]:
 # -- conventional bisimulation baseline -------------------------------------
 
 
+def _refine(moves, block: List[int]) -> Tuple[List[int], int]:
+    """One round of signature refinement: each state's new block is its
+    block and the set of its (round id, target block) pairs, numbered in
+    state order.  Returns the new blocks and how many there are."""
+    ids: Dict[tuple, int] = {}
+    new = [ids.setdefault((b, frozenset((r, block[k]) for r, k in out)), len(ids))
+           for b, out in zip(block, moves)]
+    return new, len(ids)
+
+
 def bisim_partition(T: Transducer) -> List[FrozenSet[str]]:
     """Coarsest partition stable under the transition relation.
 
-    Iterated signature refinement (Kanellakis-Smolka style) over the
-    integer index of :func:`_index`, correct for nondeterministic
-    transducers: a state's signature is its block and the set of its
-    (round id, target block) pairs, and blocks are renumbered in name
-    order until their number stops growing.  A symbolic machine is
+    :func:`_refine` (Kanellakis-Smolka style) over the integer index of
+    :func:`_index`, correct for nondeterministic transducers, iterated
+    until the number of blocks stops growing.  A symbolic machine is
     partitioned through its key machine (``symbolic.sfst_bisim_partition``).
     """
     states, moves, _ = _index(T)
     block, count = [0] * len(states), 1
-    while True:
-        ids: Dict[tuple, int] = {}
-        new = [ids.setdefault((b, frozenset((r, block[k]) for r, k in out)), len(ids))
-               for b, out in zip(block, moves)]
-        if len(ids) == count:
-            break
-        block, count = new, len(ids)
+    while (refined := _refine(moves, block))[1] != count:
+        block, count = refined
     groups: List[List[str]] = [[] for _ in range(count)]
     for s, b in zip(states, block):
         groups[b].append(s)

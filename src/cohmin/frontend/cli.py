@@ -21,7 +21,7 @@ import sys
 from types import SimpleNamespace
 
 from .. import kernel
-from ..errors import CohminError, ResourceLimit
+from ..errors import CohminError, ParseError, ResourceLimit
 from ..kernel import DEFAULT_TRACE_CAP, Transducer
 from . import fileformat
 
@@ -122,15 +122,13 @@ def _cmd_relation(args) -> int:
 
     if isinstance(model, Transducer):
         rel = coherence.coherent_simulation(model, P)
-        pairs = coherence.equivalence_pairs(model, P, rel)
     else:
         from .. import symbolic
 
         rel = symbolic.sfst_coherent_simulation(model, P, mode=args.guard_mode)
-        pairs = symbolic.sfst_equivalence_pairs(model, P, args.guard_mode, rel)
     for a, b in rel.sorted_pairs():
         print(f"sim {a} {b}")
-    for a, b in pairs.sorted_pairs():
+    for a, b in coherence.equivalence_pairs(model, P, rel).sorted_pairs():
         print(f"equiv {a} {b}")
     return EXIT_OK
 
@@ -148,12 +146,13 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_quotient(args) -> int:
     model = fileformat.load_model(args.file)
-    parts = [x.strip() for x in args.pair.split(",")]
-    if len(parts) != 2 or not all(parts):
-        raise _Usage("--pair wants two comma-separated state names")
+    try:   # split as a ``states`` statement is, so (a,b) and A[y=0,z=1] stay whole
+        s1, s2 = fileformat._split_state_names(args.pair, 0)
+    except (ParseError, ValueError):
+        raise _Usage("--pair wants two comma-separated state names") from None
     from .. import coherence
 
-    _emit_model(coherence.quotient(model, parts[0], parts[1]))
+    _emit_model(coherence.quotient(model, s1, s2))
     return EXIT_OK
 
 

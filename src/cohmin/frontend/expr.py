@@ -5,7 +5,7 @@ the file line and column, and the one table ``_LEVEL`` gives both the
 parser and ``render_expr`` the binding of each binary operator."""
 
 from ..errors import ParseError
-from .fileformat import MAX_DEPTH, Cursor
+from .fileformat import MAX_DEPTH, Cursor, parse_int
 
 _EXPR_TOKEN = r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|>=|[+\-*=<>()])"
 
@@ -72,7 +72,7 @@ class _ExprParser:
 
     def atom(self, value: str, kind: str, line: int, column: int):
         if kind == "num":
-            return self.ast.IntLit(int(value))
+            return self.ast.IntLit(parse_int(value, line, column))
         if value == "true":
             return self.ast.BoolLit(True)
         if value == "false":

@@ -120,6 +120,18 @@ def _statements(text: str):
         raise ParseError(start[0], 1, "missing ';' at end of statement")
 
 
+def parse_int(text: str, line: int, column: int) -> int:
+    """The integer ``text`` (an optional ``-`` and digits) at ``line``:``column``,
+    if it fits 64 bits; its digits, leading zeros aside, are counted first."""
+    from ..symbolic import INT64_MAX, INT64_MIN   # every caller has loaded it
+    digits = text.lstrip("-").lstrip("0")
+    if len(digits) <= 19:   # so ``int`` never reaches its limit on digits
+        value = -int(digits or 0) if text[0] == "-" else int(digits or 0)
+        if INT64_MIN <= value <= INT64_MAX:
+            return value
+    raise ParseError(line, column, f"integer outside [{INT64_MIN}..{INT64_MAX}]")
+
+
 def _split_names(text: str, line: int) -> List[str]:
     names = [n for n in map(str.strip, text.split(",")) if n]
     for n in names:

@@ -8,7 +8,7 @@ import re
 
 from ..errors import ParseError
 from ..kernel import mkround
-from .fileformat import _parse_round_text
+from .fileformat import _parse_round_text, parse_int
 
 # Least characters of trace text split into lines at once; a piece ends after a "\n".
 _TRACE_PIECE = 1 << 16
@@ -115,7 +115,7 @@ def parse_valued_trace(text: str):
                 if not m:
                     raise ParseError(lineno, 1, f"bad event {part.strip()!r}")
                 label, value = m.group("label"), m.group("value")
-                value = int(value) if value is not None else None
+                value = parse_int(value, lineno, 1) if value is not None else None
                 if events.setdefault(label, value) != value:
                     raise ParseError(lineno, 1, f"two values for port {label!r}")
         rounds.append(ValuedRound.of(events))

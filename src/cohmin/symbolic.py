@@ -155,31 +155,22 @@ def _unbound(name: str):
     return lambda regs, ports: _raise(UnboundReference(name))
 
 
-def compile_expr(e: Expr, registers: Mapping[str, int] = None,
-                 ports: Mapping[str, int] = None):
+def compile_expr(e: Expr, registers: Mapping[str, object], ports: Mapping[str, object]):
     """``e`` as a closure ``f(regs, ports)`` that evaluates it strictly:
     64-bit checked arithmetic (overflow is an error), both operands of
     every operator, left first.  Faults are raised by ``f``, not here.
-    ``regs`` and ``ports`` map names to values; given ``registers`` (or
-    ``ports``), a map from each name to its position, ``regs`` (or
-    ``ports``) is instead a sequence of values in those positions."""
+    ``registers`` and ``ports`` map each name to the key of its value in
+    ``regs`` or ``ports``: a position in a tuple of values, or the name in
+    a dict; a name missing from its map is unbound."""
     if isinstance(e, (IntLit, BoolLit)):
         value = e.value
         return lambda regs, ports: value
     if isinstance(e, Reg):
-        name = e.name
-        if registers is None:
-            return lambda regs, ports: (
-                regs[name] if name in regs else _raise(UnboundReference(name)))
-        i = registers.get(name)
-        return (lambda regs, ports: regs[i]) if i is not None else _unbound(name)
+        i = registers.get(e.name)
+        return (lambda regs, ports: regs[i]) if i is not None else _unbound(e.name)
     if isinstance(e, Port):
-        name = e.name
-        if ports is None:
-            return lambda regs, ports: (
-                ports[name] if ports.get(name) is not None else _raise(UnboundReference(name)))
-        i = ports.get(name)
-        return (lambda regs, ports: ports[i]) if i is not None else _unbound(name)
+        i = ports.get(e.name)
+        return (lambda regs, ports: ports[i]) if i is not None else _unbound(e.name)
     if isinstance(e, Neg):
         arg = compile_expr(e.arg, registers, ports)
         return lambda regs, ports: _check64(-arg(regs, ports))
@@ -212,8 +203,10 @@ def compile_expr(e: Expr, registers: Mapping[str, int] = None,
 
 
 def eval_expr(e: Expr, regs: Mapping[str, int], ports: Mapping[str, int] = None):
-    """Strict evaluation; 64-bit checked arithmetic, overflow is an error."""
-    return compile_expr(e)(regs, ports or {})
+    """:func:`compile_expr` on name-keyed values; a port mapped to None is unbound."""
+    ports = ports or {}
+    return compile_expr(e, {r: r for r in regs},
+                        {p: p for p, v in ports.items() if v is not None})(regs, ports)
 
 
 def _subexpressions(e: Expr):
@@ -403,11 +396,11 @@ def guard_equiv(g1: Expr, g2: Expr, mode: str = "structural",
     width = hi - lo + 1
     if width ** (len(regs) + len(ports)) > SEMANTIC_CAP:
         raise ResourceLimit("bounded-semantic domain too large")
-    f1, f2 = compile_expr(g1), compile_expr(g2)
+    at_reg = {r: i for i, r in enumerate(regs)}
+    at_port = {p: i for i, p in enumerate(ports, len(regs))}   # in one tuple of values
+    f1, f2 = compile_expr(g1, at_reg, at_port), compile_expr(g2, at_reg, at_port)
     for values in itertools.product(range(lo, hi + 1), repeat=len(regs) + len(ports)):
-        renv = dict(zip(regs, values[: len(regs)]))
-        penv = dict(zip(ports, values[len(regs):]))
-        if f1(renv, penv) != f2(renv, penv):
+        if f1(values, values) != f2(values, values):
             return False
     return True
 
@@ -876,7 +869,7 @@ def _skeletons(T: SFST, P) -> Tuple[Transducer, Transducer]:
     return skel_t, P
 
 
-def _key_machine(T: SFST, mode: str, domain: Tuple[int, int]) -> Transducer:
+def _key_machine(T: SFST, mode: str) -> Transducer:
     """The control skeleton of ``T`` with match keys for rounds.
 
     Two transitions match when their rounds are equal, their guards
@@ -909,9 +902,8 @@ def _key_machine(T: SFST, mode: str, domain: Tuple[int, int]) -> Transducer:
             guards, updates = reps.setdefault(tr.round, ([], []))
             return (
                 tr.round,
-                cls(guards, tr.guard, lambda a, b: guard_equiv(a, b, mode, domain)),
-                cls(updates, tr.updates,
-                    lambda a, b: updates_equiv(a, b, mode, domain)),
+                cls(guards, tr.guard, lambda a, b: guard_equiv(a, b, mode)),
+                cls(updates, tr.updates, lambda a, b: updates_equiv(a, b, mode)),
             )
 
     labels: Dict[object, str] = {}
@@ -924,8 +916,7 @@ def _key_machine(T: SFST, mode: str, domain: Tuple[int, int]) -> Transducer:
                       T.states, T.initial, delta)
 
 
-def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
-                             domain: Tuple[int, int] = SEMANTIC_DOMAIN) -> CoherenceRelation:
+def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural") -> CoherenceRelation:
     """Greatest coherent simulation on control states.
 
     Transition matching additionally demands guard equivalence and
@@ -937,7 +928,7 @@ def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural",
     from . import coherence  # ``expand`` and the runs never need it
     skel_t, skel_p = _skeletons(T, P)
     return coherence.coherent_simulation(
-        skel_t, skel_p, keyed=_key_machine(T, mode, domain))
+        skel_t, skel_p, keyed=_key_machine(T, mode))
 
 
 def sfst_equivalence_pairs(T: SFST, P: SFST, mode: str = "structural",
@@ -966,7 +957,7 @@ def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
     skel_t, skel_p = _skeletons(T, P)
     _, log = coherence.coherent_minimize(
         skel_t, skel_p, keep_unreachable=True,
-        keyed=_key_machine(T, mode, SEMANTIC_DOMAIN), on_merge=on_merge)
+        keyed=_key_machine(T, mode), on_merge=on_merge)
     out = merge_states(T, coherence.merge_classes(log))
     return (out if keep_unreachable else drop_unreachable(out)), log
 
@@ -976,7 +967,7 @@ def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
     the structural key machine, so each transition is matched on its own
     round, guard normal form and normalised updates."""
     from . import coherence
-    return coherence.bisim_partition(_key_machine(T, "structural", SEMANTIC_DOMAIN))
+    return coherence.bisim_partition(_key_machine(T, "structural"))
 
 
 def sfst_bisim_minimize(T: SFST, keep_unreachable: bool = False) -> SFST:

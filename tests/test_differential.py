@@ -385,8 +385,7 @@ class TestBisimulationAgainstNaiveOracle:
             parallel += 1
             coarser += new != old
             assert all(any(b <= c for c in new) for b in old)
-            assert_stable(symbolic._key_machine(T, "structural", symbolic.SEMANTIC_DOMAIN),
-                          list(new))
+            assert_stable(symbolic._key_machine(T, "structural"), list(new))
         assert parallel > 10 and coarser >= 1
 
 
@@ -1096,8 +1095,9 @@ class TestExpandAgainstNaiveOracle:
         assert kinds["ok"] >= 150 and overflows[0] >= 20
 
     def test_random_expressions_evaluate_alike(self):
-        """``eval_expr`` on typed and ill-typed trees, against the frozen
-        tree walker: the same value, or the same error and message."""
+        """``eval_expr`` on typed and ill-typed trees, and the same trees
+        compiled to read values by position, against the frozen tree
+        walker: the same value, or the same error and message."""
         rng = random.Random(1101)
         lits = [INT64_MIN, INT64_MAX, -2, -1, 0, 1, 2, 3]
         pool = [symbolic.IntLit(v) for v in lits] + [
@@ -1115,9 +1115,17 @@ class TestExpandAgainstNaiveOracle:
                 return symbolic.Not(tree(depth - 1))
             return symbolic.Bin(rng.choice(ops), tree(depth - 1), tree(depth - 1))
 
-        def outcome(engine, e, regs, ports):
+        def addressed(e, regs, ports):
+            """``e`` compiled to read value tuples by position, as ``_Plan``
+            reads register and input values."""
+            bound = {p: v for p, v in (ports or {}).items() if v is not None}
+            f = symbolic.compile_expr(e, {r: i for i, r in enumerate(regs)},
+                                      {p: i for i, p in enumerate(bound)})
+            return f(tuple(regs.values()), tuple(bound.values()))
+
+        def outcome(evaluate, e, regs, ports):
             try:
-                return "ok", engine.eval_expr(e, regs, ports)
+                return "ok", evaluate(e, regs, ports)
             except CohminError as err:
                 return type(err), str(err)
 
@@ -1126,8 +1134,9 @@ class TestExpandAgainstNaiveOracle:
             e = tree(3)
             regs = {"y": rng.choice(lits)}
             ports = rng.choice([None, {}, {"x": rng.choice(lits)}, {"x": None}])
-            new = outcome(symbolic, e, regs, ports)
-            old = outcome(naive_symbolic, e, regs, ports)
-            assert new == old and type(new[1]) is type(old[1]), e
+            old = outcome(naive_symbolic.eval_expr, e, regs, ports)
+            for new in (outcome(symbolic.eval_expr, e, regs, ports),
+                        outcome(addressed, e, regs, ports)):
+                assert new == old and type(new[1]) is type(old[1]), e
             kinds[new[0] if new[0] == "ok" else new[0].__name__] += 1
         assert set(kinds) == {"ok", "Overflow", "TypeMismatch", "UnboundReference"}

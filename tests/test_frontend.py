@@ -231,6 +231,25 @@ class TestExpressions:
         assert render_expr(e) == "y - -1"
 
 
+    def test_integers_are_read_in_64_bits(self):
+        """An integer of a model or a valued trace is read only within 64
+        bits, at any length of text; a literal in an expression is unsigned."""
+        head = TestParsing.EXPR_HEAD + "trans a -> b : {x} do r := "
+        T = parse_model(head + "9223372036854775807;\n"
+                        "trans b -> a : {x} do r := -9223372036854775807 - 1;\n")
+        assert {u.expr for tr in T.delta for u in tr.updates} == {
+            IntLit(2**63 - 1), Bin("-", symbolic.Neg(IntLit(2**63 - 1)), IntLit(1))}
+        assert parse_valued_trace("{x=-9223372036854775808}\n{x=" + "0" * 5000 + "7}")[1] \
+            == symbolic.ValuedRound.of({"x": 7})
+        wide = "integer outside [-9223372036854775808..9223372036854775807]"
+        for digits in ("9223372036854775808", "1" + "0" * 4999):
+            with pytest.raises(ParseError) as err:
+                parse_model(head + digits + ";\n")
+            assert (err.value.line, err.value.column, err.value.message) == (5, 28, wide)
+            with pytest.raises(ParseError) as err:
+                parse_valued_trace("{x=1}\n{q, x=" + digits + "}\n")
+            assert (err.value.line, err.value.column, err.value.message) == (2, 1, wide)
+
     def test_depth_bound_keeps_walkers_safe(self):
         from cohmin.frontend.fileformat import MAX_DEPTH
         from cohmin.symbolic import eval_expr, normal_form, type_of
@@ -533,6 +552,31 @@ class TestCli:
                                str(FIXDIR / "forked_reader.fst"))
         assert code == 0
         assert len(parse_model(out).states) == 7
+
+    def test_quotient_names_product_and_expanded_states(self, tmp_path):
+        """``--pair`` splits as a ``states`` statement does, so the names of
+        a product and of an expansion stay whole."""
+        for argv, pair, merged in (
+                (["intersect", str(FIXDIR / "forked_reader.fst"),
+                  str(FIXDIR / "linear_protocol.fst")], "(P,X1),(Q,X1)", "(Q,X1)"),
+                (["expand", "--lo", "-1", "--hi", "1", str(FIXDIR / "adder.sfst")],
+                 "A[y=0,z=0], A[y=0,z=1]", "A[y=0,z=1]")):
+            path = tmp_path / "model.fst"
+            path.write_text(run_cli(*argv)[1])
+            code, out, err = run_cli("quotient", "--pair", pair, str(path))
+            assert (code, err) == (0, "")
+            states = parse_model(out).states
+            assert merged not in states and len(states) == len(load_model(path).states) - 1
+        for pair in ("(P,X1)", "(P,X1),(Q,X1),(p1,X2)", "(P,X1,(Q,X1)", "A[y=0,z=0"):
+            assert run_cli("quotient", "--pair", pair, str(path)) == (
+                1, "", "usage error: --pair wants two comma-separated state names\n")
+
+    def test_a_literal_of_any_length_is_one_line_of_error(self, tmp_path):
+        path = tmp_path / "long.sfst"
+        path.write_text(TestParsing.EXPR_HEAD + "trans a -> b : {x} do r := 1"
+                        + "0" * 4999 + ";\n")
+        assert run_cli("validate", str(path)) == (2, "", "error: 5:28: integer outside "
+                                                  "[-9223372036854775808..9223372036854775807]\n")
 
     def test_expand(self):
         code, out, _ = run_cli("expand", "--lo", "-1", "--hi", "1",

@@ -117,6 +117,14 @@ class TestGuardEquiv:
         assert not guard_equiv(a, b, "structural")
         assert guard_equiv(a, b, "bounded-semantic")
 
+    def test_a_register_and_a_port_of_one_name_stay_apart(self):
+        # the bounded-semantic loop reads both from one tuple of values
+        diff = Bin("-", Reg("x"), Port("x"))
+        assert not guard_equiv(Bin(">", Reg("x"), IntLit(0)),
+                               Bin(">", Port("x"), IntLit(0)), "bounded-semantic")
+        assert not guard_equiv(diff, IntLit(0), "bounded-semantic")
+        assert guard_equiv(diff, Neg(Bin("-", Port("x"), Reg("x"))), "bounded-semantic")
+
     def test_constant_folding(self):
         a = Bin("and", BoolLit(True), Bin("<", IntLit(1), IntLit(2)))
         assert normal_form(a) == ("bool", True)

@@ -364,5 +364,42 @@ def test_no_module_in_src_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_no_function_in_src_keeps_an_unread_parameter_or_an_unnamed_private_name():
+    """Two more lints over ``src/cohmin``: every parameter of a function
+    (dunder methods aside, whose parameters the protocol fixes) is read in
+    its body, and every private top-level function or class is named by
+    some other top-level statement of ``src/``."""
+    trees = {path.relative_to(ROOT): ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "cohmin").rglob("*.py"))}
+    users = {}   # name -> the (module, top-level statement) pairs that name it
+    for where, tree in trees.items():
+        for i, stmt in enumerate(tree.body):
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+                for name in names:
+                    users.setdefault(name, set()).add((where, i))
+    faults = []
+    for where, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("__") and node.name.endswith("__")):
+                a = node.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                          + [a.vararg, a.kwarg] if x]
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                faults += [f"{where}:{node.lineno}: {node.name} never reads {p!r}"
+                           for p in params if p not in read]
+        for i, stmt in enumerate(tree.body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
+                    stmt.name.startswith("_") and not stmt.name.endswith("__") and \
+                    not users.get(stmt.name, set()) - {(where, i)}:
+                faults.append(f"{where}:{stmt.lineno}: nothing names {stmt.name}")
+    assert faults == []
+
+
 if __name__ == "__main__":
     _write_golden()
