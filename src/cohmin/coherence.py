@@ -48,14 +48,16 @@ class CoherenceRelation:
 
     Held as ``(states, rows)``: ``states`` sorted by name and bit ``i`` of
     ``rows[j]`` set iff ``(states[i], states[j])`` is related.  The set of
-    pairs is built only when first asked for.  ``moves``, when given, is
-    the index (:func:`_index`) that condition 1 of the fixpoint ran on.
+    pairs is built only when first asked for.  ``moves`` and ``machines``,
+    when given, are the index (:func:`_index`) and the machines
+    (:func:`_views`) that the fixpoint ran on.
     """
 
-    def __init__(self, states: List[str], rows: List[int], moves=None):
+    def __init__(self, states: List[str], rows: List[int], moves=None, machines=None):
         self._rows = (states, rows)
         self._pairs = None
         self.moves = moves
+        self.machines = machines
 
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
@@ -138,9 +140,33 @@ def product_reach(index, P: Transducer, initial: str) -> List[int]:
     return reach
 
 
-def coherent_simulation(T: Transducer, P: Transducer,
-                        keyed: Optional[Transducer] = None) -> CoherenceRelation:
-    """Greatest coherent simulation of ``T`` under protocol ``P``.
+def _views(T, P, mode: str):
+    """``(control skeleton, key machine or None, protocol skeleton)`` of a
+    plain or symbolic machine and protocol (or None); only a symbolic input
+    loads ``symbolic``.  Raises ``NotAProtocol``, ``SignatureMismatch``,
+    then the faults of the key machine."""
+    if not isinstance(P, (Transducer, type(None))):
+        from . import symbolic
+        P = symbolic.protocol_skeleton(P)
+    if P is not None and T.signature != P.signature:
+        raise SignatureMismatch("coherent simulation needs identical signatures")
+    if isinstance(T, Transducer):
+        return T, None, P
+    from . import symbolic
+    return T.control_skeleton(), symbolic._key_machine(T, mode), P
+
+
+def coherent_simulation(T, P, mode: str = "structural") -> CoherenceRelation:
+    """Greatest coherent simulation of a plain or symbolic machine ``T``
+    under a plain or symbolic protocol ``P`` (:func:`_fixpoint`).  On a
+    symbolic machine condition 1 matches a transition only by one of the
+    same round, guard and updates up to equivalence in ``mode`` (its match
+    keys); condition 2 reads the control skeleton, so can only forbid pairs."""
+    return _fixpoint(*_views(T, P, mode))
+
+
+def _fixpoint(T: Transducer, keyed: Optional[Transducer], P: Transducer) -> CoherenceRelation:
+    """Greatest coherent simulation of plain ``T`` under plain ``P``.
 
     States and rounds are numbered (:func:`_index`), and ``sim[j]`` is the
     bitset of the states ``i`` with ``(i, j)`` related.  Condition 2 does
@@ -154,14 +180,10 @@ def coherent_simulation(T: Transducer, P: Transducer,
     successor row shrank, and ``pre_v`` is memoised on its argument
     because equivalent states share rows.  See the README for the cost.
 
-    ``keyed`` serves symbolic machines: a transducer on the states of ``T``
-    whose rounds are match keys (see ``symbolic.sfst_coherent_simulation``);
-    a key determines the round of its transition.  Condition 1 then matches
-    keys on the key machine's index; condition 2 always reads ``T``'s,
-    which numbers the same states in the same order.
+    ``keyed``, when given, is a key machine on the states of ``T``, whose
+    keys each determine a round: condition 1 reads its index, condition 2
+    always ``T``'s, which numbers the same states in the same order.
     """
-    if T.signature != P.signature:
-        raise SignatureMismatch("coherent simulation needs identical signatures")
     index = _index(T)
     states, moves, rid = index if keyed is None else _index(keyed)
     n = len(states)
@@ -206,10 +228,10 @@ def coherent_simulation(T: Transducer, P: Transducer,
                 if not queued[p]:
                     queued[p] = True
                     pending.append(p)
-    return CoherenceRelation(states, sim, moves)
+    return CoherenceRelation(states, sim, moves, (T, keyed, P))
 
 
-def equivalence_pairs(T: Transducer, P: Transducer, relation=None) -> EquivalencePairs:
+def equivalence_pairs(T, P, relation=None) -> EquivalencePairs:
     """Symmetrise the greatest coherent simulation, dropping identity pairs."""
     rel = relation if relation is not None else coherent_simulation(T, P)
     return EquivalencePairs(*rel.rows())
@@ -243,11 +265,10 @@ class _Fold:
     ``a`` is clearing ``b``'s bit in ``alive``.
     """
 
-    def __init__(self, T: Transducer, P: Transducer, keyed: Optional[Transducer]):
-        relation = coherent_simulation(T, P, keyed)
+    def __init__(self, relation: CoherenceRelation):
         states, rows = relation.rows()
         n = len(states)
-        self.states, self.rows = states, rows
+        self.states, self.rows, self.machines = states, rows, relation.machines
         self.alive = (1 << n) - 1
         self.lo = 0
         # columns from the distinct rows: one OR per (row value, member bit)
@@ -296,34 +317,29 @@ class _Fold:
                          for i in _bits(self.rows[j] & alive))
 
 
-def coherent_minimize(
-    T: Transducer,
-    P: Transducer,
-    keep_unreachable: bool = False,
-    keyed: Optional[Transducer] = None,
-    on_merge: Optional[Callable] = None,
-) -> Tuple[Transducer, List[Tuple[str, str]]]:
-    """Iteratively quotient coherently equivalent states.
+def coherent_minimize(T, P, keep_unreachable: bool = False,
+                      on_merge: Optional[Callable] = None, mode: str = "structural"):
+    """Iteratively quotient coherently equivalent states; ``T``, ``P`` and
+    ``mode`` are as for :func:`coherent_simulation`.
 
     The relation is order-dependent and not transitive; the
     lexicographically least pair goes first, which makes the output
     reproducible.  After a merge the relation is folded when the skip rule
-    holds and recomputed on the merged machine otherwise; either way it is
-    the greatest coherent simulation of that machine (README, "Merging
-    without recomputing").  The merged machine is built only for a
-    recomputation and once at the end.  Returns the reduced transducer and
-    the merge log as (survivor, absorbed) entries.  ``keyed`` is as for
-    :func:`coherent_simulation` and is merged along with ``T``.
+    holds and recomputed otherwise; either way it is the greatest coherent
+    simulation of the merged machine (README, "Merging without
+    recomputing").  A recomputation runs :func:`_fixpoint` on the first
+    fixpoint's machines merged by the classes of the whole log; ``T`` is
+    folded once, at the end.  Returns the reduced machine and the merge
+    log as (survivor, absorbed) entries.
 
     ``on_merge``, when given, is called after every merge as
     ``on_merge(log, outcome, folded)``: ``outcome`` is "skip" or why the
     relation is recomputed (``_Fold.merge``), and ``folded`` is, on a skip,
     the relation that stands in for the recomputation (``_Fold.pairs``).
     """
-    current = T
+    fold = _Fold(coherent_simulation(T, P, mode))
+    skeleton, keyed, protocol = fold.machines
     log: List[Tuple[str, str]] = []
-    built = 0   # how many merges of the log ``current`` has had
-    fold = _Fold(current, P, keyed)
     while True:
         least = fold.least()
         if least is None:
@@ -333,17 +349,12 @@ def coherent_minimize(
         if on_merge is not None:
             on_merge(log, outcome, fold.pairs() if outcome == "skip" else None)
         if outcome != "skip":
-            classes = merge_classes(log[built:])
-            current = merge_states(current, classes)
-            if keyed is not None:
-                keyed = merge_states(keyed, classes)
-            built = len(log)
-            fold = _Fold(current, P, keyed)
-    if built < len(log):
-        current = merge_states(current, merge_classes(log[built:]))
-    if not keep_unreachable:
-        current = drop_unreachable(current)
-    return current, log
+            classes = merge_classes(log)
+            fold = _Fold(_fixpoint(
+                merge_states(skeleton, classes),
+                None if keyed is None else merge_states(keyed, classes), protocol))
+    out = merge_states(T, merge_classes(log)) if log else T
+    return (out if keep_unreachable else drop_unreachable(out)), log
 
 
 def merge_classes(log: List[Tuple[str, str]]) -> List[FrozenSet[str]]:
@@ -380,15 +391,18 @@ def _refine(moves, block: List[int]) -> Tuple[List[int], int]:
     return new, len(ids)
 
 
-def bisim_partition(T: Transducer) -> List[FrozenSet[str]]:
+def bisim_partition(T) -> List[FrozenSet[str]]:
     """Coarsest partition stable under the transition relation.
 
     :func:`_refine` (Kanellakis-Smolka style) over the integer index of
     :func:`_index`, correct for nondeterministic transducers, iterated
     until the number of blocks stops growing.  A symbolic machine is
-    partitioned through its key machine (``symbolic.sfst_bisim_partition``).
+    partitioned through its structural key machine (:func:`_views`), so
+    each transition is matched on its own round, guard normal form and
+    normalised updates.
     """
-    states, moves, _ = _index(T)
+    skeleton, keyed, _ = _views(T, None, "structural")
+    states, moves, _ = _index(skeleton if keyed is None else keyed)
     block, count = [0] * len(states), 1
     while (refined := _refine(moves, block))[1] != count:
         block, count = refined
@@ -398,8 +412,9 @@ def bisim_partition(T: Transducer) -> List[FrozenSet[str]]:
     return [frozenset(g) for g in groups]
 
 
-def bisim_minimize(T: Transducer, keep_unreachable: bool = False) -> Transducer:
-    """Quotient by the coarsest stable partition, then drop unreachable."""
+def bisim_minimize(T, keep_unreachable: bool = False):
+    """Quotient a plain or symbolic machine by the coarsest stable
+    partition, then drop unreachable states."""
     out = merge_states(T, bisim_partition(T))
     return out if keep_unreachable else drop_unreachable(out)
 

@@ -49,8 +49,7 @@ def _require_transducer(model, command):
 def _cmd_validate(args) -> int:
     model = fileformat.load_model(args.file)
     kind = "transducer" if isinstance(model, Transducer) else "symbolic transducer"
-    n_trans = len(model.delta)
-    print(f"ok: {kind}, {len(model.states)} states, {n_trans} transitions")
+    print(f"ok: {kind}, {len(model.states)} states, {len(model.delta)} transitions")
     return EXIT_OK
 
 
@@ -87,28 +86,12 @@ def _cmd_minimize(args) -> int:
     from .. import coherence
 
     if args.policy == "bisim":
-        if isinstance(model, Transducer):
-            out = coherence.bisim_minimize(
-                model, keep_unreachable=args.keep_unreachable)
-        else:
-            from .. import symbolic
-
-            out = symbolic.sfst_bisim_minimize(
-                model, keep_unreachable=args.keep_unreachable)
-        _emit_model(out)
+        _emit_model(coherence.bisim_minimize(model, args.keep_unreachable))
         return EXIT_OK
     if not args.protocol:
         raise _Usage("--policy coherent needs --protocol")
     P = fileformat.load_protocol(args.protocol, model)
-    if isinstance(model, Transducer):
-        out, log = coherence.coherent_minimize(
-            model, P, keep_unreachable=args.keep_unreachable)
-    else:
-        from .. import symbolic
-
-        out, log = symbolic.sfst_coherent_minimize(
-            model, P, mode=args.guard_mode,
-            keep_unreachable=args.keep_unreachable)
+    out, log = coherence.coherent_minimize(model, P, args.keep_unreachable, mode=args.guard_mode)
     _emit_model(out)
     for keep, drop in log:
         print(f"merge {drop} -> {keep}")
@@ -120,12 +103,7 @@ def _cmd_relation(args) -> int:
     P = fileformat.load_protocol(args.protocol, model)
     from .. import coherence
 
-    if isinstance(model, Transducer):
-        rel = coherence.coherent_simulation(model, P)
-    else:
-        from .. import symbolic
-
-        rel = symbolic.sfst_coherent_simulation(model, P, mode=args.guard_mode)
+    rel = coherence.coherent_simulation(model, P, args.guard_mode)
     for a, b in rel.sorted_pairs():
         print(f"sim {a} {b}")
     for a, b in coherence.equivalence_pairs(model, P, rel).sorted_pairs():

@@ -7,7 +7,7 @@ parser and ``render_expr`` the binding of each binary operator."""
 from ..errors import ParseError
 from .fileformat import MAX_DEPTH, Cursor, parse_int
 
-_EXPR_TOKEN = r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|>=|[+\-*=<>()])"
+_EXPR_TOKEN = r"(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|>=|[+\-*=<>()])"
 
 # How tightly each binary operator binds; ``not`` binds at 3, over one
 # comparison, and unary minus at 7.

@@ -92,9 +92,7 @@ class TraceReader:
         return sum(1 for _ in self)
 
 
-_VALUED_EVENT = re.compile(
-    r"(?P<label>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<value>-?\d+))?\Z"
-)
+_VALUED_EVENT = re.compile(r"(?P<label>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<value>-?[0-9]+))?\Z")
 
 
 def parse_valued_trace(text: str):

@@ -6,8 +6,8 @@ Guards and updates live in a closed grammar with two equivalence modes
 an external solver.  No constant fold in a normal form makes a value that
 64-bit checked evaluation refuses, though reassociating operands that hold
 registers or ports can still hide an overflow from the structural mode.
-Coherence is decided on control states only, with witness reachability
-computed on the control skeleton (guards ignored), again conservative.
+Match keys (``_key_machine``) put coherence of control states on the
+``coherence`` engine, with witnesses read off the control skeleton.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     UnboundReference,
     UnknownState,
 )
-from .kernel import Record, Round, Signature, Transducer, drop_unreachable, merge_states
+from .kernel import Record, Round, Signature, Transducer
 
 if TYPE_CHECKING:
     from .coherence import CoherenceRelation, EquivalencePairs
@@ -606,23 +606,25 @@ class ValuedRound(Record):
 Config = Tuple[str, Tuple[Tuple[str, int], ...]]
 
 
-def _fire(T: SFST, tr: STransition, vround: ValuedRound, regs: Dict[str, int]):
-    """Register valuation after firing, or None if the transition declines."""
-    values = vround.as_dict()
-    ports = {
-        lab: val for lab, val in values.items() if lab in T.signature.inputs
-    }
-    if eval_expr(tr.guard, regs, ports) is not True:
-        return None
-    new_regs = dict(regs)
-    for u in tr.updates:
-        v = eval_expr(u.expr, regs, ports)
-        if u.target in T.registers:
-            new_regs[u.target] = v
-        else:
-            if values.get(u.target) != v:
+def _compile_firing(tr: STransition, position: Dict[str, int], ports: Mapping[str, str]):
+    """``tr`` as ``fire(regs, values)``: the register values after it fires
+    on the valued round ``values``, or None if it declines.  Every update
+    runs, by target, before a carried output is compared."""
+    guard = compile_expr(tr.guard, position, ports)
+    updates = [(position.get(u.target), u.target, compile_expr(u.expr, position, ports))
+               for u in sorted(tr.updates, key=lambda u: u.target)]
+
+    def fire(regs, values):
+        if guard(regs, values) is not True:
+            return None
+        new, results = list(regs), [f(regs, values) for _, _, f in updates]
+        for (i, target, _), v in zip(updates, results):
+            if i is not None:
+                new[i] = v
+            elif values.get(target) != v:
                 return None
-    return new_regs
+        return tuple(new)
+    return fire
 
 
 def sfst_run(T: SFST, trace) -> FrozenSet[Config]:
@@ -630,30 +632,42 @@ def sfst_run(T: SFST, trace) -> FrozenSet[Config]:
 
     A transition fires when its round equals the fired label set, its guard
     holds, and every output update reproduces the carried value; register
-    updates read the pre-state.  Evaluation errors carry the round index.
+    updates read the pre-state.  Transitions are compiled once per run and
+    per set of ports fired without a value (which stay unbound), and tried
+    in canonical order, so the first fault does not depend on the hash
+    seed.  Evaluation errors carry the round index.
     """
-    configs = {(T.initial, T.initial_registers())}
+    registers = sorted(T.registers)
+    position = {r: i for i, r in enumerate(registers)}
+    plans: Dict[tuple, list] = {}   # (state, round, unbound ports) -> [(target, fire)]
+    configs = {(T.initial, (0,) * len(registers))}
     for i, vround in enumerate(trace):
-        stray = vround.labels() - T.signature.universe
+        labels, values = vround.labels(), vround.as_dict()
+        stray = labels - T.signature.universe
         if stray:
             raise SignatureMismatch(f"round {i}: unknown labels {sorted(stray)}")
+        unbound = frozenset(p for p, v in values.items() if v is None)
         nxt = set()
-        for state, regs in configs:
-            regs_d = dict(regs)
-            for tr in T.out(state):
-                if tr.round != vround.labels():
-                    continue
-                try:
-                    new_regs = _fire(T, tr, vround, regs_d)
-                except Exception as e:
-                    e.round_index = i
-                    raise
-                if new_regs is not None:
-                    nxt.add((tr.target, tuple(sorted(new_regs.items()))))
+        try:
+            for state, regs in sorted(configs):
+                plan = plans.get((state, labels, unbound))
+                if plan is None:
+                    ports = {p: p for p in labels & T.signature.inputs - unbound}
+                    plan = plans[state, labels, unbound] = [
+                        (tr.target, _compile_firing(tr, position, ports))
+                        for tr in sorted(T.out(state), key=_transition_key)
+                        if tr.round == labels]
+                for target, fire in plan:
+                    new = fire(regs, values)
+                    if new is not None:
+                        nxt.add((target, new))
+        except Exception as e:
+            e.round_index = i
+            raise
         configs = nxt
         if not configs:
             return frozenset()
-    return frozenset(configs)
+    return frozenset((state, tuple(zip(registers, regs))) for state, regs in configs)
 
 
 # -- explicit expansion -----------------------------------------------------
@@ -858,17 +872,6 @@ def protocol_skeleton(P: SFST) -> Transducer:
     return P.control_skeleton()
 
 
-def _skeletons(T: SFST, P) -> Tuple[Transducer, Transducer]:
-    """Control skeletons of a machine and of a (plain or symbolic) protocol;
-    a plain protocol is its own skeleton."""
-    if not isinstance(P, Transducer):
-        P = protocol_skeleton(P)
-    skel_t = T.control_skeleton()
-    if skel_t.signature != P.signature:
-        raise SignatureMismatch("coherent simulation needs identical signatures")
-    return skel_t, P
-
-
 def _key_machine(T: SFST, mode: str) -> Transducer:
     """The control skeleton of ``T`` with match keys for rounds.
 
@@ -916,60 +919,36 @@ def _key_machine(T: SFST, mode: str) -> Transducer:
                       T.states, T.initial, delta)
 
 
-def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural") -> CoherenceRelation:
-    """Greatest coherent simulation on control states.
+# The symbolic names of the ``coherence`` entry points, which take plain and
+# symbolic machines alike; ``expand`` and the runs never load ``coherence``.
 
-    Transition matching additionally demands guard equivalence and
-    target-wise update equivalence in the chosen mode, through the match
-    keys of :func:`_key_machine`; the witness reachability behind the
-    protocol-dead escape runs on the control skeleton, which
-    over-approximates witnesses and therefore only ever forbids merges.
-    """
-    from . import coherence  # ``expand`` and the runs never need it
-    skel_t, skel_p = _skeletons(T, P)
-    return coherence.coherent_simulation(
-        skel_t, skel_p, keyed=_key_machine(T, mode))
+
+def _coherence():
+    from . import coherence
+    return coherence
+
+
+def sfst_coherent_simulation(T: SFST, P: SFST, mode: str = "structural") -> CoherenceRelation:
+    return _coherence().coherent_simulation(T, P, mode)
 
 
 def sfst_equivalence_pairs(T: SFST, P: SFST, mode: str = "structural",
                            relation=None) -> EquivalencePairs:
-    from . import coherence
-    rel = relation if relation is not None else sfst_coherent_simulation(T, P, mode)
-    return coherence.equivalence_pairs(T, P, rel)
+    return _coherence().equivalence_pairs(T, P, relation or sfst_coherent_simulation(T, P, mode))
 
 
 def sfst_quotient(T: SFST, s1: str, s2: str) -> SFST:
-    """Merge two control states; registers are untouched.  Transitions
-    collapse only when round, guard, updates and endpoints all coincide."""
-    from . import coherence
-    return coherence.quotient(T, s1, s2)
+    return _coherence().quotient(T, s1, s2)
 
 
 def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
                            keep_unreachable: bool = False, on_merge=None):
-    """Iterated quotienting of coherently equivalent control states.
-
-    The merge loop of ``coherence.coherent_minimize`` runs on the control
-    skeleton and the match keys, and reports to ``on_merge`` as there;
-    ``T`` is then folded once, each merge class into its least name.
-    """
-    from . import coherence
-    skel_t, skel_p = _skeletons(T, P)
-    _, log = coherence.coherent_minimize(
-        skel_t, skel_p, keep_unreachable=True,
-        keyed=_key_machine(T, mode), on_merge=on_merge)
-    out = merge_states(T, coherence.merge_classes(log))
-    return (out if keep_unreachable else drop_unreachable(out)), log
+    return _coherence().coherent_minimize(T, P, keep_unreachable, on_merge, mode)
 
 
 def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
-    """Guard-sensitive coarsest partition: the bisimulation partition of
-    the structural key machine, so each transition is matched on its own
-    round, guard normal form and normalised updates."""
-    from . import coherence
-    return coherence.bisim_partition(_key_machine(T, "structural"))
+    return _coherence().bisim_partition(T)
 
 
 def sfst_bisim_minimize(T: SFST, keep_unreachable: bool = False) -> SFST:
-    out = merge_states(T, sfst_bisim_partition(T))
-    return out if keep_unreachable else drop_unreachable(out)
+    return _coherence().bisim_minimize(T, keep_unreachable)

@@ -31,6 +31,7 @@ from cohmin.coherence import CoherenceRelation
 from cohmin.errors import (
     CohminError,
     LabelClash,
+    NotAProtocol,
     Overflow,
     ParseError,
     ResourceLimit,
@@ -210,16 +211,30 @@ class TestAgainstNaiveOracle:
 GUARD_MODES = ("structural", "bounded-semantic")
 
 
+def recording(calls, then=None):
+    """An ``on_merge`` that appends each call's (log, outcome, folded) to
+    ``calls`` and then calls ``then``, if given."""
+
+    def on_merge(log, outcome, folded):
+        calls.append((tuple(log), outcome, folded))
+        if then is not None:
+            then(log, outcome, folded)
+
+    return on_merge
+
+
 def assert_same_sfst(T, P, outcomes=None):
-    """Symbolic engine and frozen symbolic oracle agree on (T, P); returns
-    the relation per guard mode."""
+    """Symbolic engine and frozen symbolic oracle agree on (T, P), and the
+    ``coherence`` entry points called on the SFST agree with the ``sfst_*``
+    names; returns the relation per guard mode."""
     relations = {}
     outcomes = Counter() if outcomes is None else outcomes
     for mode in GUARD_MODES:
         new = symbolic.sfst_coherent_simulation(T, P, mode)
         old = naive_symbolic.sfst_coherent_simulation(T, P, mode)
-        assert new.sorted_pairs() == old.sorted_pairs()
-        assert new.pairs == old.pairs
+        direct = coherence.coherent_simulation(T, P, mode)
+        assert new.sorted_pairs() == old.sorted_pairs() == direct.sorted_pairs()
+        assert new.pairs == old.pairs == direct.pairs
         new_eq = symbolic.sfst_equivalence_pairs(T, P, mode, new)
         old_eq = naive_symbolic.sfst_equivalence_pairs(T, P, mode, old)
         assert new_eq.sorted_pairs() == old_eq.sorted_pairs()
@@ -232,21 +247,30 @@ def assert_same_sfst(T, P, outcomes=None):
 
         on_merge = skips_checked(fresh, outcomes)
         for keep in (False, True):
-            mini, log = symbolic.sfst_coherent_minimize(T, P, mode, keep, on_merge)
+            calls, direct_calls = [], []
+            mini, log = symbolic.sfst_coherent_minimize(
+                T, P, mode, keep, recording(calls, on_merge))
             old_mini, old_log = naive_symbolic.sfst_coherent_minimize(
                 T, P, mode, keep)
-            assert log == old_log
-            assert mini == old_mini
-            assert serialize_model(mini) == serialize_model(old_mini)
+            direct_mini, direct_log = coherence.coherent_minimize(
+                T, P, keep, recording(direct_calls), mode)
+            assert log == old_log == direct_log
+            assert mini == old_mini == direct_mini
+            assert calls == direct_calls
+            assert serialize_model(mini) == serialize_model(old_mini) == \
+                serialize_model(direct_mini)
         relations[mode] = new.pairs
     return relations
 
 
 def assert_same_sfst_folds(T):
-    """Bisimulation minimisation and single quotients agree with the oracle."""
+    """Bisimulation minimisation and single quotients agree with the
+    oracle, and ``coherence``'s bisimulation with the ``sfst_*`` names."""
+    assert blocks(coherence.bisim_partition(T)) == blocks(symbolic.sfst_bisim_partition(T))
     for keep in (False, True):
         assert serialize_model(symbolic.sfst_bisim_minimize(T, keep)) == \
-            serialize_model(naive_symbolic.sfst_bisim_minimize(T, keep))
+            serialize_model(naive_symbolic.sfst_bisim_minimize(T, keep)) == \
+            serialize_model(coherence.bisim_minimize(T, keep))
     states = sorted(T.states)
     for a, b in zip(states, states[1:]):
         assert serialize_model(symbolic.sfst_quotient(T, b, a)) == \
@@ -305,6 +329,50 @@ class TestSymbolicAgainstNaiveOracle:
         assert_same_sfst_folds(machine)
         assert symbolic.sfst_coherent_minimize(machine, P) == \
             naive_symbolic.sfst_coherent_minimize(machine, P)
+
+    def test_plain_machine_under_a_symbolic_protocol(self):
+        """A symbolic protocol is read as its control skeleton, whatever
+        the machine; the guard mode does not matter for a plain machine."""
+        rng = random.Random(2300)
+        merges = 0
+        for _ in range(40):
+            T = random_transducer(rng, SIG2, 6, 12)
+            skeleton = random_transducer(rng, SIG2, 3, 6, "p")
+            P = lift_transducer(skeleton)
+            for mode in GUARD_MODES:
+                rel = coherence.coherent_simulation(T, P, mode)
+                assert rel.sorted_pairs() == naive.coherent_simulation(T, skeleton).sorted_pairs()
+                assert rel.pairs == naive_symbolic.sfst_coherent_simulation(
+                    lift_transducer(T), P, mode).pairs
+                assert symbolic.sfst_coherent_simulation(T, P, mode).pairs == rel.pairs
+                mini, log = coherence.coherent_minimize(T, P, mode=mode)
+                assert (mini, log) == naive.coherent_minimize(T, skeleton)
+                merges += len(log)
+        assert merges > 20
+
+    def test_faults_are_reported_in_order(self):
+        """On a machine and protocol with several faults: first a protocol
+        that is not one, then a signature mismatch, then the key machine's
+        own faults, for every entry point and the oracle alike."""
+        machine = parse_model(
+            "signature in x, a; out r;\nstates A, B;\nregisters y;\ninitial A;\n"
+            "trans A -> B : {x} when y * 4611686018427387904 > 0;\ntrans B -> A : {a};\n")
+        other = Signature(frozenset({"x"}), frozenset({"r"}))
+        guarded = parse_model("signature in x; out r;\nstates p;\nregisters y;\n"
+                              "initial p;\ntrans p -> p : {x} when y > 0;\n")
+        cases = [(guarded, NotAProtocol), (universal_protocol(other), SignatureMismatch),
+                 (lift_transducer(universal_protocol(other)), SignatureMismatch),
+                 (universal_protocol(machine.signature), Overflow),
+                 (lift_transducer(universal_protocol(machine.signature)), Overflow)]
+        for P, error in cases:
+            for run in (partial(coherence.coherent_simulation, machine, P),
+                        partial(coherence.coherent_minimize, machine, P),
+                        partial(symbolic.sfst_coherent_simulation, machine, P),
+                        partial(symbolic.sfst_coherent_minimize, machine, P),
+                        partial(naive_symbolic.sfst_coherent_simulation, machine, P),
+                        partial(naive_symbolic.sfst_coherent_minimize, machine, P)):
+                with pytest.raises(error):
+                    run(mode="bounded-semantic")
 
     def test_random_sfsts(self):
         rng = random.Random(2100)
@@ -376,8 +444,9 @@ class TestBisimulationAgainstNaiveOracle:
                      parse_model(PARALLEL_GUARDS)]
         parallel = coarser = 0
         for T in machines:
-            new, old = blocks(symbolic.sfst_bisim_partition(T)), \
+            new, old = blocks(coherence.bisim_partition(T)), \
                 blocks(naive_symbolic.sfst_bisim_partition(T))
+            assert new == blocks(symbolic.sfst_bisim_partition(T))
             edges = Counter((tr.source, tr.round, tr.target) for tr in T.delta)
             if max(edges.values(), default=0) < 2:
                 assert new == old

@@ -250,6 +250,20 @@ class TestExpressions:
                 parse_valued_trace("{x=1}\n{q, x=" + digits + "}\n")
             assert (err.value.line, err.value.column, err.value.message) == (2, 1, wide)
 
+    @pytest.mark.parametrize("digit", ["٣", "３", "३"],
+                             ids=["arabic-indic", "fullwidth", "devanagari"])
+    def test_integers_are_ascii_digits(self, digit):
+        """A decimal digit of another script is no digit of an integer,
+        in an expression or in a valued trace."""
+        head = TestParsing.EXPR_HEAD + "trans a -> b : {x} do r := 1 + "
+        with pytest.raises(ParseError) as err:
+            parse_model(head + digit + ";\n")
+        assert (err.value.line, err.value.column, err.value.message) == (
+            5, 32, f"bad character {digit!r} in expression")
+        with pytest.raises(ParseError) as err:
+            parse_valued_trace("{x=1}\n{q, x=" + digit + "}\n")
+        assert (err.value.line, err.value.message) == (2, f"bad event 'x={digit}'")
+
     def test_depth_bound_keeps_walkers_safe(self):
         from cohmin.frontend.fileformat import MAX_DEPTH
         from cohmin.symbolic import eval_expr, normal_form, type_of

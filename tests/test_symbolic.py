@@ -99,6 +99,51 @@ class TestSfstRun:
         got = sfst_run(swap, [VR({"x": 7}), VR({"x": 9})])
         assert got == {("s", (("y", 7), ("z", 9)))}
 
+    def test_compiles_each_transition_once_per_run(self, monkeypatch):
+        calls = []
+        compile_expr = symbolic.compile_expr
+        monkeypatch.setattr(symbolic, "compile_expr",
+                            lambda *args: calls.append(1) or compile_expr(*args))
+        rounds = [VR({"x": 2}), VR({"x": 3}), VR({"r": 5})]
+        counts = []
+        for repeat in (1, 300):
+            calls.clear()
+            assert sfst_run(ADDER, rounds * repeat) == {("A", (("y", 2), ("z", 3)))}
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_a_port_fired_without_a_value_stays_unbound(self):
+        # the same transition, compiled first with x bound, then without
+        with pytest.raises(UnboundReference) as err:
+            sfst_run(ADDER, [VR({"x": 2}), VR({"x": 3}), VR({"r": 5}), VR({"x": None})])
+        assert err.value.round_index == 3
+
+
+_UPDATE_FAULT = """\
+from cohmin.frontend import parse_model
+from cohmin.symbolic import ValuedRound, sfst_run
+T = parse_model("signature in x; out r;\\nstates A;\\nregisters y;\\ninitial A;\\n"
+                "trans A -> A : {x, r} do r := x + 1, y := x * 9223372036854775807;\\n")
+try:
+    print(sfst_run(T, [ValuedRound.of({"x": 2, "r": 0})]))
+except Exception as e:
+    print(type(e).__name__, e, e.round_index)
+"""
+
+
+def test_an_update_fault_does_not_hide_behind_an_output_mismatch():
+    """Every update is evaluated before a carried output is compared, so
+    the run faults whatever order the hash seed gives ``tr.updates``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("0", "1", "4", "6", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _UPDATE_FAULT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {"Overflow arithmetic overflow: 18446744073709551614 0\n"}
+
 
 class TestGuardEquiv:
     def test_commutative_sort(self):

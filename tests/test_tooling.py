@@ -364,14 +364,12 @@ def test_no_module_in_src_imports_a_name_it_never_uses():
     assert unused == []
 
 
-def test_no_function_in_src_keeps_an_unread_parameter_or_an_unnamed_private_name():
-    """Two more lints over ``src/cohmin``: every parameter of a function
-    (dunder methods aside, whose parameters the protocol fixes) is read in
-    its body, and every private top-level function or class is named by
-    some other top-level statement of ``src/``."""
+def _src_trees():
+    """Each module of ``src/cohmin`` parsed, and for each name the
+    (module, top-level statement index) pairs that name it."""
     trees = {path.relative_to(ROOT): ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src" / "cohmin").rglob("*.py"))}
-    users = {}   # name -> the (module, top-level statement) pairs that name it
+    users = {}
     for where, tree in trees.items():
         for i, stmt in enumerate(tree.body):
             for node in ast.walk(stmt):
@@ -381,6 +379,25 @@ def test_no_function_in_src_keeps_an_unread_parameter_or_an_unnamed_private_name
                     names = [getattr(node, "id", None) or getattr(node, "attr", None)]
                 for name in names:
                     users.setdefault(name, set()).add((where, i))
+    return trees, users
+
+
+def _unnamed(trees, users, private: bool):
+    """Top-level functions and classes, private or public, that no other
+    top-level statement of ``src/`` names."""
+    return [f"{where}:{stmt.lineno}: nothing names {stmt.name}"
+            for where, tree in trees.items() for i, stmt in enumerate(tree.body)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_") == private and not stmt.name.endswith("__")
+            and not users.get(stmt.name, set()) - {(where, i)}]
+
+
+def test_no_function_in_src_keeps_an_unread_parameter_or_an_unnamed_private_name():
+    """Two more lints over ``src/cohmin``: every parameter of a function
+    (dunder methods aside, whose parameters the protocol fixes) is read in
+    its body, and every private top-level function or class is named by
+    some other top-level statement of ``src/``."""
+    trees, users = _src_trees()
     faults = []
     for where, tree in trees.items():
         for node in ast.walk(tree):
@@ -393,12 +410,27 @@ def test_no_function_in_src_keeps_an_unread_parameter_or_an_unnamed_private_name
                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
                 faults += [f"{where}:{node.lineno}: {node.name} never reads {p!r}"
                            for p in params if p not in read]
-        for i, stmt in enumerate(tree.body):
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and \
-                    stmt.name.startswith("_") and not stmt.name.endswith("__") and \
-                    not users.get(stmt.name, set()) - {(where, i)}:
-                faults.append(f"{where}:{stmt.lineno}: nothing names {stmt.name}")
-    assert faults == []
+    assert faults + _unnamed(trees, users, private=True) == []
+
+
+def test_no_public_name_in_src_is_named_only_by_tests():
+    """Every public top-level function or class of ``src/cohmin`` is named
+    by another top-level statement of ``src/``, by a file in ``demos/`` or
+    ``benchmarks/`` (the tracer names its targets in strings), or in a
+    package ``__all__``.  A name that only the tests use belongs in them."""
+    trees, users = _src_trees()
+    outside = ("outside", 0)
+    for path in sorted([*(ROOT / "demos").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]):
+        for name in re.findall(r"\w+", path.read_text(encoding="utf-8")):
+            users.setdefault(name, set()).add(outside)
+    for tree in trees.values():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in stmt.targets):
+                for node in ast.walk(stmt.value):
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                        users.setdefault(node.value, set()).add(outside)
+    assert _unnamed(trees, users, private=False) == []
 
 
 if __name__ == "__main__":
