@@ -28,10 +28,10 @@ print(f"\ncoherent minimisation: {len(machine.states)} -> {len(mini.states)} sta
 print("merge classes:",
       sorted(sorted(c) for c in coherence.merge_classes(log)))
 
-baseline = symbolic.sfst_bisim_minimize(machine)
+baseline = coherence.bisim_minimize(machine)
 print(f"bisimulation baseline: {len(machine.states)} -> {len(baseline.states)} states")
 print("bisim classes:",
-      sorted(sorted(c) for c in symbolic.sfst_bisim_partition(machine)
+      sorted(sorted(c) for c in coherence.bisim_partition(machine)
              if len(c) > 1))
 
 print("\nreduced machine:\n")

@@ -143,8 +143,9 @@ def product_reach(index, P: Transducer, initial: str) -> List[int]:
 def _views(T, P, mode: str):
     """``(control skeleton, key machine or None, protocol skeleton)`` of a
     plain or symbolic machine and protocol (or None); only a symbolic input
-    loads ``symbolic``.  Raises ``NotAProtocol``, ``SignatureMismatch``,
-    then the faults of the key machine."""
+    loads ``symbolic``, and it gets a control skeleton only under a
+    protocol.  Raises ``NotAProtocol``, ``SignatureMismatch``, then the
+    faults of the key machine."""
     if not isinstance(P, (Transducer, type(None))):
         from . import symbolic
         P = symbolic.protocol_skeleton(P)
@@ -153,7 +154,8 @@ def _views(T, P, mode: str):
     if isinstance(T, Transducer):
         return T, None, P
     from . import symbolic
-    return T.control_skeleton(), symbolic._key_machine(T, mode), P
+    skeleton = None if P is None else T.control_skeleton()
+    return skeleton, symbolic._key_machine(T, mode), P
 
 
 def coherent_simulation(T, P, mode: str = "structural") -> CoherenceRelation:

@@ -13,6 +13,7 @@ Match keys (``_key_machine``) put coherence of control states on the
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
@@ -606,25 +607,47 @@ class ValuedRound(Record):
 Config = Tuple[str, Tuple[Tuple[str, int], ...]]
 
 
-def _compile_firing(tr: STransition, position: Dict[str, int], ports: Mapping[str, str]):
-    """``tr`` as ``fire(regs, values)``: the register values after it fires
-    on the valued round ``values``, or None if it declines.  Every update
-    runs, by target, before a carried output is compared."""
-    guard = compile_expr(tr.guard, position, ports)
-    updates = [(position.get(u.target), u.target, compile_expr(u.expr, position, ports))
-               for u in sorted(tr.updates, key=lambda u: u.target)]
+class _Firing:
+    """One transition compiled once for firing on the ports ``data`` that
+    carry values: its guard and updates read register values and the
+    values of ``inputs`` (its data inputs, sorted) by position, so a
+    configuration's register tuple and an assignment's value tuple are
+    passed as they are.  Updates run in the order of their targets;
+    ``outputs`` are the updated output ports in that order.  ``plain``,
+    ``free`` and ``rounds`` are what :func:`expand` renders a firing from:
+    the ports without values, the data outputs that no update sets, and
+    the rounds of each firing rendered so far."""
 
-    def fire(regs, values):
-        if guard(regs, values) is not True:
+    __slots__ = ("inputs", "guard", "updates", "outputs", "free", "plain",
+                 "target", "rounds")
+
+    def __init__(self, T: SFST, tr: STransition, data, position: Dict[str, int]):
+        self.inputs = sorted(tr.round & T.signature.inputs & data)
+        ports = {p: i for i, p in enumerate(self.inputs)}
+        self.guard = compile_expr(tr.guard, position, ports)
+        updates = sorted(tr.updates, key=lambda u: u.target)
+        self.updates = [(position.get(u.target), compile_expr(u.expr, position, ports))
+                        for u in updates]
+        self.outputs = [u.target for u in updates if u.target not in position]
+        self.free = sorted((tr.round & T.signature.outputs & data) - set(self.outputs))
+        self.plain, self.target, self.rounds = tr.round - data, tr.target, {}
+
+    def fire(self, regs, values, lo=-math.inf, hi=math.inf):
+        """``(register values, carried outputs)`` after firing from register
+        values ``regs`` on input values ``values``, or None if the guard
+        declines or a value leaves ``[lo..hi]``.  Faults raise."""
+        if self.guard(regs, values) is not True:
             return None
-        new, results = list(regs), [f(regs, values) for _, _, f in updates]
-        for (i, target, _), v in zip(updates, results):
-            if i is not None:
-                new[i] = v
-            elif values.get(target) != v:
+        new_regs, carried = list(regs), ()
+        for i, f in self.updates:
+            v = f(regs, values)
+            if not lo <= v <= hi:
                 return None
-        return tuple(new)
-    return fire
+            if i is None:
+                carried += (v,)
+            else:
+                new_regs[i] = v
+        return tuple(new_regs), carried
 
 
 def sfst_run(T: SFST, trace) -> FrozenSet[Config]:
@@ -633,34 +656,34 @@ def sfst_run(T: SFST, trace) -> FrozenSet[Config]:
     A transition fires when its round equals the fired label set, its guard
     holds, and every output update reproduces the carried value; register
     updates read the pre-state.  Transitions are compiled once per run and
-    per set of ports fired without a value (which stay unbound), and tried
-    in canonical order, so the first fault does not depend on the hash
-    seed.  Evaluation errors carry the round index.
+    per set of ports fired with a value (:class:`_Firing`; the others stay
+    unbound), and tried in canonical order, so the first fault does not
+    depend on the hash seed.  Every update runs before a carried output is
+    compared.  Evaluation errors carry the round index.
     """
     registers = sorted(T.registers)
     position = {r: i for i, r in enumerate(registers)}
-    plans: Dict[tuple, list] = {}   # (state, round, unbound ports) -> [(target, fire)]
+    firings: Dict[tuple, List[_Firing]] = {}   # (state, round, data ports) -> firings
     configs = {(T.initial, (0,) * len(registers))}
     for i, vround in enumerate(trace):
         labels, values = vround.labels(), vround.as_dict()
         stray = labels - T.signature.universe
         if stray:
             raise SignatureMismatch(f"round {i}: unknown labels {sorted(stray)}")
-        unbound = frozenset(p for p, v in values.items() if v is None)
+        data = frozenset(p for p, v in values.items() if v is not None)
         nxt = set()
         try:
             for state, regs in sorted(configs):
-                plan = plans.get((state, labels, unbound))
+                plan = firings.get((state, labels, data))
                 if plan is None:
-                    ports = {p: p for p in labels & T.signature.inputs - unbound}
-                    plan = plans[state, labels, unbound] = [
-                        (tr.target, _compile_firing(tr, position, ports))
+                    plan = firings[state, labels, data] = [
+                        _Firing(T, tr, data, position)
                         for tr in sorted(T.out(state), key=_transition_key)
                         if tr.round == labels]
-                for target, fire in plan:
-                    new = fire(regs, values)
-                    if new is not None:
-                        nxt.add((target, new))
+                for firing in plan:
+                    fired = firing.fire(regs, tuple(map(values.get, firing.inputs)))
+                    if fired is not None and fired[1] == tuple(map(values.get, firing.outputs)):
+                        nxt.add((firing.target, fired[0]))
         except Exception as e:
             e.round_index = i
             raise
@@ -695,65 +718,6 @@ def _config_name(state: str, regs) -> str:
     return state + "[" + ",".join(f"{r}={v}" for r, v in regs) + "]"
 
 
-class _Plan:
-    """One symbolic transition as :func:`expand` runs it, built once, when
-    its source is first reached: its data inputs, its guard and updates
-    compiled to read register values and input values by position (so an
-    assignment of the inputs is the value tuple itself, with no port map
-    to build), each update's register position (None for an output), and
-    ``rounds``, the expanded rounds of each firing, rendered the first time
-    that firing happens, so only firings that happen are held."""
-
-    __slots__ = ("inputs", "guard", "updates", "outputs", "free", "plain",
-                 "target", "rounds")
-
-    def __init__(self, T: SFST, tr: STransition, data, position, width):
-        self.inputs = sorted(tr.round & T.signature.inputs & data)
-        ports = {p: i for i, p in enumerate(self.inputs)}
-        self.guard = compile_expr(tr.guard, position, ports)
-        self.updates = [(position.get(u.target), compile_expr(u.expr, position, ports))
-                        for u in tr.updates]
-        self.outputs = [u.target for u in tr.updates if u.target not in position]
-        self.free = sorted((tr.round & T.signature.outputs & data) - set(self.outputs))
-        self.plain, self.target, self.rounds = tr.round - data, tr.target, {}
-        n = width ** (len(self.inputs) + len(self.free))
-        if n > EXPAND_TRANSITION_CAP:
-            raise ResourceLimit(f"expansion needs {n} assignments of one "
-                                f"transition, more than {EXPAND_TRANSITION_CAP}")
-
-    def fire(self, regs, values, lo, hi):
-        """(register values, expanded rounds) after firing from register
-        values ``regs`` on input values ``values``, or None if the guard
-        declines or a value overflows or leaves the domain."""
-        try:
-            if self.guard(regs, values) is not True:
-                return None
-            new_regs, carried = list(regs), ()
-            for i, f in self.updates:
-                v = f(regs, values)
-                if not lo <= v <= hi:
-                    return None
-                if i is None:
-                    carried += (v,)
-                else:
-                    new_regs[i] = v
-        except Overflow:
-            return None
-        key = (values, carried) if carried else values
-        rounds = self.rounds.get(key)
-        if rounds is None:
-            rounds = self.rounds[key] = self._expanded_rounds(values, carried, lo, hi)
-        return tuple(new_regs), rounds
-
-    def _expanded_rounds(self, values, carried, lo, hi):
-        """The rounds of one firing, one per value of the free outputs."""
-        fixed = set(self.plain).union(map(expanded_label, self.inputs, values))
-        fixed.update(expanded_label(p, v) for p, v in zip(self.outputs, carried)
-                     if p not in self.plain)   # an updated output is in the round
-        return [frozenset(fixed.union(map(expanded_label, self.free, extra)))
-                for extra in itertools.product(range(lo, hi + 1), repeat=len(self.free))]
-
-
 def expand(T: SFST, lo: int, hi: int, data_ports=None,
            state_cap: int = EXPAND_STATE_CAP) -> Transducer:
     """Map register values into explicit states over a finite value domain.
@@ -769,10 +733,12 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     states, or :data:`EXPAND_TRANSITION_CAP` transitions or assignments of
     one transition, is a :class:`ResourceLimit`.
 
-    Each transition is planned once (:class:`_Plan`).  Per configuration
-    and assignment of its data inputs, only its guard and updates run: the
-    expanded rounds of a firing are rendered once per distinct firing, and
-    a target joins its row with one lookup per round.
+    Each transition is compiled once, when its source is first reached
+    (:class:`_Firing`).  Per configuration and assignment of its data
+    inputs, only its guard and updates run; an ``Overflow`` cuts the run
+    like a value outside the domain.  The expanded rounds of a firing are
+    rendered once per distinct firing, and a target joins its row with one
+    lookup per round.
     """
     if lo > hi:
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
@@ -798,10 +764,26 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
         return frozenset(lab for p in ports for lab in (
             [expanded_label(p, v) for v in domain] if p in data else [p]))
 
+    def compiled(tr):
+        firing = _Firing(T, tr, data, position)
+        n = width ** (len(firing.inputs) + len(firing.free))
+        if n > EXPAND_TRANSITION_CAP:
+            raise ResourceLimit(f"expansion needs {n} assignments of one "
+                                f"transition, more than {EXPAND_TRANSITION_CAP}")
+        return firing
+
+    def rendered(firing, values, carried):
+        """The rounds of one firing, one per value of its free outputs."""
+        fixed = set(firing.plain).union(map(expanded_label, firing.inputs, values))
+        fixed.update(expanded_label(p, v) for p, v in zip(firing.outputs, carried)
+                     if p not in firing.plain)   # an updated output is in the round
+        return [frozenset(fixed.union(map(expanded_label, firing.free, extra)))
+                for extra in itertools.product(domain, repeat=len(firing.free))]
+
     sig = Signature(port_labels(T.signature.inputs), port_labels(T.signature.outputs))
     registers = sorted(T.registers)
     position = {r: i for i, r in enumerate(registers)}
-    plans: Dict[str, List[_Plan]] = {}
+    firings: Dict[str, List[_Firing]] = {}
     init = (T.initial, (0,) * len(registers))
     names = {init: _config_name(T.initial, T.initial_registers())}
     frontier = [init]
@@ -810,21 +792,29 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
         state, regs = cfg = frontier.pop()
         source = names[cfg]
         row = adj.get(source) or {}   # two configurations may share a name
-        if state not in plans:
-            plans[state] = [_Plan(T, tr, data, position, width) for tr in T.out(state)]
-        for plan in plans[state]:
-            for values in itertools.product(domain, repeat=len(plan.inputs)):
-                fired = plan.fire(regs, values, lo, hi)
+        if state not in firings:
+            firings[state] = [compiled(tr) for tr in T.out(state)]
+        for firing in firings[state]:
+            for values in itertools.product(domain, repeat=len(firing.inputs)):
+                try:
+                    fired = firing.fire(regs, values, lo, hi)
+                except Overflow:
+                    continue
                 if fired is None:
                     continue
-                cfg = (plan.target, fired[0])
+                new_regs, carried = fired
+                key = (values, carried) if carried else values
+                rounds = firing.rounds.get(key)
+                if rounds is None:
+                    rounds = firing.rounds[key] = rendered(firing, values, carried)
+                cfg = (firing.target, new_regs)
                 target = names.get(cfg)
                 if target is None:
                     if len(names) >= state_cap:
                         raise ResourceLimit(f"expansion exceeded {state_cap} states")
-                    target = names[cfg] = _config_name(plan.target, tuple(zip(registers, fired[0])))
+                    target = names[cfg] = _config_name(firing.target, tuple(zip(registers, new_regs)))
                     frontier.append(cfg)
-                for r in fired[1]:
+                for r in rounds:
                     ts = row.get(r)
                     if ts is None:
                         row[r] = (target,)
@@ -944,11 +934,3 @@ def sfst_quotient(T: SFST, s1: str, s2: str) -> SFST:
 def sfst_coherent_minimize(T: SFST, P: SFST, mode: str = "structural",
                            keep_unreachable: bool = False, on_merge=None):
     return _coherence().coherent_minimize(T, P, keep_unreachable, on_merge, mode)
-
-
-def sfst_bisim_partition(T: SFST) -> List[FrozenSet[str]]:
-    return _coherence().bisim_partition(T)
-
-
-def sfst_bisim_minimize(T: SFST, keep_unreachable: bool = False) -> SFST:
-    return _coherence().bisim_minimize(T, keep_unreachable)

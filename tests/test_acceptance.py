@@ -59,10 +59,10 @@ def test_criterion_1_iterator_map_reproduction():
             frozenset({"C", "M"}),
         }
 
-        bis = symbolic.sfst_bisim_minimize(machine)
+        bis = coherence.bisim_minimize(machine)
         assert len(bis.states) == 12
         bis_classes = {frozenset(c)
-                       for c in symbolic.sfst_bisim_partition(machine)
+                       for c in coherence.bisim_partition(machine)
                        if len(c) > 1}
         assert bis_classes == {frozenset({"C", "M"})}
         assert time.monotonic() - start < 5.0

@@ -265,12 +265,10 @@ def assert_same_sfst(T, P, outcomes=None):
 
 def assert_same_sfst_folds(T):
     """Bisimulation minimisation and single quotients agree with the
-    oracle, and ``coherence``'s bisimulation with the ``sfst_*`` names."""
-    assert blocks(coherence.bisim_partition(T)) == blocks(symbolic.sfst_bisim_partition(T))
+    oracle."""
     for keep in (False, True):
-        assert serialize_model(symbolic.sfst_bisim_minimize(T, keep)) == \
-            serialize_model(naive_symbolic.sfst_bisim_minimize(T, keep)) == \
-            serialize_model(coherence.bisim_minimize(T, keep))
+        assert serialize_model(coherence.bisim_minimize(T, keep)) == \
+            serialize_model(naive_symbolic.sfst_bisim_minimize(T, keep))
     states = sorted(T.states)
     for a, b in zip(states, states[1:]):
         assert serialize_model(symbolic.sfst_quotient(T, b, a)) == \
@@ -446,7 +444,6 @@ class TestBisimulationAgainstNaiveOracle:
         for T in machines:
             new, old = blocks(coherence.bisim_partition(T)), \
                 blocks(naive_symbolic.sfst_bisim_partition(T))
-            assert new == blocks(symbolic.sfst_bisim_partition(T))
             edges = Counter((tr.source, tr.round, tr.target) for tr in T.delta)
             if max(edges.values(), default=0) < 2:
                 assert new == old
@@ -1185,7 +1182,7 @@ class TestExpandAgainstNaiveOracle:
             return symbolic.Bin(rng.choice(ops), tree(depth - 1), tree(depth - 1))
 
         def addressed(e, regs, ports):
-            """``e`` compiled to read value tuples by position, as ``_Plan``
+            """``e`` compiled to read value tuples by position, as ``_Firing``
             reads register and input values."""
             bound = {p: v for p, v in (ports or {}).items() if v is not None}
             f = symbolic.compile_expr(e, {r: i for i, r in enumerate(regs)},

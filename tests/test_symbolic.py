@@ -145,6 +145,35 @@ def test_an_update_fault_does_not_hide_behind_an_output_mismatch():
     assert outputs == {"Overflow arithmetic overflow: 18446744073709551614 0\n"}
 
 
+# Expands a transition whose register update leaves [-1..1] and whose
+# output update reads an input that is no data port.
+_EXPAND_FAULT = """\
+from cohmin.frontend import parse_model
+from cohmin.symbolic import expand
+T = parse_model("signature in x; out r;\\nstates A;\\nregisters y;\\ninitial A;\\n"
+                "trans A -> A : {x, r} do y := 1 + 1, r := x;\\n")
+try:
+    print(len(expand(T, -1, 1, data_ports=frozenset({"r"})).states))
+except Exception as e:
+    print(type(e).__name__, e)
+"""
+
+
+def test_expand_runs_updates_in_target_order():
+    """``expand`` runs updates in the order of their targets, as ``sfst_run``
+    does, so ``r := x`` faults before ``y := 2`` leaves the domain,
+    whatever order the hash seed gives ``tr.updates``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "5", "6"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _EXPAND_FAULT], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {"UnboundReference unbound reference: 'x'\n"}
+
+
 class TestGuardEquiv:
     def test_commutative_sort(self):
         a = Bin(">", Bin("+", Reg("y"), Reg("z")), IntLit(0))
@@ -343,6 +372,19 @@ class TestExpand:
             assert width ** k <= symbolic.EXPAND_TRANSITION_CAP
         assert 2_348_414 < symbolic.EXPAND_TRANSITION_CAP
 
+    def test_compiles_each_reached_transition_once(self, monkeypatch):
+        calls = []
+        compile_expr = symbolic.compile_expr
+        monkeypatch.setattr(symbolic, "compile_expr",
+                            lambda *args: calls.append(1) or compile_expr(*args))
+        machine, _ = iterator_map()
+        counts = []
+        for lo, hi in ((-1, 1), (-2, 2)):
+            calls.clear()
+            expand(machine, lo, hi)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
     def test_iterator_map_expansion_adequacy(self):
         machine, _ = iterator_map()
         exp = expand(machine, -1, 1)
@@ -464,8 +506,17 @@ class TestSfstMinimize:
         mini, log = symbolic.sfst_coherent_minimize(machine, proto)
         assert len(machine.states) == 13
         assert len(mini.states) == 7
-        bis = symbolic.sfst_bisim_minimize(machine)
+        bis = coherence.bisim_minimize(machine)
         assert len(bis.states) == 12
+
+    def test_bisim_partition_builds_no_control_skeleton(self, monkeypatch):
+        calls = []
+        control_skeleton = SFST.control_skeleton
+        monkeypatch.setattr(SFST, "control_skeleton",
+                            lambda self: calls.append(1) or control_skeleton(self))
+        machine, _ = iterator_map()
+        assert len(coherence.bisim_partition(machine)) == 12
+        assert calls == []
 
     def test_parallel_guards_to_one_target(self, tmp_path, capsys):
         path = tmp_path / "parallel.sfst"
@@ -475,7 +526,7 @@ class TestSfstMinimize:
             "signature in a, b; out ;\nstates s0, s1, t;\nregisters y;\ninitial s0;\n"
             "trans s0 -> s1 : {a};\n"
             "trans s1 -> t : {b} when y < 0;\ntrans s1 -> t : {b} when y > 0;\n")
-        assert sorted(map(sorted, symbolic.sfst_bisim_partition(parse_model(PARALLEL_GUARDS)))) \
+        assert sorted(map(sorted, coherence.bisim_partition(parse_model(PARALLEL_GUARDS)))) \
             == [["s0"], ["s1", "s2"], ["t", "u1", "u2"]]
 
     def test_register_set_never_changes(self):
