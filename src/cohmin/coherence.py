@@ -15,7 +15,6 @@ bisimulation minimiser is included as the protocol-free baseline.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import SameState, SignatureMismatch, UnknownState
@@ -30,17 +29,33 @@ def _bits(x: int):
         x ^= low
 
 
-def _index(K: Transducer) -> Tuple[List[str], List[List[Tuple[int, int]]], Dict[Round, int]]:
+def _index(K: Transducer) -> Tuple[List[str], List[List[Tuple[int, int]]], List[Round], int]:
     """The integer index a fixpoint runs on: the states of ``K`` in name
-    order, and for each state its transitions as (round id, target id)
-    pairs, where round ids number the distinct rounds of ``K``.  Returns
-    ``(states, moves, round ids)``."""
+    order, each one's transitions as (key id, target id) pairs, the round
+    of each key id, and the initial state's id.  Transitions match when
+    their keys do; a plain machine's key is its round."""
     states = sorted(K.states)
     ids = {s: i for i, s in enumerate(states)}
     rid: Dict[Round, int] = {}
     moves = [[(rid.setdefault(v, len(rid)), ids[t]) for v, targets in K.out(s).items()
               for t in targets] for s in states]
-    return states, moves, rid
+    return states, moves, list(rid), ids[K.initial]
+
+
+def _merged(index, classes):
+    """``index`` with each class of state names folded into its least
+    member, as the index of the merged machine: the survivors keep their
+    name order, and the keys and their rounds stay as they are."""
+    states, moves, rounds, initial = index
+    ids = {s: i for i, s in enumerate(states)}
+    least = {ids[s]: ids[min(c)] for c in classes for s in c}   # id -> its survivor's
+    kept = [i for i in range(len(states)) if least.get(i, i) == i]
+    new = {i: j for j, i in enumerate(kept)}
+    to = [new[least.get(i, i)] for i in range(len(states))]
+    out: List[set] = [set() for _ in kept]
+    for i, row in enumerate(moves):
+        out[to[i]].update((r, to[k]) for r, k in row)
+    return [states[i] for i in kept], [list(row) for row in out], rounds, to[initial]
 
 
 class CoherenceRelation:
@@ -48,16 +63,15 @@ class CoherenceRelation:
 
     Held as ``(states, rows)``: ``states`` sorted by name and bit ``i`` of
     ``rows[j]`` set iff ``(states[i], states[j])`` is related.  The set of
-    pairs is built only when first asked for.  ``moves`` and ``machines``,
-    when given, are the index (:func:`_index`) and the machines
-    (:func:`_views`) that the fixpoint ran on.
+    pairs is built only when first asked for.  ``index`` and ``protocol``,
+    when given, are what the fixpoint ran on (:func:`_views`).
     """
 
-    def __init__(self, states: List[str], rows: List[int], moves=None, machines=None):
+    def __init__(self, states: List[str], rows: List[int], index=None, protocol=None):
         self._rows = (states, rows)
         self._pairs = None
-        self.moves = moves
-        self.machines = machines
+        self.index = index
+        self.protocol = protocol
 
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
@@ -111,19 +125,22 @@ class EquivalencePairs:
         return next(self._sorted(), None) is not None
 
 
-def product_reach(index, P: Transducer, initial: str) -> List[int]:
-    """For each state of T, the bitset of the rounds that extend a legal
-    witness: T's round ids (``index`` is :func:`_index` of T, ``initial``
-    its initial state) enabled at a protocol state jointly reachable with
-    it.  A depth-first walk over (state id, protocol state id) pairs, each
-    one integer; rounds T never takes have no id and drop out."""
-    states, moves, rid = index
+def product_reach(index, P: Transducer) -> List[int]:
+    """For each state of T, the bitset of the keys of ``index`` (T's, as
+    :func:`_views` gives it) whose round is enabled at a protocol state
+    jointly reachable with it, so extends a legal witness.  A depth-first
+    walk over (state id, protocol state id) pairs, each one integer, from
+    the initial ids; rounds T never takes have no key and drop out."""
+    states, moves, rounds, initial = index
     pid = {p: i for i, p in enumerate(P.states)}
     m = len(pid)
-    step = [{rid[v]: [pid[q] for q in targets] for v, targets in P.out(p).items()
-             if v in rid} for p in pid]
+    keys: Dict[Round, List[int]] = {}   # round -> its key ids
+    for r, v in enumerate(rounds):
+        keys.setdefault(v, []).append(r)
+    step = [{r: [pid[q] for q in targets] for v, targets in P.out(p).items()
+             for r in keys.get(v, ())} for p in pid]
     live = [sum(1 << r for r in out) for out in step]
-    start = bisect_left(states, initial) * m + pid[P.initial]
+    start = initial * m + pid[P.initial]
     seen = {start}
     stack = [start]
     reach = [0] * len(states)
@@ -141,21 +158,20 @@ def product_reach(index, P: Transducer, initial: str) -> List[int]:
 
 
 def _views(T, P, mode: str):
-    """``(control skeleton, key machine or None, protocol skeleton)`` of a
-    plain or symbolic machine and protocol (or None); only a symbolic input
-    loads ``symbolic``, and it gets a control skeleton only under a
-    protocol.  Raises ``NotAProtocol``, ``SignatureMismatch``, then the
-    faults of the key machine."""
+    """``(index, protocol)`` of a plain or symbolic machine and a plain or
+    symbolic protocol (or None): the machine's integer index (:func:`_index`,
+    or for an SFST ``symbolic._key_index`` in ``mode``) and the protocol's
+    control skeleton.  Only a symbolic input loads ``symbolic``.  Raises
+    ``NotAProtocol``, ``SignatureMismatch``, then the faults of the keys."""
     if not isinstance(P, (Transducer, type(None))):
         from . import symbolic
         P = symbolic.protocol_skeleton(P)
     if P is not None and T.signature != P.signature:
         raise SignatureMismatch("coherent simulation needs identical signatures")
     if isinstance(T, Transducer):
-        return T, None, P
+        return _index(T), P
     from . import symbolic
-    skeleton = None if P is None else T.control_skeleton()
-    return skeleton, symbolic._key_machine(T, mode), P
+    return symbolic._key_index(T, mode), P
 
 
 def coherent_simulation(T, P, mode: str = "structural") -> CoherenceRelation:
@@ -163,46 +179,45 @@ def coherent_simulation(T, P, mode: str = "structural") -> CoherenceRelation:
     under a plain or symbolic protocol ``P`` (:func:`_fixpoint`).  On a
     symbolic machine condition 1 matches a transition only by one of the
     same round, guard and updates up to equivalence in ``mode`` (its match
-    keys); condition 2 reads the control skeleton, so can only forbid pairs."""
+    keys); condition 2 reads only the rounds, so can only forbid pairs."""
     return _fixpoint(*_views(T, P, mode))
 
 
-def _fixpoint(T: Transducer, keyed: Optional[Transducer], P: Transducer) -> CoherenceRelation:
-    """Greatest coherent simulation of plain ``T`` under plain ``P``.
+def _fixpoint(index, P: Transducer) -> CoherenceRelation:
+    """Greatest coherent simulation of the machine of ``index`` under ``P``.
 
-    States and rounds are numbered (:func:`_index`), and ``sim[j]`` is the
-    bitset of the states ``i`` with ``(i, j)`` related.  Condition 2 does
-    not depend on the relation: with ``E_j`` the rounds enabled at ``j``
-    and ``X_j`` those extending a witness of ``j`` (:func:`product_reach`),
-    both bitsets, it starts ``sim[j]`` as the states ``i`` with ``not E_i &
-    ~E_j & X_j``, one OR per distinct ``E_i``.  Condition 1 then prunes to
-    the greatest fixpoint by ``sim[j] &= pre_v(sim[k])`` for every
-    transition ``j -v-> k``, where ``pre_v(B)`` is the set of states with a
-    ``v``-transition into ``B``; a worklist revisits ``j`` only when a
-    successor row shrank, and ``pre_v`` is memoised on its argument
-    because equivalent states share rows.  See the README for the cost.
-
-    ``keyed``, when given, is a key machine on the states of ``T``, whose
-    keys each determine a round: condition 1 reads its index, condition 2
-    always ``T``'s, which numbers the same states in the same order.
+    States are numbered by the index, and ``sim[j]`` is the bitset of the
+    states ``i`` with ``(i, j)`` related.  Condition 2 does not depend on
+    the relation: with ``E_j`` the keys whose round is enabled at ``j`` and
+    ``X_j`` those extending a witness of ``j`` (:func:`product_reach`),
+    both bitsets closed under sharing a round, it starts ``sim[j]`` as the
+    states ``i`` with ``not E_i & ~E_j & X_j``, one OR per distinct
+    ``E_i``.  Condition 1 then prunes to the greatest fixpoint by ``sim[j]
+    &= pre_r(sim[k])`` for every transition ``j -r-> k`` with key ``r``,
+    where ``pre_r(B)`` is the set of states with an ``r``-transition into
+    ``B``; a worklist revisits ``j`` only when a successor row shrank, and
+    ``pre_r`` is memoised on its argument because equivalent states share
+    rows.  See the README for the cost.
     """
-    index = _index(T)
-    states, moves, rid = index if keyed is None else _index(keyed)
+    states, moves, rounds, _ = index
     n = len(states)
-    pred = [[0] * n for _ in range(len(rid))]   # per round: bitset of predecessors
+    pred = [[0] * n for _ in rounds]   # per key: bitset of predecessors
     into = [set() for _ in range(n)]
     for j, out in enumerate(moves):
         for r, k in out:
             pred[r][k] |= 1 << j
             into[k].add(j)
 
-    enabled = [sum({1 << r for r, _ in out}) for out in index[1]]
-    groups: Dict[int, int] = {}   # enabled rounds -> bitset of states
+    same: Dict[Round, int] = {}   # round -> bitset of its keys
+    for r, v in enumerate(rounds):
+        same[v] = same.get(v, 0) | 1 << r
+    enabled = [sum({same[rounds[r]] for r, _ in out}) for out in moves]
+    groups: Dict[int, int] = {}   # enabled keys -> bitset of states
     for j, e in enumerate(enabled):
         groups[e] = groups.get(e, 0) | 1 << j
     masks: Dict[int, int] = {}   # X_j & ~E_j -> starting row, a sum of disjoint groups
     sim = []
-    for e, x in zip(enabled, product_reach(index, P, T.initial)):
+    for e, x in zip(enabled, product_reach(index, P)):
         forbidden = x & ~e
         if forbidden not in masks:
             masks[forbidden] = sum(m for f, m in groups.items() if not f & forbidden)
@@ -230,7 +245,7 @@ def _fixpoint(T: Transducer, keyed: Optional[Transducer], P: Transducer) -> Cohe
                 if not queued[p]:
                     queued[p] = True
                     pending.append(p)
-    return CoherenceRelation(states, sim, moves, (T, keyed, P))
+    return CoherenceRelation(states, sim, index, P)
 
 
 def equivalence_pairs(T, P, relation=None) -> EquivalencePairs:
@@ -257,11 +272,11 @@ def quotient(T, s1: str, s2: str):
 class _Fold:
     """One fixpoint of ``coherent_minimize`` and the merges folded into it.
 
-    States keep the ids of the fixpoint's machine, in name order, so the
+    States keep the ids of the fixpoint's index, in name order, so the
     least pair of names is the least pair of ids.  ``x ~ y`` when x and y
     have the same row and the same column; ``cls`` numbers the classes of
-    ``~``, and ``bisim`` says whether ``~`` is a bisimulation of the machine
-    that condition 1 reads.  A merge of ``a ~ b`` under such a ``~`` leaves
+    ``~``, and ``bisim`` says whether ``~`` is a bisimulation of the
+    fixpoint's index.  A merge of ``a ~ b`` under such a ``~`` leaves
     the relation as ``f(R)`` (README, "Merging without recomputing"), and
     since ``a`` and ``b`` share their row and column, folding ``b`` into
     ``a`` is clearing ``b``'s bit in ``alive``.
@@ -270,7 +285,7 @@ class _Fold:
     def __init__(self, relation: CoherenceRelation):
         states, rows = relation.rows()
         n = len(states)
-        self.states, self.rows, self.machines = states, rows, relation.machines
+        self.states, self.rows = states, rows
         self.alive = (1 << n) - 1
         self.lo = 0
         # columns from the distinct rows: one OR per (row value, member bit)
@@ -284,7 +299,7 @@ class _Fold:
         classes: Dict[Tuple[int, int], int] = {}
         cls = self.cls = [classes.setdefault(rc, len(classes))
                           for rc in zip(rows, cols)]
-        self.bisim = _refine(relation.moves, cls)[1] == len(classes)   # no class splits
+        self.bisim = _refine(relation.index[1], cls)[1] == len(classes)   # no class splits
 
     def least(self) -> Optional[Tuple[int, int]]:
         """Ids of the least pair related both ways, or None.  The search
@@ -330,17 +345,18 @@ def coherent_minimize(T, P, keep_unreachable: bool = False,
     holds and recomputed otherwise; either way it is the greatest coherent
     simulation of the merged machine (README, "Merging without
     recomputing").  A recomputation runs :func:`_fixpoint` on the first
-    fixpoint's machines merged by the classes of the whole log; ``T`` is
-    folded once, at the end.  Returns the reduced machine and the merge
-    log as (survivor, absorbed) entries.
+    fixpoint's index merged by the classes of the whole log (:func:`_merged`),
+    so the loop builds no machine; ``T`` is folded once, at the end.
+    Returns the reduced machine and the merge log as (survivor, absorbed)
+    entries.
 
     ``on_merge``, when given, is called after every merge as
     ``on_merge(log, outcome, folded)``: ``outcome`` is "skip" or why the
     relation is recomputed (``_Fold.merge``), and ``folded`` is, on a skip,
     the relation that stands in for the recomputation (``_Fold.pairs``).
     """
-    fold = _Fold(coherent_simulation(T, P, mode))
-    skeleton, keyed, protocol = fold.machines
+    first = coherent_simulation(T, P, mode)
+    fold = _Fold(first)
     log: List[Tuple[str, str]] = []
     while True:
         least = fold.least()
@@ -351,10 +367,7 @@ def coherent_minimize(T, P, keep_unreachable: bool = False,
         if on_merge is not None:
             on_merge(log, outcome, fold.pairs() if outcome == "skip" else None)
         if outcome != "skip":
-            classes = merge_classes(log)
-            fold = _Fold(_fixpoint(
-                merge_states(skeleton, classes),
-                None if keyed is None else merge_states(keyed, classes), protocol))
+            fold = _Fold(_fixpoint(_merged(first.index, merge_classes(log)), first.protocol))
     out = merge_states(T, merge_classes(log)) if log else T
     return (out if keep_unreachable else drop_unreachable(out)), log
 
@@ -385,7 +398,7 @@ def merge_classes(log: List[Tuple[str, str]]) -> List[FrozenSet[str]]:
 
 def _refine(moves, block: List[int]) -> Tuple[List[int], int]:
     """One round of signature refinement: each state's new block is its
-    block and the set of its (round id, target block) pairs, numbered in
+    block and the set of its (key id, target block) pairs, numbered in
     state order.  Returns the new blocks and how many there are."""
     ids: Dict[tuple, int] = {}
     new = [ids.setdefault((b, frozenset((r, block[k]) for r, k in out)), len(ids))
@@ -397,14 +410,12 @@ def bisim_partition(T) -> List[FrozenSet[str]]:
     """Coarsest partition stable under the transition relation.
 
     :func:`_refine` (Kanellakis-Smolka style) over the integer index of
-    :func:`_index`, correct for nondeterministic transducers, iterated
+    :func:`_views`, correct for nondeterministic transducers, iterated
     until the number of blocks stops growing.  A symbolic machine is
-    partitioned through its structural key machine (:func:`_views`), so
-    each transition is matched on its own round, guard normal form and
-    normalised updates.
+    partitioned through its structural keys, so each transition is matched
+    on its own round, guard normal form and normalised updates.
     """
-    skeleton, keyed, _ = _views(T, None, "structural")
-    states, moves, _ = _index(skeleton if keyed is None else keyed)
+    states, moves, _, _ = _views(T, None, "structural")[0]
     block, count = [0] * len(states), 1
     while (refined := _refine(moves, block))[1] != count:
         block, count = refined

@@ -6,8 +6,9 @@ Guards and updates live in a closed grammar with two equivalence modes
 an external solver.  No constant fold in a normal form makes a value that
 64-bit checked evaluation refuses, though reassociating operands that hold
 registers or ports can still hide an overflow from the structural mode.
-Match keys (``_key_machine``) put coherence of control states on the
-``coherence`` engine, with witnesses read off the control skeleton.
+Match keys (``_key_index``) put coherence of control states on the
+``coherence`` engine: one integer index whose transitions carry keys, each
+key with its round, which condition 1 matches and condition 2 reads.
 """
 
 from __future__ import annotations
@@ -731,7 +732,9 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     raises :class:`UnknownLabel` rather than rejecting it.  An expansion
     that needs more than :data:`EXPAND_LABEL_CAP` labels, ``state_cap``
     states, or :data:`EXPAND_TRANSITION_CAP` transitions or assignments of
-    one transition, is a :class:`ResourceLimit`.
+    one transition, is a :class:`ResourceLimit`.  A literal outside the
+    domain is a :class:`DomainExceeded` that names the least such literal
+    of the whole machine.
 
     Each transition is compiled once, when its source is first reached
     (:class:`_Firing`).  Per configuration and assignment of its data
@@ -744,13 +747,10 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
     if not (lo <= 0 <= hi):
         raise DomainExceeded("domain must contain 0 (the initial register value)")
-    for tr in T.delta:
-        for e in [tr.guard] + [u.expr for u in tr.updates]:
-            outside = {v for v in int_literals(e) if not lo <= v <= hi}
-            if outside:
-                raise DomainExceeded(
-                    f"literal {sorted(outside)[0]} outside [{lo}..{hi}]"
-                )
+    outside = {v for tr in T.delta for e in [tr.guard] + [u.expr for u in tr.updates]
+               for v in int_literals(e) if not lo <= v <= hi}
+    if outside:
+        raise DomainExceeded(f"literal {min(outside)} outside [{lo}..{hi}]")
     data = frozenset(T.data_ports() if data_ports is None else data_ports)
     domain = range(lo, hi + 1)
     width = hi - lo + 1  # len(domain) overflows on a wide domain
@@ -833,13 +833,8 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
 def expand_valued_trace(T: SFST, trace, data_ports=None):
     """Render a valued trace in the alphabet of :func:`expand`."""
     data = frozenset(T.data_ports() if data_ports is None else data_ports)
-    out = []
-    for vround in trace:
-        labels = set()
-        for lab, val in vround.as_dict().items():
-            labels.add(expanded_label(lab, val) if lab in data else lab)
-        out.append(frozenset(labels))
-    return tuple(out)
+    return tuple(frozenset(expanded_label(lab, val) if lab in data else lab
+                           for lab, val in vround.as_dict().items()) for vround in trace)
 
 
 # -- symbolic protocols and coherence ---------------------------------------
@@ -847,12 +842,8 @@ def expand_valued_trace(T: SFST, trace, data_ports=None):
 
 def is_symbolic_protocol(T: SFST) -> bool:
     """Guards all literally true, updates all identities (or none)."""
-    for tr in T.delta:
-        if normal_form(tr.guard) != ("bool", True):
-            return False
-        if normalised_updates(tr.updates):
-            return False
-    return True
+    return all(normal_form(tr.guard) == ("bool", True) and not normalised_updates(tr.updates)
+               for tr in T.delta)
 
 
 def protocol_skeleton(P: SFST) -> Transducer:
@@ -862,8 +853,8 @@ def protocol_skeleton(P: SFST) -> Transducer:
     return P.control_skeleton()
 
 
-def _key_machine(T: SFST, mode: str) -> Transducer:
-    """The control skeleton of ``T`` with match keys for rounds.
+def _key_index(T: SFST, mode: str):
+    """``coherence._index`` of the control states of ``T``, keyed by match keys.
 
     Two transitions match when their rounds are equal, their guards
     equivalent and their updates target-wise equivalent in ``mode``; each
@@ -871,8 +862,9 @@ def _key_machine(T: SFST, mode: str) -> Transducer:
     matching becomes key equality.  In ``structural`` mode a class is the
     normal form itself.  In ``bounded-semantic`` mode agreement on every
     assignment of a finite domain is an equivalence, so one comparison per
-    class representative of the same round places an expression.  Key
-    ``i`` is written as the one-label round ``{k<i>}``.
+    class representative of the same round places an expression.  Each
+    state's transitions are keyed in canonical order (:func:`_transition_key`),
+    so the key ids, and the first fault met, do not depend on the hash seed.
     """
     if mode == "structural":
         def key(tr):
@@ -893,20 +885,16 @@ def _key_machine(T: SFST, mode: str) -> Transducer:
 
         def key(tr):
             guards, updates = reps.setdefault(tr.round, ([], []))
-            return (
-                tr.round,
-                cls(guards, tr.guard, lambda a, b: guard_equiv(a, b, mode)),
-                cls(updates, tr.updates, lambda a, b: updates_equiv(a, b, mode)),
-            )
+            return (tr.round, cls(guards, tr.guard, lambda a, b: guard_equiv(a, b, mode)),
+                    cls(updates, tr.updates, lambda a, b: updates_equiv(a, b, mode)))
 
-    labels: Dict[object, str] = {}
-    delta = frozenset(
-        (tr.source, frozenset({labels.setdefault(key(tr), f"k{len(labels)}")}),
-         tr.target)
-        for tr in T.delta
-    )
-    return Transducer(Signature(frozenset(labels.values()), frozenset()),
-                      T.states, T.initial, delta)
+    states = sorted(T.states)
+    ids = {s: i for i, s in enumerate(states)}
+    kid: Dict[tuple, int] = {}
+    moves = [list(dict.fromkeys((kid.setdefault(key(tr), len(kid)), ids[tr.target])
+                                for tr in sorted(T.out(s), key=_transition_key)))
+             for s in states]
+    return states, moves, [k[0] for k in kid], ids[T.initial]
 
 
 # The symbolic names of the ``coherence`` entry points, which take plain and

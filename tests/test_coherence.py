@@ -7,11 +7,13 @@ from cohmin import algebra, coherence, kernel
 from cohmin.errors import SameState, UnknownState
 from cohmin.frontend import load_model, load_protocol, parse_model
 from cohmin.kernel import Transducer, merge_states, mkround
+from cohmin.symbolic import lift_transducer
 
 import naive_coherence
 
 from helpers import (
     FIXDIR,
+    SFST_SIG,
     SIG2,
     SIG3,
     bounded_language_subset,
@@ -21,6 +23,7 @@ from helpers import (
     joint_reach,
     linear_protocol_shaped,
     protocol_extendable,
+    random_sfst,
     random_transducer,
     ring,
     universal_protocol,
@@ -35,14 +38,16 @@ PR = load_protocol(FIXDIR / "linear_protocol.fst")
 def checked_reach(T, P):
     """``coherence.product_reach`` on the index of ``T``, checked against
     the independent ``helpers.extendable_rounds`` mapped to the same state
-    and round ids (rounds ``T`` never takes have no id), then read back as
-    {state: rounds}."""
+    and key ids (a plain machine's key is its round; rounds ``T`` never
+    takes have no key), then read back as {state: rounds}."""
     index = coherence._index(T)
-    states, _, rid = index
-    got = coherence.product_reach(index, P, T.initial)
+    states, _, rounds, initial = index
+    assert states[initial] == T.initial and len(set(rounds)) == len(rounds)
+    got = coherence.product_reach(index, P)
     oracle = extendable_rounds(T, P)
-    assert got == [sum(1 << rid[v] for v in oracle[s] if v in rid) for s in states]
-    return {s: {v for v, r in rid.items() if b >> r & 1} for s, b in zip(states, got)}
+    assert got == [sum(1 << r for r, v in enumerate(rounds) if v in oracle[s])
+                   for s in states]
+    return {s: {v for r, v in enumerate(rounds) if b >> r & 1} for s, b in zip(states, got)}
 
 
 class TestProductReach:
@@ -320,6 +325,67 @@ class TestSkipRule:
         assert len(mini.states) == 2 and len(log) == 254
         assert len(calls) == 1
         assert outcomes == {"skip": 254}
+
+
+def recomputations_checked(T, P, mode="structural"):
+    """``coherent_minimize(T, P)`` with every recomputed merge checked: the
+    first fixpoint's index folded by the classes of the log
+    (``coherence._merged``) numbers the states, the initial state and the
+    (round, target) pairs of the merged machine as a cold index of it does,
+    and its fixpoint has the cold fixpoint's rows.  Returns the result and
+    the number of recomputed merges."""
+    first = coherence.coherent_simulation(T, P, mode)
+    recomputed = 0
+
+    def hook(log, outcome, folded):
+        nonlocal recomputed
+        if outcome == "skip":
+            return
+        recomputed += 1
+        classes = coherence.merge_classes(log)
+        merged = coherence._merged(first.index, classes)
+        cold = coherence.coherent_simulation(merge_states(T, classes), P, mode)
+        states, moves, rounds, initial = merged
+        cold_states, cold_moves, cold_rounds, cold_initial = cold.index
+        assert (states, initial) == (cold_states, cold_initial)
+        assert [{(rounds[r], k) for r, k in row} for row in moves] == \
+            [{(cold_rounds[r], k) for r, k in row} for row in cold_moves]
+        assert coherence._fixpoint(merged, first.protocol).rows() == cold.rows()
+
+    return coherence.coherent_minimize(T, P, on_merge=hook, mode=mode), recomputed
+
+
+class TestMergedIndex:
+    """A recomputed merge runs on the first fixpoint's index merged by the
+    whole log, and builds no machine; checked against cold fixpoints of
+    the machine merged by ``kernel.merge_states``."""
+
+    def test_counterexample(self):
+        (_, log), recomputed = recomputations_checked(LEMMA_COUNTEREXAMPLE, LEMMA_PROTOCOL)
+        assert len(log) == 6 and recomputed == 6
+
+    def test_random_plain_machines(self):
+        rng = random.Random(2400)
+        recomputed = 0
+        for _ in range(60):
+            sig = rng.choice((SIG2, SIG3))
+            T = random_transducer(rng, sig, 9, 20)
+            for P in (universal_protocol(sig), random_transducer(rng, sig, 3, 8, "p")):
+                result, count = recomputations_checked(T, P)
+                assert result == naive_coherence.coherent_minimize(T, P)
+                recomputed += count
+        assert recomputed > 50
+
+    def test_random_symbolic_machines(self):
+        rng = random.Random(2500)
+        recomputed = Counter()
+        for _ in range(60):
+            T = random_sfst(rng, 8, 18)
+            for P in (universal_protocol(SFST_SIG),
+                      lift_transducer(random_transducer(rng, SFST_SIG, 3, 6, "p"))):
+                for mode in ("structural", "bounded-semantic"):
+                    recomputed[mode] += recomputations_checked(T, P, mode)[1]
+        assert min(recomputed.values()) > 50
 
 
 class TestBisimMinimize:

@@ -350,7 +350,7 @@ class TestSymbolicAgainstNaiveOracle:
 
     def test_faults_are_reported_in_order(self):
         """On a machine and protocol with several faults: first a protocol
-        that is not one, then a signature mismatch, then the key machine's
+        that is not one, then a signature mismatch, then the keys'
         own faults, for every entry point and the oracle alike."""
         machine = parse_model(
             "signature in x, a; out r;\nstates A, B;\nregisters y;\ninitial A;\n"
@@ -406,19 +406,22 @@ def product_shaped(rng, n=200, m=600, labels=("a", "b", "c")):
     return Transducer(Signature(frozenset(labels), frozenset()), names, names[0], delta)
 
 
-def assert_stable(K, partition):
-    """``partition`` covers the states of ``K`` and each of its blocks is
-    stable: all members step on the same (round, target block) pairs."""
+def assert_stable(index, partition):
+    """``partition`` covers the states of the integer index ``index``
+    (``coherence._index``, or ``symbolic._key_index``) and each of its
+    blocks is stable: all members step on the same (key, target block)
+    pairs."""
+    states, moves, _, _ = index
     block = {s: i for i, b in enumerate(partition) for s in b}
-    assert block.keys() == K.states and sum(map(len, partition)) == len(K.states)
+    assert block.keys() == set(states) and sum(map(len, partition)) == len(states)
+    out = dict(zip(states, moves))
     for b in partition:
-        assert len({frozenset((v, block[t]) for v, ts in K.out(s).items() for t in ts)
-                    for s in b}) == 1
+        assert len({frozenset((r, block[states[k]]) for r, k in out[s]) for s in b}) == 1
 
 
 class TestBisimulationAgainstNaiveOracle:
     """The integer refinement against the frozen name-keyed one, and the
-    key-machine partition of symbolic machines against the frozen
+    key-index partition of symbolic machines against the frozen
     per-(source, round, target) grouping."""
 
     def test_plain_partitions(self):
@@ -431,7 +434,7 @@ class TestBisimulationAgainstNaiveOracle:
         for T in machines:
             new = coherence.bisim_partition(T)
             assert blocks(new) == blocks(naive.bisim_partition(T))
-            assert_stable(T, new)
+            assert_stable(coherence._index(T), new)
             merged += len(new) < len(T.states)
         assert merged > 100
 
@@ -451,7 +454,7 @@ class TestBisimulationAgainstNaiveOracle:
             parallel += 1
             coarser += new != old
             assert all(any(b <= c for c in new) for b in old)
-            assert_stable(symbolic._key_machine(T, "structural"), list(new))
+            assert_stable(symbolic._key_index(T, "structural"), list(new))
         assert parallel > 10 and coarser >= 1
 
 

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -508,6 +509,38 @@ class TestSfstMinimize:
         assert len(mini.states) == 7
         bis = coherence.bisim_minimize(machine)
         assert len(bis.states) == 12
+
+    @pytest.mark.parametrize("mode", ["structural", "bounded-semantic"])
+    def test_merge_loop_builds_no_machine(self, monkeypatch, mode):
+        """Six recomputed merges run on the first fixpoint's index merged by
+        the log: the one SFST built is the final fold, and the one
+        ``Transducer`` the control skeleton that drops its unreachable
+        states."""
+        machine, proto = iterator_map()
+        builds = Counter()
+        for cls in (kernel.Transducer, SFST):
+            monkeypatch.setattr(cls, "__post_init__", lambda self, post=cls.__post_init__:
+                                builds.update([type(self).__name__]) or post(self))
+        outcomes = Counter()
+        mini, _ = coherence.coherent_minimize(
+            machine, proto, on_merge=lambda log, outcome, folded: outcomes.update([outcome]),
+            mode=mode)
+        assert len(mini.states) == 7 and outcomes == {"not a bisimulation": 6}
+        assert sum(builds.values()) <= 2
+
+    def test_coherent_simulation_builds_no_control_skeleton(self, monkeypatch):
+        calls = []
+        control_skeleton = SFST.control_skeleton
+        monkeypatch.setattr(SFST, "control_skeleton",
+                            lambda self: calls.append(self) or control_skeleton(self))
+        machine, proto = iterator_map()
+        for mode in ("structural", "bounded-semantic"):
+            coherence.coherent_simulation(machine, proto, mode)
+        assert calls == []
+        # a symbolic protocol is read as its own control skeleton
+        symbolic_proto = lift_transducer(proto)
+        coherence.coherent_simulation(machine, symbolic_proto)
+        assert calls == [symbolic_proto]
 
     def test_bisim_partition_builds_no_control_skeleton(self, monkeypatch):
         calls = []

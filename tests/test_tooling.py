@@ -206,21 +206,35 @@ def _fixture_matrix(extra):
     return matrix
 
 
+# Two guards that overflow at different values on the bounded-semantic test
+# domain, under a protocol that allows both rounds: the overflow reported is
+# the one of the first transition in canonical order, and ``expand`` names the
+# least literal outside its domain, whatever the hash seed.
+OVERFLOW_FILES = {
+    "overflow_guards.sfst": (
+        "signature in a, b; out c;\nstates A, B;\nregisters x;\ninitial A;\n"
+        "trans A -> B : {a} when a * 4611686018427387904 > 0;\n"
+        "trans A -> B : {b} when b * 3074457345618258603 > 0;\n"),
+    "overflow_protocol.prot": "alphabet a, b, c;\nregex (a + b)*;\n",
+}
+
+
 def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
     extra = []
     files = dict(UNKNOWN_ENDPOINT_FILES)
     files.update((name, text) for name, (text, _) in LINE_CHECK_FILES.items())
+    files.update(OVERFLOW_FILES)
     for name, text in sorted(files.items()):
         (tmp_path / name).write_text(text)
         extra.append(str(tmp_path / name))
     matrix = tmp_path / "matrix.json"
     commands = _fixture_matrix(extra)
     matrix.write_text(json.dumps(commands))
-    # both seeds at once: two process starts in all
+    # all seeds at once: three process starts in all
     procs = [subprocess.Popen([sys.executable, "-c", _CLI_BATCH, str(matrix)],
                               env=dict(_env(), PYTHONHASHSEED=seed),
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-             for seed in ("1", "7")]
+             for seed in ("0", "1", "7")]
     try:
         outputs = [proc.communicate(timeout=300) for proc in procs]
     finally:
@@ -230,10 +244,18 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
     for proc, (out, err) in zip(procs, outputs):
         assert proc.returncode == 0 and err == "", err
         runs.append(json.loads(out))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert {code for code, _, _ in runs[0]} == {0, 2, 3}
-    # the commands over fixtures/ alone are the golden matrix's commands
     result = dict(zip(map(tuple, commands), runs[0]))
+    machine, proto = (str(tmp_path / name) for name in OVERFLOW_FILES)
+    overflow = [2, "", "error: arithmetic overflow: -18446744073709551616\n"]
+    assert result["minimize", "--policy", "coherent", "--guard-mode", "bounded-semantic",
+                  "--protocol", proto, machine] == overflow
+    assert result["relation", "--guard-mode", "bounded-semantic", "--protocol", proto,
+                  machine] == overflow
+    assert result["expand", "--lo", "-1", "--hi", "1", machine] == \
+        [2, "", "error: literal 3074457345618258603 outside [-1..1]\n"]
+    # the commands over fixtures/ alone are the golden matrix's commands
     fixture_commands = _fixture_matrix([])
     assert _digests(fixture_commands, [result[tuple(argv)] for argv in fixture_commands]) \
         == json.loads(GOLDEN.read_text())
