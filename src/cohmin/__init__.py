@@ -11,7 +11,7 @@ from .kernel import Round, Signature, Trace, TraceSet, Transducer
 
 __version__ = "0.1.0"
 
-_SUBMODULES = ("algebra", "coherence", "frontend", "kernel", "protocol",
+_SUBMODULES = ("algebra", "coherence", "expansion", "frontend", "kernel", "protocol",
                "symbolic")
 
 __all__ = [

@@ -1,5 +1,7 @@
 """Transducer combinators: intersection, interaction, projection and
-composition, plus bounded-depth language equality and determinisation.
+composition, plus bounded-depth language equality.  :func:`determinize`
+lives in ``kernel``, so that compiling a regex protocol needs no product
+code, and keeps its name here by import.
 
 The products walk the pairs of states reachable from the initial pair and
 build the ``Transducer`` once, in O(reachable pairs + their joint
@@ -13,7 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import LabelClash, SignatureMismatch
-from .kernel import Signature, Trace, Transducer, round_key
+from .kernel import Signature, Trace, Transducer, determinize, round_key
 
 
 def product_state(left: str, right: str) -> str:
@@ -187,24 +189,3 @@ def distinguishing_trace(T: Transducer, U: Transducer, k: int,
         frontier = nxt
     return None
 
-
-def determinize(T: Transducer) -> Transducer:
-    """Subset construction over rounds (labels stay whole rounds).
-
-    Subsets are visited breadth first, each one's rounds in ``round_key``
-    order, and named ``P0, P1, ...`` in the order they are found, so the
-    result depends only on ``T`` and its names are valid in a model file.
-    """
-    initial = frozenset({T.initial})
-    names = {initial: "P0"}
-    order = [initial]
-    delta = []
-    for cur in order:  # grows while it is walked: a breadth-first queue
-        moves = T.moves(cur)
-        for v in sorted(moves, key=round_key):
-            succ = moves[v]
-            if succ not in names:
-                names[succ] = f"P{len(names)}"
-                order.append(succ)
-            delta.append((names[cur], v, names[succ]))
-    return Transducer(T.signature, names.values(), "P0", delta)

@@ -8,12 +8,17 @@ invocations produce byte-identical output.
 
 A model that is not a plain ``Transducer`` is symbolic.  Only ``kernel``
 and the file formats load with this module; ``algebra``, ``coherence``,
-``protocol``, ``symbolic`` and ``dot`` load in the commands that call
-them, so that no process pays to compile a layer it does not run.
+``protocol``, ``symbolic``, ``expansion`` and ``dot`` load in the commands
+that call them, so that no process pays to compile a layer it does not run.
+
+``main`` ends the process: it flushes stdout and stderr and calls
+``os._exit``, so that no command pays for the interpreter's teardown.
+``cli_main`` returns the exit code and leaves the interpreter running.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -316,25 +321,25 @@ def cli_main(argv=None) -> int:
 
 
 def main() -> None:
-    """Run ``sys.argv`` and exit with its code.  If stdout fails, a closed
-    pipe or a closed stdout ends quietly (with the command's code, or 0 if
-    it had none yet); any other write error is one line on stderr and
-    exit 4."""
+    """Run ``sys.argv`` and end the process with its code, through
+    ``os._exit`` once stdout and stderr are flushed.  If stdout fails, a
+    closed pipe or a closed stdout ends quietly (with the command's code,
+    or 0 if it had none yet); any other write error is one line on stderr
+    and exit 4.  What a failed write left buffered is dropped."""
     if sys.stdout is None:   # started with stdout closed: drop all output, as print does
         sys.stdout = open(os.devnull, "w")
     code = EXIT_OK
     try:
         code = cli_main()
         sys.stdout.flush()
-        sys.exit(code)
     except BrokenPipeError:   # the reader stopped reading, as ``head`` does
         pass
     except OSError as e:   # reads fail inside ``cli_main``, as input errors
         print(f"resource limit: cannot write output: {e.strerror or e}", file=sys.stderr)
         code = EXIT_RESOURCE
-    # what stays buffered would fail again when the interpreter flushes it
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+    with contextlib.suppress(AttributeError, OSError):   # stderr closed, or failing
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

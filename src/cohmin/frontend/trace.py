@@ -96,7 +96,7 @@ _VALUED_EVENT = re.compile(r"(?P<label>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<valu
 
 
 def parse_valued_trace(text: str):
-    from ..symbolic import ValuedRound
+    from ..expansion import ValuedRound
 
     rounds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

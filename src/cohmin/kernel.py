@@ -299,16 +299,7 @@ class Transducer(Record):
         return bool(self.run(t))
 
     def reachable_states(self) -> FrozenSet[str]:
-        seen = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            s = frontier.pop()
-            for targets in self.out(s).values():
-                for t in targets:
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-        return frozenset(seen)
+        return _reach(self.initial, lambda s: [t for ts in self.out(s).values() for t in ts])
 
     def relabel_signature(self, sig: Signature) -> "Transducer":
         """Rebind to a signature with the same label universe."""
@@ -317,6 +308,42 @@ class Transducer(Record):
         if sig.universe != self.signature.universe:
             raise SignatureMismatch("protocol and subject use different label universes")
         return Transducer(sig, self.states, self.initial, self.delta)
+
+
+def _reach(initial: str, successors) -> FrozenSet[str]:
+    """``initial`` and the states ``successors`` (state -> targets) leads to from it."""
+    seen, frontier = {initial}, [initial]
+    while frontier:
+        for t in successors(frontier.pop()):
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return frozenset(seen)
+
+
+def determinize(T: Transducer) -> Transducer:
+    """Subset construction over rounds (labels stay whole rounds).
+
+    Subsets are visited breadth first, each one's rounds in ``round_key``
+    order, and named ``P0, P1, ...`` in the order they are found, so the
+    result depends only on ``T`` and its names are valid in a model file.
+    The walk builds the index and hands it over."""
+    initial = frozenset({T.initial})
+    names = {initial: "P0"}
+    order = [initial]
+    adj = {}
+    for cur in order:  # grows while it is walked: a breadth-first queue
+        moves = T.moves(cur)
+        row = {}
+        for v in sorted(moves, key=round_key):
+            succ = moves[v]
+            if succ not in names:
+                names[succ] = f"P{len(names)}"
+                order.append(succ)
+            row[v] = (names[succ],)
+        if row:
+            adj[names[cur]] = row
+    return Transducer._trusted(T.signature, frozenset(names.values()), "P0", adj)
 
 
 def merge_states(M, classes):
@@ -341,10 +368,11 @@ def drop_unreachable(M):
     """``M`` without the states its initial state cannot reach.
 
     Plain or symbolic, as for :func:`merge_states`; a symbolic machine's
-    reachability is read off its control skeleton.
+    reachability is read off its transitions, building no control skeleton.
     """
     plain = isinstance(M, Transducer)
-    reach = (M if plain else M.control_skeleton()).reachable_states()
+    reach = M.reachable_states() if plain else _reach(
+        M.initial, lambda s: [tr.target for tr in M.out(s)])
     if reach == M.states:
         return M
     if plain:

@@ -16,7 +16,7 @@ from operator import length_hint
 from typing import FrozenSet, List, Optional, Tuple
 
 from .errors import UnknownLabel
-from .kernel import Record, Round, Signature, Transducer, render_round, round_key
+from .kernel import Record, Round, Signature, Transducer, determinize, render_round, round_key
 
 
 # -- protocol regular expressions -------------------------------------------
@@ -113,7 +113,7 @@ def compile_regex(r: ProtocolRegex, sig: Signature) -> Transducer:
 
     The position automaton is trimmed to the positions from which an
     accepting position is reachable, keeping its start as the initial
-    state, and then determinised by :func:`algebra.determinize`.  Every
+    state, and then determinised by :func:`kernel.determinize`.  Every
     path of the result spells a prefix of a word of the regex, so its
     language is exactly the prefix closure of the regex's language (just
     the empty trace when that language is empty).  Every literal becomes a
@@ -137,10 +137,7 @@ def compile_regex(r: ProtocolRegex, sig: Signature) -> Transducer:
                 todo.append(p)
     delta = [(str(p), frozenset({positions[q]}), str(q))
              for p in live for q in succ[p] if q in live]
-    from . import algebra  # the monitor alone does not need it
-
-    return algebra.determinize(
-        Transducer(sig, {str(p) for p in live | {-1}}, "-1", delta))
+    return determinize(Transducer(sig, {str(p) for p in live | {-1}}, "-1", delta))
 
 
 # -- the online monitor ------------------------------------------------------

@@ -459,22 +459,22 @@ class TestCli:
         # (argv, exit code, the layers it loads beside the CLI's own modules)
         ops = [
             (["minimize", "--policy", "coherent", "--protocol", prot, ring], 0,
-             {"coherence", "protocol", "algebra"}),
+             {"coherence", "protocol"}),
             (["validate", ring], 0, set()),
             (["intersect", ring, ring], 0, {"algebra"}),
             (["relation", "--protocol", ring, ring], 0, {"coherence"}),
             (["equiv", "--protocol", ring, ring, ring], 0, {"coherence", "algebra"}),
             (["minimize", "--policy", "bisim", ring], 0, {"coherence"}),
             (["expand", "--lo", "-1", "--hi", "1", fix("adder.sfst")], 0,
-             {"symbolic", "frontend.expr"}),
+             {"symbolic", "frontend.expr", "expansion"}),
             (["minimize", "--policy", "coherent", *im], 0,
-             {"symbolic", "frontend.expr", "coherence", "protocol", "algebra"}),
+             {"symbolic", "frontend.expr", "coherence", "protocol"}),
             (["minimize", "--policy", "coherent", "--guard-mode", "bounded-semantic", *im],
-             0, {"symbolic", "frontend.expr", "coherence", "protocol", "algebra"}),
+             0, {"symbolic", "frontend.expr", "coherence", "protocol"}),
             (["monitor", "--protocol", fix("display.prot"), "--trace",
               fix("display_legal.trc")], 0, {"protocol", "frontend.trace"}),
             (["monitor", "--protocol", fix("iterator_map.prot"), "--trace",
-              fix("display_attack.trc")], 3, {"protocol", "algebra", "frontend.trace"}),
+              fix("display_attack.trc")], 3, {"protocol", "frontend.trace"}),
         ]
         base = {"cohmin", "cohmin.errors", "cohmin.kernel", "cohmin.frontend",
                 "cohmin.frontend.fileformat", "cohmin.frontend.cli"}
@@ -1126,6 +1126,32 @@ class TestOutputFailures:
         proc = subprocess.run(self.ARGV, env=self._env(), stderr=subprocess.PIPE,
                               preexec_fn=lambda: os.close(1), timeout=60)
         assert (proc.returncode, proc.stderr) == (0, b"")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["validate", str(FIXDIR / "adder.sfst")], 0),
+        (["minimize", "--policy", "coherent", str(FIXDIR / "forked_reader.fst")], 1),
+        (["validate", str(FIXDIR / "no_such_file.fst")], 2),
+        (["monitor", "--protocol", str(FIXDIR / "display.prot"),
+          "--trace", str(FIXDIR / "display_attack.trc")], 3),
+        (["traces", "--depth", "4", "--cap", "2", str(FIXDIR / "two_phase.fst")], 4),
+        (ARGV[3:], 0),
+    ], ids=["ok", "usage", "input", "verdict", "resource", "expand"])
+    def test_main_ends_the_process_as_cli_main_returns(self, argv, code, tmp_path):
+        """``main`` ends its process through ``os._exit``: to a pipe and to
+        a file alike, the process writes the stdout and stderr bytes that
+        ``cli_main`` writes in process, and exits with the code it returns."""
+        expected = run_cli(*argv)
+        assert expected[0] == code
+        env = self._env()
+        env.pop("PYTHONUNBUFFERED", None)   # buffered, so that an unflushed write is lost
+        path = tmp_path / "out"
+        with open(path, "wb") as out:
+            to_file = subprocess.run(self.ARGV[:3] + argv, env=env, stdout=out,
+                                     stderr=subprocess.PIPE, timeout=60)
+        to_pipe = subprocess.run(self.ARGV[:3] + argv, env=env, capture_output=True, timeout=60)
+        for proc, stdout in ((to_pipe, to_pipe.stdout), (to_file, path.read_bytes())):
+            assert (proc.returncode, stdout, proc.stderr) == \
+                (code, expected[1].encode(), expected[2].encode())
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [

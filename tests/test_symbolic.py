@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cohmin import algebra, coherence, kernel, symbolic
+from cohmin import algebra, coherence, expansion, kernel, symbolic
 from cohmin.errors import (
     DomainExceeded,
     NotAProtocol,
@@ -102,8 +102,8 @@ class TestSfstRun:
 
     def test_compiles_each_transition_once_per_run(self, monkeypatch):
         calls = []
-        compile_expr = symbolic.compile_expr
-        monkeypatch.setattr(symbolic, "compile_expr",
+        compile_expr = expansion.compile_expr
+        monkeypatch.setattr(expansion, "compile_expr",
                             lambda *args: calls.append(1) or compile_expr(*args))
         rounds = [VR({"x": 2}), VR({"x": 3}), VR({"r": 5})]
         counts = []
@@ -294,6 +294,35 @@ def random_int_expr(rng, regs, depth):
                random_int_expr(rng, regs, depth - 1))
 
 
+# Expands a machine whose transitions hold different least literals
+# outside [-1..1] (5, 7, 3 and 4), the least of them all on the third.
+_EXPAND_LITERALS = """\
+from cohmin.frontend import parse_model
+from cohmin.symbolic import expand
+T = parse_model("signature in x; out r;\\nstates A, B;\\nregisters y;\\ninitial A;\\n"
+                "trans A -> B : {x} when y < 5;\\ntrans B -> A : {x} do y := 7;\\n"
+                "trans A -> A : {r} do r := 3 * 9;\\ntrans B -> B : {r} do r := y + 4;\\n")
+try:
+    expand(T, -1, 1)
+except Exception as e:
+    print(type(e).__name__, e)
+"""
+
+
+def test_expand_names_the_least_literal_of_the_whole_machine():
+    """Of the literals outside the domain, ``expand`` names the least one
+    of the whole machine, whatever order the hash seed gives ``T.delta``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _EXPAND_LITERALS], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {"DomainExceeded literal 3 outside [-1..1]\n"}
+
+
 class TestExpand:
     def test_guard_arithmetic(self):
         exp = expand(ADDER, -2, 2)
@@ -343,10 +372,10 @@ class TestExpand:
         # transitions enumerates 5 assignments (one data input) or 1
         from cohmin.errors import ResourceLimit
         assert len(expand(ADDER, -2, 2).delta) == 147
-        monkeypatch.setattr(symbolic, "EXPAND_TRANSITION_CAP", 146)
+        monkeypatch.setattr(expansion, "EXPAND_TRANSITION_CAP", 146)
         with pytest.raises(ResourceLimit, match=r"^expansion exceeded 146 transitions$"):
             expand(ADDER, -2, 2)
-        monkeypatch.setattr(symbolic, "EXPAND_TRANSITION_CAP", 4)
+        monkeypatch.setattr(expansion, "EXPAND_TRANSITION_CAP", 4)
         with pytest.raises(ResourceLimit, match=r"^expansion needs 5 assignments of one "
                                                 r"transition, more than 4$"):
             expand(ADDER, -2, 2)
@@ -375,8 +404,8 @@ class TestExpand:
 
     def test_compiles_each_reached_transition_once(self, monkeypatch):
         calls = []
-        compile_expr = symbolic.compile_expr
-        monkeypatch.setattr(symbolic, "compile_expr",
+        compile_expr = expansion.compile_expr
+        monkeypatch.setattr(expansion, "compile_expr",
                             lambda *args: calls.append(1) or compile_expr(*args))
         machine, _ = iterator_map()
         counts = []
@@ -513,9 +542,9 @@ class TestSfstMinimize:
     @pytest.mark.parametrize("mode", ["structural", "bounded-semantic"])
     def test_merge_loop_builds_no_machine(self, monkeypatch, mode):
         """Six recomputed merges run on the first fixpoint's index merged by
-        the log: the one SFST built is the final fold, and the one
-        ``Transducer`` the control skeleton that drops its unreachable
-        states."""
+        the log: the one machine built is the final fold, an SFST.  Its
+        unreachable states are read off its transitions, building no
+        ``Transducer``."""
         machine, proto = iterator_map()
         builds = Counter()
         for cls in (kernel.Transducer, SFST):
@@ -526,7 +555,7 @@ class TestSfstMinimize:
             machine, proto, on_merge=lambda log, outcome, folded: outcomes.update([outcome]),
             mode=mode)
         assert len(mini.states) == 7 and outcomes == {"not a bisimulation": 6}
-        assert sum(builds.values()) <= 2
+        assert builds == {"SFST": 1}
 
     def test_coherent_simulation_builds_no_control_skeleton(self, monkeypatch):
         calls = []

@@ -386,6 +386,43 @@ def test_no_module_in_src_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_only_cli_main_ends_the_process():
+    """``cli.main`` ends its process through ``os._exit``, which skips the
+    interpreter's teardown, ``atexit`` handlers and ``__del__`` methods
+    included.  So ``os._exit`` occurs once in ``src/``, in ``main``, and no
+    module of ``src/`` registers an ``atexit`` handler or defines ``__del__``."""
+    exits, faults = [], []
+    for path in sorted((ROOT / "src" / "cohmin").rglob("*.py")):
+        where = path.relative_to(ROOT / "src").as_posix()
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(stmt):
+                if getattr(node, "attr", None) == "_exit" or getattr(node, "id", None) == "_exit":
+                    exits.append((where, getattr(stmt, "name", None)))
+                if getattr(node, "id", None) == "atexit" or \
+                        isinstance(node, ast.ImportFrom) and node.module == "atexit" or \
+                        isinstance(node, ast.Import) and "atexit" in [a.name for a in node.names]:
+                    faults.append(f"{where}:{node.lineno}: atexit")
+                if getattr(node, "name", None) == "__del__":
+                    faults.append(f"{where}:{node.lineno}: __del__")
+    assert exits == [("cohmin/frontend/cli.py", "main")]
+    assert faults == []
+
+
+def test_symbolic_serves_the_expansion_names_without_loading_it():
+    """``expansion`` loads on the first read of a name in ``symbolic``'s lazy
+    table, and each such name is ``expansion``'s own object."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, cohmin.symbolic\n"
+         "print(sorted(m for m in sys.modules if m.startswith('cohmin')))"],
+        env=_env(), capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "['cohmin', 'cohmin.errors', 'cohmin.kernel', 'cohmin.symbolic']\n"
+    from cohmin import expansion, symbolic
+
+    assert len(symbolic._EXPANSION) == 12
+    for name in symbolic._EXPANSION:
+        assert getattr(symbolic, name) is getattr(expansion, name), name
+
+
 def _src_trees():
     """Each module of ``src/cohmin`` parsed, and for each name the
     (module, top-level statement index) pairs that name it."""
