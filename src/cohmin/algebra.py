@@ -1,7 +1,6 @@
 """Transducer combinators: intersection, interaction, projection and
-composition, plus bounded-depth language equality.  :func:`determinize`
-lives in ``kernel``, so that compiling a regex protocol needs no product
-code, and keeps its name here by import.
+composition, plus bounded-depth language equality and the subset
+construction (:func:`determinize`).
 
 The products walk the pairs of states reachable from the initial pair and
 build the ``Transducer`` once, in O(reachable pairs + their joint
@@ -15,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import LabelClash, SignatureMismatch
-from .kernel import Signature, Trace, Transducer, determinize, round_key
+from .kernel import Signature, Trace, Transducer, round_key
 
 
 def product_state(left: str, right: str) -> str:
@@ -132,6 +131,31 @@ def compose(
     joint = interact(T, U, keep_unreachable, strict_polarity)
     keep = joint.signature.restrict(joint.signature.universe - shared)
     return project(joint, keep)
+
+
+def determinize(T: Transducer) -> Transducer:
+    """Subset construction over rounds (labels stay whole rounds).
+
+    Subsets are visited breadth first, each one's rounds in ``round_key``
+    order, and named ``P0, P1, ...`` in the order they are found, so the
+    result depends only on ``T`` and its names are valid in a model file.
+    The walk builds the index and hands it over."""
+    initial = frozenset({T.initial})
+    names = {initial: "P0"}
+    order = [initial]
+    adj = {}
+    for cur in order:  # grows while it is walked: a breadth-first queue
+        moves = T.moves(cur)
+        row = {}
+        for v in sorted(moves, key=round_key):
+            succ = moves[v]
+            if succ not in names:
+                names[succ] = f"P{len(names)}"
+                order.append(succ)
+            row[v] = (names[succ],)
+        if row:
+            adj[names[cur]] = row
+    return Transducer._trusted(T.signature, frozenset(names.values()), "P0", adj)
 
 
 # -- bounded-depth language equality ---------------------------------------

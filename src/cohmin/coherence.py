@@ -202,10 +202,12 @@ def _fixpoint(index, P: Transducer) -> CoherenceRelation:
     states, moves, rounds, _ = index
     n = len(states)
     pred = [[0] * n for _ in rounds]   # per key: bitset of predecessors
+    hit = [0] * len(rounds)   # per key: bitset of the states with a predecessor
     into = [set() for _ in range(n)]
     for j, out in enumerate(moves):
         for r, k in out:
             pred[r][k] |= 1 << j
+            hit[r] |= 1 << k
             into[k].add(j)
 
     same: Dict[Round, int] = {}   # round -> bitset of its keys
@@ -235,7 +237,7 @@ def _fixpoint(index, P: Transducer) -> CoherenceRelation:
             if pre is None:
                 col = pred[r]
                 pre = 0
-                for t in _bits(sim[k]):
+                for t in _bits(sim[k] & hit[r]):
                     pre |= col[t]
                 memo[(r, sim[k])] = pre
             row &= pre

@@ -192,12 +192,13 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     of the whole machine.
 
     Each transition is compiled once, when its source is first reached
-    (:class:`_Firing`).  Per configuration and assignment of its data
-    inputs, only its guard and updates run; an ``Overflow`` cuts the run
-    like a value outside the domain.  The expanded rounds of a firing are
-    rendered once per distinct firing, and a target joins its row with one
-    lookup per round.
-    """
+    (:class:`_Firing`); a state's transitions are tried in
+    ``_transition_key`` order, as in ``sfst_run``, so the first fault met
+    does not depend on the hash seed.  Per configuration and assignment of
+    its data inputs, only its guard and updates run; an ``Overflow`` cuts
+    the run like a value outside the domain.  The expanded rounds of a
+    firing are rendered once per distinct firing, and a target joins its
+    row with one lookup per round."""
     if lo > hi:
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
     if not (lo <= 0 <= hi):
@@ -248,7 +249,7 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
         source = names[cfg]
         row = adj.get(source) or {}   # two configurations may share a name
         if state not in firings:
-            firings[state] = [compiled(tr) for tr in T.out(state)]
+            firings[state] = [compiled(tr) for tr in sorted(T.out(state), key=_transition_key)]
         for firing in firings[state]:
             for values in itertools.product(domain, repeat=len(firing.inputs)):
                 try:

@@ -92,12 +92,11 @@ class TraceReader:
         return sum(1 for _ in self)
 
 
-_VALUED_EVENT = re.compile(r"(?P<label>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<value>-?[0-9]+))?\Z")
-
-
 def parse_valued_trace(text: str):
     from ..expansion import ValuedRound
 
+    # compiled on first use (``re`` caches it): ``monitor`` never needs it
+    event = re.compile(r"(?P<label>[A-Za-z_][A-Za-z0-9_]*)\s*(?:=\s*(?P<value>-?[0-9]+))?\Z")
     rounds = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -109,7 +108,7 @@ def parse_valued_trace(text: str):
         events = {}
         if inner:
             for part in inner.split(","):
-                m = _VALUED_EVENT.match(part.strip())
+                m = event.match(part.strip())
                 if not m:
                     raise ParseError(lineno, 1, f"bad event {part.strip()!r}")
                 label, value = m.group("label"), m.group("value")

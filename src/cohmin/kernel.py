@@ -14,7 +14,6 @@ which would cost each ``cohmin`` process several milliseconds of start-up.
 
 from __future__ import annotations
 
-import re
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
@@ -31,8 +30,6 @@ Trace = Tuple[Round, ...]
 
 EMPTY_TRACE: Trace = ()
 
-_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 DEFAULT_TRACE_CAP = 10**6
 # Rounds the enumerated traces may hold between them (a trace of length n
 # holds n): long traces exhaust memory well below the trace-count cap.
@@ -40,7 +37,7 @@ TRACE_ROUNDS_CAP = 2 * 10**6
 
 
 def check_label(name: str) -> str:
-    if not isinstance(name, str) or not _LABEL_RE.match(name):
+    if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
         raise UnknownLabel(name)
     return name
 
@@ -319,31 +316,6 @@ def _reach(initial: str, successors) -> FrozenSet[str]:
                 seen.add(t)
                 frontier.append(t)
     return frozenset(seen)
-
-
-def determinize(T: Transducer) -> Transducer:
-    """Subset construction over rounds (labels stay whole rounds).
-
-    Subsets are visited breadth first, each one's rounds in ``round_key``
-    order, and named ``P0, P1, ...`` in the order they are found, so the
-    result depends only on ``T`` and its names are valid in a model file.
-    The walk builds the index and hands it over."""
-    initial = frozenset({T.initial})
-    names = {initial: "P0"}
-    order = [initial]
-    adj = {}
-    for cur in order:  # grows while it is walked: a breadth-first queue
-        moves = T.moves(cur)
-        row = {}
-        for v in sorted(moves, key=round_key):
-            succ = moves[v]
-            if succ not in names:
-                names[succ] = f"P{len(names)}"
-                order.append(succ)
-            row[v] = (names[succ],)
-        if row:
-            adj[names[cur]] = row
-    return Transducer._trusted(T.signature, frozenset(names.values()), "P0", adj)
 
 
 def merge_states(M, classes):

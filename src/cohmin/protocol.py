@@ -16,7 +16,7 @@ from operator import length_hint
 from typing import FrozenSet, List, Optional, Tuple
 
 from .errors import UnknownLabel
-from .kernel import Record, Round, Signature, Transducer, determinize, render_round, round_key
+from .kernel import Record, Round, Signature, Transducer, _reach, render_round, round_key
 
 
 # -- protocol regular expressions -------------------------------------------
@@ -109,35 +109,26 @@ def _glushkov(r: ProtocolRegex):
 
 def compile_regex(r: ProtocolRegex, sig: Signature) -> Transducer:
     """Compile a protocol regex tree (``frontend.parse_regex`` reads one
-    from text) to a deterministic transducer.
-
-    The position automaton is trimmed to the positions from which an
-    accepting position is reachable, keeping its start as the initial
-    state, and then determinised by :func:`kernel.determinize`.  Every
-    path of the result spells a prefix of a word of the regex, so its
-    language is exactly the prefix closure of the regex's language (just
-    the empty trace when that language is empty).  Every literal becomes a
-    singleton round.
-    """
+    from text) to its trimmed position automaton, which may be
+    nondeterministic: the start ``P0`` and, for each position ``i``
+    (literals from 0, left to right) from which an accepting position is
+    reachable, a state ``P<i+1>`` entered by reading that literal as a
+    singleton round.  Every path spells a prefix of a word of the regex,
+    so the language is exactly the prefix closure of the regex's language
+    (just the empty trace when that language is empty)."""
     for label in regex_labels(r):
         if label not in sig.universe:
             raise UnknownLabel(label)
     positions, nullable, first, last, follow = _glushkov(r)
     succ = {-1: first, **follow}  # -1 is the start; entering q reads positions[q]
-    pred = {}
+    pred = {"end": [*last, *([-1] if nullable else [])]}   # "end" follows each accepting one
     for p, qs in succ.items():
         for q in qs:
             pred.setdefault(q, []).append(p)
-    live = set(last) | ({-1} if nullable else set())
-    todo = list(live)
-    while todo:
-        for p in pred.get(todo.pop(), ()):
-            if p not in live:
-                live.add(p)
-                todo.append(p)
-    delta = [(str(p), frozenset({positions[q]}), str(q))
+    live = _reach("end", lambda q: pred.get(q, ())) - {"end"}
+    delta = [(f"P{p + 1}", frozenset({positions[q]}), f"P{q + 1}")
              for p in live for q in succ[p] if q in live]
-    return determinize(Transducer(sig, {str(p) for p in live | {-1}}, "-1", delta))
+    return Transducer(sig, {f"P{p + 1}" for p in live | {-1}}, "P0", delta)
 
 
 # -- the online monitor ------------------------------------------------------
@@ -170,6 +161,10 @@ class Verdict(Record):
         )
 
 
+# Rows (protocol subsets) the monitor keeps at once.
+MONITOR_ROWS = 1024
+
+
 def monitor(P: Transducer, t) -> Verdict:
     """Online membership check: consume rounds left to right and flag the
     first round the protocol does not enable, reading no further.
@@ -186,7 +181,9 @@ def monitor(P: Transducer, t) -> Verdict:
     reached gets a row that maps every item met there to its successor's
     row: an item met before in that subset costs one dict lookup, and
     ``round_of`` and ``P.moves`` run only when a row first meets an item,
-    so their cost is per distinct (subset, item), not per round."""
+    so their cost is per distinct (subset, item), not per round.  Past
+    :data:`MONITOR_ROWS` subsets the table starts afresh from the subset
+    being entered, so memory stays within that many rows."""
     if hasattr(t, "round_of"):
         pieces, round_of = t.pieces(), t.round_of
     else:
@@ -214,6 +211,10 @@ def monitor(P: Transducer, t) -> Verdict:
                     index += len(before) - sum(map(skips.__contains__, before))
                     return Verdict("VIOLATION", index, v, frozenset(moves))
                 if nxt.__class__ is not dict:   # a subset, replaced by its row
+                    if nxt not in rows and len(rows) >= MONITOR_ROWS:   # start afresh,
+                        for row in rows.values():   # and let no cycle outlive the table
+                            row.clear()
+                        rows = {}
                     nxt = moves[v] = rows.get(nxt) or rows.setdefault(nxt, {None: P.moves(nxt)})
                 cur[item] = nxt
             cur = nxt

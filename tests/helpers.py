@@ -31,7 +31,7 @@ from cohmin.kernel import (
     mkround,
     traces_upto,
 )
-from cohmin.protocol import Alt, Cat, Lit, Star
+from cohmin.protocol import Alt, Cat, Lit, Star, _glushkov
 from cohmin.symbolic import SFST, STransition, Update, expand
 
 
@@ -192,6 +192,26 @@ def step(T: Transducer, s: str, v: Round):
 def is_deterministic(T: Transducer) -> bool:
     """Does every state have at most one target per round?"""
     return all(len(ts) == 1 for s in T.states for ts in T.out(s).values())
+
+
+def assert_position_automaton(P: Transducer, regex) -> None:
+    """``P`` keeps the contract of ``compile_regex(regex, ...)``: the start
+    ``P0`` and at most one state ``P<i+1>`` per position ``i`` of the
+    regex, every state but the start on a path to an accepting position."""
+    positions, nullable, _, last, _ = _glushkov(regex)
+    assert P.initial == "P0"
+    assert P.states <= {f"P{i}" for i in range(len(positions) + 1)}
+    live = set(P.states & ({f"P{p + 1}" for p in last} | ({"P0"} if nullable else set())))
+    preds = {}
+    for s, _, t in P.delta:
+        preds.setdefault(t, set()).add(s)
+    todo = list(live)
+    while todo:
+        for s in preds.get(todo.pop(), ()):
+            if s not in live:
+                live.add(s)
+                todo.append(s)
+    assert P.states - live <= {"P0"}
 
 
 def run(T: Transducer, t):

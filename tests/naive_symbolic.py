@@ -13,7 +13,9 @@ targets; the engine's match keys do not.
 ``eval_expr`` and ``expand`` are kept verbatim from the tree-walking
 evaluator and the expansion loop that evaluated, sorted and rendered every
 emitted transition afresh, before transitions were planned and guards
-compiled.  Do not optimise this file.
+compiled.  The only edit there: ``expand`` tries a state's transitions in
+``_transition_key`` order (one line, and its import), as the library does,
+where it followed ``T.out``'s hash-seeded order.  Do not optimise this file.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from cohmin.symbolic import (
     STransition,
     _check64,
     _config_name,
+    _transition_key,
     expanded_label,
     guard_equiv,
     int_literals,
@@ -336,7 +339,7 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     while frontier:
         state, regs = frontier.pop()
         regs_d = dict(regs)
-        for tr in T.out(state):
+        for tr in sorted(T.out(state), key=_transition_key):
             in_data = sorted(tr.round & T.signature.inputs & data)
             for values in itertools.product(domain, repeat=len(in_data)):
                 ports = dict(zip(in_data, values))

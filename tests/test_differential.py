@@ -66,10 +66,10 @@ from helpers import (
     SIG3,
     accepts,
     all_rounds,
+    assert_position_automaton,
     dualize,
     empty_protocol,
     fixture_machines,
-    is_deterministic,
     iterator_map,
     linear_protocol_shaped,
     random_regex,
@@ -711,10 +711,10 @@ def singleton_machine(rng, sig, max_states, max_trans):
 
 
 def assert_same_compilation(regex, sig, machines):
-    new = protocol.compile_regex(parse_regex(regex) if isinstance(regex, str) else regex,
-                                 sig)
+    tree = parse_regex(regex) if isinstance(regex, str) else regex
+    new = protocol.compile_regex(tree, sig)
     old = naive_protocol.compile_regex(regex, sig)
-    assert is_deterministic(new)
+    assert_position_automaton(new, tree)
     assert kernel.traces_upto(new, 6).traces == kernel.traces_upto(old, 6).traces
     for T in machines:
         assert coherence.coherent_simulation(T, new).rows() == \
@@ -725,8 +725,8 @@ def assert_same_compilation(regex, sig, machines):
 
 
 class TestRegexCompilationAgainstNaiveOracle:
-    """``compile_regex`` through ``algebra.determinize`` against the frozen
-    compiler with its own subset construction."""
+    """``compile_regex``'s position automaton against the frozen compiler
+    with its own subset construction."""
 
     SIG = Signature(frozenset({"a"}), frozenset({"b", "c"}))
 

@@ -326,15 +326,15 @@ class TestDeterminize:
     def test_names_subsets_breadth_first_in_round_order(self):
         """``P0`` is the initial subset; the others are named in the order a
         breadth-first walk finds them, each subset's rounds in ``round_key``
-        order.  ``algebra`` keeps the name."""
+        order.  It lives in ``algebra``, which no regex compilation loads."""
         sig = Signature(frozenset({"a"}), frozenset({"b"}))
         T = Transducer(sig, {"s0", "s1", "s2"}, "s0",
                        [("s0", R({"b"}), "s2"), ("s0", R({"a"}), "s1"), ("s0", R({"a"}), "s2"),
                         ("s1", R({"b"}), "s0"), ("s2", R({"a", "b"}), "s1")])
-        assert kernel.determinize(T) == Transducer(sig, {"P0", "P1", "P2", "P3"}, "P0", [
+        assert algebra.determinize(T) == Transducer(sig, {"P0", "P1", "P2", "P3"}, "P0", [
             ("P0", R({"a"}), "P1"), ("P0", R({"b"}), "P2"), ("P1", R({"b"}), "P0"),
             ("P1", R({"a", "b"}), "P3"), ("P2", R({"a", "b"}), "P3"), ("P3", R({"b"}), "P0")])
-        assert algebra.determinize is kernel.determinize
+        assert not hasattr(kernel, "determinize")
 
 
 class TestRun:

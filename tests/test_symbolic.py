@@ -175,6 +175,49 @@ def test_expand_runs_updates_in_target_order():
     assert outputs == {"UnboundReference unbound reference: 'x'\n"}
 
 
+# Expands a state with two transitions that fail differently: each guard
+# reads an input that is no data port; then, through the CLI, a state
+# whose 5-input and 6-input transitions each need too many assignments.
+_EXPAND_ORDER = """\
+import contextlib, io, sys
+from cohmin.frontend import cli_main, parse_model
+from cohmin.symbolic import expand
+T = parse_model("signature in a, b; out o;\\nstates A;\\ninitial A;\\n"
+                "trans A -> A : {a} when a > 0;\\ntrans A -> A : {b} when b > 0;\\n")
+try:
+    print(len(expand(T, -1, 1, data_ports=frozenset()).states))
+except Exception as e:
+    print(type(e).__name__, e)
+err = io.StringIO()
+with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    code = cli_main(["expand", "--lo", "-20", "--hi", "20", sys.argv[1]])
+print(code, err.getvalue(), end="")
+"""
+
+
+def test_expand_tries_transitions_in_canonical_order(tmp_path):
+    """``expand`` tries a state's transitions in ``_transition_key`` order,
+    as ``sfst_run`` does, so the first of two faults it meets, and the
+    assignment count of an exit-4 ``expand``, do not depend on the hash
+    seed (``T.out`` order gave ``'b'`` under seeds 1 and 5, and
+    ``4750104241`` assignments under seed 2)."""
+    wide = tmp_path / "wide.sfst"
+    wide.write_text("signature in a, b, c, d, e, f; out o;\nstates A;\ninitial A;\n"
+                    "trans A -> A : {a, b, c, d, e} when a + b + c + d + e > 0;\n"
+                    "trans A -> A : {a, b, c, d, e, f} when a + b + c + d + e + f > 0;\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", _EXPAND_ORDER, str(wide)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.add(proc.stdout)
+    assert outputs == {"UnboundReference unbound reference: 'a'\n"
+                       "4 resource limit: expansion needs 115856201 assignments of one "
+                       "transition, more than 3000000\n"}
+
+
 class TestGuardEquiv:
     def test_commutative_sort(self):
         a = Bin(">", Bin("+", Reg("y"), Reg("z")), IntLit(0))
