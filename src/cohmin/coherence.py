@@ -42,29 +42,31 @@ def _index(K: Transducer) -> Tuple[List[str], List[List[Tuple[int, int]]], List[
     return states, moves, list(rid), ids[K.initial]
 
 
-def _merged(index, classes):
-    """``index`` with each class of state names folded into its least
-    member, as the index of the merged machine: the survivors keep their
-    name order, and the keys and their rounds stay as they are."""
+def _merged(index, to):
+    """``index`` with each state id ``b`` of the map ``to`` folded into
+    ``to[b]``, which ``to`` does not map, as the index of the merged
+    machine: the survivors keep their name order, and the keys and their
+    rounds stay as they are."""
     states, moves, rounds, initial = index
-    ids = {s: i for i, s in enumerate(states)}
-    least = {ids[s]: ids[min(c)] for c in classes for s in c}   # id -> its survivor's
-    kept = [i for i in range(len(states)) if least.get(i, i) == i]
+    kept = [i for i in range(len(states)) if i not in to]
     new = {i: j for j, i in enumerate(kept)}
-    to = [new[least.get(i, i)] for i in range(len(states))]
+    at = [new[to.get(i, i)] for i in range(len(states))]
     out: List[set] = [set() for _ in kept]
     for i, row in enumerate(moves):
-        out[to[i]].update((r, to[k]) for r, k in row)
-    return [states[i] for i in kept], [list(row) for row in out], rounds, to[initial]
+        out[at[i]].update((r, at[k]) for r, k in row)
+    return [states[i] for i in kept], [list(row) for row in out], rounds, at[initial]
 
 
 class CoherenceRelation:
     """The greatest coherent simulation of a machine under a protocol.
 
     Held as ``(states, rows)``: ``states`` sorted by name and bit ``i`` of
-    ``rows[j]`` set iff ``(states[i], states[j])`` is related.  The set of
-    pairs is built only when first asked for.  ``index`` and ``protocol``,
-    when given, are what the fixpoint ran on (:func:`_views`).
+    ``rows[j]`` set iff ``(states[i], states[j])`` is related.  The columns
+    hold the same bits the other way, bit ``j`` of ``_cols[i]``, and are
+    built once, one OR per (distinct row, member bit); walking them in id
+    order gives the pairs in name order.  The set of pairs is built only
+    when first asked for.  ``index`` and ``protocol``, when given, are what
+    the fixpoint ran on (:func:`_views`).
     """
 
     def __init__(self, states: List[str], rows: List[int], index=None, protocol=None):
@@ -72,14 +74,18 @@ class CoherenceRelation:
         self._pairs = None
         self.index = index
         self.protocol = protocol
+        groups: Dict[int, int] = {}   # row value -> bitset of the states with it
+        for j, row in enumerate(rows):
+            groups[row] = groups.get(row, 0) | 1 << j
+        cols = self._cols = [0] * len(states)
+        for row, members in groups.items():
+            for i in _bits(row):
+                cols[i] |= members
 
     @property
     def pairs(self) -> FrozenSet[Tuple[str, str]]:
         if self._pairs is None:
-            states, rows = self._rows
-            self._pairs = frozenset(
-                (states[i], b) for b, row in zip(states, rows) for i in _bits(row)
-            )
+            self._pairs = frozenset(self.sorted_pairs())
         return self._pairs
 
     def rows(self) -> Tuple[List[str], List[int]]:
@@ -88,29 +94,28 @@ class CoherenceRelation:
     def __contains__(self, pair) -> bool:
         return tuple(pair) in self.pairs
 
-    def sorted_pairs(self):
-        return sorted(self.pairs)
+    def sorted_pairs(self) -> List[Tuple[str, str]]:
+        states = self._rows[0]
+        return [(states[i], states[j]) for i, col in enumerate(self._cols) for j in _bits(col)]
 
 
 class EquivalencePairs:
     """Unordered state pairs related in both directions (identity excluded).
 
     Symmetric by construction but in general *not* transitive.  Read off
-    the relation rows, the pairs come in sorted order and only as far as a
-    caller reads them.
+    the relation's rows and columns (``rows[i] & cols[i]``), the pairs come
+    in sorted order and only as far as a caller reads them.
     """
 
-    def __init__(self, states: List[str], rows: List[int]):
-        self._rows = (states, rows)
+    def __init__(self, relation: CoherenceRelation):
+        self._relation = relation
         self._pairs = None
 
     def _sorted(self):
-        states, rows = self._rows
-        for i, row in enumerate(rows):
-            for j in _bits(row >> (i + 1)):
-                j += i + 1
-                if rows[j] >> i & 1:
-                    yield states[i], states[j]
+        states, rows = self._relation.rows()
+        for i, col in enumerate(self._relation._cols):
+            for j in _bits((rows[i] & col) >> (i + 1)):
+                yield states[i], states[i + 1 + j]
 
     @property
     def pairs(self) -> FrozenSet[FrozenSet[str]]:
@@ -252,8 +257,7 @@ def _fixpoint(index, P: Transducer) -> CoherenceRelation:
 
 def equivalence_pairs(T, P, relation=None) -> EquivalencePairs:
     """Symmetrise the greatest coherent simulation, dropping identity pairs."""
-    rel = relation if relation is not None else coherent_simulation(T, P)
-    return EquivalencePairs(*rel.rows())
+    return EquivalencePairs(relation if relation is not None else coherent_simulation(T, P))
 
 
 def quotient(T, s1: str, s2: str):
@@ -271,71 +275,6 @@ def quotient(T, s1: str, s2: str):
     return merge_states(T, [(s1, s2)])
 
 
-class _Fold:
-    """One fixpoint of ``coherent_minimize`` and the merges folded into it.
-
-    States keep the ids of the fixpoint's index, in name order, so the
-    least pair of names is the least pair of ids.  ``x ~ y`` when x and y
-    have the same row and the same column; ``cls`` numbers the classes of
-    ``~``, and ``bisim`` says whether ``~`` is a bisimulation of the
-    fixpoint's index.  A merge of ``a ~ b`` under such a ``~`` leaves
-    the relation as ``f(R)`` (README, "Merging without recomputing"), and
-    since ``a`` and ``b`` share their row and column, folding ``b`` into
-    ``a`` is clearing ``b``'s bit in ``alive``.
-    """
-
-    def __init__(self, relation: CoherenceRelation):
-        states, rows = relation.rows()
-        n = len(states)
-        self.states, self.rows = states, rows
-        self.alive = (1 << n) - 1
-        self.lo = 0
-        # columns from the distinct rows: one OR per (row value, member bit)
-        groups: Dict[int, int] = {}
-        for j, row in enumerate(rows):
-            groups[row] = groups.get(row, 0) | 1 << j
-        cols = self.cols = [0] * n
-        for row, members in groups.items():
-            for i in _bits(row):
-                cols[i] |= members
-        classes: Dict[Tuple[int, int], int] = {}
-        cls = self.cls = [classes.setdefault(rc, len(classes))
-                          for rc in zip(rows, cols)]
-        self.bisim = _refine(relation.index[1], cls)[1] == len(classes)   # no class splits
-
-    def least(self) -> Optional[Tuple[int, int]]:
-        """Ids of the least pair related both ways, or None.  The search
-        resumes at the last pair's first state: a fold only deletes a
-        state, and no state before it had a partner after it."""
-        alive, i = self.alive, self.lo
-        while True:
-            if alive >> i & 1:
-                mutual = (self.rows[i] & self.cols[i] & alive) >> (i + 1)
-                if mutual:
-                    self.lo = i
-                    return i, i + (mutual & -mutual).bit_length()
-            rest = alive >> (i + 1)
-            if not rest:
-                return None
-            i += (rest & -rest).bit_length()
-
-    def merge(self, a: int, b: int) -> str:
-        """Fold ``b`` into ``a`` and return "skip", or say why the merged
-        machine's relation must be recomputed instead."""
-        if self.cls[a] != self.cls[b]:
-            return "not interchangeable"
-        if not self.bisim:
-            return "not a bisimulation"
-        self.alive &= ~(1 << b)
-        return "skip"
-
-    def pairs(self) -> FrozenSet[Tuple[str, str]]:
-        """The folded relation on the surviving states, as name pairs."""
-        states, alive = self.states, self.alive
-        return frozenset((states[i], states[j]) for j in _bits(alive)
-                         for i in _bits(self.rows[j] & alive))
-
-
 def coherent_minimize(T, P, keep_unreachable: bool = False,
                       on_merge: Optional[Callable] = None, mode: str = "structural"):
     """Iteratively quotient coherently equivalent states; ``T``, ``P`` and
@@ -343,33 +282,62 @@ def coherent_minimize(T, P, keep_unreachable: bool = False,
 
     The relation is order-dependent and not transitive; the
     lexicographically least pair goes first, which makes the output
-    reproducible.  After a merge the relation is folded when the skip rule
-    holds and recomputed otherwise; either way it is the greatest coherent
-    simulation of the merged machine (README, "Merging without
-    recomputing").  A recomputation runs :func:`_fixpoint` on the first
-    fixpoint's index merged by the classes of the whole log (:func:`_merged`),
-    so the loop builds no machine; ``T`` is folded once, at the end.
-    Returns the reduced machine and the merge log as (survivor, absorbed)
-    entries.
+    reproducible.  After a merge of ``a`` and ``b`` the relation is folded
+    when the skip rule holds and recomputed otherwise; either way it is the
+    greatest coherent simulation of the merged machine (README, "Merging
+    without recomputing").  Ids are those of the last fixpoint's index, in
+    name order, so the least pair of names is the least pair of ids.  ``x
+    ~ y`` when x and y have the same row and the same column; rule 1 asks
+    ``a ~ b``, and rule 2 that ``~`` be a bisimulation of the index.  Then
+    folding ``b`` into ``a`` is clearing ``b``'s bit in ``alive``, and the
+    search for the next pair resumes at ``a``: no state before ``a`` had a
+    partner after it.  A recomputation runs :func:`_fixpoint` on the last
+    fixpoint's index merged by the map ``to`` of the merges made since
+    (:func:`_merged`); a survivor is never absorbed later in the same pass,
+    since the search only moves forward, so ``to`` maps each absorbed id to
+    its survivor's.  The loop builds no machine; ``T`` is folded once, at
+    the end.  Returns the reduced machine and the merge log as (survivor,
+    absorbed) entries.
 
     ``on_merge``, when given, is called after every merge as
-    ``on_merge(log, outcome, folded)``: ``outcome`` is "skip" or why the
-    relation is recomputed (``_Fold.merge``), and ``folded`` is, on a skip,
-    the relation that stands in for the recomputation (``_Fold.pairs``).
+    ``on_merge(log, outcome, folded)``: ``outcome`` is "skip", or why the
+    relation is recomputed ("not interchangeable" when rule 1 fails, "not a
+    bisimulation" when rule 2 does), and ``folded`` is, on a skip, the
+    relation on the surviving states, as name pairs, that stands in for the
+    recomputation.
     """
-    first = coherent_simulation(T, P, mode)
-    fold = _Fold(first)
+    rel = coherent_simulation(T, P, mode)
     log: List[Tuple[str, str]] = []
-    while True:
-        least = fold.least()
-        if least is None:
+    while True:   # one pass per fixpoint
+        states, rows = rel.rows()
+        cols = rel._cols
+        classes: Dict[Tuple[int, int], int] = {}
+        cls = [classes.setdefault(rc, len(classes)) for rc in zip(rows, cols)]
+        bisim = _refine(rel.index[1], cls)[1] == len(classes)   # no class splits
+        alive, a, to, outcome = (1 << len(states)) - 1, 0, {}, "skip"
+        while outcome == "skip":
+            mutual = (rows[a] & cols[a] & alive) >> (a + 1)
+            if not mutual:
+                rest = alive >> (a + 1)
+                if not rest:
+                    break
+                a += (rest & -rest).bit_length()
+                continue
+            b = a + (mutual & -mutual).bit_length()
+            log.append((states[a], states[b]))
+            to[b] = a
+            if cls[a] != cls[b]:
+                outcome = "not interchangeable"
+            elif not bisim:
+                outcome = "not a bisimulation"
+            else:
+                alive &= ~(1 << b)
+            if on_merge is not None:
+                on_merge(log, outcome, None if outcome != "skip" else frozenset(
+                    (states[i], states[j]) for j in _bits(alive) for i in _bits(rows[j] & alive)))
+        if outcome == "skip":
             break
-        outcome = fold.merge(*least)
-        log.append((fold.states[least[0]], fold.states[least[1]]))
-        if on_merge is not None:
-            on_merge(log, outcome, fold.pairs() if outcome == "skip" else None)
-        if outcome != "skip":
-            fold = _Fold(_fixpoint(_merged(first.index, merge_classes(log)), first.protocol))
+        rel = _fixpoint(_merged(rel.index, to), rel.protocol)
     out = merge_states(T, merge_classes(log)) if log else T
     return (out if keep_unreachable else drop_unreachable(out)), log
 

@@ -14,6 +14,7 @@ which would cost each ``cohmin`` process several milliseconds of start-up.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
@@ -270,10 +271,10 @@ class Transducer(Record):
         some state of ``states`` enables maps to the states it leads to
         from ``states``, so ``moves(S)[v] == step_set(S, v)`` for every
         round ``v`` enabled in ``S``, and no other round is a key."""
-        acc = {}
+        acc: Dict[Round, set] = defaultdict(set)   # one set per round
         for s in states:
             for v, targets in self.out(s).items():
-                acc.setdefault(v, set()).update(targets)
+                acc[v].update(targets)
         return {v: frozenset(targets) for v, targets in acc.items()}
 
     def step_set(self, states: Iterable[str], v: Round) -> FrozenSet[str]:

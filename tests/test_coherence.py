@@ -20,6 +20,7 @@ from helpers import (
     bruteforce_coherent_union,
     empty_protocol,
     extendable_rounds,
+    iterator_map,
     joint_reach,
     linear_protocol_shaped,
     protocol_extendable,
@@ -327,56 +328,80 @@ class TestSkipRule:
         assert outcomes == {"skip": 254}
 
 
-def recomputations_checked(T, P, mode="structural"):
-    """``coherent_minimize(T, P)`` with every recomputed merge checked: the
-    first fixpoint's index folded by the classes of the log
-    (``coherence._merged``) numbers the states, the initial state and the
-    (round, target) pairs of the merged machine as a cold index of it does,
-    and its fixpoint has the cold fixpoint's rows.  Returns the result and
-    the number of recomputed merges."""
-    first = coherence.coherent_simulation(T, P, mode)
-    recomputed = 0
+def recomputations_checked(monkeypatch, T, P, mode="structural"):
+    """``coherent_minimize(T, P)`` with the index of every recomputation
+    checked as the loop runs it: ``coherence._fixpoint`` is wrapped, and
+    each call after the first fixpoint must run on the index of the
+    machine merged by the log so far (``kernel.merge_states``) as a cold
+    ``_index`` / ``_key_index`` of it numbers it: the same states, initial
+    state and (round, target) pairs per row, up to their order, and a
+    fixpoint with the cold fixpoint's rows.  Returns the result and the
+    number of recomputations."""
+    fixpoint = coherence._fixpoint
+    logs, runs = [], []
 
     def hook(log, outcome, folded):
-        nonlocal recomputed
-        if outcome == "skip":
-            return
-        recomputed += 1
-        classes = coherence.merge_classes(log)
-        merged = coherence._merged(first.index, classes)
-        cold = coherence.coherent_simulation(merge_states(T, classes), P, mode)
-        states, moves, rounds, initial = merged
-        cold_states, cold_moves, cold_rounds, cold_initial = cold.index
-        assert (states, initial) == (cold_states, cold_initial)
-        assert [{(rounds[r], k) for r, k in row} for row in moves] == \
-            [{(cold_rounds[r], k) for r, k in row} for row in cold_moves]
-        assert coherence._fixpoint(merged, first.protocol).rows() == cold.rows()
+        if outcome != "skip":
+            logs.append(list(log))
 
-    return coherence.coherent_minimize(T, P, on_merge=hook, mode=mode), recomputed
+    def checked(index, protocol):
+        got = fixpoint(index, protocol)
+        runs.append(index)
+        if len(runs) > 1:   # a recomputation, after the merge logged last
+            assert len(runs) == len(logs) + 1
+            merged = merge_states(T, coherence.merge_classes(logs[-1]))
+            cold_index, cold_protocol = coherence._views(merged, P, mode)
+            states, moves, rounds, initial = index
+            cold_states, cold_moves, cold_rounds, cold_initial = cold_index
+            assert (states, initial) == (cold_states, cold_initial)
+            assert [{(rounds[r], k) for r, k in row} for row in moves] == \
+                [{(cold_rounds[r], k) for r, k in row} for row in cold_moves]
+            assert got.rows() == fixpoint(cold_index, cold_protocol).rows()
+        return got
+
+    monkeypatch.setattr(coherence, "_fixpoint", checked)
+    result = coherence.coherent_minimize(T, P, on_merge=hook, mode=mode)
+    monkeypatch.undo()
+    assert len(runs) == len(logs) + 1
+    return result, len(logs)
 
 
 class TestMergedIndex:
-    """A recomputed merge runs on the first fixpoint's index merged by the
-    whole log, and builds no machine; checked against cold fixpoints of
-    the machine merged by ``kernel.merge_states``."""
+    """A recomputed merge runs on the last fixpoint's index merged by the
+    merges made since, and builds no machine; checked, as it runs, against
+    cold indices and fixpoints of the machine merged by
+    ``kernel.merge_states``."""
 
-    def test_counterexample(self):
-        (_, log), recomputed = recomputations_checked(LEMMA_COUNTEREXAMPLE, LEMMA_PROTOCOL)
+    def test_counterexample(self, monkeypatch):
+        (_, log), recomputed = recomputations_checked(
+            monkeypatch, LEMMA_COUNTEREXAMPLE, LEMMA_PROTOCOL)
         assert len(log) == 6 and recomputed == 6
 
-    def test_random_plain_machines(self):
+    def test_iterator_map(self, monkeypatch):
+        machine, proto = iterator_map()
+        outcomes = Counter()
+        for mode in ("structural", "bounded-semantic"):
+            (mini, log), recomputed = recomputations_checked(monkeypatch, machine, proto, mode)
+            assert recomputed == 6 and len(log) == 6 and len(mini.states) == 7
+            coherence.coherent_minimize(
+                machine, proto, mode=mode,
+                on_merge=lambda log, outcome, folded: outcomes.update([(mode, outcome)]))
+        assert outcomes == {(mode, "not a bisimulation"): 6
+                            for mode in ("structural", "bounded-semantic")}
+
+    def test_random_plain_machines(self, monkeypatch):
         rng = random.Random(2400)
         recomputed = 0
         for _ in range(60):
             sig = rng.choice((SIG2, SIG3))
             T = random_transducer(rng, sig, 9, 20)
             for P in (universal_protocol(sig), random_transducer(rng, sig, 3, 8, "p")):
-                result, count = recomputations_checked(T, P)
+                result, count = recomputations_checked(monkeypatch, T, P)
                 assert result == naive_coherence.coherent_minimize(T, P)
                 recomputed += count
         assert recomputed > 50
 
-    def test_random_symbolic_machines(self):
+    def test_random_symbolic_machines(self, monkeypatch):
         rng = random.Random(2500)
         recomputed = Counter()
         for _ in range(60):
@@ -384,7 +409,7 @@ class TestMergedIndex:
             for P in (universal_protocol(SFST_SIG),
                       lift_transducer(random_transducer(rng, SFST_SIG, 3, 6, "p"))):
                 for mode in ("structural", "bounded-semantic"):
-                    recomputed[mode] += recomputations_checked(T, P, mode)[1]
+                    recomputed[mode] += recomputations_checked(monkeypatch, T, P, mode)[1]
         assert min(recomputed.values()) > 50
 
 

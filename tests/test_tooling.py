@@ -492,5 +492,22 @@ def test_no_public_name_in_src_is_named_only_by_tests():
     assert _unnamed(trees, users, private=False) == []
 
 
+def test_every_mutant_fragment_occurs_once():
+    """Each entry of the mutation table (``tests/mutants.py``, run by
+    ``tools/mutants.py``) names a fragment that occurs exactly once in its
+    file, and tests that exist, so the table follows the code it breaks."""
+    from mutants import MUTANTS
+
+    faults = []
+    for name, rel, fragment, _, tests in MUTANTS:
+        if (ROOT / rel).read_text(encoding="utf-8").count(fragment) != 1:
+            faults.append(f"{name}: the fragment does not occur exactly once in {rel}")
+        for test in tests:
+            path, *_, func = test.split("::")
+            if not re.search(rf"def {func}\b", (ROOT / path).read_text(encoding="utf-8")):
+                faults.append(f"{name}: no test {test}")
+    assert len(MUTANTS) >= 6 and faults == []
+
+
 if __name__ == "__main__":
     _write_golden()
