@@ -359,9 +359,9 @@ def recomputations_checked(monkeypatch, T, P, mode="structural"):
             assert got.rows() == fixpoint(cold_index, cold_protocol).rows()
         return got
 
-    monkeypatch.setattr(coherence, "_fixpoint", checked)
-    result = coherence.coherent_minimize(T, P, on_merge=hook, mode=mode)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(coherence, "_fixpoint", checked)
+        result = coherence.coherent_minimize(T, P, on_merge=hook, mode=mode)
     assert len(runs) == len(logs) + 1
     return result, len(logs)
 

@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
 """Run the mutation table of ``tests/mutants.py``.
 
-    python3 tools/mutants.py                  # every mutant, writes MUTANTS.json
-    python3 tools/mutants.py --only 0,3 --out m.json
+    python3 tools/mutants.py        # every mutant, writes MUTANTS.json
 
 The checkout, without ``.git``, caches and benchmark scratch, is copied
 once to a temporary directory.  Each mutant is applied there alone: its
 fragment, which must occur exactly once in its file, is replaced, the
-named tests run in their own pytest process (with
-``--timeout`` seconds to finish), and the file is restored.  A mutant is
-*killed* when every named test fails, or when the run outlasts the
-timeout, which a mutant that never ends the merge loop does; otherwise
-it *survived*, and the tests that passed are listed.  The JSON written
-holds, per mutant, its name, file, verdict, the named tests that did not
-fail and the seconds taken.  Exits 1 if any mutant survived.
+named tests run in their own pytest process (with ``TIMEOUT`` seconds to
+finish), and the file is restored.  A mutant is *killed* when every
+named test fails, or when the run outlasts the timeout, which a mutant
+that never ends the merge loop does; otherwise it *survived*, and the
+tests that passed are listed.  ``MUTANTS.json`` at the root of the
+checkout gets, per mutant, its name, file, verdict, the named tests that
+did not fail and the seconds taken.  Exits 1 if any mutant survived.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -32,9 +30,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".bench_work",
                                 ".benchmarks", "*.dot")
+TIMEOUT = 300   # seconds; a mutant that never ends the merge loop hits it
 
 
-def run_mutant(tree: Path, mutant, timeout: float) -> dict:
+def run_mutant(tree: Path, mutant) -> dict:
     """Apply one mutant in ``tree``, run its tests, restore the file."""
     name, rel, fragment, replacement, tests = mutant
     path = tree / rel
@@ -48,7 +47,7 @@ def run_mutant(tree: Path, mutant, timeout: float) -> dict:
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
                                *tests], cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=timeout)
+                              timeout=TIMEOUT)
         failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", proc.stdout, re.M))
         passed = [t for t in tests if t not in failed]
         verdict = "killed" if not passed else "survived"
@@ -60,27 +59,19 @@ def run_mutant(tree: Path, mutant, timeout: float) -> dict:
             "seconds": round(time.perf_counter() - start, 2)}
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--only", help="comma-separated indices into the table")
-    p.add_argument("--timeout", type=float, default=300.0,
-                   help="seconds a mutant's tests may run (default 300)")
-    p.add_argument("--out", type=Path, default=ROOT / "MUTANTS.json")
-    args = p.parse_args(argv)
+def main() -> int:
     sys.path.insert(0, str(ROOT / "tests"))
     from mutants import MUTANTS
 
-    chosen = MUTANTS if args.only is None else [MUTANTS[int(i)] for i in args.only.split(",")]
     results = []
     with tempfile.TemporaryDirectory(prefix="cohmin-mutants-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
-        for mutant in chosen:
-            results.append(run_mutant(tree, mutant, args.timeout))
+        for mutant in MUTANTS:
+            results.append(run_mutant(tree, mutant))
             r = results[-1]
             print(f"{r['verdict']:>16}  {r['seconds']:7.2f} s  {r['name']}", flush=True)
-    args.out.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    (ROOT / "MUTANTS.json").write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
     return 1 if any(r["verdict"] == "survived" for r in results) else 0
 
 
