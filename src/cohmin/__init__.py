@@ -7,7 +7,7 @@ compiles the symbolic layer.
 
 import importlib
 
-from .kernel import Round, Signature, Trace, TraceSet, Transducer
+from .kernel import Round, Signature, Trace, Transducer
 
 __version__ = "0.1.0"
 
@@ -27,4 +27,7 @@ __all__ = [
 def __getattr__(name):
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
+    if name == "TraceSet":   # with the trace enumerator, in ``algebra``
+        from .algebra import TraceSet
+        return TraceSet
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

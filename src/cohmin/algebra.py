@@ -1,6 +1,7 @@
 """Transducer combinators: intersection, interaction, projection and
-composition, plus bounded-depth language equality and the subset
-construction (:func:`determinize`).
+composition, plus bounded trace enumeration (:func:`traces_upto`),
+bounded-depth language equality and the subset construction
+(:func:`determinize`).
 
 The products walk the pairs of states reachable from the initial pair and
 build the ``Transducer`` once, in O(reachable pairs + their joint
@@ -11,10 +12,11 @@ trace reaches in each machine, to the given depth.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import FrozenSet, Optional
 
-from .errors import LabelClash, SignatureMismatch
-from .kernel import Signature, Trace, Transducer, round_key
+from .errors import LabelClash, ResourceLimit, SignatureMismatch
+from .kernel import (DEFAULT_TRACE_CAP, EMPTY_TRACE, TRACE_ROUNDS_CAP, Record, Signature,
+                     Trace, Transducer, round_key)
 
 
 def product_state(left: str, right: str) -> str:
@@ -158,7 +160,72 @@ def determinize(T: Transducer) -> Transducer:
     return Transducer._trusted(T.signature, frozenset(names.values()), "P0", adj)
 
 
-# -- bounded-depth language equality ---------------------------------------
+# -- bounded trace enumeration and bounded-depth language equality ---------
+
+
+def trace_key(t: Trace):
+    """Canonical sort key for traces: by length, then round contents."""
+    return (len(t), tuple(round_key(v) for v in t))
+
+
+class TraceSet(Record):
+    """A finite set of traces over a signature, as :func:`traces_upto`
+    enumerates them."""
+
+    __slots__ = _fields = ("signature", "traces")
+
+    signature: Signature
+    traces: FrozenSet[Trace]
+
+    def __post_init__(self):
+        object.__setattr__(self, "traces",
+                           frozenset(tuple(frozenset(v) for v in t) for t in self.traces))
+        for t in self.traces:
+            for v in t:
+                self.signature.check_round(v)
+
+    def sorted_traces(self):
+        return sorted(self.traces, key=trace_key)
+
+
+def _enumerate(T: Transducer, k: int, cap: int):
+    """Breadth-first trace enumeration; yields (trace, reached-state-set).
+
+    Stops with :class:`ResourceLimit` beyond ``cap`` traces or beyond
+    :data:`TRACE_ROUNDS_CAP` rounds held by the traces together.
+    """
+    if k < 0:
+        raise ValueError("depth must be >= 0")
+    count, held = 1, 0
+    yield EMPTY_TRACE, frozenset({T.initial})
+    frontier = [(EMPTY_TRACE, frozenset({T.initial}))]
+    for _ in range(k):
+        nxt = []
+        for trace, states in frontier:
+            moves = T.moves(states)
+            for v in sorted(moves, key=round_key):
+                count += 1
+                held += len(trace) + 1
+                if count > cap:
+                    raise ResourceLimit(
+                        f"trace enumeration exceeded cap of {cap} traces"
+                    )
+                if held > TRACE_ROUNDS_CAP:
+                    raise ResourceLimit(
+                        f"traces would hold more than {TRACE_ROUNDS_CAP} rounds"
+                    )
+                item = (trace + (v,), moves[v])
+                yield item
+                nxt.append(item)
+        frontier = nxt
+        if not frontier:
+            return
+
+
+def traces_upto(T: Transducer, k: int, cap: int = DEFAULT_TRACE_CAP) -> TraceSet:
+    """Exactly the traces of ``T`` of length at most ``k``."""
+    out = [trace for trace, _ in _enumerate(T, k, cap)]
+    return TraceSet(T.signature, frozenset(out))
 
 
 def bounded_language_equal(T: Transducer, U: Transducer, k: int) -> bool:

@@ -15,6 +15,7 @@ bisimulation minimiser is included as the protocol-free baseline.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import SameState, SignatureMismatch, UnknownState
@@ -92,7 +93,13 @@ class CoherenceRelation:
         return self._rows
 
     def __contains__(self, pair) -> bool:
-        return tuple(pair) in self.pairs
+        """One bit test: bit ``id(a)`` of ``rows[id(b)]``, each id found by
+        bisection in the sorted states; the set of pairs is not built."""
+        states, rows = self._rows
+        a, b = pair
+        i, j = bisect_left(states, a), bisect_left(states, b)
+        return (j < len(states) and states[j] == b and i < len(states) and states[i] == a
+                and rows[j] >> i & 1 == 1)
 
     def sorted_pairs(self) -> List[Tuple[str, str]]:
         states = self._rows[0]

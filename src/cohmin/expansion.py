@@ -198,7 +198,8 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     its data inputs, only its guard and updates run; an ``Overflow`` cuts
     the run like a value outside the domain.  The expanded rounds of a
     firing are rendered once per distinct firing, and a target joins its
-    row with one lookup per round."""
+    row with one lookup per round; a round's first target is one tuple
+    shared by every row it starts."""
     if lo > hi:
         raise DomainExceeded(f"empty domain [{lo}..{hi}]")
     if not (lo <= 0 <= hi):
@@ -244,6 +245,7 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
     names = {init: _config_name(T.initial, T.initial_registers())}
     frontier = [init]
     adj, n_transitions = {}, 0   # the index the constructor would build
+    alone: Dict[str, Tuple[str]] = {}   # target -> the one row tuple of it alone
     while frontier:
         state, regs = cfg = frontier.pop()
         source = names[cfg]
@@ -270,10 +272,13 @@ def expand(T: SFST, lo: int, hi: int, data_ports=None,
                         raise ResourceLimit(f"expansion exceeded {state_cap} states")
                     target = names[cfg] = _config_name(firing.target, tuple(zip(registers, new_regs)))
                     frontier.append(cfg)
+                one = alone.get(target)
+                if one is None:
+                    one = alone[target] = (target,)
                 for r in rounds:
                     ts = row.get(r)
                     if ts is None:
-                        row[r] = (target,)
+                        row[r] = one
                     elif target in ts:
                         continue
                     else:

@@ -1,21 +1,25 @@
 """File formats, DOT output and the command line.
 
-``cli_main``, ``main``, ``to_dot`` and ``parse_valued_trace`` load their
-modules on first use, so that ``python -m cohmin.frontend.cli`` runs the
-CLI exactly once and a command that writes no DOT, or reads no trace,
-never loads those modules.
+``cli_main``, ``main``, ``to_dot``, ``parse_valued_trace``, ``parse_regex``
+and the serialisers load their modules on first use, so that
+``python -m cohmin.frontend.cli`` runs the CLI exactly once and a command
+that writes no model or DOT, reads no trace or regex, never loads those
+modules.
 """
+
+import importlib
 
 from .fileformat import (
     load_model,
     load_protocol,
     parse_model,
-    parse_regex,
     parse_regex_protocol,
     parse_trace,
-    serialize_model,
-    serialize_trace,
 )
+
+# name -> the submodule that defines it
+_LAZY = {"cli_main": "cli", "main": "cli", "to_dot": "dot", "parse_valued_trace": "trace",
+         "parse_regex": "grammar", "serialize_model": "writer", "serialize_trace": "writer"}
 
 __all__ = [
     "cli_main",
@@ -34,16 +38,6 @@ __all__ = [
 
 
 def __getattr__(name):
-    if name in ("cli_main", "main"):
-        from . import cli
-
-        return getattr(cli, name)
-    if name == "to_dot":
-        from .dot import to_dot
-
-        return to_dot
-    if name == "parse_valued_trace":
-        from .trace import parse_valued_trace
-
-        return parse_valued_trace
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

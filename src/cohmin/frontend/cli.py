@@ -7,9 +7,10 @@ command quietly).  Results go to stdout, diagnostics to stderr; identical
 invocations produce byte-identical output.
 
 A model that is not a plain ``Transducer`` is symbolic.  Only ``kernel``
-and the file formats load with this module; ``algebra``, ``coherence``,
-``protocol``, ``symbolic``, ``expansion`` and ``dot`` load in the commands
-that call them, so that no process pays to compile a layer it does not run.
+and the model reader load with this module; ``algebra``, ``coherence``,
+``protocol``, ``symbolic``, ``expansion``, the writer, the regex grammar
+and ``dot`` load in the commands that call them, so that no process pays
+to compile a layer it does not run.
 
 ``main`` ends the process: it flushes stdout and stderr and calls
 ``os._exit``, so that no command pays for the interpreter's teardown.
@@ -42,7 +43,9 @@ class _Usage(Exception):
 
 
 def _emit_model(model):
-    fileformat.write_model(model, sys.stdout.write)
+    from .writer import write_model   # only commands that write a model load it
+
+    write_model(model, sys.stdout.write)
 
 
 def _require_transducer(model, command):

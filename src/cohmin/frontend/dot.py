@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .fileformat import canonical_transitions
+from .writer import canonical_transitions
 
 
 def _esc(text: str) -> str:

@@ -1,11 +1,12 @@
 """Expression text of symbolic files (guards after ``when``, updates after
 ``do``), loaded only for models that have it: plain ones never compile it.
-The parser reads the tokens of ``fileformat.Cursor``, so its errors name
+The parser reads the tokens of ``grammar.Cursor``, so its errors name
 the file line and column, and the one table ``_LEVEL`` gives both the
 parser and ``render_expr`` the binding of each binary operator."""
 
 from ..errors import ParseError
-from .fileformat import MAX_DEPTH, Cursor, parse_int
+from .fileformat import parse_int
+from .grammar import MAX_DEPTH, Cursor
 
 _EXPR_TOKEN = r"(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op><=|>=|[+\-*=<>()])"
 

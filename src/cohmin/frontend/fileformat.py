@@ -1,123 +1,66 @@
-"""Text formats: transducers, symbolic transducers and protocols; the
-trace formats are read by ``frontend.trace``.
+"""The reader of the text formats: transducers, symbolic transducers and
+protocols; the trace formats are read by ``frontend.trace``.
 
 One model per file, line oriented, ``#`` starts a comment.  One parser
-and one serialiser serve plain and symbolic models; ``load_model`` and
-``load_protocol`` read them from files.  Serialisation is
-canonical (states sorted, transitions in the order of
-``canonical_rows``) so equal models produce byte-identical output.
+serves plain and symbolic models; ``load_model`` and ``load_protocol``
+read them from files.  The writer is ``frontend.writer``, and the regex
+grammar with its token cursor is ``frontend.grammar``: a command loads
+each only when it writes a model or reads a regex or an expression, and
+this module serves their names on first use (PEP 562).
 """
 
 from __future__ import annotations
 
 import re
-from itertools import groupby
-from operator import itemgetter
 from typing import List, Tuple
 
 from ..errors import CohminError, MissingInitial, ParseError
-from ..kernel import Signature, Trace, Transducer, mkround, render_round, round_key
+from ..kernel import Signature, Trace, Transducer, mkround
+
+_GRAMMAR = ("Cursor", "MAX_DEPTH", "parse_regex")
+_WRITER = ("canonical_rows", "canonical_transitions", "write_model", "serialize_model",
+           "serialize_trace")
 
 
-# -- the token cursor of the regex and expression grammars -------------------
-
-# Deepest parenthesis nesting, and deepest expression tree, either grammar
-# accepts, so that the parsers and the walkers over their trees
-# (``_glushkov``, ``regex_labels``, ``type_of``, ``eval_expr``,
-# ``normal_form``, ``render_expr``) stay far from the recursion limit.
-MAX_DEPTH = 100
-
-
-class Cursor:
-    """The tokens of ``text`` as the regular expression ``pattern`` matches
-    them, its named groups the kinds, each placed at its file line and
-    column: ``text`` starts at ``line``:``column``, and whitespace and line
-    breaks between tokens are skipped.  A character that starts no token is
-    a :class:`ParseError` with the message ``bad``, formatted with that
-    character.  The patterns are compiled here, through the cache of
-    :mod:`re`, so that a process that parses no regex or expression never
-    compiles them."""
-
-    def __init__(self, pattern: str, text: str, line: int, column: int, bad: str):
-        self.tokens, self.i, self.depth = [], 0, 0   # (text, kind, line, column)
-        pattern, space_re = re.compile(pattern), re.compile(r"\s*")
-        pos, origin = 0, -column   # a column is an offset less ``origin``
-        while True:
-            space = space_re.match(text, pos).end()
-            breaks = text.count("\n", pos, space)
-            if breaks:
-                line, origin = line + breaks, text.rindex("\n", pos, space)
-            pos = space
-            if pos == len(text):
-                self.tokens.append((None, None, line, pos - origin))   # the end
-                return
-            m = pattern.match(text, pos)
-            if m is None:
-                raise ParseError(line, pos - origin, bad.format(text[pos]))
-            self.tokens.append((m.group(), m.lastgroup, line, pos - origin))
-            pos = m.end()
-
-    def peek(self):
-        """The next token's text, or ``None`` past the last token."""
-        return self.tokens[self.i][0]
-
-    def kind(self):
-        """The next token's kind, or ``None`` past the last token."""
-        return self.tokens[self.i][1]
-
-    def take(self):
-        """The next token, as (text, kind, line, column), and step past it."""
-        self.i += 1
-        return self.tokens[self.i - 1]
-
-    def fail(self, message: str):
-        """A :class:`ParseError` at the next token, or just past the text."""
-        raise ParseError(*self.tokens[self.i][2:], message)
-
-    def group(self, inner):
-        """``inner()`` between the parentheses at the cursor, nested at
-        most :data:`MAX_DEPTH` deep."""
-        if self.depth == MAX_DEPTH:
-            self.fail(f"parentheses nested deeper than {MAX_DEPTH}")
-        self.depth += 1
-        self.take()
-        out = inner()
-        if self.peek() != ")":
-            self.fail("expected ')'")
-        self.take()
-        self.depth -= 1
-        return out
-
-    def finish(self, out, where: str = ""):
-        """``out``, once every token is read."""
-        if self.peek() is not None:
-            self.fail(f"trailing input {self.peek()!r}{where}")
-        return out
+def __getattr__(name):
+    if name in _GRAMMAR:
+        from . import grammar
+        return getattr(grammar, name)
+    if name in _WRITER:
+        from . import writer
+        return getattr(writer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # -- statement scanner -------------------------------------------------------
 
 
+# The line breaks of ``str.splitlines`` other than ``\n``.
+_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
 def _statements(text: str):
     """Yield (line, column, statement-text) with comments stripped; ';'
-    terminates, and the lines of one statement stay apart by newlines."""
-    buf, start = [], None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        column = 1
-        for piece in re.split(r"(;)", raw.split("#", 1)[0]):
-            if piece == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield (*start, stmt)
-                buf, start = [], None
-            else:
-                if start is None and piece.strip():
-                    start = lineno, column + len(piece) - len(piece.lstrip())
-                buf.append(piece)
-            column += len(piece)
-        buf.append("\n")
-    if "".join(buf).strip():
-        raise ParseError(start[0], 1, "missing ';' at end of statement")
+    terminates, and the lines of one statement stay apart by newlines.
+    Lines break where ``str.splitlines`` breaks them.  The text is split
+    once; a statement's place is read off the offset of its first
+    character, counting line breaks from the statement before."""
+    if any(b in text for b in _BREAKS):
+        text = "\n".join(text.splitlines())
+    if "#" in text:   # a comment ends at its line break, so no column moves
+        text = re.sub(r"#[^\n]*", "", text)
+    count, rfind, end = text.count, text.rfind, len(text)
+    line, counted, pos = 1, 0, 0   # ``line`` holds offset ``counted``
+    for part in text.split(";"):
+        stmt = part.strip()
+        if stmt:
+            at = pos + part.find(stmt[0])
+            line += count("\n", counted, at)
+            counted = at
+            if pos + len(part) == end:   # no ';' ends it
+                raise ParseError(line, 1, "missing ';' at end of statement")
+            yield line, at - rfind("\n", 0, at), stmt
+        pos += len(part) + 1
 
 
 def parse_int(text: str, line: int, column: int) -> int:
@@ -144,26 +87,43 @@ def _split_state_names(text: str, line: int) -> List[str]:
     """States split on top-level commas; names like (a,b) and A[y=0,z=0]
     survive.  A name's parentheses, and its brackets, must balance and
     never close more than they opened, so that a product's name splits
-    back into its parts."""
-    names, buf, parens, brackets = [], [], 0, 0
-    for ch in text + ",":
-        if ch == "," and parens == brackets == 0:
-            name = "".join(buf).strip()
+    back into its parts.  The text is split at every comma, and a piece
+    joins the next while its brackets are open; only a piece that may
+    close more than is open is read one character at a time."""
+    if not ("(" in text or ")" in text or "[" in text or "]" in text):
+        names = [n for n in map(str.strip, text.split(",")) if n]
+    else:   # rejoin the pieces a comma inside a name split apart
+        names, held, parens, brackets = [], [], 0, 0
+        for piece in text.split(","):
+            closed, square_closed = piece.count(")"), piece.count("]")
+            if closed > parens or square_closed > brackets:
+                for ch in piece:   # it may close more than is open: read it in order
+                    parens += (ch == "(") - (ch == ")")
+                    brackets += (ch == "[") - (ch == "]")
+                    if parens < 0 or brackets < 0:
+                        break
+                if parens < 0 or brackets < 0:
+                    break
+            else:
+                parens += piece.count("(") - closed
+                brackets += piece.count("[") - square_closed
+            if parens or brackets:
+                held.append(piece)
+                continue
+            if held:
+                held.append(piece)
+                piece, held = ",".join(held), []
+            name = piece.strip()
             if name:
                 names.append(name)
-            buf = []
-            continue
-        parens += (ch == "(") - (ch == ")")
-        brackets += (ch == "[") - (ch == "]")
-        if parens < 0 or brackets < 0:
-            break
-        buf.append(ch)
-    if parens or brackets:
-        kind = "parentheses" if parens else "brackets"
-        raise ParseError(line, 1, f"unbalanced {kind} in state list")
-    for n in names:
-        if any(c.isspace() for c in n) or any(c in ";{}" for c in n):
-            raise ParseError(line, 1, f"bad state name {n!r}")
+        if parens or brackets:
+            kind = "parentheses" if parens else "brackets"
+            raise ParseError(line, 1, f"unbalanced {kind} in state list")
+    joined = " ".join(names)   # a space inside a name splits it here
+    if len(joined.split()) != len(names) or "{" in joined or "}" in joined or ";" in joined:
+        for n in names:
+            if any(c.isspace() for c in n) or any(c in ";{}" for c in n):
+                raise ParseError(line, 1, f"bad state name {n!r}")
     return names
 
 
@@ -203,6 +163,9 @@ def _parse_header(statements, line_hint):
     body = []
     signature_line = None   # while the signature waits for its ``out`` part
     for line, column, stmt in statements:
+        if stmt.startswith("trans") and not signature_line:   # as no header word starts so
+            body.append((line, column, stmt))
+            continue
         word, rest = _keyword(stmt)
         if signature_line:
             if word != "out":
@@ -287,24 +250,26 @@ def parse_model(text: str):
         raise ParseError(header["initial_line"], 1, str(MissingInitial(header["initial"])))
     delta = set()
     rounds = {}   # round text -> round, and round -> itself: equal rounds are one object
+    match, add = _TRANS_RE.match, delta.add
     for line, column, stmt in body:
-        m = _TRANS_RE.match(stmt)
+        m = match(stmt)
         if not m:
             raise ParseError(line, 1, f"bad statement: {stmt!r}")
-        v = rounds.get(m.group("round"))
+        source, target, round_text, guard_text, updates_text = m.groups()
+        v = rounds.get(round_text)
         if v is None:
-            labels = _parse_round_text(m.group("round"), line)
+            labels = _parse_round_text(round_text, line)
             for lab in labels:
                 if lab not in sig.universe:
                     raise ParseError(line, 1, f"unknown label {lab!r} in round")
             v = mkround(labels)
-            v = rounds[m.group("round")] = rounds.setdefault(v, v)
+            v = rounds[round_text] = rounds.setdefault(v, v)
         try:
-            src, tgt = names[m.group("src")], names[m.group("tgt")]
+            src, tgt = names[source], names[target]
         except KeyError as e:
             raise ParseError(line, 1, f"unknown state {e.args[0]!r}") from None
-        if not (m.group("guard") or m.group("updates")):
-            delta.add((src, v, tgt))
+        if not (guard_text or updates_text):
+            add((src, v, tgt))
             continue
         symbolic = True
         from ..symbolic import STransition, TRUE, check_transition
@@ -312,11 +277,11 @@ def parse_model(text: str):
 
         inputs = v & sig.inputs
         guard = TRUE
-        if m.group("guard"):
-            guard = parse_expr(m.group("guard"), registers, inputs,
+        if guard_text:
+            guard = parse_expr(guard_text, registers, inputs,
                                *_place(stmt, line, column, m.start("guard")))
         updates = []
-        if m.group("updates"):
+        if updates_text:
             updates = _parse_updates(stmt, m.start("updates"), registers, inputs,
                                      line, column)
         tr = STransition(src, v, guard, updates, tgt)
@@ -327,7 +292,7 @@ def parse_model(text: str):
         if len(tr.updates) < len(updates):   # equal updates collapsed in the set
             doubled = min(u.target for u in updates if updates.count(u) > 1)
             raise ParseError(line, 1, f"two updates for target {doubled!r}")
-        delta.add(tr)
+        add(tr)
     if not symbolic:
         return Transducer(sig, states, header["initial"], frozenset(delta))
     from ..symbolic import SFST, STransition, TRUE
@@ -350,55 +315,11 @@ def parse_trace(text: str) -> Trace:
 
 # -- regex protocol files ----------------------------------------------------
 
-_REGEX_TOKEN = r"(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()+*])"
-
-
-def parse_regex(text: str, line: int = 1, column: int = 1):
-    """Parse ``a (b c + d)* e`` style protocol expressions into the tree
-    of :mod:`cohmin.protocol` that ``compile_regex`` reads.
-
-    Juxtaposition is concatenation, ``+`` alternation, ``*`` iteration;
-    repeated stars fold, since ``(x*)* = x*``.  Parentheses nested deeper
-    than :data:`MAX_DEPTH` are a :class:`ParseError`, placed, as every
-    error is, at its file line and column: ``text`` starts at
-    ``line``:``column``.
-    """
-    from ..protocol import Alt, Cat, Lit, Star  # only protocol files need them
-
-    cur = Cursor(_REGEX_TOKEN, text, line, column, "unexpected character {!r}")
-
-    def alt():
-        arms = [cat()]
-        while cur.peek() == "+":
-            cur.take()
-            arms.append(cat())
-        return arms[0] if len(arms) == 1 else Alt(tuple(arms))
-
-    def cat():
-        items = []
-        while cur.peek() not in (None, ")", "+"):
-            items.append(rep())
-        if not items:
-            cur.fail("expected an event or a group")
-        return items[0] if len(items) == 1 else Cat(tuple(items))
-
-    def rep():
-        if cur.peek() == "*":
-            cur.fail("unexpected '*'")
-        node = cur.group(alt) if cur.peek() == "(" else Lit(cur.take()[0])
-        while cur.peek() == "*":
-            cur.take()
-            if not isinstance(node, Star):
-                node = Star(node)
-        return node
-
-    return cur.finish(alt())
-
-
 def parse_regex_protocol(text: str) -> Tuple[List[str], object]:
     """``alphabet a, b; regex (a b)*;`` -> (labels, regex AST).  The two
     statements come in either order, each once."""
     from ..protocol import regex_labels  # only protocol files need it
+    from .grammar import parse_regex
 
     alphabet = None
     regex = None
@@ -465,85 +386,3 @@ def load_protocol(path, subject=None) -> Transducer:
 
         model = symbolic.protocol_skeleton(model)
     return model if subject is None else model.relabel_signature(subject.signature)
-
-
-# -- serialisation -----------------------------------------------------------
-
-
-def canonical_rows(model, wrap=str):
-    """Yield ``(source, [(target, text), ...])`` for each state of a
-    Transducer or SFST with transitions, sources in sorted order and each
-    source's transitions in the canonical order: by round (``round_key``),
-    target, then the rendered guard and updates.  A transition's label is
-    its round, then any ``when`` guard and ``do`` updates, as the file
-    writes them, and ``text`` is ``wrap(label)``: for a Transducer each
-    distinct round is rendered and wrapped once."""
-    if isinstance(model, Transducer):
-        # walking the index in this order sorts by (source, round_key,
-        # target), as sorting the whole set would; only rows of more than
-        # one round or target are sorted, rounds by their place in the
-        # sorted list of distinct rounds
-        order = sorted({v for row in model._adj.values() for v in row}, key=round_key)
-        rank = {v: i for i, v in enumerate(order)}
-        texts = {v: wrap(render_round(v)) for v in order}
-        for s in sorted(model._adj):
-            out = model._adj[s]
-            if out:
-                yield s, [(t, texts[v])
-                          for v in (sorted(out, key=rank.__getitem__) if len(out) > 1 else out)
-                          for t in (sorted(out[v]) if len(out[v]) > 1 else out[v])]
-        return
-    from .expr import render_expr
-    rounds = {v: (round_key(v), render_round(v)) for v in {t.round for t in model.delta}}
-    rows = []
-    for tr in model.delta:
-        updates = sorted(tr.updates, key=lambda u: u.target)
-        rows.append((tr.source, rounds[tr.round], tr.target, render_expr(tr.guard),
-                     tuple(u.target for u in updates),
-                     tuple(render_expr(u.expr) for u in updates)))
-    rows.sort()
-    for s, group in groupby(rows, itemgetter(0)):
-        row = []
-        for _, (_, label), t, guard, targets, exprs in group:
-            if guard != "true":
-                label += f" when {guard}"
-            if targets:
-                label += " do " + ", ".join(f"{x} := {e}" for x, e in zip(targets, exprs))
-            row.append((t, wrap(label)))
-        yield s, row
-
-
-def canonical_transitions(model):
-    """Yield ``(source, target, label)`` for every transition of a
-    Transducer or SFST, in the order of :func:`canonical_rows`."""
-    for s, row in canonical_rows(model):
-        for t, label in row:
-            yield s, t, label
-
-
-def write_model(model, write) -> None:
-    """Pass the model's text to ``write``: the header, then one piece per
-    source state's transitions, so the whole text is never held at once.
-    ``trans <source> -> `` is rendered once per source and `` : <label>;``
-    once per distinct round (per transition of an SFST), so each line costs
-    one string build."""
-    header = [f"signature {model.signature.render()};",
-              f"states {', '.join(sorted(model.states))};"]
-    if not isinstance(model, Transducer):
-        header.append(f"registers {', '.join(sorted(model.registers))};")
-    header.append(f"initial {model.initial};")
-    write("\n".join(header) + "\n")
-    for s, row in canonical_rows(model, lambda label: f" : {label};\n"):
-        head = f"trans {s} -> "
-        write("".join([f"{head}{t}{tail}" for t, tail in row]))
-
-
-def serialize_model(model) -> str:
-    """The model's text: :func:`write_model` gathered into one string."""
-    parts = []
-    write_model(model, parts.append)
-    return "".join(parts)
-
-
-def serialize_trace(t: Trace) -> str:
-    return "".join(render_round(v) + "\n" for v in t)

@@ -20,7 +20,6 @@ from typing import Dict, FrozenSet, Iterable, Mapping, Tuple
 
 from .errors import (
     MissingInitial,
-    ResourceLimit,
     SignatureMismatch,
     UnknownLabel,
     UnknownState,
@@ -50,11 +49,6 @@ def mkround(labels: Iterable[str]) -> Round:
 def round_key(v: Round):
     """Canonical sort key for rounds: by size, then sorted contents."""
     return (len(v), tuple(sorted(v)))
-
-
-def trace_key(t: Trace):
-    """Canonical sort key for traces: by length, then round contents."""
-    return (len(t), tuple(round_key(v) for v in t))
 
 
 def render_round(v: Round) -> str:
@@ -355,64 +349,13 @@ def drop_unreachable(M):
     return M._replace(states=reach, delta=frozenset(delta))
 
 
-class TraceSet(Record):
-    """A finite set of traces over a signature, as :func:`traces_upto`
-    enumerates them."""
-
-    __slots__ = _fields = ("signature", "traces")
-
-    signature: Signature
-    traces: FrozenSet[Trace]
-
-    def __post_init__(self):
-        _set(self, "traces",
-             frozenset(tuple(frozenset(v) for v in t) for t in self.traces))
-        for t in self.traces:
-            for v in t:
-                self.signature.check_round(v)
-
-    def sorted_traces(self):
-        return sorted(self.traces, key=trace_key)
+# Bounded trace enumeration, which only ``traces`` runs, lives in ``algebra``
+# beside bounded language equality; its names load it on first use (PEP 562).
+_ALGEBRA = ("TraceSet", "_enumerate", "trace_key", "traces_upto")
 
 
-# -- bounded trace enumeration ---------------------------------------------
-
-
-def _enumerate(T: Transducer, k: int, cap: int):
-    """Breadth-first trace enumeration; yields (trace, reached-state-set).
-
-    Stops with :class:`ResourceLimit` beyond ``cap`` traces or beyond
-    :data:`TRACE_ROUNDS_CAP` rounds held by the traces together.
-    """
-    if k < 0:
-        raise ValueError("depth must be >= 0")
-    count, held = 1, 0
-    yield EMPTY_TRACE, frozenset({T.initial})
-    frontier = [(EMPTY_TRACE, frozenset({T.initial}))]
-    for _ in range(k):
-        nxt = []
-        for trace, states in frontier:
-            moves = T.moves(states)
-            for v in sorted(moves, key=round_key):
-                count += 1
-                held += len(trace) + 1
-                if count > cap:
-                    raise ResourceLimit(
-                        f"trace enumeration exceeded cap of {cap} traces"
-                    )
-                if held > TRACE_ROUNDS_CAP:
-                    raise ResourceLimit(
-                        f"traces would hold more than {TRACE_ROUNDS_CAP} rounds"
-                    )
-                item = (trace + (v,), moves[v])
-                yield item
-                nxt.append(item)
-        frontier = nxt
-        if not frontier:
-            return
-
-
-def traces_upto(T: Transducer, k: int, cap: int = DEFAULT_TRACE_CAP) -> TraceSet:
-    """Exactly the traces of ``T`` of length at most ``k``."""
-    out = [trace for trace, _ in _enumerate(T, k, cap)]
-    return TraceSet(T.signature, frozenset(out))
+def __getattr__(name):
+    if name in _ALGEBRA:
+        from . import algebra
+        return getattr(algebra, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,6 +11,9 @@ the mutant.
 """
 
 COHERENCE = "src/cohmin/coherence.py"
+SYMBOLIC = "src/cohmin/symbolic.py"
+FILEFORMAT = "src/cohmin/frontend/fileformat.py"
+MODULE_SETS = "tests/test_frontend.py::TestCli::test_plain_commands_leave_the_symbolic_layer_unloaded"
 SKIP_RULE = "tests/test_coherence.py::TestSkipRule"
 MERGED_INDEX = "tests/test_coherence.py::TestMergedIndex"
 DIFFERENTIAL = "tests/test_differential.py::TestAgainstNaiveOracle"
@@ -37,7 +40,8 @@ MUTANTS = [
     ("sorted_pairs walks the rows instead of the columns", COHERENCE,
      "for i, col in enumerate(self._cols) for j in _bits(col)]",
      "for i, col in enumerate(self._rows[1]) for j in _bits(col)]",
-     ["tests/test_coherence.py::TestCoherentSimulation::test_asymmetric_pair"]),
+     ["tests/test_coherence.py::TestCoherentSimulation::"
+      "test_membership_reads_the_rows_without_building_the_pairs"]),
     ("the equivalence pairs drop the column test", COHERENCE,
      "_bits((rows[i] & col) >> (i + 1))",
      "_bits(rows[i] >> (i + 1))",
@@ -50,4 +54,36 @@ MUTANTS = [
      "        forbidden = x & ~e\n",
      "        forbidden = x\n",
      [f"{DIFFERENTIAL}::test_merge_loop_on_many_machines"]),
+    ("an SFST's transitions are keyed in the order of its transition set", SYMBOLIC,
+     "for tr in sorted(T.out(s), key=_transition_key)))",
+     "for tr in T.out(s)))",
+     ["tests/test_tooling.py::test_cli_output_does_not_depend_on_the_hash_seed"]),
+    ("a firing runs its updates in the order of their set", "src/cohmin/expansion.py",
+     "        updates = sorted(tr.updates, key=lambda u: u.target)\n",
+     "        updates = list(tr.updates)\n",
+     ["tests/test_symbolic.py::test_expand_runs_updates_in_target_order"]),
+    ("main ends the process without flushing stdout", "src/cohmin/frontend/cli.py",
+     "        code = cli_main()\n        sys.stdout.flush()\n",
+     "        code = cli_main()\n",
+     [f"tests/test_frontend.py::TestOutputFailures::test_main_ends_the_process_as_cli_main_returns"
+      f"[{case}]" for case in ("ok", "verdict", "expand")]),
+    ("symbolic imports expansion when it loads", SYMBOLIC,
+     "_EXPANSION = (",
+     "from . import expansion  # noqa: E402,F401\n_EXPANSION = (",
+     [MODULE_SETS,
+      "tests/test_tooling.py::test_symbolic_serves_the_expansion_names_without_loading_it"]),
+    ("a folded constant skips the 64-bit check", SYMBOLIC,
+     'return ("int", v) if INT64_MIN <= v <= INT64_MAX else _refused()',
+     'return ("int", v)',
+     ["tests/test_symbolic.py::TestGuardEquiv::test_a_fold_that_overflows_is_no_constant",
+      "tests/test_symbolic.py::TestGuardEquiv::test_structural_equality_only_where_evaluation_agrees"]),
+    ("the model reader imports the writer when it loads", FILEFORMAT,
+     "from ..kernel import Signature, Trace, Transducer, mkround\n",
+     "from ..kernel import Signature, Trace, Transducer, mkround\nfrom . import writer  # noqa: F401\n",
+     [MODULE_SETS, "tests/test_tooling.py::test_moved_names_are_served_from_their_old_places"]),
+    ("a column on a continuation line is one too far", FILEFORMAT,
+     'return line + breaks, offset - stmt.rindex("\\n", 0, offset)',
+     'return line + breaks, offset - stmt.rindex("\\n", 0, offset) + 1',
+     ["tests/test_frontend.py::TestParsing::test_a_bad_character_is_placed_at_its_line_and_column",
+      "tests/test_frontend.py::TestParsing::test_expression_errors_name_their_place[too-deep]"]),
 ]

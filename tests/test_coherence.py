@@ -134,6 +134,22 @@ class TestCoherentSimulation:
         rel = coherence.coherent_simulation(FORK, PR)
         assert ("P", "Q") in rel and ("Q", "P") in rel
 
+    def test_membership_reads_the_rows_without_building_the_pairs(self):
+        """``in`` agrees with the listed pairs on every pair of states, and
+        of names that are no state, and builds no set of pairs."""
+        rng = random.Random(47)
+        for _ in range(20):
+            T = random_transducer(rng, SIG2, 6, 14)
+            P = random_transducer(rng, SIG2, 3, 6, "p")
+            rel = coherence.coherent_simulation(T, P)
+            listed = set(rel.sorted_pairs())
+            names = sorted(T.states) + ["", "zz", "s", "s0 "]
+            for a in names:
+                for b in names:
+                    assert ((a, b) in rel) == ((a, b) in listed) == ([a, b] in rel), (a, b)
+            assert rel._pairs is None
+            assert rel.pairs == listed
+
 
 class TestEquivalencePairs:
     def test_fork_under_protocol(self):

@@ -9,7 +9,9 @@ merge log and minimised machine must come out identical.
 construction; the compiled protocols must have the same traces and drive
 the coherence engine to the same relations and merge logs.  It also keeps
 the original ``parse_trace`` and ``monitor``; every trace, parse error and
-verdict must come out identical.
+verdict must come out identical.  ``naive_reader`` is the original
+statement scanner, header reader and state-list splitter; every statement
+place, model and parse error must come out identical.
 Every merge that ``coherent_minimize`` folds instead of recomputing is
 checked against a fresh fixpoint of the merged machine.  The ring tests at
 the end pin the merge loop on sizes the naive engine could not reach in a
@@ -56,6 +58,7 @@ from cohmin.symbolic import lift_transducer
 import naive_algebra
 import naive_coherence as naive
 import naive_protocol
+import naive_reader
 import naive_symbolic
 import naive_writer
 from helpers import (
@@ -992,6 +995,132 @@ class TestTraceBoundaryAgainstNaiveOracle:
         lines[300] = "{ " + bad + " }  # not enabled here"
         text = "".join(line + "\n" for line in lines)
         assert self.cli_against_oracle(capsys, tmp_path / "t.trc", text) == 3
+
+
+# Every line break ``str.splitlines`` knows.
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+def random_state_name(rng, depth=0):
+    """A plain, product or expansion state name, products nested."""
+    kind = rng.choice(["plain", "plain", "product", "expansion"] if depth < 2 else ["plain"])
+    if kind == "product":
+        return f"({random_state_name(rng, depth + 1)},{random_state_name(rng, depth + 1)})"
+    name = rng.choice(["s", "q", "P", "A_"]) + str(rng.randrange(4))
+    if kind == "expansion":
+        return name + "[" + ",".join(f"{r}={rng.randint(-2, 2)}"
+                                     for r in rng.sample(["x", "y", "z"], rng.randint(1, 3))) + "]"
+    return name
+
+
+def random_model_text(rng):
+    """A model text in the shapes the reader must place: statements spread
+    over lines by every line break, comments holding ``;`` and ``#``,
+    empty statements, bracketed state names, symbolic transitions, and
+    sometimes an unterminated tail or a stray character."""
+    names = sorted({random_state_name(rng) for _ in range(rng.randint(1, 5))})
+    symbolic = rng.random() < 0.3
+    groups = [["signature in a, b", "out c"], ["states " + ", ".join(rng.sample(names, len(names)))],
+              [f"initial {rng.choice(names)}"]]
+    if symbolic:
+        groups.append(["registers x"])
+    rng.shuffle(groups)
+    for _ in range(rng.randint(0, 6)):
+        labels = rng.sample(["a", "b", "c"], rng.randint(0, 2))
+        stmt = f"trans {rng.choice(names)} -> {rng.choice(names)} : {{{', '.join(labels)}}}"
+        if symbolic and rng.random() < 0.6:
+            stmt += rng.choice([" when x > 0", " when x + 1 = 2 and x < 3", ""])
+            stmt += rng.choice([" do x := x + 1", " do x := 0, c := x" if "c" in labels else ""])
+        groups.insert(rng.randint(len(groups) // 2, len(groups)), [stmt])
+    stmts = [s for group in groups for s in group]
+    pieces = []
+    for stmt in stmts:
+        words = stmt.split(" ")
+        out = words[0]
+        for w in words[1:]:   # the lines of a statement, some with a comment
+            out += rng.choice([" ", " ", " ", "  ", "\t", rng.choice(LINE_BREAKS),
+                               " # a; b # c" + rng.choice(LINE_BREAKS)]) + w
+        pieces.append(rng.choice(["", " ", "\t"]) + out)
+        pieces.append(rng.choice([";", ";", " ;", "; ;", ";;"]))   # empty statements too
+        pieces.append(rng.choice(["", " ", rng.choice(LINE_BREAKS), "\n\n",
+                                  " # x;y #z" + rng.choice(LINE_BREAKS)]))
+    if rng.random() < 0.15:   # an unterminated tail
+        pieces.append(rng.choice(["trans", "initial q9", "  \n (s0, ", "# only a comment"]))
+    text = "".join(pieces)
+    if rng.random() < 0.25:   # a stray character somewhere
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice("();[]{}#,$ \n\r") + text[at:]
+    return text
+
+
+def reader_outcome(read, *args):
+    """What ``read(*args)`` gives, or the place and message of its
+    ``ParseError``; a generator is read to its end."""
+    got = []
+    try:
+        out = read(*args)
+        if hasattr(out, "__next__"):
+            for item in out:
+                got.append(item)
+            return got
+        return out
+    except ParseError as e:
+        return got, (e.line, e.column, e.message)
+
+
+def naive_reader_model(text):
+    """``parse_model`` with the frozen reader's three functions."""
+    saved = {name: getattr(fileformat, name)
+             for name in ("_statements", "_parse_header", "_split_state_names")}
+    try:
+        for name in saved:
+            setattr(fileformat, name, getattr(naive_reader, name))
+        return parse_model(text)
+    finally:
+        for name, fn in saved.items():
+            setattr(fileformat, name, fn)
+
+
+class TestReaderAgainstNaiveOracle:
+    """The one-pass statement scanner, the header reader and the state-list
+    splitter against the frozen originals (``naive_reader``): the same
+    (line, column, text) triples, the same models and the same errors."""
+
+    def test_random_texts(self):
+        models = errors = 0
+        for seed in range(1500):
+            text = random_model_text(random.Random(seed))
+            new = reader_outcome(fileformat._statements, text)
+            assert new == reader_outcome(naive_reader._statements, text), (seed, text)
+            statements = list(naive_reader._statements(text)) if isinstance(new, list) else []
+            assert reader_outcome(fileformat._parse_header, iter(statements), 1) == \
+                reader_outcome(naive_reader._parse_header, iter(statements), 1), (seed, text)
+            got = reader_outcome(parse_model, text)
+            assert got == reader_outcome(naive_reader_model, text), (seed, text)
+            if isinstance(got, tuple) and isinstance(got[1], tuple):
+                errors += 1
+            else:
+                models += 1
+        assert models > 900 and errors > 250   # both sides of the reader are reached
+
+    def test_every_line_break_and_an_unterminated_tail(self):
+        head = "signature in a; out b;#x;y\nstates s0, (s0,s1)  ,\tA[y=0,z=1];"
+        for brk in LINE_BREAKS:
+            for tail in ("", "initial s0", "\n  trans s0 ->"):
+                text = (head + brk + "initial s0 ;" + brk + brk + "trans (s0,s1)" + brk
+                        + "-> A[y=0,z=1] : {a};;" + tail).replace("\n", brk)
+                assert reader_outcome(fileformat._statements, text) == \
+                    reader_outcome(naive_reader._statements, text), repr(text)
+                assert reader_outcome(parse_model, text) == \
+                    reader_outcome(naive_reader_model, text), repr(text)
+
+    def test_random_state_lists(self):
+        for seed in range(3000):
+            rng = random.Random(seed)
+            text = "".join(rng.choice("ab(),,[] \t\x1f\u3000=0{;") for _ in range(rng.randint(0, 14)))
+            assert reader_outcome(fileformat._split_state_names, text, 7) == \
+                reader_outcome(naive_reader._split_state_names, text, 7), (seed, text)
 
 
 def ring_names(n):

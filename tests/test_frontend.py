@@ -456,25 +456,29 @@ class TestCli:
             return str(FIXDIR / name)
 
         im = ["--protocol", fix("iterator_map.prot"), fix("iterator_map.sfst")]
+        # the writer loads where a command writes a model, the regex and
+        # expression grammar where it reads a regex protocol or a symbolic file
+        writer, grammar = "frontend.writer", "frontend.grammar"
+        sfst = {"symbolic", "frontend.expr", grammar, writer}
         # (argv, exit code, the layers it loads beside the CLI's own modules)
         ops = [
             (["minimize", "--policy", "coherent", "--protocol", prot, ring], 0,
-             {"coherence", "protocol"}),
+             {"coherence", "protocol", grammar, writer}),
             (["validate", ring], 0, set()),
-            (["intersect", ring, ring], 0, {"algebra"}),
+            (["traces", "--depth", "3", ring], 0, {"algebra"}),
+            (["intersect", ring, ring], 0, {"algebra", writer}),
             (["relation", "--protocol", ring, ring], 0, {"coherence"}),
             (["equiv", "--protocol", ring, ring, ring], 0, {"coherence", "algebra"}),
-            (["minimize", "--policy", "bisim", ring], 0, {"coherence"}),
+            (["minimize", "--policy", "bisim", ring], 0, {"coherence", writer}),
             (["expand", "--lo", "-1", "--hi", "1", fix("adder.sfst")], 0,
-             {"symbolic", "frontend.expr", "expansion"}),
-            (["minimize", "--policy", "coherent", *im], 0,
-             {"symbolic", "frontend.expr", "coherence", "protocol"}),
+             sfst | {"expansion"}),
+            (["minimize", "--policy", "coherent", *im], 0, sfst | {"coherence", "protocol"}),
             (["minimize", "--policy", "coherent", "--guard-mode", "bounded-semantic", *im],
-             0, {"symbolic", "frontend.expr", "coherence", "protocol"}),
+             0, sfst | {"coherence", "protocol"}),
             (["monitor", "--protocol", fix("display.prot"), "--trace",
               fix("display_legal.trc")], 0, {"protocol", "frontend.trace"}),
             (["monitor", "--protocol", fix("iterator_map.prot"), "--trace",
-              fix("display_attack.trc")], 3, {"protocol", "frontend.trace"}),
+              fix("display_attack.trc")], 3, {"protocol", "frontend.trace", grammar}),
         ]
         base = {"cohmin", "cohmin.errors", "cohmin.kernel", "cohmin.frontend",
                 "cohmin.frontend.fileformat", "cohmin.frontend.cli"}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohmin import algebra, kernel, symbolic
-from cohmin.errors import MissingInitial, UnknownLabel, UnknownState
+from cohmin.errors import MissingInitial, ResourceLimit, UnknownLabel, UnknownState
 from cohmin.frontend import load_model, serialize_model
 from cohmin.kernel import (
     EMPTY_TRACE,
@@ -380,7 +380,7 @@ class TestTracesUpto:
         assert a == b
 
     def test_cap(self):
-        with pytest.raises(kernel.ResourceLimit):
+        with pytest.raises(ResourceLimit):
             kernel.traces_upto(FORK, 3, cap=2)
 
 

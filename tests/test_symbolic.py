@@ -387,6 +387,13 @@ class TestExpand:
         assert len(exp.states) == 2
         assert len(exp.delta) == 2
 
+    def test_a_lone_target_is_one_tuple_per_target(self):
+        # over [-2..2] 15,750 of iterator_map's 19,000 rows hold one target
+        exp = expand(load_model(FIXDIR / "iterator_map.sfst"), -2, 2)
+        lone = [ts for row in exp._adj.values() for ts in row.values() if len(ts) == 1]
+        assert len(lone) == 15750
+        assert len({id(ts) for ts in lone}) == len({ts[0] for ts in lone}) == 1625
+
     def test_agrees_with_run_on_random_traces(self):
         rng = random.Random(99)
         exp = expand(ADDER, -2, 2)
