@@ -3,20 +3,26 @@ composition, plus bounded trace enumeration (:func:`traces_upto`),
 bounded-depth language equality and the subset construction
 (:func:`determinize`).
 
-The products walk the pairs of states reachable from the initial pair and
-build the ``Transducer`` once, in O(reachable pairs + their joint
-transitions); ``keep_unreachable=True`` seeds the walk with every pair.
+The products find the pairs of states reachable from the initial pair by
+one integer walk (``kernel.joint_reach``), and compute each pair's row
+only when it is read: the library builds the ``Transducer`` from the rows,
+the command line writes them as they come.  Either costs O(reachable
+pairs + their joint transitions); ``keep_unreachable=True`` takes every
+pair.
 Bounded equality builds no product: it walks the state subsets that one
 trace reaches in each machine, to the given depth.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
+from types import SimpleNamespace
 from typing import FrozenSet, Optional
 
 from .errors import LabelClash, ResourceLimit, SignatureMismatch
 from .kernel import (DEFAULT_TRACE_CAP, EMPTY_TRACE, TRACE_ROUNDS_CAP, Record, Signature,
-                     Trace, Transducer, round_key)
+                     Trace, Transducer, joint_reach, round_key)
 
 
 def product_state(left: str, right: str) -> str:
@@ -24,12 +30,14 @@ def product_state(left: str, right: str) -> str:
     return f"({left},{right})"
 
 
-def intersect(T: Transducer, U: Transducer, keep_unreachable: bool = False) -> Transducer:
+def intersect(T: Transducer, U: Transducer, keep_unreachable: bool = False,
+              build: bool = True):
     """Synchronous product on identical signatures: a joint step needs the
-    same round on both sides (:func:`interact` with every label shared)."""
+    same round on both sides (:func:`interact` with every label shared).
+    With ``build=False``, the product as walked (:func:`_product`)."""
     if T.signature != U.signature:
         raise SignatureMismatch("intersection needs identical signatures")
-    return _product(T, U, T.signature, keep_unreachable)
+    return _product(T, U, T.signature, frozenset(), keep_unreachable, build)
 
 
 def _merge_signatures(T: Transducer, U: Transducer) -> Signature:
@@ -40,8 +48,11 @@ def _merge_signatures(T: Transducer, U: Transducer) -> Signature:
 
 
 def interact(T: Transducer, U: Transducer, keep_unreachable: bool = False,
-             strict_polarity: bool = False) -> Transducer:
-    """Joint stepping over the union universe.
+             strict_polarity: bool = False, build: bool = True,
+             hidden: FrozenSet[str] = frozenset()):
+    """Joint stepping over the union universe, less the labels ``hidden``
+    (:func:`compose` hides the shared ones); ``build`` as for
+    :func:`_product`.
 
     The shared part is the intersection of the two label universes; a joint
     round V steps T on its T-side projection and U on its U-side projection.
@@ -57,82 +68,107 @@ def interact(T: Transducer, U: Transducer, keep_unreachable: bool = False,
         )
         if clash:
             raise LabelClash(f"conflicting polarity on shared labels: {sorted(clash)}")
-    return _product(T, U, _merge_signatures(T, U), keep_unreachable)
+    sig = _merge_signatures(T, U)
+    return _product(T, U, sig.restrict(sig.universe - hidden), hidden, keep_unreachable, build)
 
 
-def _product(T: Transducer, U: Transducer, sig: Signature,
-             keep_unreachable: bool) -> Transducer:
-    """The product over ``sig``, walked from the initial pair (from every
-    pair with ``keep_unreachable``) and built once.  A product state is its
-    name: if two pairs render to the same name (possible only when both
-    sides have names with commas), reaching the name reaches both.  The
-    walk builds the index, with one object per name, and hands it over."""
+def compose(T: Transducer, U: Transducer, keep_unreachable: bool = False,
+            strict_polarity: bool = False, build: bool = True):
+    """Interaction followed by hiding of the shared labels."""
+    return interact(T, U, keep_unreachable, strict_polarity, build,
+                    T.signature.universe & U.signature.universe)
+
+
+def _product(T: Transducer, U: Transducer, sig: Signature, hidden: FrozenSet[str],
+             keep_unreachable: bool, build: bool):
+    """The product over ``sig`` of the pairs reachable from the initial pair
+    (of every pair with ``keep_unreachable``), the labels ``hidden``
+    projected away.  Each side's rounds are grouped by the id of their
+    shared part, and :func:`kernel.joint_reach` finds the pairs; a pair's
+    row is computed from the two groupings only when it is read.  A product
+    state is its name: if two pairs render to the same name (possible only
+    when both sides have names with commas), reaching the name reaches
+    both, and its row is the union of theirs.  With ``build``, the product
+    is a ``Transducer``; else it has ``signature``, ``states`` (the names,
+    sorted), ``initial`` and ``rows()``, which yields ``(name, row)`` in
+    name order for the states with transitions, each row mapping a round to
+    its target names, and is computed as it is read."""
     shared = T.signature.universe & U.signature.universe
-    sides = {}   # s -> [(shared part of v, v, targets)] for the rounds v of s
-    joins = {}   # u -> {shared part of w: [(rest of w, targets)]}
-    ambiguous = any("," in s for s in T.states) and any("," in u for u in U.states)
-    todo = ([(s, u) for s in T.states for u in U.states] if keep_unreachable
-            else _pairs_named(product_state(T.initial, U.initial), T, U))
-    seen = {name: name for name in (product_state(s, u) for s, u in todo)}
+    parts = {}   # shared part of a round -> its id
+    sides = []   # per side: states, ids, per state {part id: [(round - drop, target ids)]}
+    for M, drop in ((T, hidden), (U, shared)):
+        names = list(M.states)
+        ids = {s: i for i, s in enumerate(names)}
+        groups = [{} for _ in names]
+        for group, s in zip(groups, names):
+            for v, ts in M.out(s).items():
+                group.setdefault(parts.setdefault(v & shared, len(parts)), []).append(
+                    (v - drop if drop else v, [ids[t] for t in ts]))
+        sides.append((names, ids, groups))
+    (tn, tid, left), (un, uid, right) = sides
+    left = [list(group.items()) for group in left]   # read in order, never looked up
+    m = len(un)
+
+    def twins(x):   # the pairs named as ``x`` is
+        n = product_state(tn[x // m], un[x % m])
+        return [tid[n[1:i]] * m + uid[n[i + 1:-1]] for i, c in enumerate(n)
+                if c == "," and n[1:i] in tid and n[i + 1:-1] in uid]
+
+    ambiguous = any("," in s for s in tn) and any("," in u for u in un)
+    start = tid[T.initial] * m + uid[U.initial]
+    reached = [range(m)] * len(tn) if keep_unreachable else joint_reach(
+        [[(p, [t for _, ts in moves for t in ts]) for p, moves in group] for group in left],
+        [{p: [u for _, us in moves for u in us] for p, moves in group.items()}
+         for group in right],
+        twins(start) if ambiguous else (start,), twins if ambiguous else None)
+    named = [(f"({tn[i]},{un[j]})", i * m + j)   # product_state
+             for i, js in enumerate(reached) for j in js]
+    if ambiguous or not build:   # a built product's rows need no order
+        named.sort()
+
+    def rows():
+        for s, pairs in groupby(named, itemgetter(0)):
+            row = {}
+            for _, x in pairs:
+                there = right[x % m]
+                for p, moves in left[x // m]:
+                    for rest, us in there.get(p, ()):
+                        for v, ts in moves:
+                            targets = row.setdefault(v | rest if rest else v, [])
+                            for t in ts:
+                                t = tn[t]
+                                for u in us:
+                                    targets.append(f"({t},{un[u]})")   # product_state
+            if row:   # a target repeats only across pairs of one name, or hidden labels
+                yield s, {v: set(ts) for v, ts in row.items()} if ambiguous or hidden else row
+
+    states = [s for s, _ in groupby(named, itemgetter(0))]
+    initial = product_state(T.initial, U.initial)
+    if not build:
+        return SimpleNamespace(signature=sig, states=states, initial=initial, rows=rows)
+    one = {s: s for s in states}   # one object per name
     adj = {}
-    while todo:
-        s, u = todo.pop()
-        src = seen[product_state(s, u)]
-        side = sides.get(s)
-        if side is None:
-            side = sides[s] = [(v & shared, v, ts) for v, ts in T.out(s).items()]
-        join = joins.get(u)
-        if join is None:
-            join = joins[u] = {}
-            for w, us in U.out(u).items():
-                join.setdefault(w & shared, []).append((w - shared, us))
-        row = adj.get(src) or {}
-        for key, v, ts in side:
-            for rest, us in join.get(key, ()):
-                targets = row.setdefault(v | rest if rest else v, [])
-                for t in ts:
-                    for x in us:
-                        tgt = f"({t},{x})"   # product_state, inlined
-                        name = seen.get(tgt)
-                        if name is None:
-                            seen[tgt] = name = tgt
-                            todo += _pairs_named(tgt, T, U) if ambiguous else ((t, x),)
-                        targets.append(name)
-        if row:
-            adj[src] = row
-    for row in adj.values():   # a target repeats only where two pairs share a name
-        for vw, targets in row.items():
-            row[vw] = tuple(dict.fromkeys(targets) if ambiguous else targets)
-    return Transducer._trusted(sig, frozenset(seen.values()),
-                               seen[product_state(T.initial, U.initial)], adj)
-
-
-def _pairs_named(name: str, T: Transducer, U: Transducer) -> list:
-    """Every pair of states of T and U that renders to ``name``."""
-    return [(name[1:i], name[i + 1:-1]) for i, c in enumerate(name)
-            if c == "," and name[1:i] in T.states and name[i + 1:-1] in U.states]
+    for s, row in rows():
+        for v, ts in row.items():
+            row[v] = tuple(map(one.__getitem__, ts))
+        adj[s] = row
+    return Transducer._trusted(sig, frozenset(one), one[initial], adj)
 
 
 def project(T: Transducer, keep: Signature) -> Transducer:
-    """Replace every transition round by its projection onto ``keep``."""
+    """Replace every transition round by its projection onto ``keep``;
+    transitions that become equal collapse."""
     if not keep.is_sub_signature_of(T.signature):
         raise SignatureMismatch("projection target is not a sub-signature")
     u = keep.universe
-    delta = frozenset((s, v & u, t) for s, v, t in T.delta)
-    return Transducer(keep, T.states, T.initial, delta)
-
-
-def compose(
-    T: Transducer,
-    U: Transducer,
-    keep_unreachable: bool = False,
-    strict_polarity: bool = False,
-) -> Transducer:
-    """Interaction followed by hiding of the shared labels."""
-    shared = T.signature.universe & U.signature.universe
-    joint = interact(T, U, keep_unreachable, strict_polarity)
-    keep = joint.signature.restrict(joint.signature.universe - shared)
-    return project(joint, keep)
+    adj = {}
+    for s, out in T._adj.items():
+        row = adj[s] = {}
+        for v, ts in out.items():
+            row.setdefault(v & u, []).extend(ts)
+        for w, ts in row.items():
+            row[w] = tuple(dict.fromkeys(ts))
+    return Transducer._trusted(keep, T.states, T.initial, adj)
 
 
 def determinize(T: Transducer) -> Transducer:

@@ -16,10 +16,12 @@ bisimulation minimiser is included as the protocol-free baseline.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
+from operator import or_
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import SameState, SignatureMismatch, UnknownState
-from .kernel import Round, Transducer, drop_unreachable, merge_states
+from .kernel import Round, Transducer, drop_unreachable, joint_reach, merge_states
 
 
 def _bits(x: int):
@@ -140,33 +142,28 @@ class EquivalencePairs:
 def product_reach(index, P: Transducer) -> List[int]:
     """For each state of T, the bitset of the keys of ``index`` (T's, as
     :func:`_views` gives it) whose round is enabled at a protocol state
-    jointly reachable with it, so extends a legal witness.  A depth-first
-    walk over (state id, protocol state id) pairs, each one integer, from
-    the initial ids; rounds T never takes have no key and drop out."""
+    jointly reachable with it, so extends a legal witness: the live keys
+    of the protocol state, ORed over the pairs :func:`kernel.joint_reach`
+    reaches from the initial ids, both sides' moves grouped by round; rounds
+    T never takes have no key and drop out."""
     states, moves, rounds, initial = index
+    rid: Dict[Round, int] = {}
+    kr = [rid.setdefault(v, len(rid)) for v in rounds]   # the round id of each key
+    same = [0] * len(rid)   # per round id: the bitset of its keys
+    for r, i in enumerate(kr):
+        same[i] |= 1 << r
+    left = []
+    for out in moves:
+        side: Dict[int, List[int]] = {}
+        for r, k in out:
+            side.setdefault(kr[r], []).append(k)
+        left.append(list(side.items()))
     pid = {p: i for i, p in enumerate(P.states)}
-    m = len(pid)
-    keys: Dict[Round, List[int]] = {}   # round -> its key ids
-    for r, v in enumerate(rounds):
-        keys.setdefault(v, []).append(r)
-    step = [{r: [pid[q] for q in targets] for v, targets in P.out(p).items()
-             for r in keys.get(v, ())} for p in pid]
-    live = [sum(1 << r for r in out) for out in step]
-    start = initial * m + pid[P.initial]
-    seen = {start}
-    stack = [start]
-    reach = [0] * len(states)
-    while stack:
-        j, p = divmod(stack.pop(), m)
-        reach[j] |= live[p]
-        out = step[p]
-        for r, k in moves[j]:
-            for q in out.get(r, ()):
-                pair = k * m + q
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-    return reach
+    right = [{rid[v]: [pid[q] for q in qs] for v, qs in P.out(p).items() if v in rid}
+             for p in pid]
+    live = [sum(same[i] for i in side) for side in right]
+    return [reduce(or_, map(live.__getitem__, ps), 0)
+            for ps in joint_reach(left, right, (initial * len(pid) + pid[P.initial],))]
 
 
 def _views(T, P, mode: str):

@@ -74,9 +74,8 @@ def _cmd_binary(args) -> int:
     right = _require_transducer(fileformat.load_model(args.right), args.command)
     from .. import algebra
 
-    op = {"intersect": algebra.intersect, "interact": algebra.interact,
-          "compose": algebra.compose}[args.command]
-    _emit_model(op(left, right, keep_unreachable=args.keep_unreachable))
+    # the product as walked: each row is computed as the writer reaches it
+    _emit_model(getattr(algebra, args.command)(left, right, args.keep_unreachable, build=False))
     return EXIT_OK
 
 

@@ -248,9 +248,9 @@ def parse_model(text: str):
     names = {n: n for n in states}   # so that each state name is one object
     if header["initial"] not in states:
         raise ParseError(header["initial_line"], 1, str(MissingInitial(header["initial"])))
-    delta = set()
+    adj, delta = {}, set()   # the plain transitions' index, the guarded transitions
     rounds = {}   # round text -> round, and round -> itself: equal rounds are one object
-    match, add = _TRANS_RE.match, delta.add
+    match = _TRANS_RE.match
     for line, column, stmt in body:
         m = match(stmt)
         if not m:
@@ -268,8 +268,8 @@ def parse_model(text: str):
             src, tgt = names[source], names[target]
         except KeyError as e:
             raise ParseError(line, 1, f"unknown state {e.args[0]!r}") from None
-        if not (guard_text or updates_text):
-            add((src, v, tgt))
+        if not (guard_text or updates_text):   # a repeated one collapses
+            adj.setdefault(src, {}).setdefault(v, {})[tgt] = None
             continue
         symbolic = True
         from ..symbolic import STransition, TRUE, check_transition
@@ -292,13 +292,16 @@ def parse_model(text: str):
         if len(tr.updates) < len(updates):   # equal updates collapsed in the set
             doubled = min(u.target for u in updates if updates.count(u) > 1)
             raise ParseError(line, 1, f"two updates for target {doubled!r}")
-        add(tr)
-    if not symbolic:
-        return Transducer(sig, states, header["initial"], frozenset(delta))
+        delta.add(tr)
+    if not symbolic:   # the index the constructor would build, checked as it was read
+        for row in adj.values():
+            for v, targets in row.items():
+                row[v] = tuple(targets)
+        return Transducer._trusted(sig, states, header["initial"], adj)
     from ..symbolic import SFST, STransition, TRUE
 
-    delta = {STransition(t[0], t[1], TRUE, frozenset(), t[2])
-             if isinstance(t, tuple) else t for t in delta}
+    delta.update(STransition(s, v, TRUE, frozenset(), t) for s, row in adj.items()
+                 for v, targets in row.items() for t in targets)
     return SFST(sig, states, registers, header["initial"], frozenset(delta))
 
 

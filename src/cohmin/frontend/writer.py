@@ -7,6 +7,7 @@ a command that writes a model, or a DOT graph, loads this module.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 
@@ -14,27 +15,30 @@ from ..kernel import Trace, Transducer, render_round, round_key
 
 
 def canonical_rows(model, wrap=str):
-    """Yield ``(source, [(target, text), ...])`` for each state of a
-    Transducer or SFST with transitions, sources in sorted order and each
+    """Yield ``(source, [(target, text), ...])`` for each state with
+    transitions of a Transducer, of a product as ``algebra`` walks it
+    (``build=False``) or of an SFST, sources in sorted order and each
     source's transitions in the canonical order: by round (``round_key``),
     target, then the rendered guard and updates.  A transition's label is
     its round, then any ``when`` guard and ``do`` updates, as the file
-    writes them, and ``text`` is ``wrap(label)``: for a Transducer each
-    distinct round is rendered and wrapped once."""
-    if isinstance(model, Transducer):
-        # walking the index in this order sorts by (source, round_key,
+    writes them, and ``text`` is ``wrap(label)``: each distinct round is
+    rendered and wrapped once."""
+    if not hasattr(model, "registers"):
+        # walking the rows in this order sorts by (source, round_key,
         # target), as sorting the whole set would; only rows of more than
-        # one round or target are sorted, rounds by their place in the
-        # sorted list of distinct rounds
-        order = sorted({v for row in model._adj.values() for v in row}, key=round_key)
-        rank = {v: i for i, v in enumerate(order)}
-        texts = {v: wrap(render_round(v)) for v in order}
-        for s in sorted(model._adj):
-            out = model._adj[s]
-            if out:
-                yield s, [(t, texts[v])
-                          for v in (sorted(out, key=rank.__getitem__) if len(out) > 1 else out)
-                          for t in (sorted(out[v]) if len(out[v]) > 1 else out[v])]
+        # one round or target are sorted, rounds by ``rank``, which orders
+        # them as ``round_key`` does
+        if isinstance(model, Transducer):
+            adj = model._adj
+            order = sorted({v for row in adj.values() for v in row}, key=round_key)
+            rank = {v: i for i, v in enumerate(order)}.__getitem__
+            texts = {v: wrap(render_round(v)) for v in order}
+            rows = ((s, adj[s]) for s in sorted(adj))
+        else:   # a walked product: its rounds come with its rows
+            rank, texts, rows = lru_cache(None)(round_key), _Texts(wrap), model.rows()
+        for s, out in rows:
+            yield s, [(t, texts[v]) for v in (sorted(out, key=rank) if len(out) > 1 else out)
+                      for t in (sorted(out[v]) if len(out[v]) > 1 else out[v])]
         return
     from .expr import render_expr
     rounds = {v: (round_key(v), render_round(v)) for v in {t.round for t in model.delta}}
@@ -56,6 +60,17 @@ def canonical_rows(model, wrap=str):
         yield s, row
 
 
+class _Texts(dict):
+    """Each round's text, ``wrap``ped, made when the round is first read."""
+
+    def __init__(self, wrap):
+        self.wrap = wrap
+
+    def __missing__(self, v):
+        self[v] = text = self.wrap(render_round(v))
+        return text
+
+
 def canonical_transitions(model):
     """Yield ``(source, target, label)`` for every transition of a
     Transducer or SFST, in the order of :func:`canonical_rows`."""
@@ -72,7 +87,7 @@ def write_model(model, write) -> None:
     one string build."""
     header = [f"signature {model.signature.render()};",
               f"states {', '.join(sorted(model.states))};"]
-    if not isinstance(model, Transducer):
+    if hasattr(model, "registers"):
         header.append(f"registers {', '.join(sorted(model.registers))};")
     header.append(f"initial {model.initial};")
     write("\n".join(header) + "\n")

@@ -299,7 +299,7 @@ class Transducer(Record):
             return self
         if sig.universe != self.signature.universe:
             raise SignatureMismatch("protocol and subject use different label universes")
-        return Transducer(sig, self.states, self.initial, self.delta)
+        return Transducer._trusted(sig, self.states, self.initial, self._adj)
 
 
 def _reach(initial: str, successors) -> FrozenSet[str]:
@@ -311,6 +311,39 @@ def _reach(initial: str, successors) -> FrozenSet[str]:
                 seen.add(t)
                 frontier.append(t)
     return frozenset(seen)
+
+
+def joint_reach(left, right, starts, twins=None) -> list:
+    """The pairs of states of two machines that joint steps reach from the
+    pairs ``starts``: for each left state, the set of right states reached
+    with it.  ``left[i]`` lists (shared part, target ids) for the rounds of
+    state ``i``, grouped by their shared part, and ``right[j]`` maps each
+    part of state ``j``'s rounds to their target ids; a joint step takes a
+    round of each side with one part.  A pair ``(i, j)`` is the integer
+    ``i * len(right) + j``; ``twins(pair)``, if given, lists the pairs
+    reached with it."""
+    m = len(right)
+    seen = [set() for _ in left]
+    todo = list(starts)
+    for x in todo:
+        seen[x // m].add(x % m)
+    while todo:
+        x = todo.pop()
+        there = right[x % m]
+        for part, ts in left[x // m]:
+            us = there.get(part)
+            if us:
+                for t in ts:
+                    done = seen[t]
+                    for u in us:
+                        if u not in done:
+                            done.add(u)
+                            todo.append(t * m + u)
+                            if twins:
+                                for y in twins(t * m + u):
+                                    seen[y // m].add(y % m)
+                                    todo.append(y)
+    return seen
 
 
 def merge_states(M, classes):

@@ -11,12 +11,16 @@ the mutant.
 """
 
 COHERENCE = "src/cohmin/coherence.py"
+KERNEL = "src/cohmin/kernel.py"
+ALGEBRA = "src/cohmin/algebra.py"
 SYMBOLIC = "src/cohmin/symbolic.py"
 FILEFORMAT = "src/cohmin/frontend/fileformat.py"
 MODULE_SETS = "tests/test_frontend.py::TestCli::test_plain_commands_leave_the_symbolic_layer_unloaded"
 SKIP_RULE = "tests/test_coherence.py::TestSkipRule"
 MERGED_INDEX = "tests/test_coherence.py::TestMergedIndex"
 DIFFERENTIAL = "tests/test_differential.py::TestAgainstNaiveOracle"
+PRODUCTS = "tests/test_differential.py::TestProductsAgainstNaiveOracle"
+STREAMED = "tests/test_differential.py::TestStreamedProducts"
 
 # (name, file, fragment, replacement, test ids that must fail)
 MUTANTS = [
@@ -86,4 +90,35 @@ MUTANTS = [
      'return line + breaks, offset - stmt.rindex("\\n", 0, offset) + 1',
      ["tests/test_frontend.py::TestParsing::test_a_bad_character_is_placed_at_its_line_and_column",
       "tests/test_frontend.py::TestParsing::test_expression_errors_name_their_place[too-deep]"]),
+    ("the walk pushes the pair after the one it reached", KERNEL,
+     "                            todo.append(t * m + u)\n",
+     "                            todo.append(t * m + u + 1)\n",
+     ["tests/test_coherence.py::TestProductReach::test_matches_independent_search",
+      f"{PRODUCTS}::test_random_machines"]),
+    ("condition 2 keeps the live keys of one reached protocol state only", COHERENCE,
+     "reduce(or_, map(live.__getitem__, ps), 0)",
+     "max(map(live.__getitem__, ps), default=0)",
+     ["tests/test_coherence.py::TestProductReach::test_matches_independent_search"]),
+    ("a colliding name's other pairs are not pushed", ALGEBRA,
+     "twins if ambiguous else None)",
+     "None)",
+     [f"{PRODUCTS}::test_colliding_product_names"]),
+    ("a streamed row's targets are not deduplicated", ALGEBRA,
+     "{v: set(ts) for v, ts in row.items()} if ambiguous or hidden else row",
+     "row",
+     [f"{PRODUCTS}::test_colliding_product_names",
+      f"{STREAMED}::test_colliding_names_stream_as_built[compose-False]"]),
+    ("a command writes the rows in walk order, not name order", ALGEBRA,
+     "    if ambiguous or not build:",
+     "    if ambiguous:",
+     [f"{STREAMED}::test_output_is_the_built_product[{command}-{keep}]"
+      for command in ("intersect", "interact", "compose") for keep in (False, True)]),
+    ("a projection keeps a target twice where two rounds meet", ALGEBRA,
+     "            row[w] = tuple(dict.fromkeys(ts))\n",
+     "            row[w] = tuple(ts)\n",
+     [f"{PRODUCTS}::test_random_machines"]),
+    ("the reader keeps a repeated transition twice", FILEFORMAT,
+     "adj.setdefault(src, {}).setdefault(v, {})[tgt] = None",
+     "adj.setdefault(src, {}).setdefault(v, []).append(tgt)",
+     ["tests/test_frontend.py::TestParsing::test_duplicate_transitions_collapse"]),
 ]

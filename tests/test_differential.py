@@ -18,11 +18,13 @@ the end pin the merge loop on sizes the naive engine could not reach in a
 test run.
 """
 
+import io
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
 
@@ -461,6 +463,41 @@ class TestBisimulationAgainstNaiveOracle:
         assert parallel > 10 and coarser >= 1
 
 
+def colliding_pairs():
+    """A pair whose names ("x", "y,z") and ("x,y", "z") both render to
+    "(x,y,z)", then 400 seeded pairs of machines with commas in their state
+    names, many of whose product names collide."""
+    a, b = mkround({"x"}), mkround({"y"})
+    yield (Transducer(SIG2, frozenset({"i", "x", "x,y", "t"}), "i",
+                      frozenset({("i", a, "x"), ("x,y", b, "t")})),
+           Transducer(SIG2, frozenset({"j", "y,z", "z", "w"}), "j",
+                      frozenset({("j", a, "y,z"), ("z", b, "w")})))
+    rng = random.Random(2300)
+    pool = ["x", "x,y", "y", "y,z", "z", ",", "x,", ",z"]
+    rounds = all_rounds(SIG2)
+
+    def machine():
+        states = rng.sample(pool, rng.randint(1, 5))
+        delta = {(rng.choice(states), rng.choice(rounds), rng.choice(states))
+                 for _ in range(rng.randint(0, 8))}
+        return Transducer(SIG2, frozenset(states), states[0], frozenset(delta))
+
+    for _ in range(400):
+        yield machine(), machine()
+
+
+def random_product_pairs():
+    """300 seeded pairs of random machines over the signatures of
+    ``PRODUCT_SIGS``, a third of them on one signature."""
+    rng = random.Random(2200)
+    for _ in range(300):
+        T = random_transducer(rng, rng.choice(PRODUCT_SIGS), 6, 14)
+        U = random_transducer(rng, rng.choice(PRODUCT_SIGS), 6, 14, "u")
+        if rng.random() < 0.3:
+            U = random_transducer(rng, T.signature, 6, 14, "u")
+        yield T, U
+
+
 def assert_same_products(T, U):
     """intersect, interact and compose agree with the frozen full-product
     oracle on (T, U), with and without ``keep_unreachable``, errors too."""
@@ -505,13 +542,8 @@ class TestProductsAgainstNaiveOracle:
                 assert_same_products(P, T)
 
     def test_random_machines(self):
-        rng = random.Random(2200)
         unreachable = empty_rounds = clashes = 0
-        for _ in range(300):
-            T = random_transducer(rng, rng.choice(PRODUCT_SIGS), 6, 14)
-            U = random_transducer(rng, rng.choice(PRODUCT_SIGS), 6, 14, "u")
-            if rng.random() < 0.3:
-                U = random_transducer(rng, T.signature, 6, 14, "u")
+        for T, U in random_product_pairs():
             assert_same_products(T, U)
             unreachable += T.reachable_states() != T.states
             joint = algebra.interact(T, U, keep_unreachable=True)
@@ -523,27 +555,12 @@ class TestProductsAgainstNaiveOracle:
     def test_colliding_product_names(self):
         # ("x", "y,z") and ("x,y", "z") both render to "(x,y,z)": reaching
         # the name reaches both pairs, in the walk as in the full product
-        a, b = mkround({"x"}), mkround({"y"})
-        T = Transducer(SIG2, frozenset({"i", "x", "x,y", "t"}), "i",
-                       frozenset({("i", a, "x"), ("x,y", b, "t")}))
-        U = Transducer(SIG2, frozenset({"j", "y,z", "z", "w"}), "j",
-                       frozenset({("j", a, "y,z"), ("z", b, "w")}))
+        (T, U), *pairs = colliding_pairs()
         # (i,j) reaches ("x", "y,z"); only ("x,y", "z") steps on to (t,w)
         assert algebra.intersect(T, U).states == {"(i,j)", "(x,y,z)", "(t,w)"}
         assert_same_products(T, U)
-        rng = random.Random(2300)
-        pool = ["x", "x,y", "y", "y,z", "z", ",", "x,", ",z"]
-        rounds = all_rounds(SIG2)
-
-        def machine():
-            states = rng.sample(pool, rng.randint(1, 5))
-            delta = {(rng.choice(states), rng.choice(rounds), rng.choice(states))
-                     for _ in range(rng.randint(0, 8))}
-            return Transducer(SIG2, frozenset(states), states[0], frozenset(delta))
-
         collisions = 0
-        for _ in range(400):
-            T, U = machine(), machine()
+        for T, U in pairs:
             names = [algebra.product_state(a, b) for a in T.states for b in U.states]
             collisions += len(set(names)) < len(names)
             assert_same_products(T, U)
@@ -569,6 +586,78 @@ class TestProductsAgainstNaiveOracle:
                 assert got == naive_algebra.coherent_equiv_bounded(T, U, P, k)
                 verdicts.add(got)
         assert verdicts == {False, True}
+
+
+PRODUCT_COMMANDS = [(command, keep) for command in ("intersect", "interact", "compose")
+                    for keep in (False, True)]
+
+
+class TestStreamedProducts:
+    """``intersect``, ``interact`` and ``compose`` on the command line write
+    each product row as the walk computes it, building no product; their
+    output must be the text of the product the library builds."""
+
+    @pytest.fixture(scope="class")
+    def model_files(self, tmp_path_factory):
+        """Every fixture pair and the seeded random pairs, each machine
+        written to a file once."""
+        root = tmp_path_factory.mktemp("products")
+        paths = {}
+
+        def path(M):
+            if id(M) not in paths:
+                paths[id(M)] = root / f"m{len(paths)}.fst"
+                paths[id(M)].write_text(serialize_model(M))
+            return str(paths[id(M)])
+
+        machines = fixture_machines()
+        pairs = [(T, U) for T in machines for U in machines] + list(random_product_pairs())
+        return [(path(T), path(U)) for T, U in pairs]
+
+    @pytest.mark.parametrize("command, keep", PRODUCT_COMMANDS)
+    def test_output_is_the_built_product(self, model_files, command, keep):
+        op = getattr(algebra, command)
+        for left, right in model_files:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli_main([command, *["--keep-unreachable"] * keep, left, right])
+            try:
+                text = serialize_model(op(load_model(left), load_model(right), keep))
+            except CohminError as e:
+                assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {e}\n")
+                continue
+            assert (code, out.getvalue(), err.getvalue()) == (0, text, "")
+
+    @pytest.mark.parametrize("command, keep", PRODUCT_COMMANDS)
+    def test_colliding_names_stream_as_built(self, command, keep):
+        """Names with top-level commas cannot be read from a file, so the
+        walked product the command writes is written here directly."""
+        op = getattr(algebra, command)
+        for T, U in colliding_pairs():
+            assert serialize_model(op(T, U, keep, build=False)) == \
+                serialize_model(op(T, U, keep))
+
+    def test_the_commands_build_no_product(self, checked_trusted_builds, monkeypatch):
+        builds = Counter()
+
+        def trusted(*parts):
+            builds["trusted"] += 1
+            return checked_trusted_builds(*parts)
+
+        def checked(self, validate=Transducer.__post_init__):
+            builds["validated"] += 1
+            validate(self)
+
+        monkeypatch.setattr(Transducer, "_trusted", staticmethod(trusted))
+        monkeypatch.setattr(Transducer, "__post_init__", checked)
+        files = [str(FIXDIR / "forked_reader.fst"), str(FIXDIR / "linear_protocol.fst")]
+        for command, keep in PRODUCT_COMMANDS:
+            builds.clear()
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert cli_main([command, *["--keep-unreachable"] * keep, *files]) == 0
+            assert out.getvalue().startswith("signature ")
+            assert builds == {"trusted": 2}   # the two inputs, as they are read
 
 
 def renamed(T, prefix):

@@ -74,6 +74,19 @@ class TestParsing:
         once = serialize_model(T)
         assert serialize_model(parse_model(once)) == once
 
+    def test_duplicate_transitions_collapse(self):
+        """The reader indexes the transitions as it reads them; a repeated
+        one, written alike or with its round's labels in another order,
+        is one transition, in a plain file and in a symbolic one."""
+        text = ("signature in a, b; out c;\nstates s, t;\ninitial s;\n"
+                "trans s -> t : {a, c};\ntrans s -> t : {c, a};\ntrans s -> s : {b};\n"
+                "trans s -> t : {a,c};\ntrans t -> s : {};\n")
+        T = parse_model(text)
+        assert isinstance(T, Transducer) and len(T.delta) == 3
+        assert T.out("s")[mkround({"a", "c"})] == ("t",)
+        S = parse_model(text.replace("states", "registers y;\nstates"))
+        assert S.control_skeleton() == T
+
     def test_undeclared_label(self):
         src = TWO_PHASE_SRC.replace("{a}", "{zz}")
         with pytest.raises(ParseError) as err:

@@ -143,13 +143,16 @@ class TestTrustedBuild:
         assert T.out("s0") == {self.A: ("s1",)} and T.out("s1") == {}
 
     def test_products_and_expansions_hold_only_the_index(self, checked_trusted_builds, monkeypatch):
-        """A product and an expansion keep no transition set: ``delta`` is
-        built from the index when it is first read, and kept.  Writing the
-        machine does not read it."""
+        """A parsed model, a product, a projection and an expansion keep no
+        transition set: ``delta`` is built from the index when it is first
+        read, and kept.  Writing the machine, or projecting it, does not
+        read it."""
         # the unchecked constructor: the fixture's check reads ``delta``
         monkeypatch.setattr(Transducer, "_trusted", checked_trusted_builds)
         T = load_model(FIXDIR / "two_phase.fst")
-        built = [algebra.intersect(T, T), algebra.interact(T, T),
+        P = algebra.intersect(T, T)
+        built = [T, P, algebra.interact(T, T), algebra.compose(T, T),
+                 algebra.project(P, T.signature.restrict({"a"})),
                  symbolic.expand(load_model(FIXDIR / "adder.sfst"), -2, 2)]
         for M in built:
             serialize_model(M)
