@@ -15,8 +15,6 @@ trace reaches in each machine, to the given depth.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import itemgetter
 from types import SimpleNamespace
 from typing import FrozenSet, Optional
 
@@ -37,21 +35,26 @@ def intersect(T: Transducer, U: Transducer, keep_unreachable: bool = False,
     With ``build=False``, the product as walked (:func:`_product`)."""
     if T.signature != U.signature:
         raise SignatureMismatch("intersection needs identical signatures")
-    return _product(T, U, T.signature, frozenset(), keep_unreachable, build)
+    return _product(T, U, T.signature, keep_unreachable, build)
 
 
-def _merge_signatures(T: Transducer, U: Transducer) -> Signature:
-    """Disjoint-union-by-name; on shared labels an output polarity wins."""
+def _merge_signatures(T: Transducer, U: Transducer, strict_polarity: bool = False) -> Signature:
+    """Disjoint-union-by-name; on shared labels an output polarity wins,
+    unless ``strict_polarity`` refuses a label with both polarities."""
+    if strict_polarity:
+        clash = (T.signature.inputs & U.signature.outputs) | (
+            T.signature.outputs & U.signature.inputs
+        )
+        if clash:
+            raise LabelClash(f"conflicting polarity on shared labels: {sorted(clash)}")
     outputs = T.signature.outputs | U.signature.outputs
     inputs = (T.signature.inputs | U.signature.inputs) - outputs
     return Signature(inputs, outputs)
 
 
 def interact(T: Transducer, U: Transducer, keep_unreachable: bool = False,
-             strict_polarity: bool = False, build: bool = True,
-             hidden: FrozenSet[str] = frozenset()):
-    """Joint stepping over the union universe, less the labels ``hidden``
-    (:func:`compose` hides the shared ones); ``build`` as for
+             strict_polarity: bool = False, build: bool = True):
+    """Joint stepping over the union universe; ``build`` as for
     :func:`_product`.
 
     The shared part is the intersection of the two label universes; a joint
@@ -62,97 +65,90 @@ def interact(T: Transducer, U: Transducer, keep_unreachable: bool = False,
     Cost: O(reachable pairs + their joint transitions), not
     O(|Q_T|·|Q_U| + |δ_T|·|δ_U|).
     """
-    if strict_polarity:
-        clash = (T.signature.inputs & U.signature.outputs) | (
-            T.signature.outputs & U.signature.inputs
-        )
-        if clash:
-            raise LabelClash(f"conflicting polarity on shared labels: {sorted(clash)}")
-    sig = _merge_signatures(T, U)
-    return _product(T, U, sig.restrict(sig.universe - hidden), hidden, keep_unreachable, build)
+    return _product(T, U, _merge_signatures(T, U, strict_polarity), keep_unreachable, build)
 
 
 def compose(T: Transducer, U: Transducer, keep_unreachable: bool = False,
             strict_polarity: bool = False, build: bool = True):
     """Interaction followed by hiding of the shared labels."""
-    return interact(T, U, keep_unreachable, strict_polarity, build,
-                    T.signature.universe & U.signature.universe)
+    sig = _merge_signatures(T, U, strict_polarity)
+    shared = T.signature.universe & U.signature.universe
+    return _product(T, U, sig.restrict(sig.universe - shared), keep_unreachable, build)
 
 
-def _product(T: Transducer, U: Transducer, sig: Signature, hidden: FrozenSet[str],
-             keep_unreachable: bool, build: bool):
+def _product(T: Transducer, U: Transducer, sig: Signature, keep_unreachable: bool,
+             build: bool):
     """The product over ``sig`` of the pairs reachable from the initial pair
-    (of every pair with ``keep_unreachable``), the labels ``hidden``
-    projected away.  Each side's rounds are grouped by the id of their
-    shared part, and :func:`kernel.joint_reach` finds the pairs; a pair's
-    row is computed from the two groupings only when it is read.  A product
+    (of every pair with ``keep_unreachable``), the shared labels that
+    ``sig`` lacks projected away.  Rounds meet by the id of their shared
+    part, :func:`kernel.joint_reach` finds the pairs, and a pair's row is
+    computed from the two sides' rounds only when it is read.  A product
     state is its name: if two pairs render to the same name (possible only
     when both sides have names with commas), reaching the name reaches
     both, and its row is the union of theirs.  With ``build``, the product
     is a ``Transducer``; else it has ``signature``, ``states`` (the names,
     sorted), ``initial`` and ``rows()``, which yields ``(name, row)`` in
-    name order for the states with transitions, each row mapping a round to
-    its target names, and is computed as it is read."""
+    name order for the states with transitions, each row mapping a round
+    to its target names, and is computed as it is read."""
     shared = T.signature.universe & U.signature.universe
-    parts = {}   # shared part of a round -> its id
-    sides = []   # per side: states, ids, per state {part id: [(round - drop, target ids)]}
-    for M, drop in ((T, hidden), (U, shared)):
-        names = list(M.states)
-        ids = {s: i for i, s in enumerate(names)}
-        groups = [{} for _ in names]
-        for group, s in zip(groups, names):
-            for v, ts in M.out(s).items():
-                group.setdefault(parts.setdefault(v & shared, len(parts)), []).append(
-                    (v - drop if drop else v, [ids[t] for t in ts]))
-        sides.append((names, ids, groups))
-    (tn, tid, left), (un, uid, right) = sides
-    left = [list(group.items()) for group in left]   # read in order, never looked up
+    hidden = shared - sig.universe
+    tn, un = list(T.states), list(U.states)
+    tid, uid = {s: i for i, s in enumerate(tn)}, {u: j for j, u in enumerate(un)}
     m = len(un)
+    parts = {}   # shared part of a round -> its id
+    # per state: (part id, the round less the hidden labels, target pair ids)
+    left = [[(parts.setdefault(v & shared, len(parts)), v - hidden if hidden else v,
+              [tid[t] * m for t in ts]) for v, ts in T.out(s).items()] for s in tn]
+    right = []   # per state: {part id: [(the round's unshared labels, target ids)]}
+    for u in un:
+        group = {}
+        for w, us in U.out(u).items():
+            group.setdefault(parts.setdefault(w & shared, len(parts)), []).append(
+                (w - shared, [uid[x] for x in us]))
+        right.append(group)
 
-    def twins(x):   # the pairs named as ``x`` is
-        n = product_state(tn[x // m], un[x % m])
+    def twins(x):   # the other pairs named as ``x`` is
+        s = tn[x // m]
+        n = f"({s},{un[x % m]})"   # product_state
         return [tid[n[1:i]] * m + uid[n[i + 1:-1]] for i, c in enumerate(n)
-                if c == "," and n[1:i] in tid and n[i + 1:-1] in uid]
+                if c == "," and i != len(s) + 1 and n[1:i] in tid and n[i + 1:-1] in uid]
 
     ambiguous = any("," in s for s in tn) and any("," in u for u in un)
     start = tid[T.initial] * m + uid[U.initial]
     reached = [range(m)] * len(tn) if keep_unreachable else joint_reach(
-        [[(p, [t for _, ts in moves for t in ts]) for p, moves in group] for group in left],
-        [{p: [u for _, us in moves for u in us] for p, moves in group.items()}
-         for group in right],
-        twins(start) if ambiguous else (start,), twins if ambiguous else None)
-    named = [(f"({tn[i]},{un[j]})", i * m + j)   # product_state
-             for i, js in enumerate(reached) for j in js]
+        [[(p, ts) for p, _, ts in side] for side in left],
+        [{p: [x for _, us in moves for x in us] for p, moves in group.items()} for group in right],
+        (start, *twins(start)), twins if ambiguous else None)
+    name_of = {i * m + j: f"({tn[i]},{un[j]})"   # product_state
+               for i, js in enumerate(reached) for j in js}
+    named = zip(name_of.values(), name_of)   # (name, pair id)
+    if ambiguous:   # one pair per name: the others are read with it
+        named = {s: x for s, x in named}.items()
     if ambiguous or not build:   # a built product's rows need no order
-        named.sort()
+        named = sorted(named)
+    once = ambiguous or hidden   # only then can a target repeat in a row
 
     def rows():
-        for s, pairs in groupby(named, itemgetter(0)):
+        for s, x in named:
             row = {}
-            for _, x in pairs:
-                there = right[x % m]
-                for p, moves in left[x // m]:
+            for y in (x, *twins(x)) if ambiguous else (x,):
+                there = right[y % m]
+                for p, v, ts in left[y // m]:
                     for rest, us in there.get(p, ()):
-                        for v, ts in moves:
-                            targets = row.setdefault(v | rest if rest else v, [])
-                            for t in ts:
-                                t = tn[t]
-                                for u in us:
-                                    targets.append(f"({t},{un[u]})")   # product_state
-            if row:   # a target repeats only across pairs of one name, or hidden labels
-                yield s, {v: set(ts) for v, ts in row.items()} if ambiguous or hidden else row
+                        targets = row.setdefault(v | rest if rest else v, [])
+                        for t in ts:
+                            for u in us:
+                                targets.append(name_of[t + u])
+            for v, ts in row.items():
+                row[v] = tuple(dict.fromkeys(ts) if once else ts)
+            if row:
+                yield s, row
 
-    states = [s for s, _ in groupby(named, itemgetter(0))]
     initial = product_state(T.initial, U.initial)
     if not build:
-        return SimpleNamespace(signature=sig, states=states, initial=initial, rows=rows)
-    one = {s: s for s in states}   # one object per name
-    adj = {}
-    for s, row in rows():
-        for v, ts in row.items():
-            row[v] = tuple(map(one.__getitem__, ts))
-        adj[s] = row
-    return Transducer._trusted(sig, frozenset(one), one[initial], adj)
+        return SimpleNamespace(signature=sig, states=[s for s, _ in named], initial=initial,
+                               rows=rows)
+    return Transducer._trusted(sig, frozenset(name_of.values()), initial, dict(rows()))
 
 
 def project(T: Transducer, keep: Signature) -> Transducer:

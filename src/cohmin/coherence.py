@@ -152,13 +152,13 @@ def product_reach(index, P: Transducer) -> List[int]:
     same = [0] * len(rid)   # per round id: the bitset of its keys
     for r, i in enumerate(kr):
         same[i] |= 1 << r
+    pid = {p: i for i, p in enumerate(P.states)}
     left = []
     for out in moves:
         side: Dict[int, List[int]] = {}
         for r, k in out:
-            side.setdefault(kr[r], []).append(k)
+            side.setdefault(kr[r], []).append(k * len(pid))
         left.append(list(side.items()))
-    pid = {p: i for i, p in enumerate(P.states)}
     right = [{rid[v]: [pid[q] for q in qs] for v, qs in P.out(p).items() if v in rid}
              for p in pid]
     live = [sum(same[i] for i in side) for side in right]

@@ -27,7 +27,9 @@ def canonical_rows(model, wrap=str):
         # walking the rows in this order sorts by (source, round_key,
         # target), as sorting the whole set would; only rows of more than
         # one round or target are sorted, rounds by ``rank``, which orders
-        # them as ``round_key`` does
+        # them as ``round_key`` does.  A Transducer's rounds are ranked and
+        # rendered at once, since sorting by an int rank writes an
+        # expansion faster than keying each round as it comes
         if isinstance(model, Transducer):
             adj = model._adj
             order = sorted({v for row in adj.values() for v in row}, key=round_key)

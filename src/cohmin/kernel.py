@@ -316,12 +316,12 @@ def _reach(initial: str, successors) -> FrozenSet[str]:
 def joint_reach(left, right, starts, twins=None) -> list:
     """The pairs of states of two machines that joint steps reach from the
     pairs ``starts``: for each left state, the set of right states reached
-    with it.  ``left[i]`` lists (shared part, target ids) for the rounds of
-    state ``i``, grouped by their shared part, and ``right[j]`` maps each
-    part of state ``j``'s rounds to their target ids; a joint step takes a
-    round of each side with one part.  A pair ``(i, j)`` is the integer
-    ``i * len(right) + j``; ``twins(pair)``, if given, lists the pairs
-    reached with it."""
+    with it.  A pair ``(i, j)`` is the integer ``i * len(right) + j``.
+    ``left[i]`` lists (shared part, target pair ids ``t * len(right)``) for
+    the rounds of state ``i``, and ``right[j]`` maps each part of state
+    ``j``'s rounds to their target ids; a joint step takes a round of each
+    side with one part.
+    ``twins(pair)``, if given, lists the other pairs reached with it."""
     m = len(right)
     seen = [set() for _ in left]
     todo = list(starts)
@@ -334,13 +334,13 @@ def joint_reach(left, right, starts, twins=None) -> list:
             us = there.get(part)
             if us:
                 for t in ts:
-                    done = seen[t]
+                    done = seen[t // m]
                     for u in us:
                         if u not in done:
                             done.add(u)
-                            todo.append(t * m + u)
+                            todo.append(t + u)
                             if twins:
-                                for y in twins(t * m + u):
+                                for y in twins(t + u):
                                     seen[y // m].add(y % m)
                                     todo.append(y)
     return seen

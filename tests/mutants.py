@@ -91,8 +91,8 @@ MUTANTS = [
      ["tests/test_frontend.py::TestParsing::test_a_bad_character_is_placed_at_its_line_and_column",
       "tests/test_frontend.py::TestParsing::test_expression_errors_name_their_place[too-deep]"]),
     ("the walk pushes the pair after the one it reached", KERNEL,
-     "                            todo.append(t * m + u)\n",
-     "                            todo.append(t * m + u + 1)\n",
+     "                            todo.append(t + u)\n",
+     "                            todo.append(t + u + 1)\n",
      ["tests/test_coherence.py::TestProductReach::test_matches_independent_search",
       f"{PRODUCTS}::test_random_machines"]),
     ("condition 2 keeps the live keys of one reached protocol state only", COHERENCE,
@@ -104,10 +104,14 @@ MUTANTS = [
      "None)",
      [f"{PRODUCTS}::test_colliding_product_names"]),
     ("a streamed row's targets are not deduplicated", ALGEBRA,
-     "{v: set(ts) for v, ts in row.items()} if ambiguous or hidden else row",
-     "row",
+     "tuple(dict.fromkeys(ts) if once else ts)",
+     "tuple(ts)",
      [f"{PRODUCTS}::test_colliding_product_names",
       f"{STREAMED}::test_colliding_names_stream_as_built[compose-False]"]),
+    ("compose keeps the shared labels in its rounds", ALGEBRA,
+     "    hidden = shared - sig.universe\n",
+     "    hidden = frozenset()\n",
+     [f"{PRODUCTS}::test_random_machines", f"{PRODUCTS}::test_every_fixture_pair"]),
     ("a command writes the rows in walk order, not name order", ALGEBRA,
      "    if ambiguous or not build:",
      "    if ambiguous:",
