@@ -154,12 +154,12 @@ def _cmd_expand(args) -> int:
 def _cmd_monitor(args) -> int:
     P = fileformat.load_protocol(args.protocol)
     from .. import protocol
-    from .trace import TraceReader
+    from .trace import open_trace
 
-    reader = TraceReader(fileformat._read(args.trace))
-    verdict = protocol.monitor(P, reader)
-    if not verdict.ok:
-        reader.check()   # a bad line after the violation is still an input error
+    with open_trace(args.trace) as reader:
+        verdict = protocol.monitor(P, reader)
+        if not verdict.ok:
+            reader.check()   # a bad line after the violation is still an input error
     print(verdict.render())
     return EXIT_OK if verdict.ok else EXIT_VERDICT
 

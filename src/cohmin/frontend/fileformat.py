@@ -311,9 +311,11 @@ def parse_model(text: str):
 def parse_trace(text: str) -> Trace:
     """The rounds of ``text``, as :class:`frontend.trace.TraceReader` reads
     them."""
+    import io
+
     from .trace import TraceReader   # only callers that read traces load it
 
-    return tuple(iter(TraceReader(text)))   # ``tuple`` would read ``len`` first
+    return tuple(iter(TraceReader(io.StringIO(text))))   # ``tuple`` would read ``len`` first
 
 
 # -- regex protocol files ----------------------------------------------------

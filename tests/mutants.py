@@ -15,12 +15,15 @@ KERNEL = "src/cohmin/kernel.py"
 ALGEBRA = "src/cohmin/algebra.py"
 SYMBOLIC = "src/cohmin/symbolic.py"
 FILEFORMAT = "src/cohmin/frontend/fileformat.py"
+TRACE = "src/cohmin/frontend/trace.py"
 MODULE_SETS = "tests/test_frontend.py::TestCli::test_plain_commands_leave_the_symbolic_layer_unloaded"
 SKIP_RULE = "tests/test_coherence.py::TestSkipRule"
 MERGED_INDEX = "tests/test_coherence.py::TestMergedIndex"
 DIFFERENTIAL = "tests/test_differential.py::TestAgainstNaiveOracle"
 PRODUCTS = "tests/test_differential.py::TestProductsAgainstNaiveOracle"
 STREAMED = "tests/test_differential.py::TestStreamedProducts"
+BOUNDARIES = "tests/test_differential.py::TestTraceFileAtPieceBoundaries"
+STREAMED_TRACE = "tests/test_differential.py::TestTraceBoundaryAgainstNaiveOracle"
 
 # (name, file, fragment, replacement, test ids that must fail)
 MUTANTS = [
@@ -121,6 +124,58 @@ MUTANTS = [
      "            row[w] = tuple(dict.fromkeys(ts))\n",
      "            row[w] = tuple(ts)\n",
      [f"{PRODUCTS}::test_random_machines"]),
+    ("the trace reader drops the unfinished line of a read", TRACE,
+     "                self._carry = self._lines.pop()\n",
+     "                self._lines.pop()\n",
+     [f"{BOUNDARIES}::test_every_cut_of_a_line_break_or_character[multi-byte]",
+      f"{STREAMED_TRACE}::test_streamed_reading_against_splitlines[3]"]),
+    ("the trace reader yields the unfinished line of a read and carries it too", TRACE,
+     "                self._carry = self._lines.pop()\n",
+     "                self._carry = self._lines[-1]\n",
+     [f"{BOUNDARIES}::test_every_cut_of_a_line_break_or_character[multi-byte]",
+      f"{STREAMED_TRACE}::test_streamed_reading_against_splitlines[3]"]),
+    ("the trace reader ends a line at a read that ends in a lone CR", TRACE,
+     "            elif more and end == \"\\r\":",
+     "            elif False:",
+     [f"{BOUNDARIES}::test_every_cut_of_a_line_break_or_character[crlf]",
+      f"{BOUNDARIES}::test_every_cut_of_a_line_break_or_character[bad-multi-byte-crlf]"]),
+    ("a fresh pass over a trace does not go back to its start", TRACE,
+     "            if self._begun:\n                self._stream.seek(0)\n",
+     "",
+     [f"{BOUNDARIES}::test_each_pass_reads_from_the_start[{piece}]" for piece in (3, 1 << 16)]
+     + ["tests/test_tooling.py::test_a_traced_pass_runs_every_kind_of_benchmark_op"]),
+    ("a first pass over a trace seeks back to its start", TRACE,
+     "            if self._begun:\n",
+     "            if True:\n",
+     [f"{BOUNDARIES}::test_a_pipe_is_read_once"]),
+    ("bad UTF-8 is reported at its byte in the read, not in the file", TRACE,
+     "                at = self._read - len(e.object) + e.start\n",
+     "                at = e.start\n",
+     [f"{BOUNDARIES}::test_bad_utf8_past_the_first_piece[{bad}-{piece}]"
+      for bad in ("invalid-start", "truncated-at-end") for piece in (1, 3, 16)]),
+    ("a failed read of the trace file escapes as an output error", TRACE,
+     "            except OSError as e:\n                raise CohminError(f\"cannot read {self._raw.name}",
+     "            except ZeroDivisionError as e:\n                raise CohminError(f\"cannot read {self._raw.name}",
+     [f"{BOUNDARIES}::test_a_read_that_fails_after_the_open_is_an_input_error"]),
+    ("a read that ends inside a character ends the trace", TRACE,
+     "            if text or not data:",
+     "            if True:",
+     [f"{BOUNDARIES}::test_every_cut_of_a_line_break_or_character[multi-byte]",
+      f"{BOUNDARIES}::test_random_bytes_against_whole_decode[0]"]),
+    ("a bad line is reported before bad UTF-8 after it", TRACE,
+     "            while self._stream.read(_TRACE_PIECE):",
+     "            while False:",
+     [f"{BOUNDARIES}::test_bad_utf8_wins_over_what_comes_before_it[bad-line-{piece}]"
+      for piece in (1, 3, 16)]),
+    ("check() resumes after the piece read last", TRACE,
+     "        elif self._lines:\n            yield self._lines\n",
+     "",
+     [f"{STREAMED_TRACE}::test_cli_cases[bad-line-after-violation-65536]",
+      f"{BOUNDARIES}::test_bad_utf8_wins_over_what_comes_before_it[violation-then-bad-line-65536]"]),
+    ("check() keeps the previous piece while it splits the next", TRACE,
+     "            del lines   # before the next piece is split\n",
+     "",
+     ["tests/test_protocol.py::TestMonitor::test_check_holds_one_piece_at_a_time"]),
     ("the reader keeps a repeated transition twice", FILEFORMAT,
      "adj.setdefault(src, {}).setdefault(v, {})[tgt] = None",
      "adj.setdefault(src, {}).setdefault(v, []).append(tgt)",

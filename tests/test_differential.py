@@ -997,17 +997,21 @@ class TestTraceBoundaryAgainstNaiveOracle:
 
     @staticmethod
     def cli_against_oracle(capsys, path, text):
-        """``cohmin monitor`` on ``text`` under ``display.prot`` gives the
-        exit code, stdout and stderr that the frozen parser and monitor
-        imply: exit 2 at the first bad line anywhere, else the verdict.
-        Returns the exit code."""
-        path.write_bytes(text.encode("utf-8"))
-        text = path.read_text(encoding="utf-8")   # as the CLI reads it
+        """``cohmin monitor`` on ``text`` (or bytes) under ``display.prot``
+        gives the exit code, stdout and stderr that decoding the whole file
+        and the frozen parser and monitor imply: exit 2 at bad UTF-8
+        anywhere, else exit 2 at the first bad line anywhere, else the
+        verdict.  Returns the exit code."""
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
         prot = FIXDIR / "display.prot"
         try:
+            text = path.read_bytes().decode("utf-8")   # as the CLI once read it
             old = naive_protocol.monitor(parse_model(prot.read_text()),
                                          naive_protocol.parse_trace(text))
             expected = (0 if old.ok else 3, old.render() + "\n", "")
+        except UnicodeDecodeError as e:
+            expected = (2, "", f"error: cannot read {path}: not UTF-8 text "
+                               f"({e.reason} at byte {e.start})\n")
         except ParseError as e:
             expected = (2, "", f"error: {e}\n")
         capsys.readouterr()
@@ -1042,7 +1046,8 @@ class TestTraceBoundaryAgainstNaiveOracle:
             text = "".join(line + rng.choice(self.BREAKS) for line in walk)
             text += rng.choice(["", "{q5}", "# end", "{q5"])
             if assert_same_parse(text) is not None:
-                assert len(trace_reader.TraceReader(text)) == len(naive_protocol.parse_trace(text))
+                reader = trace_reader.TraceReader(io.StringIO(text))
+                assert len(reader) == len(naive_protocol.parse_trace(text))
             seen.add(self.cli_against_oracle(capsys, tmp_path / "t.trc", text))
         assert seen == {0, 2, 3}
 
@@ -1084,6 +1089,150 @@ class TestTraceBoundaryAgainstNaiveOracle:
         lines[300] = "{ " + bad + " }  # not enabled here"
         text = "".join(line + "\n" for line in lines)
         assert self.cli_against_oracle(capsys, tmp_path / "t.trc", text) == 3
+
+
+class TestTraceFileAtPieceBoundaries:
+    """``cohmin monitor`` reads the trace file a few bytes at a time and
+    still reports what decoding the whole file first would: bad UTF-8 at its
+    byte in the file, ahead of any bad line or violation before it; every
+    line break and character however a read cuts it."""
+
+    cli_against_oracle = staticmethod(TestTraceBoundaryAgainstNaiveOracle.cli_against_oracle)
+
+    @pytest.mark.parametrize("piece", [1, 3, 16])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe0\x80", b"\xed\xa0\x80", b"\xe2\x82"],
+                             ids=["invalid-start", "invalid-continuation", "surrogate",
+                                  "truncated-at-end"])
+    def test_bad_utf8_past_the_first_piece(self, monkeypatch, capsys, tmp_path, piece, bad):
+        monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
+        data = b"{q5}\n{r2}\n{d2}\n" * 20 + b"# \xc3\xa9 " + bad
+        assert self.cli_against_oracle(capsys, tmp_path / "t.trc", data) == 2
+        cli_main(["monitor", "--protocol", str(FIXDIR / "display.prot"),
+                  "--trace", str(tmp_path / "t.trc")])
+        assert f" at byte {data.index(bad)})\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("piece", [1, 3, 16, 1 << 16])
+    @pytest.mark.parametrize("text, code", [
+        ("{q5}\n{q5\n{r2}\n", 2),
+        ("{q5}\n{r2}\n{d4}\n{q5}\n", 3),
+        ("{q5}\n{r2}\n{d4}\n{q5\n", 2),
+    ], ids=["bad-line", "violation", "violation-then-bad-line"])
+    def test_bad_utf8_wins_over_what_comes_before_it(self, monkeypatch, capsys, tmp_path,
+                                                     piece, text, code):
+        monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
+        path = tmp_path / "t.trc"
+        assert self.cli_against_oracle(capsys, path, text * 30) == code
+        data = (text * 30).encode() + b"{r2}\n" * 30 + b"{\xff}\n"
+        assert self.cli_against_oracle(capsys, path, data) == 2
+        cli_main(["monitor", "--protocol", str(FIXDIR / "display.prot"), "--trace", str(path)])
+        assert "not UTF-8 text (invalid start byte" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "{q5}\r\n{r2}\r\n{d2}\r\n{q5",
+        "{q5}\r{r2}\r\r{d2}\r{q5",
+        "\u2028{q5} # \u00e9\u20ac\U0001f600\n{r2}\u2028{d2}\x85{q5}\u2029",
+        "{q5}\n{r2 \u00e9}\n",
+        "{q5}\r\n{r2}\r\n{q\u00e9}\r\n",
+    ], ids=["crlf", "lone-cr", "multi-byte", "bad-multi-byte", "bad-multi-byte-crlf"])
+    def test_every_cut_of_a_line_break_or_character(self, monkeypatch, capsys, tmp_path, text):
+        want, seen = assert_same_parse(text), set()
+        for piece in range(1, len(text.encode()) + 2):
+            monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
+            seen.add(self.cli_against_oracle(capsys, tmp_path / "t.trc", text))
+            if want is not None:   # every round is read, not only a legal prefix
+                stream = trace_reader.Utf8File(io.BytesIO(text.encode()))
+                assert tuple(trace_reader.TraceReader(stream)) == want
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("piece", [1, 4, 1 << 16])
+    @pytest.mark.parametrize("text, code", [
+        ("{q5}\n{r2}", 0), ("{q5}\n{r2", 2), ("{q5}\n{q5}", 3), ("", 0), ("# c", 0),
+    ], ids=["no-trailing-newline", "bad-last-line", "violation-on-last-line", "empty",
+            "comment-only"])
+    def test_the_last_line_and_the_empty_file(self, monkeypatch, capsys, tmp_path, piece,
+                                              text, code):
+        monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
+        assert self.cli_against_oracle(capsys, tmp_path / "t.trc", text) == code
+
+    @pytest.mark.parametrize("piece", [3, 1 << 16])
+    def test_each_pass_reads_from_the_start(self, monkeypatch, piece):
+        monkeypatch.setattr(trace_reader, "_TRACE_PIECE", piece)
+        text = (FIXDIR / "display_legal.trc").read_text()
+        reader = trace_reader.TraceReader(trace_reader.Utf8File(io.BytesIO(text.encode())))
+        assert protocol.monitor(parse_model((FIXDIR / "display.prot").read_text()), reader).ok
+        assert len(reader) == len(naive_protocol.parse_trace(text)) > 0
+        assert tuple(reader) == naive_protocol.parse_trace(text)
+
+    def test_a_pipe_is_read_once(self):
+        """The first pass seeks nothing, and ``check()`` resumes where the
+        monitor stopped, so a trace can come through a pipe."""
+        P = parse_model((FIXDIR / "display.prot").read_text())
+        for text in ("{q5}\n{r2}\n{d2}\n", "{q5}\n{q5}\n{r2\n"):
+            r, w = os.pipe()
+            os.write(w, text.encode())
+            os.close(w)
+            with open(r, "rb") as stream:
+                reader = trace_reader.TraceReader(trace_reader.Utf8File(stream))
+                verdict = protocol.monitor(P, reader)
+                if verdict.ok:
+                    assert naive_protocol.monitor(P, naive_protocol.parse_trace(text)).ok
+                else:
+                    with pytest.raises(ParseError, match="^3:1: "):
+                        reader.check()
+
+    def test_missing_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.trc"
+        code = cli_main(["monitor", "--protocol", str(FIXDIR / "display.prot"),
+                         "--trace", str(missing)])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"error: cannot read {missing}: No such file or directory\n")
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="needs Linux /proc")
+    def test_a_read_that_fails_after_the_open_is_an_input_error(self, capsys):
+        """Reading a process's memory at address 0 fails with EIO once the
+        file is open: an input error (exit 2), not an output error."""
+        code = cli_main(["monitor", "--protocol", str(FIXDIR / "display.prot"),
+                         "--trace", "/proc/self/mem"])
+        assert (code, *capsys.readouterr()) == (
+            2, "", "error: cannot read /proc/self/mem: Input/output error\n")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bytes_against_whole_decode(self, monkeypatch, capsys, tmp_path, seed):
+        """Seeded traces of walks, corruptions, stray lines, every line
+        break, characters of one to four bytes and bad UTF-8, each read in
+        pieces of a random size: the verdict and its index, the bad line's
+        line and column and the encoding error are those of the frozen
+        parser and monitor over the whole decoded text."""
+        P = parse_model((FIXDIR / "display.prot").read_text())
+        rounds = sorted({v for _, v, _ in P.delta}, key=round_key)
+        rng = random.Random(3400 + seed)
+        seen = set()
+        for _ in range(120):
+            monkeypatch.setattr(trace_reader, "_TRACE_PIECE", rng.choice([1, 2, 3, 5, 8, 64]))
+            walk = [kernel.render_round(v) for v in random_walk(rng, P, rng.randint(0, 12))]
+            if walk and rng.random() < 0.5:
+                walk[rng.randrange(len(walk))] = kernel.render_round(rng.choice(rounds))
+            for _ in range(rng.randint(0, 3)):
+                walk.insert(rng.randint(0, len(walk)), rng.choice(
+                    ["", "# \u00e9\u20ac\U0001f600", "{q5} # \u00e9", "{\u00e9}", "{q5",
+                     " { r2 } "]))
+            text = "".join(line + rng.choice(LINE_BREAKS) for line in walk)
+            data = text.encode("utf-8")
+            if rng.random() < 0.3:
+                at = rng.randint(0, len(data))
+                data = data[:at] + rng.choice([b"\xff", b"\xc3", b"\xe2\x82", b"\x80"]) + data[at:]
+            try:
+                trace, utf8 = assert_same_parse(data.decode("utf-8")), True
+            except UnicodeDecodeError:
+                trace, utf8 = None, False
+            if trace is not None:
+                stream = trace_reader.Utf8File(io.BytesIO(data))
+                new = protocol.monitor(P, trace_reader.TraceReader(stream))
+                old = naive_protocol.monitor(P, trace)
+                assert (new.status, new.index, new.offending, new.expected) == \
+                    (old.status, old.index, old.offending, old.expected)
+            seen.add((self.cli_against_oracle(capsys, tmp_path / "t.trc", data), utf8))
+        assert seen == {(0, True), (2, True), (2, False), (3, True)}
 
 
 # Every line break ``str.splitlines`` knows.

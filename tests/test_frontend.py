@@ -998,6 +998,14 @@ class TestRoundTrip:
         t = tuple(rounds)
         assert parse_trace(serialize_trace(t)) == t
 
+    def test_trace_text_is_read_as_given(self):
+        """``parse_trace`` takes any ``str``, such as one read with
+        ``errors="surrogateescape"``: it is not encoded for the reader."""
+        assert parse_trace("# caf\udce9\n{a}\r\n{b}\r{}") == (
+            frozenset({"a"}), frozenset({"b"}), frozenset())
+        with pytest.raises(ParseError, match="^1:1: bad identifier"):
+            parse_trace("{\ud800}\n")
+
     def test_equal_trace_lines_share_one_round(self):
         lines = ["{a}", "{b, a}", "{}", "{ c }", "{c,d}"]
         rng = random.Random(23)

@@ -11,7 +11,7 @@ from cohmin import algebra, kernel, protocol
 from cohmin.errors import ParseError, UnknownLabel
 from cohmin.frontend import cli_main, load_protocol, parse_regex, parse_trace
 from cohmin.frontend.fileformat import MAX_DEPTH
-from cohmin.frontend.trace import TraceReader
+from cohmin.frontend.trace import TraceReader, Utf8File
 from cohmin.kernel import Signature, Transducer, mkround
 from cohmin.protocol import compile_regex, monitor
 
@@ -121,6 +121,13 @@ TAIL_PEAK_MB = 32
 # 208 MB over 10^5 rounds.
 MONITOR_PEAK_MB = 16
 
+# tracemalloc peaks over a 4 * 10^5-round {a}/{b} trace with a violation
+# half way: 1.1 MiB for the monitor pass and as much for ``check()`` over the
+# rest when each holds one piece of lines at a time; ``check()`` took 2.0 MiB
+# when it kept the previous piece alive while the next was split (Python
+# 3.11, x86-64 Linux).
+CHECK_PEAK_RATIO = 1.25
+
 
 class TestPositionAutomaton:
     def test_names_the_start_and_each_position(self):
@@ -200,6 +207,22 @@ class TestMonitor:
         )
         assert monitor(P, (R({"a"}), R({"a"}))).ok
 
+    def test_check_holds_one_piece_at_a_time(self):
+        P = Transducer(AB, {"s0", "s1"}, "s0", [("s0", R({"a"}), "s1"), ("s1", R({"b"}), "s0")])
+        half = "{a}\n{b}\n" * 100_000
+        reader = TraceReader(Utf8File(io.BytesIO((half + "{b}\n" + half).encode())))
+        tracemalloc.start()
+        try:
+            verdict = monitor(P, reader)
+            monitored = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            reader.check()
+            checked = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.index == 200_000
+        assert checked < CHECK_PEAK_RATIO * monitored
+
     def test_rows_stay_bounded_on_a_long_random_trace(self):
         """Nearly every round of a random {a}/{b} trace enters a new subset of
         the k = 20 tail automaton.  The frozen monitor would determinise it
@@ -236,7 +259,7 @@ class TestMonitor:
             if rng.random() < 0.7:
                 text += rng.choice(["\n{}", "\n{a, b}"]) + "\n{a}" * rng.randint(0, 3)
             want = naive_protocol.monitor(P, naive_protocol.parse_trace(text))
-            assert monitor(P, TraceReader(text)) == want
+            assert monitor(P, TraceReader(io.StringIO(text))) == want
             assert monitor(P, naive_protocol.parse_trace(text)) == want
 
     def test_random_walks_and_corruptions(self):
